@@ -19,18 +19,26 @@ here.  The distorted profile and its boundary are then
 an even curve in zeta = cos(angle from the rotation axis) that bulges at
 the equator.  Everything here is first order in b; quadratic remainders
 are out of scope.
+
+theta, h0 and psi2 are integrated together as one system
+(theta, theta', h0, h0', psi2, psi2') from the series start, as in
+Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side never looks up
+the base profile.  A level surface Theta = theta_star is solved for every
+zeta at once with Chandrupatla's bracketing method (Adv. Eng. Softw. 28,
+145, 1997) through scipy.optimize.elementwise.find_root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .errors import StellarMatchError
+from .lane_emden import _series_dtheta, _series_theta
 
 # Above this rotation parameter the first-order truncation is advisory only.
 FIRST_ORDER_ADVISORY_B = 0.05
@@ -47,26 +55,32 @@ def legendre_p2(zeta):
     return float(out) if out.ndim == 0 else out
 
 
-def _surface_coefficient(base, xi):
-    """n theta^(n-1) with theta clamped at zero; finite for n >= 1."""
-    theta = max(float(base.theta_at(xi)), 0.0)
-    return base.n * theta ** (base.n - 1.0)
+def _h0_series(xi, n):
+    """Regular center of h0: xi^2/6 - n xi^4/120 and its derivative."""
+    return xi**2 / 6.0 - n * xi**4 / 120.0, xi / 3.0 - n * xi**3 / 30.0
+
+
+def _psi2_series(xi, n):
+    """Regular center of psi2, normalized to unit xi^2 leading coefficient:
+    xi^2 (1 - n xi^2/14) and its derivative."""
+    return xi**2 * (1.0 - n * xi**2 / 14.0), 2.0 * xi - 4.0 * n * xi**3 / 14.0
 
 
 class RadialSolution:
     """One radial response on [0, xi1]: series core, dense middle, and a
     short linear Taylor extension past the surface for evaluating inside
-    the rotational bulge."""
+    the rotational bulge.  ``dense`` is the coupled dense output; the
+    response and its derivative are its rows ``row`` and ``row + 1``."""
 
-    def __init__(self, base, dense, xi_start, series, d_series):
+    def __init__(self, base, dense, row, series):
         self.base = base
         self.xi1 = base.xi1
         self._dense = dense
-        self._xi_start = xi_start
+        self._row = row
+        self._xi_start = base.xi_start
         self._series = series
-        self._d_series = d_series
         surf = dense(self.xi1)
-        self._f1, self._df1 = float(surf[0]), float(surf[1])
+        self._f1, self._df1 = float(surf[row]), float(surf[row + 1])
 
     def _eval(self, xi, component):
         xi = np.asarray(xi, dtype=float)
@@ -79,10 +93,9 @@ class RadialSolution:
         beyond = xi > self.xi1
         mid = ~core & ~beyond
         if np.any(core):
-            fn = self._series if component == 0 else self._d_series
-            out[core] = fn(xi[core])
+            out[core] = self._series(xi[core], self.base.n)[component]
         if np.any(mid):
-            out[mid] = self._dense(xi[mid])[component]
+            out[mid] = self._dense(xi[mid])[self._row + component]
         if np.any(beyond):
             s = xi[beyond] - self.xi1
             if component == 0:
@@ -104,62 +117,6 @@ class RadialSolution:
     @property
     def surface_slope(self):
         return self._df1
-
-
-def _solve_radial(base, rhs_extra, series, d_series, rtol, atol):
-    xi_s = base.xi_start
-
-    def rhs(xi, y):
-        f, df = y
-        return [df, rhs_extra(xi, f) - 2.0 * df / xi]
-
-    sol = solve_ivp(
-        rhs,
-        (xi_s, base.xi1),
-        [float(series(xi_s)), float(d_series(xi_s))],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StellarMatchError("radial response integration failed: %s" % sol.message)
-    return RadialSolution(base, sol.sol, xi_s, series, d_series)
-
-
-def solve_h0(base, rtol=1e-12, atol=1e-14):
-    """Spherical response: (1/xi^2)(xi^2 h0')' + n theta^(n-1) h0 = 1,
-    regular center h0 = xi^2/6 - n xi^4/120 + ..."""
-    n = base.n
-
-    def series(xi):
-        return xi**2 / 6.0 - n * xi**4 / 120.0
-
-    def d_series(xi):
-        return xi / 3.0 - n * xi**3 / 30.0
-
-    def extra(xi, f):
-        return 1.0 - _surface_coefficient(base, xi) * f
-
-    return _solve_radial(base, extra, series, d_series, rtol, atol)
-
-
-def solve_psi2(base, rtol=1e-12, atol=1e-14):
-    """Quadrupolar response: (1/xi^2)(xi^2 psi2')' +
-    (n theta^(n-1) - 6/xi^2) psi2 = 0, normalized to unit xi^2 leading
-    coefficient: psi2 = xi^2 (1 - n xi^2/14 + ...)."""
-    n = base.n
-
-    def series(xi):
-        return xi**2 * (1.0 - n * xi**2 / 14.0)
-
-    def d_series(xi):
-        return 2.0 * xi - 4.0 * n * xi**3 / 14.0
-
-    def extra(xi, f):
-        return (6.0 / xi**2 - _surface_coefficient(base, xi)) * f
-
-    return _solve_radial(base, extra, series, d_series, rtol, atol)
 
 
 def compute_a2(base, psi2):
@@ -202,15 +159,57 @@ class DistortionSolution:
         }
 
 
+def integrate_responses(base, rtol=1e-12, atol=1e-14):
+    """Dense output of (theta, theta', h0, h0', psi2, psi2') on
+    [xi_start, xi1], integrated as one system from the series start; its
+    theta reproduces base.theta_at to the integration tolerance."""
+    n = base.n
+
+    def rhs(xi, y):
+        theta, dtheta, h, dh, p, dp = y.tolist()
+        t = max(theta, 0.0)
+        coef = n * t ** (n - 1.0)
+        return [
+            dtheta,
+            -(t**n) - 2.0 * dtheta / xi,
+            dh,
+            1.0 - coef * h - 2.0 * dh / xi,
+            dp,
+            (6.0 / xi**2 - coef) * p - 2.0 * dp / xi,
+        ]
+
+    xi_s = base.xi_start
+    y0 = [
+        _series_theta(xi_s, n),
+        _series_dtheta(xi_s, n),
+        *_h0_series(xi_s, n),
+        *_psi2_series(xi_s, n),
+    ]
+    sol = solve_ivp(
+        rhs,
+        (xi_s, base.xi1),
+        y0,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+    )
+    if not sol.success:
+        raise StellarMatchError("radial response integration failed: %s" % sol.message)
+    return sol.sol
+
+
 def solve_distortion(base, rtol=1e-12, atol=1e-14):
-    """Solve both radial responses and fix the quadrupole amplitude."""
+    """Solve both radial responses in one integration with theta and fix
+    the quadrupole amplitude."""
     if base.n < 1.0:
         raise ValueError(
             "surface coefficient theta^(n-1) diverges for n < 1; "
             "polytropic index out of the supported range"
         )
-    h0 = solve_h0(base, rtol=rtol, atol=atol)
-    psi2 = solve_psi2(base, rtol=rtol, atol=atol)
+    dense = integrate_responses(base, rtol=rtol, atol=atol)
+    h0 = RadialSolution(base, dense, 2, _h0_series)
+    psi2 = RadialSolution(base, dense, 4, _psi2_series)
     a2 = compute_a2(base, psi2)
     return DistortionSolution(base=base, h0=h0, psi2=psi2, a2=a2)
 
@@ -307,28 +306,45 @@ class LevelSurface:
 def level_surface(dist, b, theta_star, zeta=None, margin=1e-3):
     """Level set Theta(xi, zeta) = theta_star, one bracketed root per zeta.
 
+    All zeta are solved at once by Chandrupatla's method
+    (scipy.optimize.elementwise.find_root) on the brackets
+    [0, min(Xi1(zeta), xi1 + EXTENSION_SPAN)]; the cap keeps the bracket
+    inside the radial responses' Taylor range when the bulge is large.
     theta_star must keep ``margin`` away from both the center value 1 and
-    the surface value 0 so the bracket [0, Xi1(zeta)] straddles the level.
+    the surface value 0 so each bracket straddles the level.
     """
     if not (margin <= theta_star <= 1.0 - margin):
         raise ValueError("theta_star must lie in [margin, 1 - margin]")
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, 201)
     zeta = np.asarray(zeta, dtype=float)
-    xi_star = np.empty_like(zeta)
-    for k, z in enumerate(zeta):
-        limit = float(boundary_radius(dist, b, z))
+    base = dist.base
+    p2 = legendre_p2(zeta)
+    hi = np.minimum(boundary_radius(dist, b, zeta), base.xi1 + EXTENSION_SPAN)
 
-        def objective(xi):
-            return theta_distorted(dist, xi, z, b) - theta_star
+    def objective(xi, p2):
+        field = dist.h0.at(xi) + dist.a2 * dist.psi2.at(xi) * p2
+        return base.theta_extended(xi) + b * field - theta_star
 
-        lo, hi = 0.0, limit
-        if objective(lo) <= 0.0 or objective(hi) >= 0.0:
-            raise StellarMatchError(
-                "level %g not bracketed on [0, Xi1] at zeta = %g" % (theta_star, z)
-            )
-        xi_star[k] = brentq(objective, lo, hi, xtol=1e-13, rtol=4e-15)
-    return LevelSurface(theta_star=float(theta_star), zeta=zeta, xi_star=xi_star)
+    bad = (objective(0.0, p2) <= 0.0) | (objective(hi, p2) >= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise StellarMatchError(
+            "level %g not bracketed on [0, %.6g] at zeta = %g" % (theta_star, hi[k], zeta[k])
+        )
+    res = find_root(
+        objective,
+        (0.0, hi),
+        args=(p2,),
+        tolerances={"xatol": 1e-13, "xrtol": 4e-15, "fatol": 0.0, "frtol": 0.0},
+    )
+    if not np.all(res.success):
+        k = int(np.argmin(res.success))
+        raise StellarMatchError(
+            "level %g root search failed (status %d) at zeta = %g"
+            % (theta_star, res.status[k], zeta[k])
+        )
+    return LevelSurface(theta_star=float(theta_star), zeta=zeta, xi_star=res.x)
 
 
 def dimensional_scale(rho_o, a_const, gamma, grav=1.0):

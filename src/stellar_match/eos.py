@@ -278,24 +278,6 @@ class EosSpec:
         self._h_dense = (sol.sol, t_lo, t_hi, h0,
                          float(sol.sol(t_hi)[0]))
 
-    def _h_of_rho_unchecked(self, rho):
-        if self.pure_polytrope:
-            return float(self._enthalpy_closed(rho))
-        if self._h_dense is None:
-            self._build_h_dense()
-        sol, t_lo, t_hi, _h_lo, h_hi = self._h_dense
-        if rho <= 0.0:
-            return 0.0
-        t = math.log(rho)
-        if t <= t_lo:
-            return float(self._enthalpy_closed(rho))
-        if t > t_hi:
-            # Smooth continuation past the table, only reachable from trial
-            # integrator states; terminal events keep accepted states inside.
-            slope = (h_hi - float(sol(t_hi - 1e-9)[0])) / 1e-9
-            return h_hi + slope * (t - t_hi)
-        return float(sol(t)[0])
-
     def _rho_of_w_unchecked(self, w):
         """Density from the enthalpy variable, with vacuum continuation
         (w <= 0 -> 0) and smooth saturation past the validity bound.  Used by

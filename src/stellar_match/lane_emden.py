@@ -90,9 +90,6 @@ class LaneEmdenSolution:
         the zero (vacuum branch, theta < 0)."""
         return self._eval(xi, 0, self.xi_extended)
 
-    def dtheta_extended(self, xi):
-        return self._eval(xi, 1, self.xi_extended)
-
     def mass_integral(self):
         """int_0^xi1 theta^n xi^2 dxi, which the equation makes equal to
         mu1; used as an independent identity check."""

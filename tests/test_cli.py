@@ -350,6 +350,20 @@ def test_surface_pipeline_n1(capsys, tmp_path):
     assert prof_lines[2] == "xi,h0,psi2"
 
 
+def test_surface_pipeline_n3(capsys, tmp_path):
+    # The default b ladder bulges past the radial responses' Taylor range
+    # at n = 3; the level surfaces must still resolve.
+    out = tmp_path / "s"
+    code, _, err = run(
+        capsys, "surface", "--out", str(out), "--set", "eos.gamma=1.3333333333333333"
+    )
+    assert code == 0
+    assert err.strip() == ""
+    rep = json.loads((out / "surface_report.json").read_text())
+    assert rep["scaling"]["slope_in_range"] is True
+    assert len(rep["stratification"]) == 3
+
+
 def test_surface_static_run(capsys, tmp_path):
     out = tmp_path / "s"
     code, _, _ = run(

@@ -14,6 +14,7 @@ from stellar_match.distortion import (
     boundary_radius,
     compute_a2,
     dimensional_scale,
+    integrate_responses,
     legendre_p2,
     level_surface,
     solve_distortion,
@@ -32,6 +33,11 @@ def dist_n1():
 @pytest.fixture(scope="module")
 def dist_n15():
     return solve_distortion(lane_emden.solve(1.5))
+
+
+@pytest.fixture(scope="module")
+def dist_n2():
+    return solve_distortion(lane_emden.solve(2.0))
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,15 @@ def test_psi2_center_normalization(fixture, request):
     dist = request.getfixturevalue(fixture)
     xi = 1e-3
     assert dist.psi2.at(xi) / xi**2 == pytest.approx(1.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n3"])
+def test_coupled_theta_matches_lane_emden(fixture, request):
+    # theta integrated alongside the responses reproduces the base profile.
+    base = request.getfixturevalue(fixture).base
+    xi = np.linspace(base.xi_start, base.xi1, 400)
+    theta = integrate_responses(base)(xi)[0]
+    assert np.max(np.abs(theta - base.theta_at(xi))) < 1e-10
 
 
 def test_radial_domain_guard(dist_n1):
@@ -284,6 +299,42 @@ def test_level_surface_even_and_bounded(dist_n15):
     assert np.max(np.abs(ls.xi_star - ls.xi_star[::-1])) == 0.0
     for z, x in zip(ls.zeta, ls.xi_star):
         assert 0.0 < x < float(boundary_radius(dist_n15, b, z))
+
+
+def _brentq_level(dist, b, theta_star, zeta):
+    """Scalar reference: one brentq root of theta_distorted per zeta."""
+    roots = []
+    for z in zeta:
+        limit = float(boundary_radius(dist, b, z))
+        roots.append(
+            brentq(
+                lambda x, z=z: theta_distorted(dist, x, z, b) - theta_star,
+                0.0,
+                limit,
+                xtol=1e-13,
+                rtol=4e-15,
+            )
+        )
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2"])
+def test_level_surface_matches_scalar_brentq(fixture, request):
+    dist = request.getfixturevalue(fixture)
+    b = 1e-2
+    zeta = np.linspace(-1.0, 1.0, 201)
+    for theta_star in (0.2, 0.5, 0.8):
+        ls = level_surface(dist, b, theta_star, zeta=zeta)
+        ref = _brentq_level(dist, b, theta_star, zeta)
+        assert np.max(np.abs(ls.xi_star - ref)) < 1e-12
+
+
+def test_level_surface_unbracketed_is_labelled(dist_n3):
+    # At n = 3 the b = 1e-2 bulge reaches past the responses' Taylor range,
+    # so the bracket is capped there; a level this close to the surface
+    # stays below Theta at the cap and must fail with the package error.
+    with pytest.raises(StellarMatchError, match="not bracketed"):
+        level_surface(dist_n3, 1e-2, 0.05)
 
 
 def test_level_surface_margin_guard(dist_n15):
