@@ -3,10 +3,10 @@
 One YAML config file with nested sections drives every command; any value
 can be overridden from the command line with repeatable
 ``--set section.key=value`` flags, plus shortcuts for the common ones
-(--seed, --threads, --out, --format).  Artifacts are CSV for anything
-plottable and canonical JSON for scalars and reports; every file embeds
-the fully resolved config and a content hash, so identical configs
-produce byte-identical outputs.
+(--seed, --out, --format).  ``SCHEMA`` lists every key with its type,
+bound and default.  Artifacts are CSV for anything plottable and canonical
+JSON for scalars and reports; every file embeds the fully resolved config
+and a content hash, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 on success (shot classifications and failure labels are
 data, not errors), 1 on validity or admissibility violations and
@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 import yaml
@@ -34,98 +35,58 @@ from .distortion import (
     surface_curve,
 )
 from .eos import EosSpec
-from .errors import (
-    AdmissibilityError,
-    ConfigError,
-    EosValidityError,
-    ShootFailureError,
-    StellarMatchError,
+from .errors import ConfigError, EosValidityError, ShootFailureError, StellarMatchError
+from .matching import (
+    NEAR_DELTA_DEFAULT,
+    SAMPLER_KINDS,
+    LogGrid,
+    SweepSampler,
+    ae_failure_sweep,
+    scan_components,
 )
-from .matching import LogGrid, SweepSampler, ae_failure_sweep, scan_components
 from .reports import sanitize, write_json, write_jsonl, write_table
-from .surface_fit import fit_ellipsoid, residual_scaling, stratification_report
+from .surface_fit import (
+    ZETA_GRID_POINTS,
+    fit_ellipsoid,
+    scaling_from_pairs,
+    scaling_ladder_problem,
+    stratification_report,
+)
 from .tov import ClassifyThresholds, ShootConfig, shoot_from_boundary, shoot_from_center
 
-THREADS_ENV = "STELLAR_MATCH_THREADS"
 LOCK_NAME = ".stellar-match.lock"
 
-DEFAULT_CONFIG = {
-    "eos": {
-        "gamma": 2.0,
-        "A": 1.0,
-        "c": "inf",
-        "lambda": [],
-        "rho_max": None,
-    },
-    "tov": {
-        "rtol": 1e-10,
-        "atol_factor": 1e-12,
-        "r0_factor": 1e-6,
-        "dr_factor": 1e-6,
-        "r_max_factor": 1e3,
-        "r_floor_factor": 1e-6,
-        "m_floor_factor": 1e-5,
-        "p_ceiling_factor": 1e6,
-        "slope_floor_factor": 1e-8,
-        "refinements": 2,
-    },
-    "sweep": {
-        "p_lo": 1e-5,
-        "p_hi": 1e-2,
-        "per_decade": 8.0,
-        "seed": 0,
-        "count": 100,
-        "kind": "random",
-        "min_distance": None,
-        "near_delta": 1e-4,
-        "threads": 1,
-    },
-    "distortion": {
-        "n": None,
-        "rho_o": 1.0,
-        "grav": 1.0,
-        "b": [1e-4, 3.1623e-4, 1e-3, 3.1623e-3, 1e-2],
-        "zeta_points": 201,
-        "levels": [0.2, 0.5, 0.8],
-        "level_margin": 1e-3,
-    },
-    "output": {
-        "directory": "out",
-        "formats": ["csv", "json"],
-    },
-}
 
-
-# -- config loading --------------------------------------------------------
+# -- config schema ---------------------------------------------------------
 
 
 def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
 
 
-def _float_value(v, path, minimum=None, strict=True, allow_none=False):
-    if v is None:
-        if allow_none:
-            return None
-        _fail(path, "value required")
-    if isinstance(v, str):
-        # YAML 1.1 reads bare "1e-3" as a string; accept numeric strings.
-        try:
-            v = float(v)
-        except ValueError:
-            _fail(path, "expected a number, got %r" % (v,))
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(path, "expected a number, got %r" % (v,))
-    v = float(v)
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(path, "must be > %g, got %g" % (minimum, v))
-        if not strict and not v >= minimum:
-            _fail(path, "must be >= %g, got %g" % (minimum, v))
+def _bounded(v, path, bound, fmt):
+    op, limit = bound
+    if not (v > limit if op == ">" else v >= limit):
+        _fail(path, ("must be %s " + fmt + ", got " + fmt) % (op, limit, v))
     return v
 
 
-def _int_value(v, path, minimum=0):
+def _number(v, path, bound):
+    if v is None:
+        _fail(path, "value required")
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        _fail(path, "expected a number, got %r" % (v,))
+    try:
+        # YAML 1.1 reads bare "1e-3" as a string; accept numeric strings.
+        v = float(v)
+    except (ValueError, OverflowError):
+        _fail(path, "expected a number, got %r" % (v,))
+    if not math.isfinite(v):
+        _fail(path, "must be finite, got %r" % v)
+    return v if bound is None else _bounded(v, path, bound, "%g")
+
+
+def _integer(v, path, bound):
     if isinstance(v, str):
         try:
             v = int(v)
@@ -133,24 +94,20 @@ def _int_value(v, path, minimum=0):
             _fail(path, "expected an integer, got %r" % (v,))
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(path, "expected an integer, got %r" % (v,))
-    if v < minimum:
-        _fail(path, "must be >= %d, got %d" % (minimum, v))
-    return v
+    return _bounded(v, path, bound, "%d")
 
 
-def _float_list(v, path, minimum=None, strict=False):
+def _numbers(v, path, bound):
     if not isinstance(v, (list, tuple)):
         _fail(path, "expected a list, got %r" % (v,))
-    return [
-        _float_value(x, "%s[%d]" % (path, i), minimum=minimum, strict=strict)
-        for i, x in enumerate(v)
-    ]
+    return [_number(x, "%s[%d]" % (path, i), bound) for i, x in enumerate(v)]
 
 
-def _light_speed(v, path):
-    if v is None or v == "inf" or (isinstance(v, float) and math.isinf(v)):
+def _light_speed(v, path, bound):
+    # The one non-finite value allowed anywhere: c = inf, nonrelativistic.
+    if v is None or v == "inf" or v == math.inf:
         return "inf"
-    return _float_value(v, path, minimum=0.0)
+    return _number(v, path, bound)
 
 
 def _choice(v, path, allowed):
@@ -159,84 +116,108 @@ def _choice(v, path, allowed):
     return v
 
 
+def _choices(v, path, allowed):
+    if not isinstance(v, (list, tuple)) or not v:
+        _fail(path, "expected a nonempty list")
+    return [_choice(x, path, allowed) for x in v]
+
+
+def _path(v, path, bound):
+    if not isinstance(v, str) or not v:
+        _fail(path, "expected a nonempty path")
+    return v
+
+
+def _solver_keys(cls):
+    """One tov.* row per field of a solver dataclass, default included:
+    integers (refinement counts) >= 0, floats (scale factors) > 0."""
+    return tuple(
+        ("tov." + f.name, _integer, (">=", 0), f.default)
+        if type(f.default) is int
+        else ("tov." + f.name, _number, (">", 0.0), f.default)
+        for f in fields(cls)
+    )
+
+
+# Every settable value: (section.key, type rule, bound, default).  None is
+# accepted exactly where the default is None.  Cross-field rules live in
+# _validate_config.
+SCHEMA = (
+    ("eos.gamma", _number, (">", 1.0), 2.0),
+    ("eos.A", _number, (">", 0.0), 1.0),
+    ("eos.c", _light_speed, (">", 0.0), "inf"),
+    ("eos.lambda", _numbers, None, []),
+    ("eos.rho_max", _number, (">", 0.0), None),
+    *_solver_keys(ShootConfig),
+    *_solver_keys(ClassifyThresholds),
+    ("sweep.p_lo", _number, (">", 0.0), 1e-5),
+    ("sweep.p_hi", _number, (">", 0.0), 1e-2),
+    ("sweep.per_decade", _number, (">=", 2.0), LogGrid.per_decade),
+    ("sweep.seed", _integer, (">=", 0), SweepSampler.seed),
+    ("sweep.count", _integer, (">=", 1), 100),
+    ("sweep.kind", _choice, SAMPLER_KINDS, SweepSampler.kind),
+    ("sweep.min_distance", _number, (">", 0.0), SweepSampler.min_distance),
+    ("sweep.near_delta", _number, (">", 0.0), NEAR_DELTA_DEFAULT),
+    ("distortion.n", _number, (">=", 1.0), None),
+    ("distortion.rho_o", _number, (">", 0.0), 1.0),
+    ("distortion.grav", _number, (">", 0.0), 1.0),
+    ("distortion.b", _numbers, (">=", 0.0), [1e-4, 3.1623e-4, 1e-3, 3.1623e-3, 1e-2]),
+    ("distortion.zeta_points", _integer, (">=", 5), ZETA_GRID_POINTS),
+    ("distortion.levels", _numbers, None, [0.2, 0.5, 0.8]),
+    ("distortion.level_margin", _number, (">", 0.0), 1e-3),
+    ("output.directory", _path, None, "out"),
+    ("output.formats", _choices, ("csv", "json"), ["csv", "json"]),
+)
+
+
+def _defaults():
+    nested = {}
+    for key, _rule, _bound, default in SCHEMA:
+        section, name = key.split(".")
+        nested.setdefault(section, {})[name] = default
+    return nested
+
+
+DEFAULT_CONFIG = _defaults()
+
+
+# -- config loading --------------------------------------------------------
+
+
 def _validate_config(data):
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
     unknown = set(data) - set(DEFAULT_CONFIG)
     if unknown:
-        raise ConfigError("unknown config section(s): %s" % ", ".join(sorted(unknown)))
-    merged = {}
+        raise ConfigError(
+            "unknown config section(s): %s" % ", ".join(sorted(map(str, unknown)))
+        )
     for section, defaults in DEFAULT_CONFIG.items():
         given = data.get(section, {})
         if not isinstance(given, dict):
             _fail(section, "must be a mapping")
         bad = set(given) - set(defaults)
         if bad:
-            _fail(section, "unknown key(s): %s" % ", ".join(sorted(bad)))
-        merged[section] = {**defaults, **given}
+            _fail(section, "unknown key(s): %s" % ", ".join(sorted(map(str, bad))))
 
-    e = merged["eos"]
-    e["gamma"] = _float_value(e["gamma"], "eos.gamma", minimum=1.0)
-    e["A"] = _float_value(e["A"], "eos.A", minimum=0.0)
-    e["c"] = _light_speed(e["c"], "eos.c")
-    e["lambda"] = _float_list(e["lambda"], "eos.lambda")
-    e["rho_max"] = _float_value(e["rho_max"], "eos.rho_max", minimum=0.0, allow_none=True)
+    merged = {section: {} for section in DEFAULT_CONFIG}
+    for key, rule, bound, default in SCHEMA:
+        section, name = key.split(".")
+        value = data.get(section, {}).get(name, default)
+        if not (value is None and default is None):
+            value = rule(value, key, bound)
+        merged[section][name] = value
 
-    t = merged["tov"]
-    for key in (
-        "rtol",
-        "atol_factor",
-        "r0_factor",
-        "dr_factor",
-        "r_max_factor",
-        "r_floor_factor",
-        "m_floor_factor",
-        "p_ceiling_factor",
-        "slope_floor_factor",
-    ):
-        t[key] = _float_value(t[key], "tov.%s" % key, minimum=0.0)
-    t["refinements"] = _int_value(t["refinements"], "tov.refinements", minimum=0)
-
-    s = merged["sweep"]
-    s["p_lo"] = _float_value(s["p_lo"], "sweep.p_lo", minimum=0.0)
-    s["p_hi"] = _float_value(s["p_hi"], "sweep.p_hi", minimum=0.0)
+    s, d = merged["sweep"], merged["distortion"]
     if s["p_hi"] <= s["p_lo"]:
         _fail("sweep.p_hi", "must exceed sweep.p_lo")
-    s["per_decade"] = _float_value(s["per_decade"], "sweep.per_decade", minimum=2.0, strict=False)
-    s["seed"] = _int_value(s["seed"], "sweep.seed", minimum=0)
-    s["count"] = _int_value(s["count"], "sweep.count", minimum=1)
-    s["kind"] = _choice(s["kind"], "sweep.kind", {"random", "grid", "on-curve"})
-    s["min_distance"] = _float_value(
-        s["min_distance"], "sweep.min_distance", minimum=0.0, allow_none=True
-    )
-    s["near_delta"] = _float_value(s["near_delta"], "sweep.near_delta", minimum=0.0)
-    s["threads"] = _int_value(s["threads"], "sweep.threads", minimum=1)
-
-    d = merged["distortion"]
-    d["n"] = _float_value(d["n"], "distortion.n", minimum=1.0, strict=False, allow_none=True)
-    d["rho_o"] = _float_value(d["rho_o"], "distortion.rho_o", minimum=0.0)
-    d["grav"] = _float_value(d["grav"], "distortion.grav", minimum=0.0)
-    d["b"] = _float_list(d["b"], "distortion.b", minimum=0.0, strict=False)
-    d["zeta_points"] = _int_value(d["zeta_points"], "distortion.zeta_points", minimum=5)
-    d["levels"] = _float_list(d["levels"], "distortion.levels")
+    if not d["b"]:
+        _fail("distortion.b", "expected a nonempty list")
     for lev in d["levels"]:
         if not (0.0 < lev < 1.0):
             _fail("distortion.levels", "levels must lie in (0, 1), got %g" % lev)
-    d["level_margin"] = _float_value(d["level_margin"], "distortion.level_margin", minimum=0.0)
-
-    o = merged["output"]
-    if not isinstance(o["directory"], str) or not o["directory"]:
-        _fail("output.directory", "expected a nonempty path")
-    if not isinstance(o["formats"], (list, tuple)) or not o["formats"]:
-        _fail("output.formats", "expected a nonempty list")
-    for fmt in o["formats"]:
-        _choice(fmt, "output.formats", {"csv", "json"})
-    o["formats"] = list(o["formats"])
-
-    # Cross-section consistency: a stated polytropic index must agree with
-    # the index the EOS exponent implies.
+    # A stated polytropic index must agree with the one the EOS exponent
+    # implies.
     if d["n"] is not None:
-        derived = 1.0 / (e["gamma"] - 1.0)
+        derived = 1.0 / (merged["eos"]["gamma"] - 1.0)
         if abs(d["n"] - derived) > 1e-9 * max(1.0, derived):
             _fail(
                 "distortion.n",
@@ -246,6 +227,13 @@ def _validate_config(data):
     return merged
 
 
+def _put(data, section, key, value):
+    given = data.setdefault(section, {})
+    if not isinstance(given, dict):
+        _fail(section, "must be a mapping")
+    given[key] = value
+
+
 def _apply_set(data, assignment):
     if "=" not in assignment:
         raise ConfigError("--set expects section.key=value, got %r" % assignment)
@@ -253,12 +241,15 @@ def _apply_set(data, assignment):
     parts = target.strip().split(".")
     if len(parts) != 2:
         raise ConfigError("--set expects section.key=value, got %r" % assignment)
-    section, key = parts
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError("--set value %r is not parseable: %s" % (raw, exc))
-    data.setdefault(section, {})[key] = value
+    _put(data, *parts, value)
+
+
+def _from_section(cls, section):
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
 
 
 class RunConfig:
@@ -279,24 +270,10 @@ class RunConfig:
         return EosSpec(gamma=e["gamma"], A=e["A"], c_light=c, lambda_coeffs=e["lambda"])
 
     def shoot_config(self):
-        t = self.data["tov"]
-        return ShootConfig(
-            rtol=t["rtol"],
-            atol_factor=t["atol_factor"],
-            r0_factor=t["r0_factor"],
-            dr_factor=t["dr_factor"],
-            r_max_factor=t["r_max_factor"],
-        )
+        return _from_section(ShootConfig, self.data["tov"])
 
     def thresholds(self):
-        t = self.data["tov"]
-        return ClassifyThresholds(
-            r_floor_factor=t["r_floor_factor"],
-            m_floor_factor=t["m_floor_factor"],
-            p_ceiling_factor=t["p_ceiling_factor"],
-            slope_floor_factor=t["slope_floor_factor"],
-            refinements=t["refinements"],
-        )
+        return _from_section(ClassifyThresholds, self.data["tov"])
 
     def polytrope_n(self):
         d = self.data["distortion"]
@@ -311,12 +288,11 @@ class RunConfig:
         return self.data["output"]["directory"]
 
 
-def load_config(path=None, sets=(), seed=None, threads=None, out=None, fmt=None):
+def load_config(path=None, sets=(), seed=None, out=None, fmt=None):
     """Load, override, and validate a run configuration.
 
     Resolution order for each value: file, then --set overrides, then the
-    shortcut flags.  Threads fall back to the STELLAR_MATCH_THREADS
-    environment variable when no flag is given.
+    shortcut flags.
     """
     data = {}
     if path is not None:
@@ -327,41 +303,58 @@ def load_config(path=None, sets=(), seed=None, threads=None, out=None, fmt=None)
             raise ConfigError("cannot read config file %s: %s" % (path, exc))
         except yaml.YAMLError as exc:
             raise ConfigError("config file %s is not valid YAML: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a mapping")
     for assignment in sets:
         _apply_set(data, assignment)
     if seed is not None:
-        data.setdefault("sweep", {})["seed"] = seed
-    if threads is None and os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError:
-            raise ConfigError(
-                "%s must be an integer, got %r" % (THREADS_ENV, os.environ[THREADS_ENV])
-            )
-    if threads is not None:
-        data.setdefault("sweep", {})["threads"] = threads
+        _put(data, "sweep", "seed", seed)
     if out is not None:
-        data.setdefault("output", {})["directory"] = out
+        _put(data, "output", "directory", out)
     if fmt is not None:
-        data.setdefault("output", {})["formats"] = [fmt]
+        _put(data, "output", "formats", [fmt])
     return RunConfig(_validate_config(data))
 
 
 # -- output plumbing -------------------------------------------------------
 
 
+def _stale_lock(lock_path):
+    """True if the lockfile holds the pid of a process that no longer
+    exists.  A lock whose content is not a pid is never stale."""
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read())
+        if pid <= 0 or os.name != "posix":
+            return False
+        os.kill(pid, 0)  # signal 0 delivers nothing: an existence check
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        return False
+    return False
+
+
 @contextmanager
 def output_lock(directory):
-    """Exclusive ownership of an output directory via a lockfile."""
+    """Exclusive ownership of an output directory via a lockfile.  A lock
+    left behind by a process that has died is taken over."""
     os.makedirs(directory, exist_ok=True)
     lock_path = os.path.join(directory, LOCK_NAME)
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StellarMatchError(
-            "output directory %s is locked by another run (%s present)"
-            % (directory, LOCK_NAME)
-        )
+    for attempt in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _stale_lock(lock_path):
+                raise StellarMatchError(
+                    "output directory %s is locked by another run (%s present)"
+                    % (directory, LOCK_NAME)
+                )
+            try:
+                os.unlink(lock_path)
+            except FileNotFoundError:
+                pass
     try:
         os.write(fd, b"%d\n" % os.getpid())
         os.close(fd)
@@ -377,12 +370,9 @@ def _emit(obj, stream=None):
     print(json.dumps(sanitize(obj), sort_keys=True), file=stream or sys.stderr)
 
 
-def _say(message):
-    print(message)
-
-
-def _table_path(directory, stem, fmt):
-    return os.path.join(directory, "%s.%s" % (stem, "csv" if fmt == "csv" else "json"))
+def _write_rows(cfg, out, stem, columns, rows):
+    fmt = cfg.table_format()
+    write_table(os.path.join(out, "%s.%s" % (stem, fmt)), columns, rows, cfg.resolved(), fmt)
 
 
 # -- commands --------------------------------------------------------------
@@ -402,7 +392,7 @@ def cmd_eos_check(cfg):
     }
     with output_lock(cfg.out_dir()) as out:
         write_json(os.path.join(out, "eos_check.json"), report)
-    _say(
+    print(
         "eos-check: valid for rho in (0, %g], binding constraint: %s"
         % (eos.rho_valid_max, eos.validity_binding)
     )
@@ -414,15 +404,9 @@ def cmd_eos_check(cfg):
     return 0
 
 
-def _write_trajectory(out, stem, trajectory, cfg):
+def _write_trajectory(cfg, out, stem, trajectory):
     rows = [list(map(float, row)) for row in trajectory.as_rows()]
-    write_table(
-        _table_path(out, stem, cfg.table_format()),
-        ("r", "m", "P", "rho", "h", "F", "H"),
-        rows,
-        cfg.resolved(),
-        cfg.table_format(),
-    )
+    _write_rows(cfg, out, stem, ("r", "m", "P", "rho", "h", "F", "H"), rows)
 
 
 def cmd_shoot_center(cfg, p_center):
@@ -442,7 +426,7 @@ def cmd_shoot_center(cfg, p_center):
                 "config": cfg.resolved(),
             }
             write_json(os.path.join(out, "center_shot.json"), report)
-            _say("shoot-center: no surface reached (%s)" % exc.label)
+            print("shoot-center: no surface reached (%s)" % exc.label)
             return 0
         report = {
             "outcome": "surface",
@@ -454,8 +438,8 @@ def cmd_shoot_center(cfg, p_center):
             "config": cfg.resolved(),
         }
         write_json(os.path.join(out, "center_shot.json"), report)
-        _write_trajectory(out, "center_shot_trajectory", trajectory, cfg)
-    _say(
+        _write_trajectory(cfg, out, "center_shot_trajectory", trajectory)
+    print(
         "shoot-center: R = %.12g, M = %.12g (P_c = %g)"
         % (surface.radius, surface.mass, p_center)
     )
@@ -483,8 +467,8 @@ def cmd_shoot_boundary(cfg, radius, mass):
             "config": cfg.resolved(),
         }
         write_json(os.path.join(out, "boundary_shot.json"), report)
-        _write_trajectory(out, "boundary_shot_trajectory", trajectory, cfg)
-    _say(
+        _write_trajectory(cfg, out, "boundary_shot_trajectory", trajectory)
+    print(
         "shoot-boundary: case = %s, exit = %s"
         % (cls.case if cls.case else "none", cls.exit)
     )
@@ -504,13 +488,7 @@ def cmd_match(cfg):
         curve_rows = []
         for curve in curves:
             curve_rows.extend(list(row) for row in curve.as_rows())
-        write_table(
-            _table_path(out, "curves", cfg.table_format()),
-            ("P_O", "R", "M", "2M/R"),
-            curve_rows,
-            cfg.resolved(),
-            cfg.table_format(),
-        )
+        _write_rows(cfg, out, "curves", ("P_O", "R", "M", "2M/R"), curve_rows)
         if not curves:
             summary = {
                 "note": "no components found: every central pressure failed",
@@ -526,7 +504,7 @@ def cmd_match(cfg):
                 [],
             )
             write_json(os.path.join(out, "sweep_summary.json"), summary)
-            _say("match: no components; sweep skipped")
+            print("match: no components; sweep skipped")
             return 0
         sampler = SweepSampler(
             kind=s["kind"], seed=s["seed"], min_distance=s["min_distance"]
@@ -536,7 +514,6 @@ def cmd_match(cfg):
             curves,
             sampler,
             count=s["count"],
-            threads=s["threads"],
             near_delta=s["near_delta"],
             config=cfg.shoot_config(),
             thresholds=cfg.thresholds(),
@@ -549,7 +526,7 @@ def cmd_match(cfg):
         summary = dict(report.summary)
         summary["config"] = cfg.resolved()
         write_json(os.path.join(out, "sweep_summary.json"), summary)
-    _say(
+    print(
         "match: %d component(s), %d sample(s), far Case11 count %d"
         % (len(curves), report.summary["count"], report.summary["far_case11_count"])
     )
@@ -582,19 +559,15 @@ def cmd_surface(cfg):
     fits = []
     for b in b_values:
         sc = surface_curve(dist, b, zeta)
-        fit = fit_ellipsoid(np.column_stack([sc.zeta, sc.values]))
-        fits.append({"b": b, "fit": fit.describe()})
+        fits.append(fit_ellipsoid(np.column_stack([sc.zeta, sc.values])))
 
-    positive = [b for b in b_values if b > 0.0]
     scaling = None
     scaling_note = None
-    if (
-        len(positive) == len(b_values)
-        and len(positive) >= 4
-        and positive[-1] <= 0.05
-        and positive[-1] / positive[0] >= 100.0 * (1.0 - 1e-12)
-    ):
-        scaling = residual_scaling(dist, positive, zeta=zeta).describe()
+    if scaling_ladder_problem(b_values) is None:
+        scaling = scaling_from_pairs(
+            [(b, fit.rms_residual) for b, fit in zip(b_values, fits)],
+            roundoff_scale=dist.base.xi1,
+        ).describe()
         scaling["slope_in_range"] = bool(abs(scaling["slope"] - 2.0) <= 0.1)
     else:
         scaling_note = (
@@ -618,7 +591,7 @@ def cmd_surface(cfg):
         "b_max_requested": max(b_values),
         "first_order_advisory": advisory,
         "length_scale": dimensional_scale(d["rho_o"], cfg["eos"]["A"], gamma, d["grav"]),
-        "fits": fits,
+        "fits": [{"b": b, "fit": fit.describe()} for b, fit in zip(b_values, fits)],
         "scaling": scaling,
         "scaling_note": scaling_note,
         "stratification": [
@@ -628,23 +601,19 @@ def cmd_surface(cfg):
     }
     with output_lock(cfg.out_dir()) as out:
         write_json(os.path.join(out, "surface_report.json"), report)
-        write_table(
-            _table_path(out, "surface_curve", cfg.table_format()),
-            ("zeta", "Xi1"),
-            [list(row) for row in curve.as_rows()],
-            cfg.resolved(),
-            cfg.table_format(),
+        _write_rows(
+            cfg, out, "surface_curve", ("zeta", "Xi1"), [list(row) for row in curve.as_rows()]
         )
         prof = dist.profile()
-        write_table(
-            _table_path(out, "distortion_profile", cfg.table_format()),
+        _write_rows(
+            cfg,
+            out,
+            "distortion_profile",
             ("xi", "h0", "psi2"),
             np.column_stack([prof["xi"], prof["h0"], prof["psi2"]]).tolist(),
-            cfg.resolved(),
-            cfg.table_format(),
         )
     slope_text = "%.4f" % scaling["slope"] if scaling else "skipped"
-    _say(
+    print(
         "surface: n = %g, A2 = %.10g, c = (%.6g, %.6g, %.6g), slope = %s"
         % (n, dist.a2, curve.c0, curve.c1, curve.c2, slope_text)
     )
@@ -659,7 +628,6 @@ def _build_parser():
     common.add_argument("--config", metavar="PATH", help="YAML config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--seed", type=int, metavar="N", help="sweep RNG seed")
-    common.add_argument("--threads", type=int, metavar="N", help="sweep worker threads")
     common.add_argument("--format", choices=("csv", "json"), help="table format")
     common.add_argument(
         "--set",
@@ -707,7 +675,6 @@ def main(argv=None):
             path=args.config,
             sets=args.overrides,
             seed=args.seed,
-            threads=args.threads,
             out=args.out,
             fmt=args.format,
         )
@@ -725,10 +692,7 @@ def main(argv=None):
     except ConfigError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
-    except (AdmissibilityError, EosValidityError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return 1
-    except StellarMatchError as exc:
+    except (StellarMatchError, OSError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
 

@@ -18,7 +18,6 @@ scales are treated uniformly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +51,8 @@ ENDPOINT_REL_TOL = 1e-4
 SAGITTA_TOL = 3e-5
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4
+# Sampling plans understood by SweepSampler.
+SAMPLER_KINDS = ("random", "grid", "on-curve")
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,7 @@ class SweepSampler:
     on_curve_log_margin: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("random", "grid", "on-curve"):
+        if self.kind not in SAMPLER_KINDS:
             raise ValueError("sampler kind must be random, grid, or on-curve")
 
     def describe(self):
@@ -520,7 +521,6 @@ def ae_failure_sweep(
     curves,
     sampler=None,
     count=100,
-    threads=1,
     near_delta=NEAR_DELTA_DEFAULT,
     config=None,
     thresholds=None,
@@ -529,11 +529,11 @@ def ae_failure_sweep(
 
     Draws ``count`` admissible samples per the sampler plan, classifies
     each with an inward shot, and reports the Case 11 fraction among
-    samples farther than ``near_delta`` (scaled) from every curve.  Draws
-    are made serially from the seeded generator so the sample list is
-    reproducible; classification fans out over ``threads`` workers and is
-    re-aggregated in sample order, so the report is byte-identical for a
-    fixed seed regardless of thread count.
+    samples farther than ``near_delta`` (scaled) from every curve.  All
+    draws are made first, from the seeded generator, and each sample is
+    then classified on its own in index order.  The report is therefore
+    byte-identical for a fixed seed, and for the random and on-curve
+    plans the first k records equal those of a k-sample sweep.
     """
     sampler = sampler or SweepSampler()
     config = config or ShootConfig()
@@ -548,18 +548,8 @@ def ae_failure_sweep(
         if not math.isnan(radius) and not admissible(radius, mass, eos.c_light):
             raise StellarMatchError("sampler produced inadmissible boundary data")
 
-    def job(coord):
-        radius, mass, _, _ = coord
-        return _classify_sample(eos, radius, mass, config, thresholds)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, coords))
-    else:
-        outcomes = [job(c) for c in coords]
-
     samples = []
-    for idx, ((radius, mass, j, dist), outcome) in enumerate(zip(coords, outcomes)):
+    for idx, (radius, mass, j, dist) in enumerate(coords):
         rec = {
             "index": idx,
             "radius": radius,
@@ -567,7 +557,7 @@ def ae_failure_sweep(
             "component": j,
             "distance": dist,
         }
-        rec.update(outcome)
+        rec.update(_classify_sample(eos, radius, mass, config, thresholds))
         samples.append(rec)
 
     case_counts = {}

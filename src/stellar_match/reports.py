@@ -1,9 +1,11 @@
 """Canonical serialization for reproducible reports.
 
-Sweep and curve outputs must be byte-identical across runs and across
-serial/parallel execution, so everything funnels through one canonical JSON
-form: plain Python types, sorted keys, no whitespace, non-finite floats as
-strings, no timestamps.
+Sweep and curve outputs must be byte-identical across runs, so
+everything funnels through one canonical JSON form: plain Python types,
+sorted keys, no whitespace, non-finite floats as strings, no timestamps.
+Every artifact is written whole to a temp file beside its target and then
+renamed over it, so an interrupted run never leaves a half-written file
+under an artifact's name.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -59,10 +62,25 @@ def with_content_hash(obj):
     return body
 
 
+def replace_file(path, text):
+    """Write ``text`` to ``path`` atomically: a temp file in the same
+    directory, then ``os.replace``.  On any failure the temp file is
+    removed and an existing file at ``path`` is left as it was."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_json(path, obj):
-    text = canonical_json(with_content_hash(obj))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    replace_file(path, canonical_json(with_content_hash(obj)) + "\n")
 
 
 def write_jsonl(path, header, records):
@@ -71,10 +89,8 @@ def write_jsonl(path, header, records):
     lines = [canonical_json(rec) for rec in records]
     header = dict(header)
     header["records_sha256"] = content_hash("\n".join(lines))
-    with open(path, "w") as fh:
-        fh.write(canonical_json(with_content_hash(header)) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    head = canonical_json(with_content_hash(header))
+    replace_file(path, "\n".join([head] + lines) + "\n")
 
 
 def write_table(path, columns, rows, config, fmt="csv"):
@@ -86,10 +102,11 @@ def write_table(path, columns, rows, config, fmt="csv"):
     body_lines = [",".join(columns)]
     body_lines += [",".join(_csv_cell(v) for v in row) for row in rows]
     body = "\n".join(body_lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# config: %s\n" % canonical_json(config))
-        fh.write("# content_sha256: %s\n" % content_hash(body))
-        fh.write(body)
+    replace_file(
+        path,
+        "# config: %s\n# content_sha256: %s\n%s"
+        % (canonical_json(config), content_hash(body), body),
+    )
 
 
 def _csv_cell(v):

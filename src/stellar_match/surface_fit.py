@@ -186,25 +186,36 @@ def scaling_from_pairs(pairs, roundoff_scale=1.0):
     )
 
 
+def scaling_ladder_problem(b_values):
+    """Why a b ladder cannot carry the residual scaling, or None if it can.
+
+    The regression needs at least 4 strictly increasing b values spanning
+    two or more decades, all within the first-order range 0 < b <= 0.05.
+    """
+    b_values = [float(b) for b in b_values]
+    if len(b_values) < 4:
+        return "need at least 4 rotation parameters"
+    if any(np.diff(b_values) <= 0.0):
+        return "b values must be strictly increasing"
+    if b_values[0] <= 0.0:
+        return "b values must be positive"
+    if b_values[-1] > 0.05:
+        return "b values beyond 0.05 leave the first-order range"
+    if b_values[-1] / b_values[0] < 100.0 * (1.0 - 1e-12):
+        return "b values must span at least two decades"
+    return None
+
+
 def residual_scaling(dist, b_values, zeta=None, max_iter=60):
     """Ellipsoid-residual scaling of the distorted surface.
 
     Fits the boundary curve at each rotation parameter and regresses the
     rms residuals; the non-ellipsoidal quadrupole leaves a slope of 2.
-    Requires at least 4 strictly increasing b values spanning two or more
-    decades, all within the first-order range b <= 0.05.
+    Raises ValueError for a ladder that ``scaling_ladder_problem`` rejects.
     """
-    b_values = [float(b) for b in b_values]
-    if len(b_values) < 4:
-        raise ValueError("need at least 4 rotation parameters")
-    if any(np.diff(b_values) <= 0.0):
-        raise ValueError("b values must be strictly increasing")
-    if b_values[0] <= 0.0:
-        raise ValueError("b values must be positive")
-    if b_values[-1] > 0.05:
-        raise ValueError("b values beyond 0.05 leave the first-order range")
-    if b_values[-1] / b_values[0] < 100.0 * (1.0 - 1e-12):
-        raise ValueError("b values must span at least two decades")
+    problem = scaling_ladder_problem(b_values)
+    if problem is not None:
+        raise ValueError(problem)
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
     pairs = []

@@ -52,6 +52,10 @@ CASE10 = "case10"
 CASE11 = "case11"
 
 _METRIC_FLOOR = 1e-14
+# Integrator for every shot, and the margin kept from the metric
+# degeneracy 1 - 2m/(c^2 r) = 0 by the horizon events.
+METHOD = "RK45"
+HORIZON_MARGIN = 1e-10
 
 
 @dataclass
@@ -63,18 +67,16 @@ class ShootConfig:
     r0_factor: float = 1e-6         # center offset in units of the length scale
     dr_factor: float = 1e-6         # surface offset in units of R
     r_max_factor: float = 1e3       # outward guard in units of the length scale
-    horizon_margin: float = 1e-10
-    method: str = "RK45"
 
 
 @dataclass
 class ClassifyThresholds:
     """Gates for the inward four-case classification.
 
-    p_ref defaults to M^2/R^4, the G = 1 pressure scale of the boundary
-    data.  The pressure ceiling is additionally capped just below the EOS
-    validity bound, since a truncated correction series cannot be followed
-    to arbitrary pressure.
+    Pressure gates scale with p_ref = M^2/R^4, the G = 1 pressure scale
+    of the boundary data.  The pressure ceiling is additionally capped
+    just below the EOS validity bound, since a truncated correction series
+    cannot be followed to arbitrary pressure.
     """
 
     r_floor_factor: float = 1e-6
@@ -82,7 +84,6 @@ class ClassifyThresholds:
     p_ceiling_factor: float = 1e6
     slope_floor_factor: float = 1e-8
     refinements: int = 2
-    p_ref: float | None = None
 
 
 class TovTrajectory:
@@ -239,11 +240,11 @@ def surface_start(eos, radius, mass, dr):
     return radius - dr, mass, g_s * dr
 
 
-def _solve(eos, r_span, y0, events, rtol, atol, method):
+def _solve(eos, r_span, y0, events, rtol, atol):
     def rhs(r, y):
         return tov_rhs(eos, r, y[0], y[1])
 
-    sol = solve_ivp(rhs, r_span, y0, method=method, rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, r_span, y0, method=METHOD, rtol=rtol, atol=atol,
                     dense_output=True, events=events)
     if not sol.success:
         raise StellarMatchError("integrator failure: " + sol.message)
@@ -271,13 +272,13 @@ def shoot_from_center(eos, p_center, config=None):
         csq = eos.c_light**2
 
         def horizon_event(r, y):
-            return 1.0 - 2.0 * y[0] / (csq * r) - cfg.horizon_margin
+            return 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN
         horizon_event.terminal = True
         horizon_event.direction = -1
         events.append(horizon_event)
 
     sol = _solve(eos, (r0, cfg.r_max_factor * a), [m0, w0], events,
-                 cfg.rtol, atol, cfg.method)
+                 cfg.rtol, atol)
 
     if sol.t_events[0].size:
         radius = float(sol.t_events[0][0])
@@ -307,8 +308,7 @@ def shoot_from_center(eos, p_center, config=None):
                             trajectory=traj)
 
 
-def _inward_events(eos, w_ceiling, slope_floor, r_floor, horizon_margin,
-                   with_center):
+def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
     """Terminal events for an inward run, with their labels in order.
 
     Refinement runs drop the center-floor stop (with_center=False) so a
@@ -345,7 +345,7 @@ def _inward_events(eos, w_ceiling, slope_floor, r_floor, horizon_margin,
         csq = eos.c_light**2
 
         def horizon_event(r, y):
-            return 1.0 - 2.0 * y[0] / (csq * r) - horizon_margin
+            return 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN
         horizon_event.terminal = True
         horizon_event.direction = -1
         events.append(horizon_event)
@@ -364,11 +364,11 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
             % (radius, mass, eos.c_light))
     if not eos.nonrelativistic:
         start_metric = 1.0 - 2.0 * mass / (eos.c_light**2 * radius)
-        if start_metric <= 2.0 * cfg.horizon_margin:
+        if start_metric <= 2.0 * HORIZON_MARGIN:
             raise AdmissibilityError("boundary data starts inside the "
                                      "horizon margin")
 
-    p_ref = thr.p_ref if thr.p_ref is not None else mass**2 / radius**4
+    p_ref = mass**2 / radius**4
     ceiling_nominal = thr.p_ceiling_factor * p_ref
     if math.isinf(eos.rho_valid_max):
         p_cap = math.inf
@@ -400,9 +400,9 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
     def run(ceiling_p, rtol, with_center, prev_w_ceiling):
         w_ceiling = eos.enthalpy_of_pressure(min(ceiling_p, p_cap))
         events, labels = _inward_events(eos, w_ceiling, slope_floor, r_floor,
-                                        cfg.horizon_margin, with_center)
+                                        with_center)
         sol = _solve(eos, (r_start, span_end), [m_start, w_start], events,
-                     rtol, atol, cfg.method)
+                     rtol, atol)
         return sol, _interpret_inward(sol, labels, r_floor,
                                       prev_w_ceiling), w_ceiling
 

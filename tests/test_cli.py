@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from stellar_match import __version__, lane_emden
-from stellar_match.cli import DEFAULT_CONFIG, load_config, main
+from stellar_match.cli import DEFAULT_CONFIG, LOCK_NAME, load_config, main, output_lock
 from stellar_match.eos import EosSpec
+from stellar_match.errors import StellarMatchError
 
 
 def run(capsys, *argv):
@@ -56,13 +59,73 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path=str(path))
 
 
-def test_load_config_threads_env(monkeypatch):
-    monkeypatch.setenv("STELLAR_MATCH_THREADS", "3")
-    cfg = load_config()
-    assert cfg["sweep"]["threads"] == 3
-    # Explicit flag wins over the environment.
-    cfg = load_config(threads=5)
-    assert cfg["sweep"]["threads"] == 5
+def test_threads_flag_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        "sweep.threads=2",
+        "sweep.count",
+        "sweep.count=",
+        "a.b.c=1",
+        "nosuch.key=1",
+        "sweep.count=true",
+        "sweep.kind=[random]",
+        "distortion.b=[]",
+    ],
+)
+def test_malformed_set_exits_2(capsys, tmp_path, assignment):
+    code, _, err = run(capsys, "match", "--out", str(tmp_path / "o"), "--set", assignment)
+    assert code == 2
+    assert stderr_error(err)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["- 1\n", "sweep: 5\n"])
+def test_malformed_config_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code, _, err = run(
+        capsys, "match", "--config", str(path), "--out", str(tmp_path / "o"),
+        "--set", "sweep.count=1",
+    )
+    assert code == 2
+    assert stderr_error(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "command, assignment",
+    [
+        ("match", "sweep.p_hi=.inf"),
+        ("match", "sweep.p_hi=inf"),
+        ("match", "sweep.per_decade=.inf"),
+        ("eos-check", "eos.lambda=[.nan]"),
+        ("eos-check", "eos.A=.inf"),
+        ("eos-check", "eos.c=.nan"),
+        ("eos-check", "eos.c=-.inf"),
+        ("shoot-center", "tov.rtol=.inf"),
+    ],
+)
+def test_non_finite_config_numbers_rejected(capsys, tmp_path, command, assignment):
+    extra = ("--p-center", "1e-4") if command == "shoot-center" else ()
+    code, _, err = run(
+        capsys, command, *extra, "--out", str(tmp_path / "o"), "--set", assignment
+    )
+    assert code == 2
+    error = stderr_error(err)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith(assignment.split("=")[0])
+    assert "finite" in error["message"]
+
+
+def test_infinite_light_speed_means_nonrelativistic():
+    cfg = load_config(sets=["eos.c=.inf"])
+    assert cfg["eos"]["c"] == "inf"
+    assert cfg.eos_spec().nonrelativistic
 
 
 def test_contradictory_polytrope_index(capsys, tmp_path):
@@ -299,15 +362,6 @@ def test_match_empty_domain(capsys, tmp_path):
     assert len(jsonl) == 1  # header record only
 
 
-def test_match_threads_from_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("STELLAR_MATCH_THREADS", "2")
-    out = tmp_path / "m"
-    code, _, _ = run(capsys, "match", "--out", str(out), *MATCH_ARGS)
-    assert code == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
-    assert summary["config"]["sweep"]["threads"] == 2
-
-
 def test_lockfile_blocks_concurrent_runs(capsys, tmp_path):
     out = tmp_path / "m"
     out.mkdir()
@@ -315,6 +369,32 @@ def test_lockfile_blocks_concurrent_runs(capsys, tmp_path):
     code, _, err = run(capsys, "match", "--out", str(out), *MATCH_ARGS)
     assert code == 1
     assert "locked" in stderr_error(err)["message"]
+
+
+def test_unusable_output_directory_exits_1(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, "eos-check", "--out", str(tmp_path / "file"))
+    assert code == 1
+    assert stderr_error(err)["error"] == "FileExistsError"
+
+
+def test_lock_of_live_process_blocks(tmp_path):
+    (tmp_path / LOCK_NAME).write_text("%d\n" % os.getpid())
+    with pytest.raises(StellarMatchError, match="locked"):
+        with output_lock(str(tmp_path)):
+            pass
+
+
+@pytest.mark.skipif(os.name != "posix", reason="pid liveness is checked on POSIX only")
+def test_stale_lock_is_recovered(tmp_path):
+    # The pid of a child that has exited and been reaped names no process.
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    lock = tmp_path / LOCK_NAME
+    lock.write_text("%d\n" % child.pid)
+    with output_lock(str(tmp_path)):
+        assert lock.read_text() == "%d\n" % os.getpid()
+    assert not lock.exists()
 
 
 # -- surface ---------------------------------------------------------------
@@ -383,6 +463,26 @@ def test_surface_static_run(capsys, tmp_path):
     assert rep["fits"][0]["fit"]["rms_residual"] < 1e-12
     for row in rep["stratification"]:
         assert row["fit"]["relative_rms"] < 1e-12
+
+
+def test_surface_unordered_ladder_skips_scaling(capsys, tmp_path):
+    out = tmp_path / "s"
+    code, _, err = run(
+        capsys,
+        "surface",
+        "--out",
+        str(out),
+        "--set",
+        "eos.gamma=2.0",
+        "--set",
+        "distortion.b=[1e-4, 1e-2, 1e-3, 1e-2]",
+    )
+    assert code == 0
+    assert err.strip() == ""
+    rep = json.loads((out / "surface_report.json").read_text())
+    assert rep["scaling"] is None
+    assert "skipped" in rep["scaling_note"]
+    assert [row["b"] for row in rep["fits"]] == [1e-4, 1e-2, 1e-3, 1e-2]
 
 
 def test_surface_advisory_beyond_first_order(capsys, tmp_path):

@@ -18,6 +18,7 @@ from stellar_match.matching import (
     distance_to_curves,
     scan_components,
 )
+from stellar_match.reports import canonical_json
 from stellar_match.tov import CASE11, ShootConfig, admissible
 
 
@@ -238,13 +239,18 @@ def test_sweep_on_curve_samples_all_case11(rel_gamma53_curves):
         assert curves[0].p_lo <= rec["p_center"] <= curves[0].p_hi
 
 
-def test_sweep_reports_are_thread_invariant(rel_gamma53_curves):
+def test_sweep_records_are_sample_independent(rel_gamma53_curves):
+    # Each record depends only on its own draw: a shorter sweep is a prefix
+    # of a longer one with the same seed, and a rerun is byte-identical.
+    # Any batched or process-parallel sweep must keep both properties.
     eos, curves = rel_gamma53_curves
     sampler = SweepSampler(kind="random", seed=11, min_distance=1e-2)
-    serial = ae_failure_sweep(eos, curves, sampler, count=8, threads=1)
-    threaded = ae_failure_sweep(eos, curves, sampler, count=8, threads=4)
-    assert serial.summary_json() == threaded.summary_json()
-    assert serial.sample_rows() == threaded.sample_rows()
+    short = ae_failure_sweep(eos, curves, sampler, count=4)
+    full = ae_failure_sweep(eos, curves, sampler, count=8)
+    rerun = ae_failure_sweep(eos, curves, sampler, count=8)
+    assert short.sample_rows() == full.sample_rows()[:4]
+    assert canonical_json(rerun.sample_rows()) == canonical_json(full.sample_rows())
+    assert rerun.summary_json() == full.summary_json()
 
 
 def test_sweep_repeats_byte_identical(rel_gamma53_curves):
