@@ -320,11 +320,16 @@ def load_config(path=None, sets=(), seed=None, out=None, fmt=None):
 
 
 def _stale_lock(lock_path):
-    """True if the lockfile holds the pid of a process that no longer
-    exists.  A lock whose content is not a pid is never stale."""
+    """True if the lockfile is empty or holds the pid of a process that no
+    longer exists.  ``output_lock`` gives the lock its name only after the
+    pid is in it, so a lock with a live owner is never empty.  Any other
+    content that is not a pid is never stale."""
     try:
         with open(lock_path) as fh:
-            pid = int(fh.read())
+            text = fh.read()
+        if not text:
+            return True
+        pid = int(text)
         if pid <= 0 or os.name != "posix":
             return False
         os.kill(pid, 0)  # signal 0 delivers nothing: an existence check
@@ -337,27 +342,33 @@ def _stale_lock(lock_path):
 
 @contextmanager
 def output_lock(directory):
-    """Exclusive ownership of an output directory via a lockfile.  A lock
-    left behind by a process that has died is taken over."""
+    """Exclusive ownership of an output directory via a lockfile.  The pid
+    is written to a temp file first and hard-linked into place, so the
+    lock is never seen empty.  A lock left behind by a process that has
+    died is taken over."""
     os.makedirs(directory, exist_ok=True)
     lock_path = os.path.join(directory, LOCK_NAME)
-    for attempt in range(2):
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _stale_lock(lock_path):
-                raise StellarMatchError(
-                    "output directory %s is locked by another run (%s present)"
-                    % (directory, LOCK_NAME)
-                )
-            try:
-                os.unlink(lock_path)
-            except FileNotFoundError:
-                pass
+    tmp_path = "%s.%d.tmp" % (lock_path, os.getpid())
+    with open(tmp_path, "w") as fh:
+        fh.write("%d\n" % os.getpid())
     try:
-        os.write(fd, b"%d\n" % os.getpid())
-        os.close(fd)
+        for attempt in range(2):
+            try:
+                os.link(tmp_path, lock_path)
+                break
+            except FileExistsError:
+                if attempt or not _stale_lock(lock_path):
+                    raise StellarMatchError(
+                        "output directory %s is locked by another run (%s present)"
+                        % (directory, LOCK_NAME)
+                    )
+                try:
+                    os.unlink(lock_path)
+                except FileNotFoundError:
+                    pass
+    finally:
+        os.unlink(tmp_path)
+    try:
         yield directory
     finally:
         try:

@@ -17,12 +17,22 @@ Enthalpy conventions.  In relativistic mode the integration variable is the
 dimensionless  h(P) = int_0^P dP' / (rho c^2 + P'),  in nonrelativistic mode
 the specific enthalpy  u(P) = int_0^P dP' / rho.  Both are strictly increasing
 in P, vanish at P = 0, and c^2 h -> u as c -> inf.
+
+Density from enthalpy.  The pure polytrope inverts h or u in closed form.
+With Lam != 0 the first lookup builds a table of ln rho as a function of h:
+one ODE solve of  d ln rho/dh = (rho c^2 + P) / (rho dP/drho)  (the
+enthalpy-as-variable form of Lindblom 1992, ApJ 398, 569), seeded by the
+closed form at 1e-16 rho_valid_max and stopped by an event at the validity
+bound.  Every later lookup, including each call from a TOV right-hand side,
+is one evaluation of its dense output; below the seed the closed form is
+used, past the bound ln rho continues linearly with the ODE's end slope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -38,6 +48,10 @@ GAMMA_SOFT_MAX = 2.0
 _VALIDITY_PROBE_X_MIN = 1e-10
 _VALIDITY_PROBE_X_MAX = 1e6
 _VALIDITY_PROBE_POINTS = 481
+# rtol and atol of the h -> ln rho table (atol is in ln rho).
+_TABLE_TOL = 1e-13
+_LN2 = math.log(2.0)
+_LOG_RHO_FLOOR = math.log(1e-300)
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,6 @@ class EosSpec:
         self.gamma_warning = not (GAMMA_SOFT_MIN < self.gamma < GAMMA_SOFT_MAX)
         self.index = PolytropeIndex.from_gamma(self.gamma)
 
-        self._h_dense = None  # lazy rho -> h map for the general case
         self.rho_valid_max, self.validity_binding, self.validity_probe_capped \
             = self._locate_validity_bound()
         if rho_assert_max is not None:
@@ -226,14 +239,19 @@ class EosSpec:
                 "pressure %.6g beyond validity bound %.6g" % (p, p_max))
         if p >= p_max:
             return self.rho_valid_max
-        lo, hi = guess, guess
-        while self._pressure_raw(lo) > p and lo > 1e-300:
-            lo *= 0.5
-        while self._pressure_raw(hi) < p and hi < self.rho_valid_max:
-            hi = min(hi * 2.0, self.rho_valid_max)
-        # Solve in log-rho so the bracket tolerance is relative.
-        t = brentq(lambda tt: float(self._pressure_raw(math.exp(tt))) - p,
-                   math.log(lo), math.log(hi), xtol=1e-14, maxiter=200)
+        # Bracket and solve in log-rho, so the bracket tolerance is relative
+        # and the bracket signs are those of the points brentq evaluates
+        # (exp(log(rho)) need not round back to rho).
+        def excess(t):
+            return float(self._pressure_raw(math.exp(t))) - p
+
+        t_lo = t_hi = math.log(guess)
+        t_max = math.log(self.rho_valid_max)
+        while excess(t_lo) > 0.0 and t_lo > _LOG_RHO_FLOOR:
+            t_lo -= _LN2
+        while excess(t_hi) < 0.0 and t_hi < t_max:
+            t_hi = min(t_hi + _LN2, t_max)
+        t = brentq(excess, t_lo, t_hi, xtol=1e-14, maxiter=200)
         return float(math.exp(t))
 
     # -- enthalpy ----------------------------------------------------------
@@ -253,50 +271,86 @@ class EosSpec:
         y = np.expm1((g - 1.0) * w / g) * self.c_light**2 / self.A
         return y ** (1.0 / (g - 1.0))
 
-    def _build_h_dense(self):
-        """Dense rho -> h map for Lam != 0: one stiff-free ODE solve in
-        t = ln rho, reused by every later conversion."""
-        rho_hi = self.rho_valid_max
-        rho_lo = rho_hi * 1e-16
-        t_lo, t_hi = math.log(rho_lo), math.log(rho_hi)
+    @cached_property
+    def _ln_rho_table(self):
+        """Dense h -> ln rho map for Lam != 0, built on first use: one ODE
+        solve in h,
 
-        def dh_dt(t, _h):
-            # dh/d(ln rho) = rho dP/drho / (rho c^2 + P); the table is only
-            # built for Lam != 0, which forces a finite c.
-            rho = math.exp(t)
-            p = float(self._pressure_raw(rho))
-            csq = float(self.sound_speed_sq(rho))
-            return [rho * csq / (rho * self.c_light**2 + p)]
+            d ln rho / dh = (rho c^2 + P) / (rho dP/drho),
 
-        # Below rho_lo the correction is negligible; seed with the closed form.
-        h0 = float(self._enthalpy_closed(rho_lo))
-        sol = solve_ivp(dh_dt, (t_lo, t_hi), [h0], method="RK45",
-                        rtol=1e-13, atol=h0 * 1e-10, dense_output=True)
-        if not sol.success:
-            raise EosValidityError("enthalpy table construction failed: "
-                                   + sol.message)
-        self._h_dense = (sol.sol, t_lo, t_hi, h0,
-                         float(sol.sol(t_hi)[0]))
+        from the closed-form seed at rho_lo = 1e-16 rho_valid_max up to
+        ln rho_valid_max, where a terminal event gives h_hi.  The table is
+        only built for Lam != 0, which forces a finite c.  Holds
+        (dense output, h_lo, h_hi, ln rho at h_hi, d ln rho/dh at h_hi)."""
+        rho_lo = self.rho_valid_max * 1e-16
+        t_lo, t_hi = math.log(rho_lo), math.log(self.rho_valid_max)
+        g, coeffs = self.gamma, self.lambda_coeffs
+        x_scale = self.A / self.c_light**2
+
+        def dt_dh(_h, t):
+            # The same ratio in x = A rho^(g-1)/c^2, where P/rho = c^2 x (1 +
+            # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam'), summed on
+            # floats: the array forms of P and dP/drho cost 16x more per call.
+            x = x_scale * math.exp((g - 1.0) * t[0])
+            lam = sum(l_k * x**k for k, l_k in enumerate(coeffs, start=1))
+            dlam = sum(k * l_k * x**(k - 1)
+                       for k, l_k in enumerate(coeffs, start=1))
+            return [(1.0 + x * (1.0 + lam))
+                    / (x * (g * (1.0 + lam) + (g - 1.0) * x * dlam))]
+
+        def at_bound(_h, t):
+            return t[0] - t_hi
+
+        at_bound.terminal = True
+        # Below rho_lo the correction is negligible; seed with the closed
+        # form.  On the valid range dh/d ln rho = rho dP/drho / (rho c^2 + P)
+        # is below 1, so the bound lies within t_hi - t_lo of h_lo.
+        h_lo = float(self._enthalpy_closed(rho_lo))
+        sol = solve_ivp(dt_dh, (h_lo, h_lo + (t_hi - t_lo)), [t_lo],
+                        method="RK45", rtol=_TABLE_TOL, atol=_TABLE_TOL,
+                        dense_output=True, events=at_bound)
+        h_hi, t_end = float(sol.t[-1]), float(sol.y[0, -1])
+        slope = dt_dh(h_hi, [t_end])[0]
+        # At a monotone bound dP/drho -> 0, so d ln rho/dh diverges and the
+        # steps collapse just short of t_hi.  The h still missing there is
+        # at most (t_hi - t_end) / slope; the table must reach the bound to
+        # within its tolerance in h.
+        if not t_hi - t_end <= _TABLE_TOL * h_hi * slope:
+            raise EosValidityError("enthalpy table stops short of the "
+                                   "validity bound: " + sol.message)
+        return sol.sol, h_lo, h_hi, t_end, slope
 
     def _rho_of_w_unchecked(self, w):
         """Density from the enthalpy variable, with vacuum continuation
-        (w <= 0 -> 0) and smooth saturation past the validity bound.  Used by
+        (w <= 0 -> 0) and saturation past the validity bound, where ln rho
+        continues linearly with the end slope of the table.  Used by
         integrator right-hand sides; the public ops add the validity gate."""
         if w <= 0.0:
             return 0.0
         if self.pure_polytrope:
             return float(self._density_of_enthalpy_closed(w))
-        if self._h_dense is None:
-            self._build_h_dense()
-        sol, t_lo, t_hi, h_lo, h_hi = self._h_dense
+        sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
         if w <= h_lo:
             return float(self._density_of_enthalpy_closed(w))
         if w >= h_hi:
-            slope = (h_hi - float(sol(t_hi - 1e-9)[0])) / 1e-9
-            return float(math.exp(t_hi + (w - h_hi) / slope))
-        t = brentq(lambda tt: float(sol(tt)[0]) - w, t_lo, t_hi,
-                   xtol=1e-14, maxiter=200)
-        return float(math.exp(t))
+            return math.exp(t_hi + (w - h_hi) * slope)
+        return math.exp(sol(w)[0])
+
+    def _rho_of_w_array(self, w):
+        """_rho_of_w_unchecked over an array of w, branch by branch."""
+        w = np.asarray(w, dtype=float)
+        rho = np.zeros_like(w)
+        closed = w > 0.0
+        if not self.pure_polytrope:
+            sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
+            table = (w > h_lo) & (w < h_hi)
+            saturated = w >= h_hi
+            closed &= w <= h_lo
+            if table.any():  # the dense output refuses an empty array
+                rho[table] = np.exp(sol(w[table])[0])
+            rho[saturated] = np.exp(t_hi + (w[saturated] - h_hi) * slope)
+        rho[closed] = self._density_of_enthalpy_closed(w[closed])
+        return rho
 
     def enthalpy_of_pressure(self, p):
         """h(P) (relativistic) or u(P) (nonrelativistic mode).

@@ -15,10 +15,10 @@ numbers only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .distortion import level_surface, surface_curve
 from .errors import FitConvergenceError
@@ -176,14 +176,30 @@ def scaling_from_pairs(pairs, roundoff_scale=1.0):
     if np.any(np.diff(b) <= 0.0):
         raise ValueError("b values must be strictly increasing")
     degenerate = bool(np.all(rms < DEGENERATE_RMS_FACTOR * roundoff_scale))
-    reg = linregress(np.log(b), np.log(np.maximum(rms, 1e-300)))
+    slope, intercept, stderr = _linregress(np.log(b), np.log(np.maximum(rms, 1e-300)))
     return ScalingReport(
         pairs=tuple(pairs),
-        slope=float(reg.slope),
-        intercept=float(reg.intercept),
-        slope_half_width=2.0 * float(reg.stderr),
+        slope=float(slope),
+        intercept=float(intercept),
+        slope_half_width=2.0 * float(stderr),
         degenerate=degenerate,
     )
+
+
+def _linregress(x, y):
+    """(slope, intercept, slope standard error) of the least-squares line,
+    with the arithmetic of scipy.stats.linregress, whose import would cost
+    every command about 0.5 s of start-up."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    df = len(x) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df) if df else 0.0
+    return slope, intercept, stderr
 
 
 def scaling_ladder_problem(b_values):

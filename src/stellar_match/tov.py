@@ -108,9 +108,8 @@ class TovTrajectory:
         return float(m), float(w)
 
     def pressure_density(self):
-        rho = np.array([self.eos._rho_of_w_unchecked(wi) for wi in self.w])
-        p = np.array([float(self.eos._pressure_raw(ri)) for ri in rho])
-        return p, rho
+        rho = self.eos._rho_of_w_array(self.w)
+        return self.eos._pressure_raw(rho), rho
 
     def metric_exponents(self):
         """(F, H) samples along the stored grid; NaN for nonrelativistic

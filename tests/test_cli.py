@@ -397,6 +397,28 @@ def test_stale_lock_is_recovered(tmp_path):
     assert not lock.exists()
 
 
+def test_empty_lock_does_not_block(capsys, tmp_path):
+    # output_lock links the lock into place with the pid already in it, so
+    # an empty lock has no live owner.
+    (tmp_path / LOCK_NAME).write_text("")
+    code, _, _ = run(capsys, "eos-check", "--out", str(tmp_path))
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["eos_check.json"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would add about a third to every command's start-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stellar_match.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 # -- surface ---------------------------------------------------------------
 
 

@@ -156,6 +156,49 @@ def test_monotone_and_roundtrip_property(log_rho, gamma, a_const):
     assert eos.density_of_enthalpy(u) == pytest.approx(rho, rel=1e-10)
 
 
+# -- h -> ln rho table of the lambda-corrected EOS --------------------------
+
+
+def lambda_eos():
+    return EosSpec(gamma=2.0, A=1.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
+
+
+def test_lambda_round_trips_across_the_table():
+    # From the closed-form seed at 1e-16 rho_valid_max up to the bound,
+    # then h just below the table's end h_hi.
+    eos = lambda_eos()
+    _sol, _h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
+    for rho in np.geomspace(1e-16 * eos.rho_valid_max, eos.rho_valid_max, 65):
+        p = eos.pressure_of_density(rho)
+        h = eos.enthalpy_of_pressure(p)
+        assert eos.density_of_enthalpy(h) == pytest.approx(rho, rel=1e-10)
+        assert eos.pressure_of_enthalpy(h) == pytest.approx(p, rel=1e-10)
+    for h in h_hi * (1.0 - np.array([1e-6, 1e-9, 1e-12])):
+        p = eos.pressure_of_enthalpy(h)
+        assert eos.enthalpy_of_pressure(p) == pytest.approx(h, rel=1e-10)
+
+
+def test_ln_rho_of_h_is_smooth_where_the_table_ends():
+    # h_lo joins the closed-form seed, h_hi the linear saturation.  Compare
+    # values across each end, and second-order one-sided slopes from below
+    # and from above.
+    eos = lambda_eos()
+    _sol, h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
+
+    def ln_rho(h):
+        return math.log(eos._rho_of_w_unchecked(h))
+
+    for h_end in (h_lo, h_hi):
+        eps = 1e-12 * h_end
+        assert ln_rho(h_end - eps) == pytest.approx(ln_rho(h_end + eps), abs=1e-10)
+        d = 1e-4 * h_end
+        below = (3.0 * ln_rho(h_end) - 4.0 * ln_rho(h_end - d)
+                 + ln_rho(h_end - 2.0 * d)) / (2.0 * d)
+        above = (-3.0 * ln_rho(h_end) + 4.0 * ln_rho(h_end + d)
+                 - ln_rho(h_end + 2.0 * d)) / (2.0 * d)
+        assert below == pytest.approx(above, rel=1e-6)
+
+
 def test_newtonian_enthalpy_identity():
     # u = A g/(g-1) rho^(g-1) for the pure polytrope.
     for gamma in (1.3, 1.5, 5.0 / 3.0, 2.0):

@@ -10,6 +10,7 @@ from stellar_match.distortion import solve_distortion, surface_curve
 from stellar_match.errors import FitConvergenceError
 from stellar_match.surface_fit import (
     EllipsoidFit,
+    _linregress,
     fit_ellipsoid,
     residual_scaling,
     scaling_from_pairs,
@@ -177,6 +178,27 @@ def test_scaling_from_pairs_validation():
         scaling_from_pairs([(1e-3, 1.0), (1e-2, 2.0)])
     with pytest.raises(ValueError):
         scaling_from_pairs([(1e-3, 1.0), (1e-3, 2.0), (1e-2, 3.0)])
+
+
+def test_linregress_matches_scipy_bit_for_bit():
+    from scipy import stats
+
+    rng = np.random.default_rng(20261018)
+    x4 = np.log([1e-4, 1e-3, 1e-2, 5e-2])
+    cases = [
+        (x4, np.log([1e-9, 1e-7, 1e-5, 3e-4])),
+        (x4, 2.0 * x4 + 1.0),  # exact line: r rounds past 1 and is clipped
+        (x4, np.full(4, math.log(1e-300))),  # constant y: r is NaN
+        (x4[:2], np.array([1.0, 3.0])),  # n = 2: no standard error
+    ]
+    for n in (3, 4, 5, 8, 13):
+        for _ in range(40):
+            x = np.sort(rng.uniform(-12.0, -2.0, n))
+            cases.append((x, rng.uniform(1.5, 2.5) * x + rng.normal(0.0, 0.1, n)))
+    for x, y in cases:
+        ref = stats.linregress(x, y)
+        np.testing.assert_array_equal(_linregress(x, y),
+                                      (ref.slope, ref.intercept, ref.stderr))
 
 
 # -- stratification --------------------------------------------------------

@@ -299,6 +299,35 @@ def test_domain_checks_pass_on_accepted_steps():
     inward.check_domain()
 
 
+def test_lambda_eos_rhs_does_no_root_finding(monkeypatch):
+    # Every right-hand side call reads the density off the EOS's h -> ln rho
+    # table; a brentq call made from inside one fails the shot.
+    import stellar_match.eos as eos_module
+
+    eos = EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
+    depth = [0]
+    real_rhs, real_brentq = tov.tov_rhs, eos_module.brentq
+
+    def rhs(*args):
+        depth[0] += 1
+        try:
+            return real_rhs(*args)
+        finally:
+            depth[0] -= 1
+
+    def brentq(*args, **kwargs):
+        if depth[0]:
+            raise AssertionError("brentq called inside a right-hand side")
+        return real_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(tov, "tov_rhs", rhs)
+    monkeypatch.setattr(eos_module, "brentq", brentq)
+    surface, _ = tov.shoot_from_center(eos, 2.5e-3)
+    cls, _ = tov.shoot_from_boundary(eos, surface.radius, surface.mass)
+    assert cls.case == tov.CASE11
+    assert cls.p_center == pytest.approx(2.5e-3, rel=1e-6)
+
+
 # -- metric coefficients and junction --------------------------------------
 
 def _vacuum_trajectory(eos):
