@@ -35,7 +35,7 @@ from .distortion import (
     surface_curve,
 )
 from .eos import EosSpec
-from .errors import ConfigError, EosValidityError, ShootFailureError, StellarMatchError
+from .errors import ConfigError, ShootFailureError, StellarMatchError
 from .matching import (
     NEAR_DELTA_DEFAULT,
     SAMPLER_KINDS,
@@ -394,11 +394,11 @@ def cmd_eos_check(cfg):
     range the EOS cannot cover."""
     eos = cfg.eos_spec()
     requested = cfg["eos"]["rho_max"]
-    ok = requested is None or requested <= eos.rho_valid_max * (1.0 + 1e-12)
+    error = None if requested is None else eos.requested_range_error(requested)
     report = {
         "eos": eos.describe(),
         "requested_rho_max": requested,
-        "valid_on_requested_range": ok,
+        "valid_on_requested_range": error is None,
         "config": cfg.resolved(),
     }
     with output_lock(cfg.out_dir()) as out:
@@ -407,11 +407,8 @@ def cmd_eos_check(cfg):
         "eos-check: valid for rho in (0, %g], binding constraint: %s"
         % (eos.rho_valid_max, eos.validity_binding)
     )
-    if not ok:
-        raise EosValidityError(
-            "EOS inequalities fail inside the requested range: valid up to "
-            "rho = %g, requested %g" % (eos.rho_valid_max, requested)
-        )
+    if error is not None:
+        raise error
     return 0
 
 

@@ -25,7 +25,15 @@ enthalpy-as-variable form of Lindblom 1992, ApJ 398, 569), seeded by the
 closed form at 1e-16 rho_valid_max and stopped by an event at the validity
 bound.  Every later lookup, including each call from a TOV right-hand side,
 is one evaluation of its dense output; below the seed the closed form is
-used, past the bound ln rho continues linearly with the ODE's end slope.
+used, past the bound ln rho continues linearly with the ODE's end slope, up
+to a cap that keeps rho and P finite.  h(P) inverts the same map: the
+closed form below the seed, the linear continuation past the bound, and one
+bracketed root on the dense output in between, so h -> P -> h round trips
+to roundoff.
+
+One Horner sum gives Lam and Lam' for a float or an array, and the
+pressure law is written in plain arithmetic, so a float in gives a float
+out on the right-hand-side path.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import EosValidityError
@@ -50,6 +58,9 @@ _VALIDITY_PROBE_X_MAX = 1e6
 _VALIDITY_PROBE_POINTS = 481
 # rtol and atol of the h -> ln rho table (atol is in ln rho).
 _TABLE_TOL = 1e-13
+# Past the table's end, ln rho grows linearly for at most this much, which
+# keeps rho and P finite where trial RK stages overshoot the bound.
+_SATURATION_SPAN = 30.0
 _LN2 = math.log(2.0)
 _LOG_RHO_FLOOR = math.log(1e-300)
 
@@ -103,44 +114,27 @@ class EosSpec:
         self.lambda_coeffs = tuple(float(l) for l in lambda_coeffs)
         self.gamma_warning = not (GAMMA_SOFT_MIN < self.gamma < GAMMA_SOFT_MAX)
         self.index = PolytropeIndex.from_gamma(self.gamma)
+        self.nonrelativistic = math.isinf(self.c_light)
+        # True when the correction series is absent or inert (c = inf).
+        self.pure_polytrope = self.nonrelativistic or not self.lambda_coeffs
 
         self.rho_valid_max, self.validity_binding, self.validity_probe_capped \
             = self._locate_validity_bound()
+        self.p_valid_max = self._pressure_raw(self.rho_valid_max)
         if rho_assert_max is not None:
-            if rho_assert_max > self.rho_valid_max * (1.0 + 1e-12):
-                raise EosValidityError(
-                    "EOS inequalities fail inside the requested range: "
-                    "valid up to rho = %.6g (%s), requested %.6g"
-                    % (self.rho_valid_max, self.validity_binding,
-                       rho_assert_max))
+            error = self.requested_range_error(rho_assert_max)
+            if error is not None:
+                raise error
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def nonrelativistic(self):
-        return math.isinf(self.c_light)
-
-    @property
-    def pure_polytrope(self):
-        """True when the correction series is absent or inert (c = inf)."""
-        return self.nonrelativistic or not self.lambda_coeffs
-
-    def _x_of_rho(self, rho):
-        if self.nonrelativistic:
-            return np.zeros_like(np.asarray(rho, dtype=float))
-        return self.A * np.power(rho, self.gamma - 1.0) / self.c_light**2
-
-    def _lam(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for k, lam_k in enumerate(self.lambda_coeffs, start=1):
-            out = out + lam_k * np.power(x, k)
-        return out
-
-    def _lam_prime(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for k, lam_k in enumerate(self.lambda_coeffs, start=1):
-            out = out + k * lam_k * np.power(x, k - 1)
-        return out
+    def _series(self, x):
+        """(Lam(x), Lam'(x)) by one Horner sum; x a float or an array."""
+        lam = dlam = 0.0
+        for coeff in reversed((0.0,) + self.lambda_coeffs):
+            dlam = dlam * x + lam
+            lam = lam * x + coeff
+        return lam, dlam
 
     # -- validity ----------------------------------------------------------
 
@@ -170,8 +164,7 @@ class EosSpec:
 
         # Bisect in log-rho on the worst-margin sign change.
         def worst_margin(t):
-            p, csq, gap = self._inequality_margins(math.exp(t))
-            return float(min(p, csq, gap))
+            return min(self._inequality_margins(math.exp(t)))
 
         t_star = brentq(worst_margin, math.log(lo), math.log(hi), xtol=1e-13)
         return float(math.exp(t_star)), which, False
@@ -182,8 +175,17 @@ class EosSpec:
             return False
         if rho == 0.0:
             return True
-        p, csq, gap = self._inequality_margins(float(rho))
-        return bool(p > 0.0 and csq > 0.0 and gap > 0.0)
+        return min(self._inequality_margins(float(rho))) > 0.0
+
+    def requested_range_error(self, rho_max):
+        """The EosValidityError for a requested range (0, rho_max] that
+        leaves the valid region, or None when the EOS covers it."""
+        if rho_max <= self.rho_valid_max * (1.0 + 1e-12):
+            return None
+        return EosValidityError(
+            "EOS inequalities fail inside the requested range: valid up to "
+            "rho = %.6g (%s), requested %.6g"
+            % (self.rho_valid_max, self.validity_binding, rho_max))
 
     def _require_valid_rho(self, rho):
         r = np.asarray(rho, dtype=float)
@@ -197,31 +199,41 @@ class EosSpec:
     # -- state conversions -------------------------------------------------
 
     def _pressure_raw(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        base = self.A * np.power(rho, self.gamma)
+        """P(rho) without the validity gate; a float or an array of rho."""
+        p = self.A * rho ** self.gamma
         if self.pure_polytrope:
-            return base
-        return base * (1.0 + self._lam(self._x_of_rho(rho)))
+            return p
+        lam, _dlam = self._series(self.A * rho ** (self.gamma - 1.0)
+                                  / self.c_light**2)
+        return p * (1.0 + lam)
+
+    def _fluid_of_w(self, w):
+        """(rho, P) at the enthalpy variable w (a float or an array),
+        unchecked, as a right-hand side reads them: vacuum (0, 0) for
+        w <= 0, saturation past the validity bound."""
+        if isinstance(w, np.ndarray):
+            rho = self._rho_of_w_array(w)
+        else:
+            rho = self._rho_of_w_unchecked(w)
+        return rho, self._pressure_raw(rho)
 
     def pressure_of_density(self, rho):
         """P(rho); scalar in, scalar out (arrays pass through elementwise)."""
         self._require_valid_rho(rho)
-        out = self._pressure_raw(rho)
-        return float(out) if np.isscalar(rho) or np.ndim(rho) == 0 else out
+        if np.ndim(rho) == 0:
+            return self._pressure_raw(float(rho))
+        return self._pressure_raw(np.asarray(rho, dtype=float))
 
     def sound_speed_sq(self, rho):
-        """dP/drho.  Purely diagnostic: no validity gate, so it can be used
-        to *find* the validity bound."""
-        rho = np.asarray(rho, dtype=float)
-        lead = self.A * self.gamma * np.power(rho, self.gamma - 1.0)
+        """dP/drho; a float or an array of rho.  Purely diagnostic: no
+        validity gate, so it can be used to *find* the validity bound."""
+        lead = self.A * rho ** (self.gamma - 1.0)
         if self.pure_polytrope:
-            out = lead
-        else:
-            x = self._x_of_rho(rho)
-            out = self.A * np.power(rho, self.gamma - 1.0) * (
-                self.gamma * (1.0 + self._lam(x))
-                + (self.gamma - 1.0) * x * self._lam_prime(x))
-        return float(out) if np.ndim(rho) == 0 else out
+            return self.gamma * lead
+        x = lead / self.c_light**2
+        lam, dlam = self._series(x)
+        return lead * (self.gamma * (1.0 + lam)
+                       + (self.gamma - 1.0) * x * dlam)
 
     def density_of_pressure(self, p):
         """Inverse of pressure_of_density on the validity range."""
@@ -233,17 +245,16 @@ class EosSpec:
         if self.pure_polytrope:
             self._require_valid_rho(guess)
             return guess
-        p_max = float(self._pressure_raw(self.rho_valid_max))
-        if p > p_max * (1.0 + 1e-9):
-            raise EosValidityError(
-                "pressure %.6g beyond validity bound %.6g" % (p, p_max))
-        if p >= p_max:
+        if p > self.p_valid_max * (1.0 + 1e-9):
+            raise EosValidityError("pressure %.6g beyond validity bound %.6g"
+                                   % (p, self.p_valid_max))
+        if p >= self.p_valid_max:
             return self.rho_valid_max
         # Bracket and solve in log-rho, so the bracket tolerance is relative
         # and the bracket signs are those of the points brentq evaluates
         # (exp(log(rho)) need not round back to rho).
         def excess(t):
-            return float(self._pressure_raw(math.exp(t))) - p
+            return self._pressure_raw(math.exp(t)) - p
 
         t_lo = t_hi = math.log(guess)
         t_max = math.log(self.rho_valid_max)
@@ -284,17 +295,14 @@ class EosSpec:
         (dense output, h_lo, h_hi, ln rho at h_hi, d ln rho/dh at h_hi)."""
         rho_lo = self.rho_valid_max * 1e-16
         t_lo, t_hi = math.log(rho_lo), math.log(self.rho_valid_max)
-        g, coeffs = self.gamma, self.lambda_coeffs
+        g = self.gamma
         x_scale = self.A / self.c_light**2
 
         def dt_dh(_h, t):
             # The same ratio in x = A rho^(g-1)/c^2, where P/rho = c^2 x (1 +
-            # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam'), summed on
-            # floats: the array forms of P and dP/drho cost 16x more per call.
+            # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam').
             x = x_scale * math.exp((g - 1.0) * t[0])
-            lam = sum(l_k * x**k for k, l_k in enumerate(coeffs, start=1))
-            dlam = sum(k * l_k * x**(k - 1)
-                       for k, l_k in enumerate(coeffs, start=1))
+            lam, dlam = self._series(x)
             return [(1.0 + x * (1.0 + lam))
                     / (x * (g * (1.0 + lam) + (g - 1.0) * x * dlam))]
 
@@ -333,7 +341,8 @@ class EosSpec:
         if w <= h_lo:
             return float(self._density_of_enthalpy_closed(w))
         if w >= h_hi:
-            return math.exp(t_hi + (w - h_hi) * slope)
+            return math.exp(min(t_hi + (w - h_hi) * slope,
+                                t_hi + _SATURATION_SPAN))
         return math.exp(sol(w)[0])
 
     def _rho_of_w_array(self, w):
@@ -348,39 +357,32 @@ class EosSpec:
             closed &= w <= h_lo
             if table.any():  # the dense output refuses an empty array
                 rho[table] = np.exp(sol(w[table])[0])
-            rho[saturated] = np.exp(t_hi + (w[saturated] - h_hi) * slope)
+            rho[saturated] = np.exp(np.minimum(
+                t_hi + (w[saturated] - h_hi) * slope, t_hi + _SATURATION_SPAN))
         rho[closed] = self._density_of_enthalpy_closed(w[closed])
         return rho
 
     def enthalpy_of_pressure(self, p):
-        """h(P) (relativistic) or u(P) (nonrelativistic mode).
-
-        The general case is an adaptive quadrature in the substituted
-        variable s = P'^((gamma-1)/gamma), which removes the P'^(-1/gamma)
-        endpoint singularity of 1/rho(P')."""
+        """h(P) (relativistic) or u(P) (nonrelativistic mode); the inverse
+        of _rho_of_w_unchecked composed with the pressure law."""
         if p < 0.0:
             raise EosValidityError("negative pressure")
         if p == 0.0:
             return 0.0
+        rho = self.density_of_pressure(p)  # also the validity gate
+        h = float(self._enthalpy_closed(rho))
         if self.pure_polytrope:
-            rho = self.density_of_pressure(p)
-            return float(self._enthalpy_closed(rho))
-        self.density_of_pressure(p)  # validity gate
-        q = self.gamma / (self.gamma - 1.0)
-
-        def integrand(s):
-            pp = s ** q
-            rho = self.density_of_pressure(pp)
-            if self.nonrelativistic:
-                denom = rho
-            else:
-                denom = rho * self.c_light**2 + pp
-            return q * s ** (q - 1.0) / denom
-
-        s_max = p ** (1.0 / q)
-        val, _err = quad(integrand, 0.0, s_max, epsabs=0.0, epsrel=1e-12,
-                         limit=200)
-        return float(val)
+            return h
+        sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
+        if h <= h_lo:
+            return h
+        t = math.log(rho)
+        if t >= t_hi:
+            return h_hi + (t - t_hi) / slope
+        # h spans many decades above h_lo: converge on brentq's relative
+        # tolerance alone.
+        return brentq(lambda x: sol(x)[0] - t, h_lo, h_hi, xtol=1e-300,
+                      maxiter=200)
 
     def density_of_enthalpy(self, w):
         """Inverse of enthalpy_of_pressure composed with the pressure law;

@@ -108,8 +108,8 @@ class TovTrajectory:
         return float(m), float(w)
 
     def pressure_density(self):
-        rho = self.eos._rho_of_w_array(self.w)
-        return self.eos._pressure_raw(rho), rho
+        rho, p = self.eos._fluid_of_w(self.w)
+        return p, rho
 
     def metric_exponents(self):
         """(F, H) samples along the stored grid; NaN for nonrelativistic
@@ -178,30 +178,30 @@ def admissible(radius, mass, c_light=math.inf):
     return 1.0 - 2.0 * mass / (c_light**2 * radius) > 0.0
 
 
-def tov_rhs(eos, r, m, w):
-    """(dm/dr, dw/dr) for the enthalpy-variable system; vacuum (w <= 0)
-    continues smoothly with rho = P = 0."""
-    rho = eos._rho_of_w_unchecked(w)
-    dm = 4.0 * math.pi * r**2 * rho
+def _dw_dr(eos, r, m, p):
+    """dw/dr at radius r, mass m and pressure p."""
     if eos.nonrelativistic:
-        return dm, -m / r**2
+        return -m / r**2
     csq = eos.c_light**2
-    p = float(eos._pressure_raw(rho)) if rho > 0.0 else 0.0
     metric = 1.0 - 2.0 * m / (csq * r)
     if metric < _METRIC_FLOOR:
         metric = _METRIC_FLOOR  # trial steps only; the horizon event stops first
-    dw = -(m + 4.0 * math.pi * r**3 * p / csq) / (csq * r**2 * metric)
-    return dm, dw
+    return -(m + 4.0 * math.pi * r**3 * p / csq) / (csq * r**2 * metric)
+
+
+def tov_rhs(eos, r, m, w):
+    """(dm/dr, dw/dr) for the enthalpy-variable system; vacuum (w <= 0)
+    continues smoothly with rho = P = 0."""
+    rho, p = eos._fluid_of_w(w)
+    return 4.0 * math.pi * r**2 * rho, _dw_dr(eos, r, m, p)
 
 
 def pressure_gradient(eos, r, m, w):
-    """dP/dr recovered from the enthalpy form."""
-    rho = eos._rho_of_w_unchecked(w)
-    _dm, dw = tov_rhs(eos, r, m, w)
-    if eos.nonrelativistic:
-        return rho * dw
-    p = float(eos._pressure_raw(rho)) if rho > 0.0 else 0.0
-    return (rho * eos.c_light**2 + p) * dw
+    """dP/dr recovered from the enthalpy form: dP/dw = rho (c = inf) or
+    rho c^2 + P."""
+    rho, p = eos._fluid_of_w(w)
+    dp_dw = rho if eos.nonrelativistic else rho * eos.c_light**2 + p
+    return dp_dw * _dw_dr(eos, r, m, p)
 
 
 def center_start(eos, p_center, r0=None, r0_factor=1e-6):
@@ -239,6 +239,20 @@ def surface_start(eos, radius, mass, dr):
     return radius - dr, mass, g_s * dr
 
 
+def _terminal(event, direction):
+    """Mark a solve_ivp event function terminal, firing on crossings in
+    `direction`."""
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+def _horizon_event(csq):
+    """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN."""
+    return _terminal(
+        lambda r, y: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
+
+
 def _solve(eos, r_span, y0, events, rtol, atol):
     def rhs(r, y):
         return tov_rhs(eos, r, y[0], y[1])
@@ -261,20 +275,9 @@ def shoot_from_center(eos, p_center, config=None):
     m_scale = 4.0 * math.pi * rho_c * a**3
     atol = [cfg.atol_factor * m_scale, cfg.atol_factor * w0]
 
-    def surface_event(r, y):
-        return y[1]
-    surface_event.terminal = True
-    surface_event.direction = -1
-    events = [surface_event]
-
+    events = [_terminal(lambda r, y: y[1], -1)]  # the surface, w = 0
     if not eos.nonrelativistic:
-        csq = eos.c_light**2
-
-        def horizon_event(r, y):
-            return 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN
-        horizon_event.terminal = True
-        horizon_event.direction = -1
-        events.append(horizon_event)
+        events.append(_horizon_event(eos.c_light**2))
 
     sol = _solve(eos, (r0, cfg.r_max_factor * a), [m0, w0], events,
                  cfg.rtol, atol)
@@ -312,42 +315,24 @@ def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
 
     Refinement runs drop the center-floor stop (with_center=False) so a
     ceiling crossing sinking below r_floor can still fire."""
-    def ceiling_event(r, y):
-        return y[1] - w_ceiling
-    ceiling_event.terminal = True
-    ceiling_event.direction = 1
-
-    def slope_event(r, y):
+    def slope_excess(r, y):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
-    slope_event.terminal = True
-    # fire only on falling crossings, so the slope rising through the floor
-    # just inside the surface is ignored
-    slope_event.direction = -1
 
-    def vacuum_event(r, y):
-        return y[1]
-    vacuum_event.terminal = True
-    vacuum_event.direction = -1
-
-    events = [ceiling_event, slope_event, vacuum_event]
+    events = [
+        _terminal(lambda r, y: y[1] - w_ceiling, 1),
+        # fire only on falling crossings, so the slope rising through the
+        # floor just inside the surface is ignored
+        _terminal(slope_excess, -1),
+        _terminal(lambda r, y: y[1], -1),  # vacuum re-entry, w = 0
+    ]
     labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM]
 
     if with_center:
-        def center_event(r, y):
-            return r - r_floor
-        center_event.terminal = True
-        center_event.direction = -1
-        events.append(center_event)
+        events.append(_terminal(lambda r, y: r - r_floor, -1))
         labels.append(EXIT_CENTER_FLOOR)
 
     if not eos.nonrelativistic:
-        csq = eos.c_light**2
-
-        def horizon_event(r, y):
-            return 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN
-        horizon_event.terminal = True
-        horizon_event.direction = -1
-        events.append(horizon_event)
+        events.append(_horizon_event(eos.c_light**2))
         labels.append(EXIT_HORIZON)
     return events, labels
 
@@ -369,10 +354,7 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
 
     p_ref = mass**2 / radius**4
     ceiling_nominal = thr.p_ceiling_factor * p_ref
-    if math.isinf(eos.rho_valid_max):
-        p_cap = math.inf
-    else:
-        p_cap = 0.999 * float(eos._pressure_raw(eos.rho_valid_max))
+    p_cap = 0.999 * eos.p_valid_max
     ceiling = min(ceiling_nominal, p_cap)
     limited_by = "eos_validity" if ceiling < ceiling_nominal else "p_ref"
     slope_floor = thr.slope_floor_factor * p_ref / radius
@@ -435,8 +417,8 @@ def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
     """Map the terminating event of an inward solve to a label and exit
     state.  Non-ceiling events below the radius floor (possible only on
     refinement runs) are folded back into the center-floor reading at
-    r_floor, as is a run that reaches the span end with the pressure back
-    under the previous ceiling."""
+    r_floor, as is a run that reaches the span end (0.01 r_floor) with the
+    pressure back under the previous ceiling."""
     def center_floor_reading():
         m_f, w_f = (float(v) for v in sol.sol(r_floor))
         return EXIT_CENTER_FLOOR, {"r_exit": r_floor, "m_exit": m_f,
@@ -458,11 +440,7 @@ def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
         return EXIT_PRESSURE_CEILING, {"r_exit": float(sol.t[-1]),
                                        "m_exit": float(sol.y[0][-1]),
                                        "w_exit": w_end}
-    if float(sol.t[-1]) <= r_floor:
-        return center_floor_reading()
-    r_e = float(sol.t[-1])
-    return EXIT_CENTER_FLOOR, {"r_exit": r_e, "m_exit": float(sol.y[0][-1]),
-                               "w_exit": w_end}
+    return center_floor_reading()
 
 
 def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
@@ -550,11 +528,9 @@ def _interior_second_derivatives(eos, radius, m_s, w_s):
     from the surface state."""
     csq = eos.c_light**2
     r = radius
-    w = max(w_s, 0.0)
-    rho = eos._rho_of_w_unchecked(w)
-    p = float(eos._pressure_raw(rho)) if rho > 0.0 else 0.0
+    rho, p = eos._fluid_of_w(w_s)
     dm = 4.0 * math.pi * r**2 * rho
-    _dm, dw = tov_rhs(eos, r, m_s, w)
+    dw = _dw_dr(eos, r, m_s, p)
     dp = (rho * csq + p) * dw
     if rho > 0.0:
         drho = dp / float(eos.sound_speed_sq(rho))
@@ -576,7 +552,7 @@ def _interior_second_derivatives(eos, radius, m_s, w_s):
     d_den = csq * r**2 - 2.0 * m_s * r
     dd = 2.0 * csq * r - 2.0 * (dm * r + m_s)
     d2w = -(dn * d_den - n_num * dd) / d_den**2
-    e2F_s = phi * math.exp(-2.0 * w)
+    e2F_s = phi * math.exp(-2.0 * max(w_s, 0.0))
     d2_e2F = (4.0 * dw**2 - 2.0 * d2w) * e2F_s
     return d2_e2F, d2_e2H
 

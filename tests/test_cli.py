@@ -264,6 +264,27 @@ def test_shoot_boundary_inadmissible(capsys, tmp_path):
     assert stderr_error(err)["error"] == "AdmissibilityError"
 
 
+def test_shoot_boundary_past_a_monotone_validity_bound(tmp_path):
+    # This EOS ends where dP/drho -> 0, so d ln rho/dh is huge at the end of
+    # its enthalpy table; trial steps past it must keep rho and P finite
+    # and the shot must classify.  A subprocess sees any traceback or
+    # warning on stderr.
+    out = tmp_path / "o"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stellar_match.cli", "shoot-boundary",
+         "--radius", "0.75", "--mass", "0.182064014313", "--out", str(out),
+         "--set", "eos.gamma=2", "--set", "eos.c=1", "--set", "eos.lambda=[-0.5]"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rep = json.loads((out / "boundary_shot.json").read_text())
+    assert rep["case"] in ("case00", "case01", "case10", "case11")
+
+
 def test_shoot_center_json_table(capsys, tmp_path):
     out = tmp_path / "o"
     code, _, _ = run(

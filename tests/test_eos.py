@@ -199,6 +199,44 @@ def test_ln_rho_of_h_is_smooth_where_the_table_ends():
         assert below == pytest.approx(above, rel=1e-6)
 
 
+@pytest.mark.parametrize("gamma, c, coeffs", [
+    (2.0, 1.0, (0.2, -0.1)),
+    (5.0 / 3.0, 10.0, (0.3, -0.05)),
+])
+def test_lambda_conversions_are_inverse_to_roundoff(gamma, c, coeffs):
+    # h(P) inverts the same h -> ln rho map that density_of_enthalpy
+    # reads: rho -> h -> rho from below the closed-form seed to the
+    # bound, and h -> P -> h from below h_lo to just short of h_hi.
+    eos = EosSpec(gamma=gamma, A=1.0, c_light=c, lambda_coeffs=coeffs)
+    _sol, h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
+    for rho in np.geomspace(1e-18 * eos.rho_valid_max, eos.rho_valid_max, 97):
+        h = eos.enthalpy_of_pressure(eos.pressure_of_density(rho))
+        assert eos.density_of_enthalpy(h) == pytest.approx(rho, rel=1e-13)
+    hs = np.concatenate([np.geomspace(1e-2 * h_lo, h_hi, 97),
+                         h_hi * (1.0 - np.array([1e-6, 1e-9, 1e-12]))])
+    for h in hs:
+        p = eos.pressure_of_enthalpy(h)
+        assert eos.enthalpy_of_pressure(p) == pytest.approx(h, rel=1e-13)
+
+
+def test_saturation_past_the_table_stays_finite():
+    # At a monotone bound (dP/drho -> 0) the table's end slope d ln rho/dh
+    # is huge; trial RK stages past h_hi must still see a finite rho and P,
+    # on the scalar and the array path alike.
+    eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0, lambda_coeffs=(-0.5,))
+    assert eos.validity_binding == "monotone"
+    _sol, _h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
+    w = h_hi * np.array([1.0 + 1e-9, 1.01, 2.0, 1e3])
+    rho_array, p_array = eos._fluid_of_w(w)
+    for k, w_k in enumerate(w):
+        rho, p = eos._fluid_of_w(float(w_k))
+        assert isinstance(rho, float) and isinstance(p, float)
+        assert math.isfinite(rho) and math.isfinite(p)
+        assert rho_array[k] == pytest.approx(rho, rel=1e-15)
+        assert p_array[k] == pytest.approx(p, rel=1e-15)
+    assert np.all(np.diff(rho_array) >= 0.0)
+
+
 def test_newtonian_enthalpy_identity():
     # u = A g/(g-1) rho^(g-1) for the pure polytrope.
     for gamma in (1.3, 1.5, 5.0 / 3.0, 2.0):

@@ -1,0 +1,60 @@
+"""The benchmark's layer tracer still wraps names the package defines."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs in a fresh interpreter: Tracer.install() patches the package's
+# modules for good.
+SCRIPT = r"""
+import inspect, json, sys
+import stellar_match.cli
+from stellar_match import tov
+from stellar_match.eos import EosSpec
+import layertrace
+
+owners = [m for name, m in sorted(sys.modules.items())
+          if name.startswith("stellar_match")]
+owners += [c for m in list(owners) for c in vars(m).values()
+           if inspect.isclass(c) and c.__module__.startswith("stellar_match")]
+before = [dict(vars(o)) for o in owners]
+tracer = layertrace.Tracer()
+tracer.install()
+wrapped, problems = [], []
+for owner, old in zip(owners, before):
+    for name, value in vars(owner).items():
+        if name in old and value is old[name]:
+            continue
+        label = "%s.%s" % (owner.__name__, name)
+        wrapped.append(label)
+        if name not in old:
+            problems.append(label + " did not exist")
+        elif getattr(value, "__wrapped__", None) is not old[name]:
+            problems.append(label + " is not a wrapper of the original")
+tov.shoot_from_center(EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1)), 1e-3)
+print(json.dumps({"wrapped": wrapped, "problems": problems,
+                  "hot": {k: v[0] for k, v in tracer.hot.items()}}))
+"""
+
+
+def test_layertrace_wraps_existing_attributes():
+    path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["problems"] == []
+    for name in ("stellar_match.tov.tov_rhs", "stellar_match.tov._solve",
+                 "EosSpec.enthalpy_of_pressure", "stellar_match.cli.main"):
+        assert name in got["wrapped"]
+    # A forward shot goes through the wrapped right-hand side and EOS
+    # conversions, so the counters of a traced run are not silently zero.
+    assert got["hot"]["tov.rhs"] > 0
+    assert got["hot"]["eos.conv"] > 0
