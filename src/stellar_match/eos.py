@@ -18,13 +18,15 @@ dimensionless  h(P) = int_0^P dP' / (rho c^2 + P'),  in nonrelativistic mode
 the specific enthalpy  u(P) = int_0^P dP' / rho.  Both are strictly increasing
 in P, vanish at P = 0, and c^2 h -> u as c -> inf.
 
-Density from enthalpy.  The pure polytrope inverts h or u in closed form.
-With Lam != 0 the first lookup builds a table of ln rho as a function of h:
-one ODE solve of  d ln rho/dh = (rho c^2 + P) / (rho dP/drho)  (the
-enthalpy-as-variable form of Lindblom 1992, ApJ 398, 569), seeded by the
-closed form at 1e-16 rho_valid_max and stopped by an event at the validity
-bound.  Every later lookup, including each call from a TOV right-hand side,
-is one evaluation of its dense output; below the seed the closed form is
+Density from enthalpy.  The pure polytrope inverts h or u in closed form,
+with math functions for a float and numpy for an array.  With Lam != 0 the
+first lookup builds a table of ln rho as a function of h: one ODE solve of
+d ln rho/dh = (rho c^2 + P) / (rho dP/drho)  (the enthalpy-as-variable form
+of Lindblom 1992, ApJ 398, 569) with the float Dormand-Prince integrator of
+`ode`, seeded by the closed form at 1e-16 rho_valid_max and stopped by an
+event at the validity bound.  Every later lookup, including each call from
+a TOV right-hand side, is one evaluation of its dense output (a bisection
+over the steps and a Horner sum); below the seed the closed form is
 used, past the bound ln rho continues linearly with the ODE's end slope, up
 to a cap that keeps rho and P finite.  h(P) inverts the same map: the
 closed form below the seed, the linear continuation past the bound, and one
@@ -43,9 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from . import ode
 from .errors import EosValidityError
 
 # Soft bounds on the adiabatic exponent; outside them the constructor only
@@ -276,10 +278,14 @@ class EosSpec:
             self.A * np.power(rho, g - 1.0) / self.c_light**2)
 
     def _density_of_enthalpy_closed(self, w):
+        """Inverse of _enthalpy_closed; math for a float w, numpy for an
+        array.  Their expm1 and powers differ by an ulp at most, which the
+        power 1/(gamma - 1) scales to about n + 1 ulp of rho."""
         g = self.gamma
         if self.nonrelativistic:
             return (w * (g - 1.0) / (self.A * g)) ** (1.0 / (g - 1.0))
-        y = np.expm1((g - 1.0) * w / g) * self.c_light**2 / self.A
+        expm1 = np.expm1 if isinstance(w, np.ndarray) else math.expm1
+        y = expm1((g - 1.0) * w / g) * self.c_light**2 / self.A
         return y ** (1.0 / (g - 1.0))
 
     @cached_property
@@ -314,9 +320,8 @@ class EosSpec:
         # form.  On the valid range dh/d ln rho = rho dP/drho / (rho c^2 + P)
         # is below 1, so the bound lies within t_hi - t_lo of h_lo.
         h_lo = float(self._enthalpy_closed(rho_lo))
-        sol = solve_ivp(dt_dh, (h_lo, h_lo + (t_hi - t_lo)), [t_lo],
-                        method="RK45", rtol=_TABLE_TOL, atol=_TABLE_TOL,
-                        dense_output=True, events=at_bound)
+        sol = ode.solve(dt_dh, (h_lo, h_lo + (t_hi - t_lo)), [t_lo],
+                        _TABLE_TOL, _TABLE_TOL, [at_bound])
         h_hi, t_end = float(sol.t[-1]), float(sol.y[0, -1])
         slope = dt_dh(h_hi, [t_end])[0]
         # At a monotone bound dP/drho -> 0, so d ln rho/dh diverges and the

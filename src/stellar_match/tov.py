@@ -23,6 +23,12 @@ boundary data (R, M) just inside the surface and end in one of four ways:
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.
+
+Every shot is one or more solves with `ode.solve`, a Dormand-Prince 5(4)
+integrator in plain float arithmetic that follows scipy's RK45 step rules,
+events and dense output, so its trajectories agree with solve_ivp(RK45)'s
+to roundoff.  A solve whose steps collapse raises StellarMatchError naming
+the radius where they did.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import ode
 from .errors import (AdmissibilityError, EosValidityError, ShootFailureError,
                      StellarMatchError)
 
@@ -52,9 +58,8 @@ CASE10 = "case10"
 CASE11 = "case11"
 
 _METRIC_FLOOR = 1e-14
-# Integrator for every shot, and the margin kept from the metric
-# degeneracy 1 - 2m/(c^2 r) = 0 by the horizon events.
-METHOD = "RK45"
+# Margin kept from the metric degeneracy 1 - 2m/(c^2 r) = 0 by the horizon
+# events.
 HORIZON_MARGIN = 1e-10
 
 
@@ -240,8 +245,8 @@ def surface_start(eos, radius, mass, dr):
 
 
 def _terminal(event, direction):
-    """Mark a solve_ivp event function terminal, firing on crossings in
-    `direction`."""
+    """Mark an event function of ode.solve terminal, firing on crossings
+    in `direction`."""
     event.terminal = True
     event.direction = direction
     return event
@@ -257,10 +262,10 @@ def _solve(eos, r_span, y0, events, rtol, atol):
     def rhs(r, y):
         return tov_rhs(eos, r, y[0], y[1])
 
-    sol = solve_ivp(rhs, r_span, y0, method=METHOD, rtol=rtol, atol=atol,
-                    dense_output=True, events=events)
+    sol = ode.solve(rhs, r_span, y0, rtol, atol, events)
     if not sol.success:
-        raise StellarMatchError("integrator failure: " + sol.message)
+        raise StellarMatchError("integrator failure at r = %.17g: %s"
+                                % (sol.t[-1], sol.message))
     return sol
 
 

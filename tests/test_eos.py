@@ -237,6 +237,24 @@ def test_saturation_past_the_table_stays_finite():
     assert np.all(np.diff(rho_array) >= 0.0)
 
 
+@pytest.mark.parametrize("gamma, c", [
+    (5.0 / 3.0, 1.0), (2.0, 1.0), (1.5, 3.0), (5.0 / 3.0, math.inf),
+])
+def test_closed_form_density_scalar_and_array_agree(gamma, c):
+    # A right-hand side reads the float branch (math.expm1, float **), the
+    # trajectory tables the array branch (np.expm1, np.power).  They agree
+    # to 2 ulp, except that rho = y^n turns an ulp of y = expm1(..) into n
+    # ulp of rho, which matters for n = 1/(gamma - 1) > 1.
+    eos = EosSpec(gamma=gamma, A=1.0, c_light=c)
+    ulps = max(2.0, eos.index.n + 1.0)
+    rho_top = eos.rho_valid_max if math.isfinite(eos.rho_valid_max) else 1e3
+    w_top = eos.enthalpy_of_pressure(eos.pressure_of_density(rho_top))
+    w = np.geomspace(1e-12, w_top, 2001)
+    array = eos._rho_of_w_array(w)
+    scalar = np.array([eos._rho_of_w_unchecked(float(x)) for x in w])
+    assert np.all(np.abs(scalar - array) <= ulps * np.spacing(array))
+
+
 def test_newtonian_enthalpy_identity():
     # u = A g/(g-1) rho^(g-1) for the pure polytrope.
     for gamma in (1.3, 1.5, 5.0 / 3.0, 2.0):

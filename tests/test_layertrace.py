@@ -35,8 +35,18 @@ for owner, old in zip(owners, before):
         elif getattr(value, "__wrapped__", None) is not old[name]:
             problems.append(label + " is not a wrapper of the original")
 tov.shoot_from_center(EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1)), 1e-3)
+# Shots through the wrapped names the commands call, so their spans count
+# the solves and the steps of each tov._solve result.
+import stellar_match.matching as matching
+rel53 = EosSpec(5.0 / 3.0, c_light=1.0)
+surface, _ = matching.shoot_from_center(rel53, 1e-4)
+matching.shoot_from_boundary(rel53, surface.radius, surface.mass)
+matching.shoot_from_center(EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1)), 2e-3)
+shots = [{k: sp["attrs"].get(k, 0) for k in ("solves", "steps")}
+         for sp in tracer.spans if sp["name"] in ("tov.fwd", "tov.inward")]
 print(json.dumps({"wrapped": wrapped, "problems": problems,
-                  "hot": {k: v[0] for k, v in tracer.hot.items()}}))
+                  "hot": {k: v[0] for k, v in tracer.hot.items()},
+                  "shots": shots, "metrics": tracer.metrics(0.0)["metrics"]}))
 """
 
 
@@ -58,3 +68,12 @@ def test_layertrace_wraps_existing_attributes():
     # conversions, so the counters of a traced run are not silently zero.
     assert got["hot"]["tov.rhs"] > 0
     assert got["hot"]["eos.conv"] > 0
+    # Each tov._solve result exposes its accepted steps as `t`, with more
+    # than the start point, so the step counters are not silently zero
+    # either: two forward shots (one lambda-EOS) and one inward shot.
+    assert len(got["shots"]) == 3
+    for shot in got["shots"]:
+        assert shot["solves"] >= 1
+        assert shot["steps"] > shot["solves"]
+    for name in ("tov.fwd.steps", "tov.inward.steps", "tov.rhs.calls"):
+        assert got["metrics"][name] > 0
