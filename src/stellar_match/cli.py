@@ -548,7 +548,7 @@ def cmd_surface(cfg):
     n = cfg.polytrope_n()
     gamma = 1.0 + 1.0 / n
     b_values = d["b"]
-    advisory = any(b > 0.05 for b in b_values)
+    advisory = any(b > FIRST_ORDER_ADVISORY_B for b in b_values)
     if advisory:
         _emit(
             {
@@ -579,8 +579,8 @@ def cmd_surface(cfg):
         scaling["slope_in_range"] = bool(abs(scaling["slope"] - 2.0) <= 0.1)
     else:
         scaling_note = (
-            "residual scaling skipped: needs >= 4 increasing b in (0, 0.05] "
-            "spanning two decades"
+            "residual scaling skipped: needs >= 4 increasing b in (0, %g] "
+            "spanning two decades" % FIRST_ORDER_ADVISORY_B
         )
 
     strat = stratification_report(

@@ -23,9 +23,10 @@ are out of scope.
 theta, h0 and psi2 are integrated together as one system
 (theta, theta', h0, h0', psi2, psi2') from the series start, as in
 Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side never looks up
-the base profile.  A level surface Theta = theta_star is solved for every
-zeta at once with Chandrupatla's bracketing method (Adv. Eng. Softw. 28,
-145, 1997) through scipy.optimize.elementwise.find_root.
+the base profile; like the base profile, it runs on `ode.solve`.  A level
+surface Theta = theta_star is solved for every zeta at once with
+Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997) through
+scipy.optimize.elementwise.find_root.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize.elementwise import find_root
 
+from . import ode
 from .errors import StellarMatchError
 from .lane_emden import _series_dtheta, _series_theta
 
@@ -166,8 +167,8 @@ def integrate_responses(base, rtol=1e-12, atol=1e-14):
     n = base.n
 
     def rhs(xi, y):
-        theta, dtheta, h, dh, p, dp = y.tolist()
-        t = max(theta, 0.0)
+        theta, dtheta, h, dh, p, dp = y
+        t = theta if theta > 0.0 else 0.0
         coef = n * t ** (n - 1.0)
         return [
             dtheta,
@@ -185,15 +186,7 @@ def integrate_responses(base, rtol=1e-12, atol=1e-14):
         *_h0_series(xi_s, n),
         *_psi2_series(xi_s, n),
     ]
-    sol = solve_ivp(
-        rhs,
-        (xi_s, base.xi1),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
+    sol = ode.solve(rhs, (xi_s, base.xi1), y0, rtol, atol)
     if not sol.success:
         raise StellarMatchError("radial response integration failed: %s" % sol.message)
     return sol.sol
@@ -257,7 +250,7 @@ def surface_curve(dist, b, zeta=None):
     zeta = np.asarray(zeta, dtype=float)
     base = dist.base
     gain = base.xi1**2 / base.mu1
-    values = base.xi1 + gain * dist.distortion_field(base.xi1, zeta) * b
+    values = boundary_radius(dist, b, zeta)
     c0 = base.xi1
     c1 = gain * (dist.h0.surface_value - dist.a2 * dist.psi2.surface_value / 2.0)
     c2 = -1.5 * gain * dist.a2 * dist.psi2.surface_value

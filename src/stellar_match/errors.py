@@ -34,7 +34,8 @@ class AdmissibilityError(StellarMatchError):
 
 
 class FitConvergenceError(StellarMatchError):
-    """The damped Gauss-Newton loop exhausted its iteration budget."""
+    """An ellipsoid fit found no minimum: the sum of squares keeps falling
+    as 1 + a1 goes to 0 or to infinity."""
 
 
 class ConfigError(StellarMatchError):

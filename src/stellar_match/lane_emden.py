@@ -7,16 +7,17 @@ zero xi1 gives the surface, mu1 = -xi1^2 theta'(xi1) the mass integral.
 The right-hand side uses (theta v 0)^n, so past the zero the integration
 continues as the vacuum solution; a short guarded continuation beyond xi1 is
 kept internally because the distorted surface of a slowly rotating body pokes
-outside xi1 on the equator.
+outside xi1 on the equator.  Both stretches are integrated with `ode.solve`,
+the package's Dormand-Prince integrator, and the surface is its terminal
+event.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
+from . import ode
 from .errors import NonTerminationError
 
 XI_START_DEFAULT = 1e-4
@@ -24,11 +25,9 @@ XI_MAX_DEFAULT = 1e4
 EXTEND_FACTOR_DEFAULT = 1.35
 
 
-def _theta_pow(theta, n):
-    """(theta v 0)^n with the n = 0 convention (theta v 0)^0 = 1 inside."""
-    if n == 0.0:
-        return np.where(np.asarray(theta) > 0.0, 1.0, 0.0)
-    return np.power(np.maximum(theta, 0.0), n)
+def _source(theta, n):
+    """(theta v 0)^n of a float, with (theta v 0)^0 = 1 only inside."""
+    return theta**n if theta > 0.0 else 0.0
 
 
 def _series_theta(xi, n):
@@ -43,15 +42,12 @@ class LaneEmdenSolution:
     """Profile with located surface.  Evaluate through theta_at/dtheta_at on
     [0, xi1]; the guarded continuation past xi1 is internal."""
 
-    def __init__(self, n, xi1, mu1, dense_in, dense_ext, xi_start, xi_extended,
-                 rtol, atol):
+    def __init__(self, n, xi1, mu1, dense_in, dense_ext, xi_start, xi_extended):
         self.n = float(n)
         self.xi1 = float(xi1)
         self.mu1 = float(mu1)
         self.xi_start = float(xi_start)
         self.xi_extended = float(xi_extended)
-        self.rtol = rtol
-        self.atol = atol
         self._dense_in = dense_in
         self._dense_ext = dense_ext
 
@@ -93,7 +89,7 @@ class LaneEmdenSolution:
     def mass_integral(self):
         """int_0^xi1 theta^n xi^2 dxi, which the equation makes equal to
         mu1; used as an independent identity check."""
-        val, _ = quad(lambda x: float(_theta_pow(self.theta_at(x), self.n))
+        val, _ = quad(lambda x: _source(float(self.theta_at(x)), self.n)
                       * x**2, 0.0, self.xi1, epsabs=1e-13, epsrel=1e-12,
                       limit=200)
         return float(val)
@@ -122,7 +118,7 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
 
     def rhs(xi, y):
         theta, dtheta = y
-        return [dtheta, -float(_theta_pow(theta, n)) - 2.0 * dtheta / xi]
+        return [dtheta, -_source(theta, n) - 2.0 * dtheta / xi]
 
     def surface(_xi, y):
         return y[0]
@@ -130,8 +126,7 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
     surface.direction = -1
 
     y0 = [_series_theta(xi_start, n), _series_dtheta(xi_start, n)]
-    sol = solve_ivp(rhs, (xi_start, xi_max), y0, method="RK45", rtol=rtol,
-                    atol=atol, dense_output=True, events=[surface])
+    sol = ode.solve(rhs, (xi_start, xi_max), y0, rtol, atol, [surface])
     if not sol.success:
         raise NonTerminationError("integrator-failure", sol.message)
     if sol.t_events[0].size == 0:
@@ -139,16 +134,15 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
             "no-zero-within-guard",
             "no surface located below xi = %g (n = %g)" % (xi_max, n))
     xi1 = float(sol.t_events[0][0])
-    dtheta1 = float(sol.sol(xi1)[1])
+    dtheta1 = sol.sol(xi1)[1]
     mu1 = -xi1**2 * dtheta1
 
     # vacuum continuation for the distorted-surface work
     xi_ext = extend_factor * xi1
-    sol_ext = solve_ivp(rhs, (xi1, xi_ext), [0.0, dtheta1], method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True)
+    sol_ext = ode.solve(rhs, (xi1, xi_ext), [0.0, dtheta1], rtol, atol)
     if not sol_ext.success:
         raise NonTerminationError("integrator-failure", sol_ext.message)
 
     return LaneEmdenSolution(n=n, xi1=xi1, mu1=mu1, dense_in=sol.sol,
                              dense_ext=sol_ext.sol, xi_start=xi_start,
-                             xi_extended=xi_ext, rtol=rtol, atol=atol)
+                             xi_extended=xi_ext)

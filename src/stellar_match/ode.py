@@ -1,14 +1,16 @@
 """Dormand-Prince 5(4) integration in plain float arithmetic.
 
 `solve` integrates a small system y' = fun(t, y) whose state is a list of
-floats, and returns what the shots and the EOS table read off
-`scipy.integrate.solve_ivp`: the accepted steps `t`, `y`, the dense output
-`sol`, the event roots `t_events`, `y_events`, and `nfev`, `success`,
-`message`.  It follows scipy's RK45 step by step, so its trajectories agree
-with those of solve_ivp(method="RK45", dense_output=True) to roundoff.  The
-step ends themselves agree only to about 1e-9 relative: the error estimate
-cancels by several digits and scipy sums it in another order, so where it
-is mostly rounding (tight rtol) a step count can differ by one.  Copied:
+floats.  It is the package's one integrator: the TOV shots, the EOS table,
+the Lane-Emden profile and the distortion responses all run on it.  It
+returns the fields they read off a scipy ODE result: the accepted steps
+`t`, `y`, the dense output `sol`, the event roots `t_events`, `y_events`,
+and `nfev`, `success`, `message`.  It follows scipy's RK45 step by step,
+so its trajectories agree with those of scipy's RK45 driver (dense output
+on) to roundoff.  The step ends themselves agree only to about 1e-9
+relative: the error estimate cancels by several digits and scipy sums it
+in another order, so where it is mostly rounding (tight rtol) a step count
+can differ by one.  Copied:
 
 - the Dormand-Prince pair (Dormand & Prince 1980, J. Comp. Appl. Math. 6,
   19) with local extrapolation, and Shampine's 4th-order continuous
@@ -18,9 +20,9 @@ is mostly rounding (tight rtol) a step count can differ by one.  Copied:
   minimum step of 10 ulp of t, and the last step clipped to the bound;
 - the Hairer-Norsett-Wanner initial step (Solving ODEs I, sec. II.4),
   which costs one right-hand side call beyond the one at t0;
-- events as solve_ivp handles them: a sign change between step ends in the
-  event's direction, a brentq root on that step's interpolant, a stop at
-  the earliest terminal root, whose state replaces the step end.
+- events as scipy's driver handles them: a sign change between step ends
+  in the event's direction, a brentq root on that step's interpolant, a
+  stop at the earliest terminal root, whose state replaces the step end.
 
 Each right-hand side call receives the state as a list and may return any
 sequence.  No numpy runs inside a step; the result arrays are built once
@@ -168,7 +170,7 @@ def _evaluate(coeffs, t):
 
 @dataclass
 class OdeResult:
-    """The solve_ivp result fields this package reads."""
+    """The ODE result fields this package reads, named as scipy names them."""
 
     t: np.ndarray
     y: np.ndarray
@@ -190,7 +192,7 @@ def solve(fun, t_span, y0, rtol, atol, events=()):
     atol is a float or one float per component.  Each event is a function
     event(t, y) with optional attributes `terminal` (stop at its first root)
     and `direction` (sign of the crossings that count; 0 for both), as for
-    solve_ivp."""
+    scipy's driver."""
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("empty integration span")

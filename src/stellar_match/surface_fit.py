@@ -9,6 +9,11 @@ operationalized here as that scaling law: rms residual proportional to
 b^2 (log-log slope 2), rather than as a pointwise statement, because an
 ellipsoid with a1 = O(b) does match the surface to first order.
 
+Each fit is a variable projection (Golub & Pereyra 1973): a0 is linear
+given a1, so the least-squares ellipsoid is one bracketed root of the
+reduced gradient in a1, which fixes a1 to about eps over its slope rather
+than to the sqrt(eps) width of a flat minimum.
+
 Nothing in these fits claims an impossibility proof; the reports carry
 numbers only.
 """
@@ -19,12 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .distortion import level_surface, surface_curve
+from .distortion import FIRST_ORDER_ADVISORY_B, level_surface, surface_curve
 from .errors import FitConvergenceError
 
-STEP_TOL = 1e-12
-GRAD_TOL = 1e-14
+# The fit's bracket search runs in s = ln(1 + a1): its first step, and the
+# largest |s| it tries (axis ratios sqrt(1 + a1) up to e^15 either way).
+FIRST_STEP = 1e-3
+S_LIMIT = 30.0
 # All rms values below roundoff_scale times this mark a degenerate scaling.
 DEGENERATE_RMS_FACTOR = 1e-12
 ZETA_GRID_POINTS = 201
@@ -32,7 +40,9 @@ ZETA_GRID_POINTS = 201
 
 @dataclass(frozen=True)
 class EllipsoidFit:
-    """Damped Gauss-Newton fit of r = a0 / sqrt(1 + a1 zeta^2)."""
+    """Least-squares fit of r = a0 / sqrt(1 + a1 zeta^2).  ``converged`` is
+    always True (a failed fit raises); ``iterations`` counts evaluations of
+    the reduced gradient."""
 
     a0: float
     a1: float
@@ -62,6 +72,8 @@ def _validate_samples(samples):
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise ValueError("need at least 3 samples of (zeta, r)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("zeta and radius samples must be finite")
     zeta, r = arr[:, 0], arr[:, 1]
     if np.any(np.abs(zeta) > 1.0 + 1e-12):
         raise ValueError("zeta samples must lie in [-1, 1]")
@@ -70,78 +82,69 @@ def _validate_samples(samples):
     return zeta, r
 
 
-def _initial_guess(zeta, r):
-    # Equatorial sample anchors a0; the most polar sample sets a1 through
-    # the two-point ratio (r_eq / r_pole)^2 = 1 + a1 zeta_pole^2.
+def _initial_s(zeta, r):
+    """ln(1 + a1) through the equatorial and the most polar sample,
+    (r_eq / r_pole)^2 = 1 + a1 zeta_pole^2, kept within S_LIMIT."""
     z2 = zeta**2
-    a0 = float(r[np.argmin(z2)])
     k = int(np.argmax(z2))
     if z2[k] < 1e-12:
-        return a0, 0.0
-    a1 = ((a0 / float(r[k])) ** 2 - 1.0) / float(z2[k])
-    return a0, max(a1, -1.0 + 1e-9)
+        return 0.0
+    a1 = ((float(r[np.argmin(z2)]) / float(r[k])) ** 2 - 1.0) / float(z2[k])
+    return min(math.log1p(max(a1, -1.0 + 1e-9)), S_LIMIT)
 
 
-def fit_ellipsoid(samples, max_iter=60):
-    """Least-squares ellipsoid through (zeta, r) samples.
+def fit_ellipsoid(samples):
+    """Least-squares ellipsoid through (zeta, r) samples by variable
+    projection (Golub & Pereyra 1973, SIAM J. Numer. Anal. 10, 413).
 
-    Damped Gauss-Newton with the analytic Jacobian; steps are halved
-    until the sum of squares does not increase and 1 + a1 zeta^2 stays
-    positive on all of [-1, 1].  Convergence means relative step below
-    1e-12 or gradient norm below 1e-14.
+    For fixed a1 the best a0 is linear, a0 = (r.g)/(g.g) with
+    g = (1 + a1 zeta^2)^(-1/2), so the sum of squares depends on a1 alone
+    and falls with a1 where F = (r.g')(g.g) - (r.g)(g.g') is positive
+    (g' = dg/da1 = -zeta^2 g^3 / 2).  From the two-point guess, doubling
+    steps in s = ln(1 + a1) go downhill until F changes sign, and one
+    brentq solves F = 0 on that bracket.  In s, 1 + a1 zeta^2 stays
+    positive on all of [-1, 1].  Raises FitConvergenceError when the sum of
+    squares still falls at |s| = S_LIMIT.
     """
     zeta, r = _validate_samples(samples)
     z2 = zeta**2
-    a = np.array(_initial_guess(zeta, r))
+    calls = 0
 
-    def admissible_params(p):
-        return 1.0 + min(p[1], 0.0) > 0.0
+    def shape(s):
+        return 1.0 / np.sqrt(1.0 + math.expm1(s) * z2)
 
-    def residual(p):
-        return r - p[0] / np.sqrt(1.0 + p[1] * z2)
+    def gradient(s):
+        nonlocal calls
+        calls += 1
+        g = shape(s)
+        dg = -0.5 * z2 * g**3
+        return (r @ dg) * (g @ g) - (r @ g) * (g @ dg)
 
-    converged = False
-    iterations = 0
-    e = residual(a)
-    for iterations in range(1, max_iter + 1):
-        q = 1.0 + a[1] * z2
-        rt = np.sqrt(q)
-        jac = np.column_stack([1.0 / rt, -0.5 * a[0] * z2 / (q * rt)])
-        grad = jac.T @ e
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
+    s = _initial_s(zeta, r)
+    f = gradient(s)
+    step = math.copysign(FIRST_STEP, f)
+    while f != 0.0:
+        s_next = min(max(s + step, -S_LIMIT), S_LIMIT)
+        if s_next == s:
+            raise FitConvergenceError(
+                "ellipsoid fit: the sum of squares still falls at a1 = %.6g; "
+                "no stationary point with 1 + a1 > 0" % math.expm1(s))
+        f_next = gradient(s_next)
+        if np.sign(f_next) != np.sign(f):
+            s = brentq(gradient, min(s, s_next), max(s, s_next),
+                       xtol=np.finfo(float).eps)
             break
-        delta = np.linalg.lstsq(jac, e, rcond=None)[0]
-        ssr = float(e @ e)
-        step = 1.0
-        while step > 1e-16:
-            cand = a + step * delta
-            if admissible_params(cand):
-                e_cand = residual(cand)
-                if float(e_cand @ e_cand) <= ssr:
-                    break
-            step *= 0.5
-        else:
-            # No decrease at any damping: already at the floor.
-            converged = True
-            break
-        rel_step = np.linalg.norm(step * delta) / max(np.linalg.norm(a), 1e-300)
-        a = cand
-        e = e_cand
-        if rel_step < STEP_TOL:
-            converged = True
-            break
-    if not converged:
-        raise FitConvergenceError(
-            "ellipsoid fit did not converge in %d iterations" % max_iter
-        )
+        s, f, step = s_next, f_next, 2.0 * step
+    g = shape(s)
+    a0 = float(r @ g) / float(g @ g)
+    e = r - a0 * g
     return EllipsoidFit(
-        a0=float(a[0]),
-        a1=float(a[1]),
+        a0=a0,
+        a1=math.expm1(s),
         rms_residual=float(np.sqrt(np.mean(e**2))),
         max_residual=float(np.max(np.abs(e))),
-        converged=converged,
-        iterations=iterations,
+        converged=True,
+        iterations=calls,
     )
 
 
@@ -173,6 +176,8 @@ def scaling_from_pairs(pairs, roundoff_scale=1.0):
         raise ValueError("need at least 3 (b, rms) pairs for a slope")
     b = np.array([p[0] for p in pairs])
     rms = np.array([p[1] for p in pairs])
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(rms))):
+        raise ValueError("(b, rms) pairs must be finite")
     if np.any(np.diff(b) <= 0.0):
         raise ValueError("b values must be strictly increasing")
     degenerate = bool(np.all(rms < DEGENERATE_RMS_FACTOR * roundoff_scale))
@@ -206,7 +211,8 @@ def scaling_ladder_problem(b_values):
     """Why a b ladder cannot carry the residual scaling, or None if it can.
 
     The regression needs at least 4 strictly increasing b values spanning
-    two or more decades, all within the first-order range 0 < b <= 0.05.
+    two or more decades, all within the first-order range
+    0 < b <= FIRST_ORDER_ADVISORY_B.
     """
     b_values = [float(b) for b in b_values]
     if len(b_values) < 4:
@@ -215,14 +221,14 @@ def scaling_ladder_problem(b_values):
         return "b values must be strictly increasing"
     if b_values[0] <= 0.0:
         return "b values must be positive"
-    if b_values[-1] > 0.05:
-        return "b values beyond 0.05 leave the first-order range"
+    if b_values[-1] > FIRST_ORDER_ADVISORY_B:
+        return "b values beyond %g leave the first-order range" % FIRST_ORDER_ADVISORY_B
     if b_values[-1] / b_values[0] < 100.0 * (1.0 - 1e-12):
         return "b values must span at least two decades"
     return None
 
 
-def residual_scaling(dist, b_values, zeta=None, max_iter=60):
+def residual_scaling(dist, b_values, zeta=None):
     """Ellipsoid-residual scaling of the distorted surface.
 
     Fits the boundary curve at each rotation parameter and regresses the
@@ -237,12 +243,12 @@ def residual_scaling(dist, b_values, zeta=None, max_iter=60):
     pairs = []
     for b in b_values:
         curve = surface_curve(dist, b, zeta)
-        fit = fit_ellipsoid(np.column_stack([curve.zeta, curve.values]), max_iter)
+        fit = fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))
         pairs.append((b, fit.rms_residual))
     return scaling_from_pairs(pairs, roundoff_scale=dist.base.xi1)
 
 
-def stratification_report(dist, b, levels, zeta=None, margin=1e-3, max_iter=60):
+def stratification_report(dist, b, levels, zeta=None, margin=1e-3):
     """Ellipsoid fits of the level surfaces at the given profile levels.
 
     Level shapes vary with the level because the distortion-to-gradient
@@ -256,6 +262,6 @@ def stratification_report(dist, b, levels, zeta=None, margin=1e-3, max_iter=60):
     report = []
     for theta_star in levels:
         ls = level_surface(dist, b, theta_star, zeta=zeta, margin=margin)
-        fit = fit_ellipsoid(np.column_stack([ls.zeta, ls.xi_star]), max_iter)
+        fit = fit_ellipsoid(np.column_stack([ls.zeta, ls.xi_star]))
         report.append((float(theta_star), fit))
     return report

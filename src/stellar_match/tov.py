@@ -26,8 +26,8 @@ are reported as labeled exits outside the taxonomy.
 
 Every shot is one or more solves with `ode.solve`, a Dormand-Prince 5(4)
 integrator in plain float arithmetic that follows scipy's RK45 step rules,
-events and dense output, so its trajectories agree with solve_ivp(RK45)'s
-to roundoff.  A solve whose steps collapse raises StellarMatchError naming
+events and dense output, so its trajectories agree with scipy's RK45 to
+roundoff.  A solve whose steps collapse raises StellarMatchError naming
 the radius where they did.
 """
 

@@ -1,7 +1,8 @@
 """The float Dormand-Prince integrator against scipy's solve_ivp(RK45),
 which stays here as the oracle.
 
-The shots and the EOS table are recorded as they call `ode.solve` and
+The shots, the EOS table, the Lane-Emden profile and the distortion
+responses are recorded as they call `ode.solve` and
 re-run through solve_ivp with the same right-hand side, span, tolerances
 and events.  Both take the same number of steps, but the step ends agree
 only to about 1e-9 relative: the error estimate is a 7-term sum that
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from stellar_match import ode, tov
+from stellar_match import lane_emden, ode, tov
+from stellar_match.distortion import solve_distortion
 from stellar_match.eos import EosSpec
 from stellar_match.errors import StellarMatchError
 
@@ -103,6 +105,41 @@ def test_inward_ladder_matches_solve_ivp(recorded):
     # its blow-up radius agrees to about 1e-12
     for args, got in recorded:
         _assert_matches_oracle(args, got, event_tol=1e-11)
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 4.5])
+def test_lane_emden_solves_match_solve_ivp(recorded, n):
+    sol = lane_emden.solve(n)
+    assert len(recorded) == 2  # to the surface, then the vacuum continuation
+    want = [_assert_matches_oracle(args, got) for args, got in recorded]
+    assert sol.xi1 == pytest.approx(float(want[0].t_events[0][0]),
+                                    rel=EVENT_TOL)
+
+
+def test_lane_emden_n0_matches_solve_ivp(recorded):
+    # theta = 1 - xi^2/6 is a polynomial, so the error estimate is pure
+    # rounding and the two step counts part (37 vs 25).  The surface and the
+    # trajectory before it still agree; the step across the surface, where
+    # the source (theta v 0)^0 drops from 1 to 0, leaves theta' there exact
+    # only to about 1e-10 on either grid.
+    sol = lane_emden.solve(0.0)
+    assert sol.xi1 == pytest.approx(math.sqrt(6.0), rel=EVENT_TOL)
+    (args, got), (ext_args, ext_got) = recorded
+    want = _oracle(*args)
+    scale = np.max(np.abs(want.y), axis=1, keepdims=True)
+    inside = np.abs(got.sol(want.t[:-1]) - want.y[:, :-1]) / scale
+    assert np.max(inside) < TRAJECTORY_TOL
+    assert np.max(np.abs(got.y[:, -1] - want.y[:, -1]) / scale[:, 0]) < 1e-10
+    _assert_matches_oracle(ext_args, ext_got)
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 3.0])
+def test_distortion_solve_matches_solve_ivp(recorded, n):
+    base = lane_emden.solve(n)
+    recorded.clear()
+    solve_distortion(base)
+    [(args, got)] = recorded
+    _assert_matches_oracle(args, got)
 
 
 def test_dense_output_scalar_array_and_oracle_agree(recorded):

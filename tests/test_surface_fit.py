@@ -81,9 +81,31 @@ def test_fit_input_validation():
         fit_ellipsoid([(0.0, 1.0), (1.5, 1.0), (1.0, 1.0)])
 
 
-def test_fit_iteration_budget_enforced():
-    with pytest.raises(FitConvergenceError):
-        fit_ellipsoid(ellipsoid_samples(2.0, 8.0), max_iter=0)
+def test_fit_rejects_non_finite_samples():
+    for bad in ([(0.0, 1.0), (0.5, math.nan), (1.0, 1.0)],
+                [(0.0, 1.0), (0.5, math.inf), (1.0, 1.0)],
+                [(0.0, 1.0), (math.nan, 1.0), (1.0, 1.0)],
+                [(0.0, 1.0), (-math.inf, 1.0), (1.0, 1.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            fit_ellipsoid(bad)
+
+
+def test_fit_without_stationary_point_raises():
+    # The polar radius grows so fast that the sum of squares keeps falling
+    # as 1 + a1 shrinks to zero: no admissible ellipsoid is a minimum.
+    with pytest.raises(FitConvergenceError, match="no stationary point"):
+        fit_ellipsoid([(0.0, 1.0), (0.5, 2.0), (0.9, 50.0)])
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0])
+def test_fit_reproducible_under_radius_scaling(n):
+    # a1 is a root of the reduced gradient, fixed to about eps over its
+    # slope, so scaling the radii by 1 + O(1e-13) leaves it in place.
+    curve = surface_curve(solve_distortion(lane_emden.solve(n)), 1e-2)
+    ref = fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))
+    for factor in (1.0 - 1e-13, 1.0 + 1e-13, 1.0 + 3e-13, 1.0 + 1e-12):
+        fit = fit_ellipsoid(np.column_stack([curve.zeta, factor * curve.values]))
+        assert abs(fit.a1 - ref.a1) <= 1e-12 * abs(ref.a1)
 
 
 def test_fit_optimality_under_perturbation():
@@ -178,6 +200,12 @@ def test_scaling_from_pairs_validation():
         scaling_from_pairs([(1e-3, 1.0), (1e-2, 2.0)])
     with pytest.raises(ValueError):
         scaling_from_pairs([(1e-3, 1.0), (1e-3, 2.0), (1e-2, 3.0)])
+
+
+@pytest.mark.parametrize("pair", [(1e-2, math.nan), (1e-2, math.inf), (math.nan, 3.0)])
+def test_scaling_from_pairs_rejects_non_finite(pair):
+    with pytest.raises(ValueError, match="finite"):
+        scaling_from_pairs([(1e-4, 1.0), (1e-3, 2.0), pair])
 
 
 def test_linregress_matches_scipy_bit_for_bit():
