@@ -30,6 +30,9 @@ import yaml
 from . import __version__, lane_emden
 from .distortion import (
     FIRST_ORDER_ADVISORY_B,
+    LEVEL_MARGIN,
+    N_MIN,
+    ZETA_GRID_POINTS,
     dimensional_scale,
     solve_distortion,
     surface_curve,
@@ -39,6 +42,7 @@ from .errors import ConfigError, ShootFailureError, StellarMatchError
 from .matching import (
     NEAR_DELTA_DEFAULT,
     SAMPLER_KINDS,
+    SWEEP_COUNT_DEFAULT,
     LogGrid,
     SweepSampler,
     ae_failure_sweep,
@@ -46,7 +50,6 @@ from .matching import (
 )
 from .reports import sanitize, write_json, write_jsonl, write_table
 from .surface_fit import (
-    ZETA_GRID_POINTS,
     fit_ellipsoid,
     scaling_from_pairs,
     scaling_ladder_problem,
@@ -154,17 +157,17 @@ SCHEMA = (
     ("sweep.p_hi", _number, (">", 0.0), 1e-2),
     ("sweep.per_decade", _number, (">=", 2.0), LogGrid.per_decade),
     ("sweep.seed", _integer, (">=", 0), SweepSampler.seed),
-    ("sweep.count", _integer, (">=", 1), 100),
+    ("sweep.count", _integer, (">=", 1), SWEEP_COUNT_DEFAULT),
     ("sweep.kind", _choice, SAMPLER_KINDS, SweepSampler.kind),
     ("sweep.min_distance", _number, (">", 0.0), SweepSampler.min_distance),
     ("sweep.near_delta", _number, (">", 0.0), NEAR_DELTA_DEFAULT),
-    ("distortion.n", _number, (">=", 1.0), None),
+    ("distortion.n", _number, (">=", N_MIN), None),
     ("distortion.rho_o", _number, (">", 0.0), 1.0),
     ("distortion.grav", _number, (">", 0.0), 1.0),
     ("distortion.b", _numbers, (">=", 0.0), [1e-4, 3.1623e-4, 1e-3, 3.1623e-3, 1e-2]),
     ("distortion.zeta_points", _integer, (">=", 5), ZETA_GRID_POINTS),
     ("distortion.levels", _numbers, None, [0.2, 0.5, 0.8]),
-    ("distortion.level_margin", _number, (">", 0.0), 1e-3),
+    ("distortion.level_margin", _number, (">", 0.0), LEVEL_MARGIN),
     ("output.directory", _path, None, "out"),
     ("output.formats", _choices, ("csv", "json"), ["csv", "json"]),
 )
@@ -276,10 +279,18 @@ class RunConfig:
         return _from_section(ClassifyThresholds, self.data["tov"])
 
     def polytrope_n(self):
+        """distortion.n, or else 1/(gamma - 1), held to the same bound."""
         d = self.data["distortion"]
         if d["n"] is not None:
             return d["n"]
-        return 1.0 / (self.data["eos"]["gamma"] - 1.0)
+        n = 1.0 / (self.data["eos"]["gamma"] - 1.0)
+        if not n >= N_MIN:
+            _fail(
+                "eos.gamma",
+                "implies n = 1/(gamma-1) = %g, but the surface pipeline "
+                "needs n >= %g" % (n, N_MIN),
+            )
+        return n
 
     def table_format(self):
         return self.data["output"]["formats"][0]

@@ -43,6 +43,12 @@ from .lane_emden import _series_dtheta, _series_theta
 
 # Above this rotation parameter the first-order truncation is advisory only.
 FIRST_ORDER_ADVISORY_B = 0.05
+# Smallest polytropic index handled: below it theta^(n-1) diverges at xi1.
+N_MIN = 1.0
+# Default zeta samples of a boundary or level curve on [-1, 1].
+ZETA_GRID_POINTS = 201
+# Default distance a level theta_star keeps from 0 and 1.
+LEVEL_MARGIN = 1e-3
 # Radial evaluations may overshoot xi1 by at most this much (Taylor range).
 EXTENSION_SPAN = 0.5
 
@@ -195,7 +201,7 @@ def integrate_responses(base, rtol=1e-12, atol=1e-14):
 def solve_distortion(base, rtol=1e-12, atol=1e-14):
     """Solve both radial responses in one integration with theta and fix
     the quadrupole amplitude."""
-    if base.n < 1.0:
+    if base.n < N_MIN:
         raise ValueError(
             "surface coefficient theta^(n-1) diverges for n < 1; "
             "polytropic index out of the supported range"
@@ -241,16 +247,24 @@ def surface_curve(dist, b, zeta=None):
     Also reports the quadratic coefficients c0 = xi1,
     c1 = (xi1^2/mu1)(h0(xi1) - A2 psi2(xi1)/2) and
     c2 = -(3/2)(xi1^2/mu1) A2 psi2(xi1), which regroup the same formula;
-    c2 > 0 because A2 < 0 and psi2(xi1) > 0.
+    c2 > 0 because A2 < 0 and psi2(xi1) > 0.  Raises StellarMatchError
+    where the first-order boundary is not positive at every zeta, which a
+    large enough b does at high n.
     """
     if b < 0.0:
         raise ValueError("rotation parameter b must be nonnegative")
     if zeta is None:
-        zeta = np.linspace(-1.0, 1.0, 201)
+        zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
     zeta = np.asarray(zeta, dtype=float)
     base = dist.base
     gain = base.xi1**2 / base.mu1
     values = boundary_radius(dist, b, zeta)
+    if not np.all(values > 0.0):
+        raise StellarMatchError(
+            "first-order boundary is not positive at b = %g, n = %g: "
+            "min Xi1 = %.6g; b is beyond the first-order range of this index"
+            % (b, base.n, np.min(values))
+        )
     c0 = base.xi1
     c1 = gain * (dist.h0.surface_value - dist.a2 * dist.psi2.surface_value / 2.0)
     c2 = -1.5 * gain * dist.a2 * dist.psi2.surface_value
@@ -296,7 +310,7 @@ class LevelSurface:
         return list(zip(self.zeta.tolist(), self.xi_star.tolist()))
 
 
-def level_surface(dist, b, theta_star, zeta=None, margin=1e-3):
+def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     """Level set Theta(xi, zeta) = theta_star, one bracketed root per zeta.
 
     All zeta are solved at once by Chandrupatla's method
@@ -309,7 +323,7 @@ def level_surface(dist, b, theta_star, zeta=None, margin=1e-3):
     if not (margin <= theta_star <= 1.0 - margin):
         raise ValueError("theta_star must lie in [margin, 1 - margin]")
     if zeta is None:
-        zeta = np.linspace(-1.0, 1.0, 201)
+        zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
     zeta = np.asarray(zeta, dtype=float)
     base = dist.base
     p2 = legendre_p2(zeta)

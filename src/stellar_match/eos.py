@@ -16,7 +16,9 @@ endpoint is located at construction time and reported as a diagnostic
 Enthalpy conventions.  In relativistic mode the integration variable is the
 dimensionless  h(P) = int_0^P dP' / (rho c^2 + P'),  in nonrelativistic mode
 the specific enthalpy  u(P) = int_0^P dP' / rho.  Both are strictly increasing
-in P, vanish at P = 0, and c^2 h -> u as c -> inf.
+in P, vanish at P = 0, and c^2 h -> u as c -> inf.  `w_unit` is the unit of
+the variable, c^2 for h and 1 for u, so that one set of hydrostatic formulas
+in `tov` serves both modes.
 
 Density from enthalpy.  The pure polytrope inverts h or u in closed form,
 with math functions for a float and numpy for an array.  With Lam != 0 the
@@ -117,6 +119,8 @@ class EosSpec:
         self.gamma_warning = not (GAMMA_SOFT_MIN < self.gamma < GAMMA_SOFT_MAX)
         self.index = PolytropeIndex.from_gamma(self.gamma)
         self.nonrelativistic = math.isinf(self.c_light)
+        # Unit of the enthalpy variable w: c^2 for h, 1 for u = lim c^2 h.
+        self.w_unit = 1.0 if self.nonrelativistic else self.c_light**2
         # True when the correction series is absent or inert (c = inf).
         self.pure_polytrope = self.nonrelativistic or not self.lambda_coeffs
 

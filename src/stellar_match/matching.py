@@ -51,6 +51,8 @@ ENDPOINT_REL_TOL = 1e-4
 SAGITTA_TOL = 3e-5
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4
+# Samples drawn by a failure sweep unless told otherwise.
+SWEEP_COUNT_DEFAULT = 100
 # Sampling plans understood by SweepSampler.
 SAMPLER_KINDS = ("random", "grid", "on-curve")
 
@@ -520,7 +522,7 @@ def ae_failure_sweep(
     eos,
     curves,
     sampler=None,
-    count=100,
+    count=SWEEP_COUNT_DEFAULT,
     near_delta=NEAR_DELTA_DEFAULT,
     config=None,
     thresholds=None,

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .distortion import FIRST_ORDER_ADVISORY_B, level_surface, surface_curve
+from .distortion import (FIRST_ORDER_ADVISORY_B, LEVEL_MARGIN, ZETA_GRID_POINTS,
+                         level_surface, surface_curve)
 from .errors import FitConvergenceError
 
 # The fit's bracket search runs in s = ln(1 + a1): its first step, and the
@@ -35,7 +36,6 @@ FIRST_STEP = 1e-3
 S_LIMIT = 30.0
 # All rms values below roundoff_scale times this mark a degenerate scaling.
 DEGENERATE_RMS_FACTOR = 1e-12
-ZETA_GRID_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def residual_scaling(dist, b_values, zeta=None):
     return scaling_from_pairs(pairs, roundoff_scale=dist.base.xi1)
 
 
-def stratification_report(dist, b, levels, zeta=None, margin=1e-3):
+def stratification_report(dist, b, levels, zeta=None, margin=LEVEL_MARGIN):
     """Ellipsoid fits of the level surfaces at the given profile levels.
 
     Level shapes vary with the level because the distortion-to-gradient

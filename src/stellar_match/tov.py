@@ -2,14 +2,20 @@
 
 State is (m, w) against radius, where w is the enthalpy variable of the EOS:
 h = int dP/(rho c^2 + P) in relativistic mode, u = int dP/rho when c = inf.
-The pressure equation in this variable,
+One set of formulas serves both modes.  With w_unit the unit of w
+(EosSpec.w_unit: c^2 for h, 1 for u = lim c^2 h),
 
-    dw/dr = -(m + 4 pi r^3 P/c^2) / (c^2 r^2 (1 - 2 m/(c^2 r)))     (G = 1)
-    dw/dr = -m / r^2                                                (c = inf)
+    dw/dr = -(m + 4 pi r^3 P/c^2) / (w_unit r^2 (1 - 2 m/(c^2 r)))    (G = 1)
 
-is regular at the surface, so (m, w) = (M, 0) is a usable starting point for
-inward shots, unlike (m, P) = (M, 0) which is an equilibrium of the
-pressure-form right-hand side.
+and dP/dw = w_unit (rho + P/c^2).  At c = inf every 1/c^2 term is an exact
+IEEE zero (x/inf = 0): the same lines give dw/dr = -m/r^2 and dP/dw = rho
+bit for bit, the compactness and F's constant are 0, and the horizon events
+cannot fire.  Only the metric itself needs a finite c: a c = inf
+trajectory has NaN F and H columns, and metric_coefficients refuses it.
+
+The pressure equation in w is regular at the surface, so (m, w) = (M, 0) is
+a usable starting point for inward shots, unlike (m, P) = (M, 0) which is
+an equilibrium of the pressure-form right-hand side.
 
 Outward shots start from a central pressure with a series start at r0 and end
 on the w = 0 event (the surface) or a guard.  Inward shots start from
@@ -96,7 +102,7 @@ class TovTrajectory:
 
     Columns r, m and w are stored; P and rho are recovered through the EOS
     on demand.  f_const is the additive constant fixing the time metric
-    coefficient, F = f_const - w (relativistic runs only)."""
+    coefficient, F = f_const - w (0 when c = inf; None on failed shots)."""
 
     def __init__(self, eos, direction, sol, exit_label, f_const=None):
         self.eos = eos
@@ -112,36 +118,29 @@ class TovTrajectory:
         m, w = self.dense(r)
         return float(m), float(w)
 
-    def pressure_density(self):
-        rho, p = self.eos._fluid_of_w(self.w)
-        return p, rho
-
     def metric_exponents(self):
-        """(F, H) samples along the stored grid; NaN for nonrelativistic
-        runs where the metric language does not apply."""
+        """(F, H) samples along the stored grid; NaN when c = inf, where
+        the metric language does not apply."""
         if self.eos.nonrelativistic or self.f_const is None:
             nan = np.full_like(self.r, math.nan)
             return nan, nan
-        csq = self.eos.c_light**2
-        H = -0.5 * np.log(1.0 - 2.0 * self.m / (csq * self.r))
+        H = -0.5 * np.log(_metric(self.eos, self.r, self.m))
         F = self.f_const - self.w
         return F, H
 
     def as_rows(self):
         """Rows for CSV export with columns (r, m, P, rho, h, F, H)."""
-        p, rho = self.pressure_density()
+        rho, p = self.eos._fluid_of_w(self.w)
         F, H = self.metric_exponents()
         return np.column_stack([self.r, self.m, p, rho, self.w, F, H])
 
     def check_domain(self):
         """Accepted-step domain bookkeeping: metric factor positive and
         rho + P/c^2 nonnegative everywhere.  Raises on violation."""
-        if not self.eos.nonrelativistic:
-            csq = self.eos.c_light**2
-            if np.any(1.0 - 2.0 * self.m / (csq * self.r) <= 0.0):
-                raise StellarMatchError("metric factor nonpositive at an "
-                                        "accepted step")
-        p, rho = self.pressure_density()
+        if np.any(_metric(self.eos, self.r, self.m) <= 0.0):
+            raise StellarMatchError("metric factor nonpositive at an "
+                                    "accepted step")
+        rho, p = self.eos._fluid_of_w(self.w)
         if np.any(rho + p < 0.0):
             raise StellarMatchError("energy condition violated at an "
                                     "accepted step")
@@ -154,7 +153,7 @@ class SurfaceData:
     radius: float
     mass: float
     g_surface: float
-    compactness: float  # 2M/(c^2 R); 0 in nonrelativistic mode
+    compactness: float  # 2M/(c^2 R); 0 when c = inf
 
 
 @dataclass
@@ -175,23 +174,35 @@ class ShootClassification:
 
 
 def admissible(radius, mass, c_light=math.inf):
-    """R > 0, M > 0 and (finite c) 1 - 2M/(c^2 R) > 0."""
-    if not (radius > 0.0 and mass > 0.0):
-        return False
-    if math.isinf(c_light):
-        return True
-    return 1.0 - 2.0 * mass / (c_light**2 * radius) > 0.0
+    """R > 0, M > 0 and 1 - 2M/(c^2 R) > 0 (always, when c = inf)."""
+    return radius > 0.0 and mass > 0.0 \
+        and 1.0 - 2.0 * mass / (c_light**2 * radius) > 0.0
+
+
+def _metric(eos, r, m):
+    """The metric factor 1 - 2m/(c^2 r) = e^{-2H}, for floats or arrays."""
+    return 1.0 - 2.0 * m / (eos.c_light**2 * r)
+
+
+def _f_const(eos, radius, mass):
+    """F's additive constant, fixed by F(R) = ln(1 - 2M/(c^2 R))/2 so that
+    e^{2F} matches the exterior at the surface."""
+    return 0.5 * math.log(_metric(eos, radius, mass))
 
 
 def _dw_dr(eos, r, m, p):
     """dw/dr at radius r, mass m and pressure p."""
-    if eos.nonrelativistic:
-        return -m / r**2
+    # the metric factor inline: this runs once per right-hand side call
     csq = eos.c_light**2
     metric = 1.0 - 2.0 * m / (csq * r)
     if metric < _METRIC_FLOOR:
         metric = _METRIC_FLOOR  # trial steps only; the horizon event stops first
-    return -(m + 4.0 * math.pi * r**3 * p / csq) / (csq * r**2 * metric)
+    return -(m + 4.0 * math.pi * r**3 * p / csq) / (eos.w_unit * r**2 * metric)
+
+
+def _dp_dw(eos, rho, p):
+    """dP/dw = w_unit (rho + P/c^2): rho c^2 + P for h, rho for u."""
+    return eos.w_unit * (rho + p / eos.c_light**2)
 
 
 def tov_rhs(eos, r, m, w):
@@ -202,11 +213,9 @@ def tov_rhs(eos, r, m, w):
 
 
 def pressure_gradient(eos, r, m, w):
-    """dP/dr recovered from the enthalpy form: dP/dw = rho (c = inf) or
-    rho c^2 + P."""
+    """dP/dr recovered from the enthalpy form, dP/dw dw/dr."""
     rho, p = eos._fluid_of_w(w)
-    dp_dw = rho if eos.nonrelativistic else rho * eos.c_light**2 + p
-    return dp_dw * _dw_dr(eos, r, m, p)
+    return _dp_dw(eos, rho, p) * _dw_dr(eos, r, m, p)
 
 
 def center_start(eos, p_center, r0=None, r0_factor=1e-6):
@@ -219,22 +228,16 @@ def center_start(eos, p_center, r0=None, r0_factor=1e-6):
     if r0 is None:
         r0 = r0_factor * a
     m0 = 4.0 * math.pi / 3.0 * rho_c * r0**3
-    if eos.nonrelativistic:
-        p0 = p_center - 2.0 * math.pi / 3.0 * rho_c**2 * r0**2
-    else:
-        csq = eos.c_light**2
-        p0 = p_center - 2.0 * math.pi / 3.0 * (rho_c + p_center / csq) \
-            * (rho_c + 3.0 * p_center / csq) * r0**2
+    csq = eos.c_light**2
+    p0 = p_center - 2.0 * math.pi / 3.0 * (rho_c + p_center / csq) \
+        * (rho_c + 3.0 * p_center / csq) * r0**2
     w0 = eos.enthalpy_of_pressure(p0)
     return r0, m0, w0
 
 
 def surface_gravity(eos, radius, mass):
     """Gradient of the enthalpy variable at the surface, |dw/dr|(R)."""
-    if eos.nonrelativistic:
-        return mass / radius**2
-    csq = eos.c_light**2
-    return mass / (csq * radius**2 * (1.0 - 2.0 * mass / (csq * radius)))
+    return mass / (eos.w_unit * radius**2 * _metric(eos, radius, mass))
 
 
 def surface_start(eos, radius, mass, dr):
@@ -253,7 +256,8 @@ def _terminal(event, direction):
 
 
 def _horizon_event(csq):
-    """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN."""
+    """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN (never
+    when c = inf); the factor is inline, as the event runs every step."""
     return _terminal(
         lambda r, y: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
 
@@ -280,9 +284,8 @@ def shoot_from_center(eos, p_center, config=None):
     m_scale = 4.0 * math.pi * rho_c * a**3
     atol = [cfg.atol_factor * m_scale, cfg.atol_factor * w0]
 
-    events = [_terminal(lambda r, y: y[1], -1)]  # the surface, w = 0
-    if not eos.nonrelativistic:
-        events.append(_horizon_event(eos.c_light**2))
+    events = [_terminal(lambda r, y: y[1], -1),  # the surface, w = 0
+              _horizon_event(eos.c_light**2)]
 
     sol = _solve(eos, (r0, cfg.r_max_factor * a), [m0, w0], events,
                  cfg.rtol, atol)
@@ -290,29 +293,23 @@ def shoot_from_center(eos, p_center, config=None):
     if sol.t_events[0].size:
         radius = float(sol.t_events[0][0])
         mass = float(sol.y_events[0][0][0])
-        if eos.nonrelativistic:
-            compactness = 0.0
-        else:
-            compactness = 2.0 * mass / (eos.c_light**2 * radius)
-        f_const = None if eos.nonrelativistic \
-            else 0.5 * math.log(1.0 - compactness)
+        compactness = 2.0 * mass / (eos.c_light**2 * radius)
         traj = TovTrajectory(eos, "outward", sol, EXIT_SURFACE,
-                             f_const=f_const)
+                             f_const=_f_const(eos, radius, mass))
         traj.check_domain()
         surface = SurfaceData(radius=radius, mass=mass,
                               g_surface=surface_gravity(eos, radius, mass),
                               compactness=compactness)
         return surface, traj
 
-    if len(sol.t_events) > 1 and sol.t_events[1].size:
-        traj = TovTrajectory(eos, "outward", sol, EXIT_HORIZON)
-        raise ShootFailureError(EXIT_HORIZON,
-                                "metric factor reached the horizon margin",
-                                trajectory=traj)
-    traj = TovTrajectory(eos, "outward", sol, EXIT_R_MAX)
-    raise ShootFailureError(EXIT_R_MAX,
-                            "no surface below r = %g" % (cfg.r_max_factor * a),
-                            trajectory=traj)
+    if sol.t_events[1].size:
+        label = EXIT_HORIZON
+        message = "metric factor reached the horizon margin"
+    else:
+        label = EXIT_R_MAX
+        message = "no surface below r = %g" % (cfg.r_max_factor * a)
+    traj = TovTrajectory(eos, "outward", sol, label)
+    raise ShootFailureError(label, message, trajectory=traj)
 
 
 def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
@@ -336,9 +333,8 @@ def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
         events.append(_terminal(lambda r, y: r - r_floor, -1))
         labels.append(EXIT_CENTER_FLOOR)
 
-    if not eos.nonrelativistic:
-        events.append(_horizon_event(eos.c_light**2))
-        labels.append(EXIT_HORIZON)
+    events.append(_horizon_event(eos.c_light**2))
+    labels.append(EXIT_HORIZON)
     return events, labels
 
 
@@ -351,11 +347,9 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
         raise AdmissibilityError(
             "(R, M) = (%g, %g) inadmissible for c = %g"
             % (radius, mass, eos.c_light))
-    if not eos.nonrelativistic:
-        start_metric = 1.0 - 2.0 * mass / (eos.c_light**2 * radius)
-        if start_metric <= 2.0 * HORIZON_MARGIN:
-            raise AdmissibilityError("boundary data starts inside the "
-                                     "horizon margin")
+    if _metric(eos, radius, mass) <= 2.0 * HORIZON_MARGIN:
+        raise AdmissibilityError("boundary data starts inside the horizon "
+                                 "margin")
 
     p_ref = mass**2 / radius**4
     ceiling_nominal = thr.p_ceiling_factor * p_ref
@@ -392,11 +386,6 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
         return sol, _interpret_inward(sol, labels, r_floor,
                                       prev_w_ceiling), w_ceiling
 
-    f_const = None
-    if not eos.nonrelativistic:
-        f_const = 0.5 * math.log(1.0 - 2.0 * mass
-                                 / (eos.c_light**2 * radius))
-
     # refinement ladder for the blow-up radius: raise the ceiling (within
     # the EOS cap) and tighten rtol, watching whether the estimate sinks
     # below the radius floor
@@ -411,7 +400,8 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
     if label == EXIT_PRESSURE_CEILING:
         diagnostics["refinement_radii"].append(detail["r_exit"])
 
-    traj = TovTrajectory(eos, "inward", sol, label, f_const=f_const)
+    traj = TovTrajectory(eos, "inward", sol, label,
+                         f_const=_f_const(eos, radius, mass))
     cls = _classify(label, detail, eos, r_floor, m_floor, diagnostics)
     traj.exit = cls.exit
     traj.check_domain()
@@ -470,13 +460,12 @@ def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
 
     if label == EXIT_CENTER_FLOOR:
         if abs(m_e) <= m_floor:
-            # regular center: strip the known singular mode m_res/(c^2 r)
-            # before reading off the central pressure, since raw w(r_floor)
-            # amplifies the (R, M) error by ~R/r_floor
+            # regular center: strip the known singular mode
+            # m_res/(w_unit r) before reading off the central pressure,
+            # since raw w(r_floor) amplifies the (R, M) error by ~R/r_floor
             rho_e = eos._rho_of_w_unchecked(w_e)
             m_res = m_e - 4.0 * math.pi / 3.0 * rho_e * r_e**3
-            csq = 1.0 if eos.nonrelativistic else eos.c_light**2
-            w_center = w_e - m_res / (csq * r_e)
+            w_center = w_e - m_res / (eos.w_unit * r_e)
             p_center = eos.pressure_of_enthalpy(max(w_center, 0.0))
             return ShootClassification(
                 case=CASE11, exit=EXIT_CENTER_FLOOR, r_exit=r_e, m_exit=m_e,
@@ -504,27 +493,17 @@ class MetricCoeffs:
     r: np.ndarray
     F: np.ndarray
     H: np.ndarray
-    e2F: np.ndarray
-    e2H: np.ndarray
     radius: float
     mass: float
-    c_light: float
-    fd_delta: float
     interior: dict      # order -> (e2F_k, e2H_k) one-sided at r = R-
     exterior: dict      # order -> (e2F_k, e2H_k) closed form at r = R+
 
 
-def _fd_first(f, x0, delta):
-    """4th-order one-sided first derivative from samples at x0 - i*delta."""
-    u = [f(x0 - i * delta) for i in range(5)]
-    return (25.0 / 12.0 * u[0] - 4.0 * u[1] + 3.0 * u[2]
-            - 4.0 / 3.0 * u[3] + 0.25 * u[4]) / delta
-
-
-def _interior_second_derivatives(eos, radius, m_s, w_s):
-    """One-sided second derivatives of e^{2F}, e^{2H} at the surface by
-    differentiating the interior expressions through the hydrostatic
-    equations.
+def _interior_surface_derivatives(eos, radius, m_s, w_s):
+    """One-sided first and second derivatives of e^{2F}, e^{2H} at the
+    surface, {1: (e2F', e2H'), 2: (e2F'', e2H'')}, by differentiating the
+    interior expressions through the hydrostatic equations at the surface
+    state (m_s, w_s).
 
     Finite differences are not an option here: rho ~ (R-r)^{1/(gamma-1)}
     near the surface puts a fractional power into m(r), and for gamma < 2
@@ -534,9 +513,8 @@ def _interior_second_derivatives(eos, radius, m_s, w_s):
     csq = eos.c_light**2
     r = radius
     rho, p = eos._fluid_of_w(w_s)
-    dm = 4.0 * math.pi * r**2 * rho
-    dw = _dw_dr(eos, r, m_s, p)
-    dp = (rho * csq + p) * dw
+    dm, dw = tov_rhs(eos, r, m_s, w_s)
+    dp = _dp_dw(eos, rho, p) * dw
     if rho > 0.0:
         drho = dp / float(eos.sound_speed_sq(rho))
     elif eos.gamma == 2.0:
@@ -546,11 +524,10 @@ def _interior_second_derivatives(eos, radius, m_s, w_s):
         drho = 0.0
     d2m = 8.0 * math.pi * r * rho + 4.0 * math.pi * r**2 * drho
 
-    phi = 1.0 - 2.0 * m_s / (csq * r)
+    phi = _metric(eos, r, m_s)
     dphi = -2.0 * dm / (csq * r) + 2.0 * m_s / (csq * r**2)
     d2phi = -2.0 * d2m / (csq * r) + 4.0 * dm / (csq * r**2) \
         - 4.0 * m_s / (csq * r**3)
-    d2_e2H = -d2phi / phi**2 + 2.0 * dphi**2 / phi**3
 
     n_num = m_s + 4.0 * math.pi * r**3 * p / csq
     dn = dm + 4.0 * math.pi / csq * (3.0 * r**2 * p + r**3 * dp)
@@ -558,19 +535,23 @@ def _interior_second_derivatives(eos, radius, m_s, w_s):
     dd = 2.0 * csq * r - 2.0 * (dm * r + m_s)
     d2w = -(dn * d_den - n_num * dd) / d_den**2
     e2F_s = phi * math.exp(-2.0 * max(w_s, 0.0))
-    d2_e2F = (4.0 * dw**2 - 2.0 * d2w) * e2F_s
-    return d2_e2F, d2_e2H
+    return {
+        1: (-2.0 * dw * e2F_s, -dphi / phi**2),
+        2: ((4.0 * dw**2 - 2.0 * d2w) * e2F_s,
+            -d2phi / phi**2 + 2.0 * dphi**2 / phi**3),
+    }
 
 
-def metric_coefficients(trajectory, radius, mass, grid_points=401,
-                        fd_delta_factor=3e-4):
+def metric_coefficients(trajectory, radius, mass, grid_points=401):
     """Interior metric coefficients of a relativistic trajectory with
     surface (R, M), plus one-sided surface data on both sides.
 
-    Order-1 interior derivatives come from one-sided finite differences on
-    the dense output; order-2 from derivative substitution (see
-    _interior_second_derivatives).  The vacuum case M = 0 gives
-    F = H = 0 identically."""
+    F and H are only defined for a finite c: a c = inf trajectory raises
+    ValueError.  Interior derivatives of orders 1 and 2 come from the
+    hydrostatic equations at the surface state (see
+    _interior_surface_derivatives), the exterior ones from the closed
+    vacuum form e^{2F} = 1 - 2M/(c^2 r) = e^{-2H}.  The vacuum case M = 0
+    gives F = H = 0 identically."""
     eos = trajectory.eos
     if eos.nonrelativistic:
         raise ValueError("metric coefficients need a finite c")
@@ -582,30 +563,15 @@ def metric_coefficients(trajectory, radius, mass, grid_points=401,
     r_hi = float(max(trajectory.r[0], trajectory.r[-1]))
     grid = np.linspace(r_lo, r_hi, grid_points)
     m_g, w_g = trajectory.dense(grid)
-    H = -0.5 * np.log(1.0 - 2.0 * m_g / (csq * grid))
-    f_const = 0.5 * math.log(1.0 - 2.0 * mass / (csq * radius))
-    F = f_const - w_g
-
-    delta = fd_delta_factor * radius
-
-    def e2F_of_r(r):
-        _m, w = trajectory.dense(r)
-        return math.exp(2.0 * (f_const - float(w)))
-
-    def e2H_of_r(r):
-        m, _w = trajectory.dense(r)
-        return 1.0 / (1.0 - 2.0 * float(m) / (csq * r))
+    f_const = _f_const(eos, radius, mass)
 
     m_s, w_s = trajectory.state_at(radius)
-    F2, H2 = _interior_second_derivatives(eos, radius, m_s, w_s)
     interior = {
-        0: (e2F_of_r(radius), e2H_of_r(radius)),
-        1: (_fd_first(e2F_of_r, radius, delta),
-            _fd_first(e2H_of_r, radius, delta)),
-        2: (F2, H2),
+        0: (math.exp(2.0 * (f_const - w_s)), 1.0 / _metric(eos, radius, m_s)),
+        **_interior_surface_derivatives(eos, radius, m_s, w_s),
     }
 
-    phi = 1.0 - 2.0 * mass / (csq * radius)
+    phi = _metric(eos, radius, mass)
     dphi = 2.0 * mass / (csq * radius**2)
     d2phi = -4.0 * mass / (csq * radius**3)
     ext = {
@@ -613,10 +579,10 @@ def metric_coefficients(trajectory, radius, mass, grid_points=401,
         1: (dphi, -dphi / phi**2),
         2: (d2phi, -d2phi / phi**2 + 2.0 * dphi**2 / phi**3),
     }
-    return MetricCoeffs(r=grid, F=F, H=H, e2F=np.exp(2.0 * F),
-                        e2H=np.exp(2.0 * H), radius=radius, mass=mass,
-                        c_light=eos.c_light, fd_delta=delta,
-                        interior=interior, exterior=ext)
+    return MetricCoeffs(r=grid, F=f_const - w_g,
+                        H=-0.5 * np.log(_metric(eos, grid, m_g)),
+                        radius=radius, mass=mass, interior=interior,
+                        exterior=ext)
 
 
 def junction_check(coeffs, order=2):

@@ -427,16 +427,23 @@ def test_empty_lock_does_not_block(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["eos_check.json"]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats would add about a third to every command's start-up.
+def run_python(*args):
+    """A fresh interpreter with this checkout's src/ first on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stellar_match.cli; print('scipy.stats' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=120,
     )
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would add about a third to every command's start-up.
+    out = run_python(
+        "-c", "import sys, stellar_match.cli; print('scipy.stats' in sys.modules)"
+    )
+    assert out.returncode == 0
     assert out.stdout.strip() == "False"
 
 
@@ -549,6 +556,36 @@ def test_surface_advisory_beyond_first_order(capsys, tmp_path):
     # Level surfaces are evaluated at the first-order bound, not beyond.
     assert rep["b_ref"] == 0.05
     assert rep["b_max_requested"] == 0.2
+
+
+@pytest.mark.parametrize(
+    "sets, code, error, words",
+    [
+        # n = 1/(gamma-1) = 0.5 is below the bound distortion.n carries
+        (["eos.gamma=3"], 2, "ConfigError", ("eos.gamma", "n >= 1")),
+        # at n = 4.5 the first-order bulge of b = 1e-2 turns the boundary
+        # negative near the poles
+        (
+            ["eos.gamma=1.2222222222222222", "distortion.b=[1e-4,1e-3,1e-2]"],
+            1,
+            "StellarMatchError",
+            ("b = 0.01", "n = 4.5", "min Xi1 = -"),
+        ),
+    ],
+)
+def test_surface_out_of_range_is_a_labelled_error(tmp_path, sets, code, error, words):
+    argv = ["-m", "stellar_match.cli", "surface", "--out", str(tmp_path / "s")]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    out = run_python(*argv)
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == error
+    for word in words:
+        assert word in record["message"]
 
 
 # -- misc ------------------------------------------------------------------

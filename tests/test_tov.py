@@ -56,6 +56,31 @@ def test_rhs_vacuum_continuation():
     assert dm_n == 0.0 and dw_n == pytest.approx(-0.125)
 
 
+def test_newtonian_limit_is_exact():
+    # At c = inf every 1/c^2 term is an IEEE zero, so the one set of
+    # relativistic formulas reduces to the Newtonian ones bit for bit.
+    eos = eos_newt()
+    assert eos.w_unit == 1.0 and eos_rel(c=2.0).w_unit == 4.0
+    for r in (0.5, 1.0, 3.0):
+        for m in (0.0, 0.1, 2.0):
+            assert tov.surface_gravity(eos, r, m) == m / r**2
+            for w in (0.0, 0.3, 2.5):
+                rho, p = eos._fluid_of_w(w)
+                assert tov._dw_dr(eos, r, m, p) == -m / r**2
+                assert tov.pressure_gradient(eos, r, m, w) == rho * (-m / r**2)
+
+
+def test_newtonian_shots_carry_no_metric():
+    eos = eos_newt()
+    surface, traj = tov.shoot_from_center(eos, 1e-3)
+    _, inward = tov.shoot_from_boundary(eos, surface.radius, surface.mass)
+    assert surface.compactness == 0.0
+    for t in (traj, inward):
+        assert t.f_const == 0.0
+        F, H = t.metric_exponents()
+        assert np.all(np.isnan(F)) and np.all(np.isnan(H))
+
+
 def test_pressure_gradient_sign():
     eos = eos_newt()
     assert tov.pressure_gradient(eos, 2.0, 1.0, 2.5) < 0.0
@@ -377,3 +402,16 @@ def test_junction_gamma53():
     assert report["orders"][1]["e2H_scaled_gap"] < 1e-5
     assert report["orders"][2]["e2F_scaled_gap"] < 1e-5
     assert report["orders"][2]["e2H_scaled_gap"] < 1e-5
+
+
+@pytest.mark.parametrize("gamma", [1.5, G53, 2.0])
+def test_junction_first_order_from_the_equations(gamma):
+    # The interior slopes come from the hydrostatic equations at the surface
+    # state, so they meet the exterior ones to roundoff.  (Order 2 is not
+    # asserted at gamma = 2, where drho/dr does not vanish at the surface.)
+    surface, traj = tov.shoot_from_center(eos_rel(gamma=gamma), 1e-4)
+    coeffs = tov.metric_coefficients(traj, surface.radius, surface.mass)
+    report = tov.junction_check(coeffs, order=1)
+    assert report["passed"]
+    assert report["orders"][1]["e2F_scaled_gap"] <= 1e-12
+    assert report["orders"][1]["e2H_scaled_gap"] <= 1e-12
