@@ -355,19 +355,21 @@ class EosSpec:
         return math.exp(sol(w)[0])
 
     def _rho_of_w_array(self, w):
-        """_rho_of_w_unchecked over an array of w, branch by branch."""
+        """_rho_of_w_unchecked over an array of w, branch by branch.  A pure
+        polytrope has one branch, the closed form, which gives exactly 0
+        at w = 0, so it runs on max(w, 0) without masks."""
         w = np.asarray(w, dtype=float)
+        if self.pure_polytrope:
+            return self._density_of_enthalpy_closed(np.maximum(w, 0.0))
         rho = np.zeros_like(w)
-        closed = w > 0.0
-        if not self.pure_polytrope:
-            sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
-            table = (w > h_lo) & (w < h_hi)
-            saturated = w >= h_hi
-            closed &= w <= h_lo
-            if table.any():  # the dense output refuses an empty array
-                rho[table] = np.exp(sol(w[table])[0])
-            rho[saturated] = np.exp(np.minimum(
-                t_hi + (w[saturated] - h_hi) * slope, t_hi + _SATURATION_SPAN))
+        sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
+        table = (w > h_lo) & (w < h_hi)
+        saturated = w >= h_hi
+        closed = (w > 0.0) & (w <= h_lo)
+        if table.any():  # the dense output refuses an empty array
+            rho[table] = np.exp(sol(w[table])[0])
+        rho[saturated] = np.exp(np.minimum(
+            t_hi + (w[saturated] - h_hi) * slope, t_hi + _SATURATION_SPAN))
         rho[closed] = self._density_of_enthalpy_closed(w[closed])
         return rho
 

@@ -13,6 +13,14 @@ Curve points are stored in physical units; distances are always taken in
 per-curve scaled coordinates (R / R_ref, M / M_ref) with the reference
 values set to the curve medians, so curves with very different absolute
 scales are treated uniformly.
+
+The scan's forward shots come in batches of independent shots: the grid,
+then each level of the chord refinement.  A batch of LANES_MIN or more
+runs as lockstep lanes (tov.shoot_from_centers), whose cost per step
+barely grows with the lane count; a smaller batch runs shot by shot, as
+the endpoint bisection and the on-curve sampler always do.  The choice
+depends on the batch size alone, and either way a shot gives the same
+outcome to roundoff.
 """
 
 from __future__ import annotations
@@ -31,15 +39,16 @@ from .errors import (
 from .reports import canonical_json, sanitize
 from .tov import (
     CASE11,
+    LABEL_EOS_VALIDITY,
     ClassifyThresholds,
     ShootConfig,
+    SurfaceData,
     admissible,
     shoot_from_boundary,
     shoot_from_center,
+    shoot_from_centers,
 )
 
-# Failure label for a central pressure outside the EOS validity range.
-LABEL_EOS_VALIDITY = "eos_validity"
 # Endpoint marker for a component that runs into the scan range boundary.
 GRID_EDGE = "grid-edge"
 
@@ -49,6 +58,13 @@ ENDPOINT_REL_TOL = 1e-4
 # Must sit below the sweep's near-curve threshold so that points on the
 # true curve are also near the stored polyline.
 SAGITTA_TOL = 3e-5
+# Refinement levels: a chord is halved at most this many times.
+MAX_REFINE_DEPTH = 6
+# Batches of at least this many forward shots run as lockstep lanes
+# (tov.shoot_from_centers), smaller ones shot by shot.  The lanes' cost per
+# step is nearly flat in the lane count; they break even at about 12 lanes
+# for a pure polytrope and 16 for the lambda-EOS table (2-core host).
+LANES_MIN = 16
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4
 # Samples drawn by a failure sweep unless told otherwise.
@@ -157,6 +173,15 @@ class MatchingCurve:
         }
 
 
+def _curve_point(p_center, surface):
+    return MatchingCurvePoint(
+        p_center=float(p_center),
+        radius=surface.radius,
+        mass=surface.mass,
+        compactness=surface.compactness,
+    )
+
+
 def _forward_point(eos, p_center, config):
     """Forward shot wrapped as data: (point, None) or (None, failure label)."""
     try:
@@ -165,15 +190,23 @@ def _forward_point(eos, p_center, config):
         return None, exc.label
     except EosValidityError:
         return None, LABEL_EOS_VALIDITY
-    return (
-        MatchingCurvePoint(
-            p_center=float(p_center),
-            radius=surface.radius,
-            mass=surface.mass,
-            compactness=surface.compactness,
-        ),
-        None,
-    )
+    return _curve_point(p_center, surface), None
+
+
+def _forward_points(eos, ps, config):
+    """_forward_point for each central pressure of a batch, in order.
+
+    The shots are independent, so a batch of LANES_MIN or more runs as
+    lanes of one lockstep solve; a smaller one, where lanes cost more than
+    they save, runs shot by shot."""
+    if len(ps) < LANES_MIN:
+        return [_forward_point(eos, p, config) for p in ps]
+    return [
+        (_curve_point(p, outcome), None)
+        if isinstance(outcome, SurfaceData)
+        else (None, outcome)
+        for p, outcome in zip(ps, shoot_from_centers(eos, ps, config))
+    ]
 
 
 def _bisect_endpoint(eos, p_fail, p_succ, fail_label, config):
@@ -195,39 +228,40 @@ def _bisect_endpoint(eos, p_fail, p_succ, fail_label, config):
 
 def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
     """Insert log-midpoint shots until every chord of the stored polyline
-    sits within SAGITTA_TOL of the true curve (scaled coordinates).
+    sits within SAGITTA_TOL of the true curve (scaled coordinates), halving
+    each chord at most max_depth times.
 
     A failing midpoint inside a component would contradict the interval
-    assumption; refinement just stops on that chord and keeps it.
+    assumption; refinement just stops on that chord and keeps it.  Each
+    chord's verdict depends only on its end points and its midpoint, so
+    the chords are refined level by level, each level's midpoints shot as
+    one batch (_forward_points).
     """
     r_ref, m_ref = refs
 
     def scaled(pt):
         return np.array([pt.radius / r_ref, pt.mass / m_ref])
 
-    stack = [
-        (p1, p2, 0)
-        for p1, p2 in zip(sorted(points_by_p)[:-1], sorted(points_by_p)[1:])
-    ]
-    while stack:
-        p1, p2, depth = stack.pop()
-        if depth >= max_depth:
-            continue
-        p_mid = math.sqrt(p1 * p2)
-        point, _ = _forward_point(eos, p_mid, config)
-        if point is None:
-            continue
-        gap = _segment_distance(
-            scaled(point), scaled(points_by_p[p1]), scaled(points_by_p[p2])
-        )
-        if gap <= SAGITTA_TOL:
-            continue
-        points_by_p[p_mid] = point
-        stack.append((p1, p_mid, depth + 1))
-        stack.append((p_mid, p2, depth + 1))
+    ps = sorted(points_by_p)
+    chords = list(zip(ps[:-1], ps[1:]))
+    for _ in range(max_depth):
+        mids = [math.sqrt(p1 * p2) for p1, p2 in chords]
+        outcomes = _forward_points(eos, mids, config)
+        chords_next = []
+        for (p1, p2), p_mid, (point, _) in zip(chords, mids, outcomes):
+            if point is None:
+                continue
+            gap = _segment_distance(
+                scaled(point), scaled(points_by_p[p1]), scaled(points_by_p[p2])
+            )
+            if gap <= SAGITTA_TOL:
+                continue
+            points_by_p[p_mid] = point
+            chords_next += [(p1, p_mid), (p_mid, p2)]
+        chords = chords_next
 
 
-def scan_components(eos, grid, config=None, max_refine_depth=6):
+def scan_components(eos, grid, config=None):
     """Trace the matching curves of one equation of state.
 
     Walks the central-pressure grid, groups consecutive successful forward
@@ -235,13 +269,15 @@ def scan_components(eos, grid, config=None, max_refine_depth=6):
     failing neighbor, and refines the sampling wherever the (R, M) trace
     bends faster than the stored chords can follow.  Grid points where the
     shot fails are recorded through the endpoint labels; no successes at
-    all yields an empty list.
+    all yields an empty list.  The grid and each refinement level are shot
+    as batches (_forward_points); the endpoint bisection, one shot at a
+    time.
     """
     if not isinstance(grid, LogGrid):
         grid = LogGrid(*grid)
     config = config or ShootConfig()
     values = grid.values()
-    outcomes = [_forward_point(eos, p, config) for p in values]
+    outcomes = _forward_points(eos, values, config)
 
     curves = []
     i = 0
@@ -281,7 +317,7 @@ def scan_components(eos, grid, config=None, max_refine_depth=6):
             float(np.median([pt.radius for pt in base])),
             float(np.median([pt.mass for pt in base])),
         )
-        _refine_sagitta(eos, points_by_p, refs, config, max_refine_depth)
+        _refine_sagitta(eos, points_by_p, refs, config, MAX_REFINE_DEPTH)
 
         curves.append(
             MatchingCurve(

@@ -28,6 +28,19 @@ Each right-hand side call receives the state as a list and may return any
 sequence.  No numpy runs inside a step; the result arrays are built once
 at the end.  When the step size collapses below its minimum the solve
 stops with success False and returns the steps accepted so far.
+
+`solve_lanes` runs many independent solves of one system in lockstep, as
+lanes of numpy arrays: each lane keeps its own t, step size and rejection
+flag, takes the steps `solve` would take from its start (the same tableau,
+error norm, step rules, minimum step, initial step and event rules), and a
+mask retires it when it reaches its bound, a terminal event or a collapsed
+step.  Its cost per lockstep step is about that of a few scalar steps, so
+it pays from about a dozen lanes (see matching.LANES_MIN).  It keeps no
+step history: it returns where each lane ended, and hands each accepted
+state to an optional observer.  The arithmetic is the scalar solve's,
+operation for operation, but numpy's elementwise functions may round the
+right-hand side differently by an ulp, so lanes agree with `solve` to
+roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -318,3 +331,183 @@ def solve(fun, t_span, y0, rtol, atol, events=()):
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
         nfev=nfev, status=status, message=MESSAGES[status])
+
+
+@dataclass
+class LanesResult:
+    """Where each lane of `solve_lanes` ended, lanes on the last axis.
+
+    `t`, `y` are the last accepted state, or the terminal event's root and
+    the state there.  `status` is OdeResult's: 0 at the bound, 1 on a
+    terminal event, -1 when the steps collapsed.  `event` is the index of
+    the event that stopped the lane (-1 for none); `steps` counts accepted
+    steps and `nfev` right-hand side evaluations, both per lane."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: np.ndarray
+    event: np.ndarray
+    steps: np.ndarray
+    nfev: np.ndarray
+
+
+def _rms_lanes(values):
+    return np.sqrt(np.sum(values * values, axis=0)) / len(values) ** 0.5
+
+
+def _initial_step_lanes(fun, t0, y0, f0, t_bound, direction, rtol, atol):
+    """`_initial_step` for every lane at once; one right-hand side call."""
+    interval = np.abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms_lanes(y0 / scale)
+    d1 = _rms_lanes(f0 / scale)
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    # the quotient is only taken where d1 >= 1e-5 (no division by zero)
+    h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+    h0 = np.minimum(h0, interval)
+    f1 = np.asarray(fun(t0 + h0 * direction, y0 + h0 * direction * f0))
+    d2 = _rms_lanes((f1 - f0) / scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** (1 / 5))
+    return np.minimum(np.minimum(100 * h0, h1), interval)
+
+
+def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
+    """Integrate y' = fun(t, y) from t0 to t_bound for L lanes at once.
+
+    t0 and t_bound have one value per lane and must point the same way for
+    every lane; y0 is (n, L) and atol a float or an (n, L) array.
+    fun(t, y) receives the active lanes, t (k,) and y (n, k), and returns
+    an (n, k) array or n arrays of k values.  Events are as for `solve`,
+    called on the same arrays (one value per lane) and, to find a root, on
+    one lane's floats; every event must be terminal, since lanes keep no
+    history.  observe(lanes, t, y), if given, sees the start and, after
+    each lockstep step, the state of every active lane by lane index: its
+    step end, the event root where an event stopped it, or its last state
+    again where its step was rejected.  Returns a LanesResult."""
+    t = np.array(t0, dtype=float)
+    t_bound = np.array(t_bound, dtype=float)
+    y = np.array(y0, dtype=float)
+    n, lanes = y.shape
+    if np.all(t_bound > t):
+        direction = 1.0
+    elif np.all(t_bound < t):
+        direction = -1.0
+    else:
+        raise ValueError("lanes need nonempty spans in one direction")
+    atol = np.array(np.broadcast_to(atol, (n, lanes)), dtype=float)
+    rtol = max(float(rtol), 100 * EPS)  # scipy's floor on rtol
+    if not all(getattr(ev, "terminal", False) for ev in events):
+        raise ValueError("every event of a lanes solve must be terminal")
+    senses = np.array([[getattr(ev, "direction", 0)] for ev in events])
+    rising, falling = senses >= 0, senses <= 0
+    sqrt_n = n ** 0.5
+
+    f = np.asarray(fun(t, y), dtype=float)
+    h_abs = _initial_step_lanes(fun, t, y, f, t_bound, direction, rtol, atol)
+    out = LanesResult(t=t.copy(), y=y.copy(), status=np.zeros(lanes, int),
+                      event=np.full(lanes, -1), steps=np.zeros(lanes, int),
+                      nfev=np.zeros(lanes, int))
+    g = np.array([ev(t, y) for ev in events]).reshape(len(events), lanes)
+    index = np.arange(lanes)
+    if observe is not None:
+        observe(index, t, y)
+
+    # the active lanes' state; a lane whose last trial step was rejected
+    # retries it, any other starts a new step.  Every active lane makes one
+    # trial step per lockstep step.
+    rejected = np.zeros(lanes, dtype=bool)
+    fired = np.full(lanes, -1)
+    steps = np.zeros(lanes, dtype=int)
+    trials = 0
+    while index.size:
+        min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
+        t_new = t + h_abs * direction
+        t_new = np.where(direction * (t_new - t_bound) > 0, t_bound, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        # h repeated for each component: multiplying by an (n, k) array is
+        # cheaper than broadcasting a (k,) one
+        hn = np.array((h,) * n)
+
+        k1 = f
+        k2 = np.asarray(fun(t + C2 * h, y + A21 * k1 * hn))
+        k3 = np.asarray(fun(t + C3 * h, y + (A31 * k1 + A32 * k2) * hn))
+        k4 = np.asarray(fun(t + C4 * h,
+                            y + (A41 * k1 + A42 * k2 + A43 * k3) * hn))
+        k5 = np.asarray(fun(t + C5 * h, y + (A51 * k1 + A52 * k2 + A53 * k3
+                                             + A54 * k4) * hn))
+        k6 = np.asarray(fun(t + h, y + (A61 * k1 + A62 * k2 + A63 * k3
+                                        + A64 * k4 + A65 * k5) * hn))
+        y_new = y + hn * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+        k7 = np.asarray(fun(t + h, y_new))
+        trials += 1
+
+        err = (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6
+               + E7 * k7) * hn
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        terms = (err / scale) ** 2
+        sq = terms[0]
+        for term in terms[1:]:  # the scalar solve's order of summation
+            sq = sq + term
+        error_norm = np.sqrt(sq) / sqrt_n
+
+        accept = error_norm < 1.0
+        # the floor gives a zero norm the factor MAX_FACTOR, as in the
+        # scalar solve, without a division by zero; a NaN norm stays NaN
+        # and takes MIN_FACTOR, as max(MIN_FACTOR, nan) does there
+        change = SAFETY * np.maximum(error_norm, 1e-300) ** ERROR_EXPONENT
+        grow = np.minimum(change, np.where(rejected, 1.0, MAX_FACTOR))
+        h_abs = h_abs * np.where(accept, grow, np.fmax(MIN_FACTOR, change))
+        rejected = ~accept
+
+        t_old, y_old = t, y
+        if np.count_nonzero(rejected):
+            t = np.where(accept, t_new, t)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, k7, f)
+        else:
+            t, y, f = t_new, y_new, k7
+        steps = steps + accept
+        # a rejected lane's t, and so its minimum step, stay as they were
+        collapsed = rejected & (h_abs < min_step)
+        stop = (direction * (t - t_bound) >= 0) | collapsed
+
+        if events:
+            g_new = np.array([ev(t, y) for ev in events])
+            crossed = accept & ((rising & (g <= 0) & (g_new >= 0))
+                                | (falling & (g >= 0) & (g_new <= 0)))
+            g = g_new
+            ends = np.flatnonzero(crossed.any(axis=0)) \
+                if np.count_nonzero(crossed) else ()
+            for j in ends:
+                coeffs = _step_coeffs((
+                    float(t_old[j]), float(h[j]), y_old[:, j].tolist(),
+                    *(k[:, j].tolist() for k in (k1, k3, k4, k5, k6, k7))))
+                roots = [(brentq(lambda s: events[e](s, _evaluate(coeffs, s)),
+                                 float(t_old[j]), float(t[j]), xtol=4 * EPS,
+                                 rtol=4 * EPS), e)
+                         for e in np.flatnonzero(crossed[:, j])]
+                # the earliest root stops the lane; a tie goes to the
+                # first event, as in the scalar solve
+                root, e = min(roots, key=lambda re: direction * re[0])
+                t[j], y[:, j] = root, _evaluate(coeffs, root)
+                fired[j], stop[j] = e, True
+
+        if observe is not None:
+            observe(index, t, y)
+        if np.count_nonzero(stop):
+            lane = index[stop]
+            out.t[lane], out.y[:, lane] = t[stop], y[:, stop]
+            out.status[lane] = np.where(fired[stop] >= 0, 1,
+                                        np.where(collapsed[stop], -1, 0))
+            out.event[lane], out.steps[lane] = fired[stop], steps[stop]
+            out.nfev[lane] = 2 + 6 * trials
+            go = ~stop
+            (index, t, t_bound, y, f, atol, g, h_abs, rejected, fired,
+             steps) = (a[..., go] for a in (
+                 index, t, t_bound, y, f, atol, g, h_abs, rejected, fired,
+                 steps))
+    return out

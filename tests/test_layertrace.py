@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Runs in a fresh interpreter: Tracer.install() patches the package's
@@ -44,13 +46,23 @@ matching.shoot_from_boundary(rel53, surface.radius, surface.mass)
 matching.shoot_from_center(EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1)), 2e-3)
 shots = [{k: sp["attrs"].get(k, 0) for k in ("solves", "steps")}
          for sp in tracer.spans if sp["name"] in ("tov.fwd", "tov.inward")]
+metrics = tracer.metrics(0.0)["metrics"]
+# A scan through the name the match command calls: 9 grid shots, then
+# refinement levels of 8 and more midpoints, the larger ones run as lanes.
+grid = matching.LogGrid(1e-4, 1e-2, 4)
+curves = stellar_match.cli.scan_components(rel53, grid)
+sagitta = [sp["attrs"]["kept"] for sp in tracer.spans
+           if sp["name"] == "matching.sagitta"]
 print(json.dumps({"wrapped": wrapped, "problems": problems,
                   "hot": {k: v[0] for k, v in tracer.hot.items()},
-                  "shots": shots, "metrics": tracer.metrics(0.0)["metrics"]}))
+                  "shots": shots, "metrics": metrics, "sagitta": sagitta,
+                  "grid": len(grid.values()),
+                  "vertices": [len(c.points) for c in curves]}))
 """
 
 
-def test_layertrace_wraps_existing_attributes():
+@pytest.fixture(scope="module")
+def traced():
     path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
@@ -59,7 +71,11 @@ def test_layertrace_wraps_existing_attributes():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_layertrace_wraps_existing_attributes(traced):
+    got = traced
     assert got["problems"] == []
     for name in ("stellar_match.tov.tov_rhs", "stellar_match.tov._solve",
                  "EosSpec.enthalpy_of_pressure", "stellar_match.cli.main"):
@@ -77,3 +93,16 @@ def test_layertrace_wraps_existing_attributes():
         assert shot["steps"] > shot["solves"]
     for name in ("tov.fwd.steps", "tov.inward.steps", "tov.rhs.calls"):
         assert got["metrics"][name] > 0
+
+
+def test_layertrace_sees_the_batched_scan(traced):
+    # The scan's refinement runs level by level, with the larger levels as
+    # lanes, behind the same two wrapped names; the sagitta span still
+    # counts the vertices it adds.
+    for name in ("stellar_match.matching._refine_sagitta",
+                 "stellar_match.cli.scan_components"):
+        assert name in traced["wrapped"]
+    [kept] = traced["sagitta"]
+    [vertices] = traced["vertices"]
+    assert kept > 0
+    assert kept == vertices - traced["grid"]

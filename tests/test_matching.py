@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stellar_match.matching as matching
 from stellar_match.eos import EosSpec
 from stellar_match.matching import (
     GRID_EDGE,
@@ -12,8 +13,10 @@ from stellar_match.matching import (
     LogGrid,
     MatchingCurve,
     MatchingCurvePoint,
+    SAGITTA_TOL,
     SweepSampler,
     _forward_point,
+    _segment_distance,
     ae_failure_sweep,
     distance_to_curves,
     scan_components,
@@ -126,6 +129,53 @@ def test_endpoint_is_open_interval_boundary():
     outside, label_out = _forward_point(eos, curve.p_hi * (1.0 + 1e-3), config)
     assert inside is not None and label_in is None
     assert outside is None and label_out == LABEL_EOS_VALIDITY
+
+
+def _depth_first_refine(eos, points_by_p, refs, config, max_depth):
+    """The sagitta refinement as a depth-first stack of single shots."""
+
+    def scaled(pt):
+        return np.array([pt.radius / refs[0], pt.mass / refs[1]])
+
+    ps = sorted(points_by_p)
+    stack = [(p1, p2, 0) for p1, p2 in zip(ps[:-1], ps[1:])]
+    while stack:
+        p1, p2, depth = stack.pop()
+        if depth >= max_depth:
+            continue
+        p_mid = math.sqrt(p1 * p2)
+        point, _ = _forward_point(eos, p_mid, config)
+        if point is None or _segment_distance(
+                scaled(point), scaled(points_by_p[p1]),
+                scaled(points_by_p[p2])) <= SAGITTA_TOL:
+            continue
+        points_by_p[p_mid] = point
+        stack += [(p1, p_mid, depth + 1), (p_mid, p2, depth + 1)]
+
+
+@pytest.mark.parametrize("gamma, c_light, grid, n_vertices", [
+    (5.0 / 3.0, 1.0, LogGrid(1e-6, 1e-2, 4), 127),  # criterion 4's scan
+    (2.0, math.inf, LogGrid(1e-4, 1e0, 4), None),
+    (5.0 / 3.0, math.inf, LogGrid(1e-4, 1e0, 4), None),
+    (5.0 / 3.0, 1.0, LogGrid(1e-4, 1e-2, 4), None),
+])
+def test_scan_keeps_the_depth_first_vertex_set(monkeypatch, gamma, c_light,
+                                               grid, n_vertices):
+    # Level by level, with batches of LANES_MIN or more shot as lanes, the
+    # scan keeps the vertices that shot-by-shot depth-first refinement keeps.
+    eos = EosSpec(gamma, c_light=c_light)
+    got = scan_components(eos, grid)
+    monkeypatch.setattr(matching, "_refine_sagitta", _depth_first_refine)
+    monkeypatch.setattr(matching, "_forward_points", lambda eos, ps, config: [
+        _forward_point(eos, p, config) for p in ps])
+    want = scan_components(eos, grid)
+    assert [c.pressures.tolist() for c in got] == [
+        c.pressures.tolist() for c in want]
+    if n_vertices is not None:
+        assert sum(len(c.points) for c in got) == n_vertices
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a.radii, b.radii, rtol=1e-12)
+        np.testing.assert_allclose(a.masses, b.masses, rtol=1e-12)
 
 
 def test_refinement_bounds_chord_deviation(newt_gamma53_curves):

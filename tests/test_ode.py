@@ -312,3 +312,127 @@ def test_table_reads_the_partial_result_at_a_monotone_bound(recorded):
     assert not got.success  # the steps collapse just short of the bound
     assert (h_hi, t_hi) == (got.t[-1], got.y[0, -1])
     assert t_hi < math.log(eos.rho_valid_max)
+
+
+# -- lanes -----------------------------------------------------------------
+#
+# solve_lanes against the scalar solve, lane by lane.  These right-hand
+# sides are plain arithmetic, so the two agree to the last bits (the error
+# norm squares with a multiplication where the scalar solve calls pow).
+
+LANE_TOL = 1e-12
+
+
+def _lanes_against_scalar(fun, lanes_fun, starts, t_end, y0s, events=()):
+    got = ode.solve_lanes(lanes_fun, starts, [t_end] * len(starts),
+                          np.array(y0s).T, 1e-10, 1e-12, events)
+    for j, (t0, y0) in enumerate(zip(starts, y0s)):
+        want = ode.solve(fun, (t0, t_end), y0, 1e-10, 1e-12, events)
+        assert got.status[j] == want.status
+        assert got.steps[j] == len(want.t) - 1
+        assert got.nfev[j] == want.nfev
+        assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)
+        if want.success:  # y blows up where the steps collapse
+            np.testing.assert_allclose(got.y[:, j], want.y[:, -1],
+                                       rtol=LANE_TOL, atol=LANE_TOL)
+        fired = [i for i, te in enumerate(want.t_events) if te.size]
+        assert got.event[j] == (fired[0] if fired else -1)
+    return got
+
+
+def test_lanes_take_the_scalar_steps_to_a_terminal_event_or_the_bound():
+    def fun(t, y):
+        return [y[1], -y[0]]
+
+    def lanes_fun(t, y):
+        return np.array([y[1], -y[0]])
+
+    def falling(t, y):
+        return y[0]
+
+    falling.terminal = True
+    falling.direction = -1
+    starts = [0.1, 0.5, 1.0, 2.0, 3.0]
+    y0s = [[math.sin(s), math.cos(s)] for s in starts]
+    got = _lanes_against_scalar(fun, lanes_fun, starts, 20.0, y0s, [falling])
+    np.testing.assert_allclose(got.t, math.pi, rtol=1e-9)
+    got = _lanes_against_scalar(fun, lanes_fun, starts, 20.0, y0s)
+    assert np.all(got.status == 0) and np.all(got.t == 20.0)
+
+
+@pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
+def test_lanes_stop_at_the_earliest_terminal_root(span):
+    def fun(t, y):
+        return [1.0]
+
+    def lanes_fun(t, y):
+        return np.ones_like(y)
+
+    def level(value):
+        def event(t, y):
+            return y[0] - value
+
+        event.terminal = True
+        return event
+
+    starts = [span[0], span[0] + 0.5 * (span[1] - span[0]) / 10.0]
+    got = _lanes_against_scalar(fun, lanes_fun, starts, span[1],
+                                [[s] for s in starts],
+                                [level(5.0), level(5.0001)])
+    assert np.all(got.event == (0 if span[1] > span[0] else 1))
+
+
+def test_lanes_retire_a_collapsing_lane_alone():
+    def fun(t, y):  # y = y0/(1 - y0 (t - t0)) blows up at t0 + 1/y0
+        return [y[0] * y[0]]
+
+    def lanes_fun(t, y):
+        return y * y
+
+    got = _lanes_against_scalar(fun, lanes_fun, [0.0, 0.0, 0.5], 2.0,
+                                [[1.0], [0.5], [1.0]])
+    np.testing.assert_array_equal(got.status, -1)
+    np.testing.assert_allclose(got.t, [1.0, 2.0, 1.5], rtol=1e-10)
+
+
+def test_lanes_observe_every_accepted_state():
+    def fun(t, y):
+        return [y[1], -y[0]]
+
+    seen = {0: [], 1: []}
+
+    def observe(lanes, t, y):
+        for lane, t_j in zip(lanes, t):
+            seen[int(lane)].append(float(t_j))
+
+    def falling(t, y):
+        return y[0]
+
+    falling.terminal = True
+    falling.direction = -1
+    starts = [0.5, 2.0]
+    ode.solve_lanes(lambda t, y: np.array([y[1], -y[0]]), starts,
+                    [20.0, 20.0],
+                    np.array([[math.sin(s) for s in starts],
+                              [math.cos(s) for s in starts]]),
+                    1e-10, 1e-12, [falling], observe)
+    for lane, start in enumerate(starts):
+        want = ode.solve(fun, (start, 20.0),
+                         [math.sin(start), math.cos(start)], 1e-10, 1e-12,
+                         [falling])
+        # a lane whose step was rejected shows its last state again
+        states = [t for k, t in enumerate(seen[lane])
+                  if k == 0 or t != seen[lane][k - 1]]
+        np.testing.assert_allclose(states, want.t, rtol=LANE_TOL)
+
+
+def test_lanes_refuse_what_they_cannot_keep():
+    def event(t, y):
+        return y[0]
+
+    with pytest.raises(ValueError, match="terminal"):
+        ode.solve_lanes(lambda t, y: y, [0.0], [1.0], [[1.0]], 1e-10, 1e-12,
+                        [event])
+    with pytest.raises(ValueError, match="one direction"):
+        ode.solve_lanes(lambda t, y: y, [0.0, 1.0], [1.0, 0.0],
+                        [[1.0, 1.0]], 1e-10, 1e-12)

@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 
 from stellar_match.eos import EosSpec
 from stellar_match.errors import (AdmissibilityError, EosValidityError,
-                                  ShootFailureError)
-from stellar_match import tov
+                                  ShootFailureError, StellarMatchError)
+from stellar_match import ode, tov
 
 # first zero and mass integral of the n = 1.5 profile, frozen from the
 # independently cross-checked values in test_lane_emden
@@ -353,6 +353,140 @@ def test_lambda_eos_rhs_does_no_root_finding(monkeypatch):
     assert cls.p_center == pytest.approx(2.5e-3, rel=1e-6)
 
 
+# -- outward shots as lockstep lanes -----------------------------------------
+
+
+@pytest.fixture
+def lanes_solves(monkeypatch):
+    """Every ode.solve_lanes result."""
+    results = []
+    real = ode.solve_lanes
+
+    def record(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "solve_lanes", record)
+    return results
+
+
+def _scalar_outcome(eos, p_center, config=None):
+    """shoot_from_center as (SurfaceData or failure label, accepted steps)."""
+    try:
+        surface, traj = tov.shoot_from_center(eos, p_center, config)
+    except ShootFailureError as exc:
+        return exc.label, len(exc.trajectory.r) - 1
+    except EosValidityError:
+        return tov.LABEL_EOS_VALIDITY, None
+    return surface, len(traj.r) - 1
+
+
+def _assert_lanes_match_scalar_shots(eos, p_centers, solves, config=None,
+                                     mass_rtol=1e-12):
+    got = tov.shoot_from_centers(eos, p_centers, config)
+    [lanes] = solves
+    started = 0
+    for p_center, outcome in zip(p_centers, got):
+        want, steps = _scalar_outcome(eos, p_center, config)
+        if steps is not None:
+            assert lanes.steps[started] == steps
+            started += 1
+        if isinstance(want, str):
+            assert outcome == want
+            continue
+        assert outcome.radius == pytest.approx(want.radius, rel=1e-12)
+        assert outcome.mass == pytest.approx(want.mass, rel=mass_rtol)
+        assert outcome.compactness == pytest.approx(want.compactness,
+                                                    rel=mass_rtol)
+        assert outcome.g_surface == pytest.approx(want.g_surface,
+                                                  rel=mass_rtol)
+    assert started == lanes.steps.size
+    return got
+
+
+def test_lanes_match_scalar_shots_rel53(lanes_solves):
+    eos = eos_rel()
+    p_centers = np.geomspace(1e-6, 1e-2, 12).tolist()
+    p_centers.insert(5, 2.0 * eos.p_valid_max)
+    got = _assert_lanes_match_scalar_shots(eos, p_centers, lanes_solves)
+    assert got[5] == tov.LABEL_EOS_VALIDITY
+
+
+def test_lanes_match_scalar_shots_lambda_eos(lanes_solves):
+    # At gamma = 2 rho falls linearly to 0 at the surface, so the step that
+    # crosses it integrates through a jump of m''.  Where that step falls
+    # sets M to about 1e-11: moving rtol by 1e-14 relative moves the scalar
+    # M by up to 6.6e-12 here.  numpy's exp and powers differ from the math
+    # module's by an ulp at times, so lanes and scalar shots agree on M to
+    # the solve's rtol, and on R to 1e-12.
+    eos = EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
+    p_centers = np.geomspace(1e-4, 3e-3, 8).tolist()
+    p_centers.insert(3, 2.0 * eos.p_valid_max)
+    got = _assert_lanes_match_scalar_shots(eos, p_centers, lanes_solves,
+                                           mass_rtol=1e-10)
+    assert got[3] == tov.LABEL_EOS_VALIDITY
+
+
+def test_lanes_label_the_range_guard(lanes_solves):
+    eos = eos_rel()
+    got = _assert_lanes_match_scalar_shots(
+        eos, [1e-4, 2.0 * eos.p_valid_max, 1e-3], lanes_solves,
+        tov.ShootConfig(r_max_factor=1.0))
+    assert got == [tov.EXIT_R_MAX, tov.LABEL_EOS_VALIDITY, tov.EXIT_R_MAX]
+
+
+def test_lanes_raise_the_scalar_integrator_failure(monkeypatch):
+    # w' = w^2 blows up at r0 + 1/w0: at r = 15.8 for P_c = 1e-3, at 5.0
+    # for 1e-2.  The c = inf gamma = 2 EOS keeps rho and P finite as w
+    # grows, and the first lane in input order raises.
+    monkeypatch.setattr(tov, "tov_rhs", lambda eos, r, m, w: (0.0, w * w))
+    monkeypatch.setattr(tov, "_lanes_rhs",
+                        lambda eos, r, y: np.array((0.0 * r, y[1] * y[1])))
+    eos = EosSpec(2.0)
+    with pytest.raises(StellarMatchError, match=r"at r = 15\.8") as scalar:
+        tov.shoot_from_center(eos, 1e-3)
+    with pytest.raises(StellarMatchError) as lanes:
+        tov.shoot_from_centers(eos, [1e-3, 1e-2])
+    assert str(lanes.value) == str(scalar.value)
+
+
+def test_lanes_check_the_domain_of_every_accepted_state(monkeypatch):
+    eos = eos_rel()
+    seen = []
+    real = tov._domain_faults
+
+    def record(eos, r, m, w):
+        seen.append(np.array(r, dtype=float))
+        return real(eos, r, m, w)
+
+    monkeypatch.setattr(tov, "_domain_faults", record)
+    [surface] = tov.shoot_from_centers(eos, [1e-4])
+    states = np.concatenate(seen)
+    # a lane whose step was rejected shows its last state again
+    states = states[np.concatenate(([True], np.diff(states) != 0))]
+    _, traj = tov.shoot_from_center(eos, 1e-4)
+    # the same states; the step ends themselves part by up to about 1e-9,
+    # as those of ode.solve and scipy's RK45 do (see test_ode)
+    np.testing.assert_allclose(states, traj.r, rtol=1e-8)
+    assert states[-1] == surface.radius  # the event root
+
+
+def test_lanes_raise_the_scalar_domain_error(monkeypatch):
+    def faults(eos, r, m, w):
+        return r > 0.5, np.zeros(np.shape(r), dtype=bool)
+
+    monkeypatch.setattr(tov, "_domain_faults", faults)
+    eos = eos_rel()
+    with pytest.raises(StellarMatchError, match="metric factor") as scalar:
+        tov.shoot_from_center(eos, 1e-4)
+    with pytest.raises(StellarMatchError) as lanes:
+        tov.shoot_from_centers(eos, [1e-4, 1e-3])
+    assert str(lanes.value) == str(scalar.value)
+    # a shot that fails on a guard is not checked, as in the scalar path
+    assert tov.shoot_from_centers(eos, [1e-4], tov.ShootConfig(
+        r_max_factor=1.0)) == [tov.EXIT_R_MAX]
+
+
 # -- metric coefficients and junction --------------------------------------
 
 def _vacuum_trajectory(eos):
@@ -402,6 +536,21 @@ def test_junction_gamma53():
     assert report["orders"][1]["e2H_scaled_gap"] < 1e-5
     assert report["orders"][2]["e2F_scaled_gap"] < 1e-5
     assert report["orders"][2]["e2H_scaled_gap"] < 1e-5
+
+
+def test_junction_gamma2_reports_order2_as_not_required():
+    # drho/dr = c^2 w'/(2A) != 0 at a gamma = 2 surface, so e^{2H}'' jumps
+    # there: the order-2 gap is reported, but only orders 0 and 1 decide
+    surface, traj = tov.shoot_from_center(eos_rel(gamma=2.0), 1e-4)
+    coeffs = tov.metric_coefficients(traj, surface.radius, surface.mass)
+    assert coeffs.required_order == 1
+    report = tov.junction_check(coeffs, order=2)
+    assert report["passed"]
+    assert [report["orders"][k]["required"] for k in (0, 1, 2)] == [
+        True, True, False]
+    order2 = report["orders"][2]
+    assert not order2["passed"] and order2["tolerance"] == 1e-5
+    assert order2["e2H_scaled_gap"] == pytest.approx(0.405, abs=5e-4)
 
 
 @pytest.mark.parametrize("gamma", [1.5, G53, 2.0])
