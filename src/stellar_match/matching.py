@@ -18,9 +18,12 @@ The scan's forward shots come in batches of independent shots: the grid,
 then each level of the chord refinement.  A batch of LANES_MIN or more
 runs as lockstep lanes (tov.shoot_from_centers), whose cost per step
 barely grows with the lane count; a smaller batch runs shot by shot, as
-the endpoint bisection and the on-curve sampler always do.  The choice
-depends on the batch size alone, and either way a shot gives the same
-outcome to roundoff.
+the endpoint bisection and the on-curve sampler always do.  The sweep's
+inward shots are one batch: with LANES_MIN or more samples their first
+rung runs as lanes (tov.shoot_from_boundaries).  The choice depends on
+the batch size alone, and either way a shot gives the same outcome to
+roundoff.  Distances to a curve are one array expression over its
+segments, bit for bit the segment-by-segment result.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .tov import (
     ShootConfig,
     SurfaceData,
     admissible,
+    shoot_from_boundaries,
     shoot_from_boundary,
     shoot_from_center,
     shoot_from_centers,
@@ -60,10 +64,11 @@ ENDPOINT_REL_TOL = 1e-4
 SAGITTA_TOL = 3e-5
 # Refinement levels: a chord is halved at most this many times.
 MAX_REFINE_DEPTH = 6
-# Batches of at least this many forward shots run as lockstep lanes
-# (tov.shoot_from_centers), smaller ones shot by shot.  The lanes' cost per
-# step is nearly flat in the lane count; they break even at about 12 lanes
-# for a pure polytrope and 16 for the lambda-EOS table (2-core host).
+# Batches of at least this many forward shots (tov.shoot_from_centers) or
+# inward shots (tov.shoot_from_boundaries) run as lockstep lanes, smaller
+# ones shot by shot.  The lanes' cost per step is nearly flat in the lane
+# count; on a 2-core host they break even at about 12 forward shots for a
+# pure polytrope, 16 for the lambda-EOS table, and 16 to 20 inward shots.
 LANES_MIN = 16
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4
@@ -334,14 +339,28 @@ def scan_components(eos, grid, config=None):
     return curves
 
 
+def _polyline_distance(q, poly):
+    """Distance from point q to the polyline through the (n, 2) vertices
+    poly in the plane, as one array expression over its segments.
+
+    The dot products are stacked matmuls, (k, 1, 2) @ (k, 2, 1), which
+    round as the 1-D dot product of one segment's vectors does (elementwise
+    products summed by hand can differ in the last bit).  A zero-length
+    segment, like a single vertex, gives the distance to its end point: its
+    projection is an exact zero, divided by 1 instead of its length."""
+    if len(poly) == 1:
+        a, d = poly, np.zeros_like(poly)
+    else:
+        a, d = poly[:-1], poly[1:] - poly[:-1]
+    length_sq = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    along = ((q - a)[:, None, :] @ d[:, :, None])[:, 0, 0]
+    t = np.clip(along / np.where(length_sq == 0.0, 1.0, length_sq), 0.0, 1.0)
+    return float(np.min(np.hypot(*(q - (a + t[:, None] * d)).T)))
+
+
 def _segment_distance(q, a, b):
     """Distance from point q to segment [a, b] in the plane."""
-    d = b - a
-    length_sq = float(d @ d)
-    if length_sq == 0.0:
-        return float(np.hypot(*(q - a)))
-    t = float(np.clip((q - a) @ d / length_sq, 0.0, 1.0))
-    return float(np.hypot(*(q - (a + t * d))))
+    return _polyline_distance(q, np.array([a, b]))
 
 
 def distance_to_curves(radius, mass, curves):
@@ -349,22 +368,18 @@ def distance_to_curves(radius, mass, curves):
 
     Each curve is measured in its own scaled coordinates (R / R_ref,
     M / M_ref).  Returns (j_star, distance) for the closest curve over all
-    piecewise-linear segments.  An empty curve list has no distance and
-    raises ValueError.
+    piecewise-linear segments, each curve's segments measured as one array
+    expression.  An empty curve list has no distance and raises ValueError.
     """
     if not curves:
         raise ValueError("distance is undefined for an empty curve list")
     best = None
     for curve in curves:
-        q = np.array([radius / curve.r_ref, mass / curve.m_ref])
-        poly = curve.scaled_polyline()
-        if len(poly) == 1:
-            dist = float(np.hypot(*(q - poly[0])))
-        else:
-            dist = min(
-                _segment_distance(q, poly[k], poly[k + 1])
-                for k in range(len(poly) - 1)
-            )
+        # scaled_polyline, with each median taken once
+        r_ref, m_ref = curve.r_ref, curve.m_ref
+        poly = np.column_stack((curve.radii / r_ref, curve.masses / m_ref))
+        dist = _polyline_distance(np.array([radius / r_ref, mass / m_ref]),
+                                  poly)
         if best is None or dist < best[1]:
             best = (curve.j, dist)
     return best
@@ -517,6 +532,21 @@ def _draw_on_curve_samples(eos, curves, sampler, count, config):
     return out
 
 
+def _sample_record(outcome):
+    """The record of an inward shot's outcome: its ShootClassification, or
+    the StellarMatchError it raised."""
+    if isinstance(outcome, AdmissibilityError):
+        return {"case": None, "exit": "inadmissible"}
+    if isinstance(outcome, EosValidityError):
+        return {"case": None, "exit": LABEL_EOS_VALIDITY}
+    if isinstance(outcome, StellarMatchError):
+        return {"case": None, "exit": "error:%s" % type(outcome).__name__}
+    rec = {"case": outcome.case, "exit": outcome.exit}
+    if outcome.case == CASE11:
+        rec["p_center"] = outcome.p_center
+    return rec
+
+
 def _classify_sample(eos, radius, mass, config, thresholds):
     """Inward classification wrapped as data."""
     if math.isnan(radius):
@@ -525,16 +555,28 @@ def _classify_sample(eos, radius, mass, config, thresholds):
         cls, _ = shoot_from_boundary(
             eos, radius, mass, config=config, thresholds=thresholds
         )
-    except AdmissibilityError:
-        return {"case": None, "exit": "inadmissible"}
-    except EosValidityError:
-        return {"case": None, "exit": LABEL_EOS_VALIDITY}
     except StellarMatchError as exc:
-        return {"case": None, "exit": "error:%s" % type(exc).__name__}
-    rec = {"case": cls.case, "exit": cls.exit}
-    if cls.case == CASE11:
-        rec["p_center"] = cls.p_center
-    return rec
+        return _sample_record(exc)
+    return _sample_record(cls)
+
+
+def _classify_samples(eos, coords, config, thresholds):
+    """_classify_sample for each (R, M, j, distance) sample, in order.
+
+    The inward shots are independent, so when LANES_MIN or more samples
+    can be shot, their rung 0 runs as lanes of one lockstep solve
+    (tov.shoot_from_boundaries); fewer run shot by shot."""
+    shots = [k for k, (radius, _, _, _) in enumerate(coords)
+             if not math.isnan(radius)]
+    if len(shots) < LANES_MIN:
+        return [_classify_sample(eos, radius, mass, config, thresholds)
+                for radius, mass, _, _ in coords]
+    outcomes = dict(zip(shots, shoot_from_boundaries(
+        eos, [coords[k][0] for k in shots], [coords[k][1] for k in shots],
+        config, thresholds)))
+    return [_sample_record(outcomes[k]) if k in outcomes
+            else _classify_sample(eos, radius, mass, config, thresholds)
+            for k, (radius, mass, _, _) in enumerate(coords)]
 
 
 @dataclass
@@ -569,9 +611,12 @@ def ae_failure_sweep(
     each with an inward shot, and reports the Case 11 fraction among
     samples farther than ``near_delta`` (scaled) from every curve.  All
     draws are made first, from the seeded generator, and each sample is
-    then classified on its own in index order.  The report is therefore
-    byte-identical for a fixed seed, and for the random and on-curve
-    plans the first k records equal those of a k-sample sweep.
+    then classified on its own.  The report is therefore byte-identical
+    for a fixed seed.  For the random and on-curve plans the first k
+    records equal those of a k-sample sweep exactly when both sweeps take
+    the same path, both shot by shot or both as lanes (LANES_MIN or more
+    samples to shoot); across LANES_MIN they still agree in every field
+    but ``p_center``, which the two paths compute to roundoff.
     """
     sampler = sampler or SweepSampler()
     config = config or ShootConfig()
@@ -587,7 +632,8 @@ def ae_failure_sweep(
             raise StellarMatchError("sampler produced inadmissible boundary data")
 
     samples = []
-    for idx, (radius, mass, j, dist) in enumerate(coords):
+    records = _classify_samples(eos, coords, config, thresholds)
+    for idx, ((radius, mass, j, dist), record) in enumerate(zip(coords, records)):
         rec = {
             "index": idx,
             "radius": radius,
@@ -595,7 +641,7 @@ def ae_failure_sweep(
             "component": j,
             "distance": dist,
         }
-        rec.update(_classify_sample(eos, radius, mass, config, thresholds))
+        rec.update(record)
         samples.append(rec)
 
     case_counts = {}

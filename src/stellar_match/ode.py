@@ -34,8 +34,11 @@ lanes of numpy arrays: each lane keeps its own t, step size and rejection
 flag, takes the steps `solve` would take from its start (the same tableau,
 error norm, step rules, minimum step, initial step and event rules), and a
 mask retires it when it reaches its bound, a terminal event or a collapsed
-step.  Its cost per lockstep step is about that of a few scalar steps, so
-it pays from about a dozen lanes (see matching.LANES_MIN).  It keeps no
+step.  Event thresholds may differ from lane to lane: per-lane event
+arguments follow each lane as the mask retires others, and an event sees
+the active lanes' values (one lane's floats when its root is found).  Its
+cost per lockstep step is about that of a few scalar steps, so it pays
+from about a dozen to twenty lanes (see matching.LANES_MIN).  It keeps no
 step history: it returns where each lane ended, and hands each accepted
 state to an optional observer.  The arithmetic is the scalar solve's,
 operation for operation, but numpy's elementwise functions may round the
@@ -373,7 +376,8 @@ def _initial_step_lanes(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
+def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
+                event_args=()):
     """Integrate y' = fun(t, y) from t0 to t_bound for L lanes at once.
 
     t0 and t_bound have one value per lane and must point the same way for
@@ -382,10 +386,15 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
     an (n, k) array or n arrays of k values.  Events are as for `solve`,
     called on the same arrays (one value per lane) and, to find a root, on
     one lane's floats; every event must be terminal, since lanes keep no
-    history.  observe(lanes, t, y), if given, sees the start and, after
-    each lockstep step, the state of every active lane by lane index: its
-    step end, the event root where an event stopped it, or its last state
-    again where its step was rejected.  Returns a LanesResult."""
+    history.  event_args holds per-lane event arguments, each with one
+    value per lane (event thresholds, say): an event is called as
+    event(t, y, *args) with the active lanes' values of each, or one lane's
+    floats when finding its root, so each lane's events are those of its
+    scalar solve with that lane's arguments.  observe(lanes, t, y), if
+    given, sees the start and, after each lockstep step, the state of every
+    active lane by lane index: its step end, the event root where an event
+    stopped it, or its last state again where its step was rejected.
+    Returns a LanesResult."""
     t = np.array(t0, dtype=float)
     t_bound = np.array(t_bound, dtype=float)
     y = np.array(y0, dtype=float)
@@ -402,6 +411,7 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
         raise ValueError("every event of a lanes solve must be terminal")
     senses = np.array([[getattr(ev, "direction", 0)] for ev in events])
     rising, falling = senses >= 0, senses <= 0
+    args = np.array(event_args, dtype=float).reshape(len(event_args), lanes)
     sqrt_n = n ** 0.5
 
     f = np.asarray(fun(t, y), dtype=float)
@@ -409,7 +419,8 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
     out = LanesResult(t=t.copy(), y=y.copy(), status=np.zeros(lanes, int),
                       event=np.full(lanes, -1), steps=np.zeros(lanes, int),
                       nfev=np.zeros(lanes, int))
-    g = np.array([ev(t, y) for ev in events]).reshape(len(events), lanes)
+    g = np.array([ev(t, y, *args) for ev in events]).reshape(len(events),
+                                                             lanes)
     index = np.arange(lanes)
     if observe is not None:
         observe(index, t, y)
@@ -476,7 +487,7 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
         stop = (direction * (t - t_bound) >= 0) | collapsed
 
         if events:
-            g_new = np.array([ev(t, y) for ev in events])
+            g_new = np.array([ev(t, y, *args) for ev in events])
             crossed = accept & ((rising & (g <= 0) & (g_new >= 0))
                                 | (falling & (g >= 0) & (g_new <= 0)))
             g = g_new
@@ -486,7 +497,9 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
                 coeffs = _step_coeffs((
                     float(t_old[j]), float(h[j]), y_old[:, j].tolist(),
                     *(k[:, j].tolist() for k in (k1, k3, k4, k5, k6, k7))))
-                roots = [(brentq(lambda s: events[e](s, _evaluate(coeffs, s)),
+                lane_args = args[:, j].tolist()
+                roots = [(brentq(lambda s: events[e](s, _evaluate(coeffs, s),
+                                                     *lane_args),
                                  float(t_old[j]), float(t[j]), xtol=4 * EPS,
                                  rtol=4 * EPS), e)
                          for e in np.flatnonzero(crossed[:, j])]
@@ -506,8 +519,8 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None):
             out.event[lane], out.steps[lane] = fired[stop], steps[stop]
             out.nfev[lane] = 2 + 6 * trials
             go = ~stop
-            (index, t, t_bound, y, f, atol, g, h_abs, rejected, fired,
+            (index, t, t_bound, y, f, atol, g, args, h_abs, rejected, fired,
              steps) = (a[..., go] for a in (
-                 index, t, t_bound, y, f, atol, g, h_abs, rejected, fired,
-                 steps))
+                 index, t, t_bound, y, f, atol, g, args, h_abs, rejected,
+                 fired, steps))
     return out

@@ -40,8 +40,13 @@ the radius where they did.
 `ode.solve_lanes` call: each lane takes the steps of its scalar shot, and
 the right-hand side and events evaluate on arrays of lanes.  It returns
 boundary data or failure labels only, with no trajectories; the domain
-checks run on every accepted lane state.  Lanes pay from about a dozen
-shots on (matching.LANES_MIN picks the batches that use them).
+checks run on every accepted lane state.  `shoot_from_boundaries` does the
+same for rung 0 of many inward shots, each lane with its own event
+thresholds, and runs the refinement ladder of a lane that ends at the
+pressure ceiling shot by shot from rung 1; it returns each shot's
+classification or the error it raised.  Lanes pay from about a dozen
+outward and about twenty inward shots on (matching.LANES_MIN picks the
+batches that use them).
 """
 
 from __future__ import annotations
@@ -285,9 +290,10 @@ def _terminal(event, direction):
 
 def _horizon_event(csq):
     """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN (never
-    when c = inf); the factor is inline, as the event runs every step."""
+    when c = inf); the factor is inline, as the event runs every step.  It
+    takes and ignores the inward events' thresholds."""
     return _terminal(
-        lambda r, y: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
+        lambda r, y, *_: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
 
 
 def _integrator_failure(r, message):
@@ -353,6 +359,19 @@ def shoot_from_center(eos, p_center, config=None):
     raise ShootFailureError(label, message, trajectory=traj)
 
 
+def _fault_observer(eos, lanes):
+    """(faults, observe): an ode.solve_lanes observer that marks, per lane,
+    each kind of _domain_faults any of its observed states shows."""
+    faults = np.zeros((2, lanes), dtype=bool)
+
+    def observe(index, r, y):
+        for fault, bad in zip(faults, _domain_faults(eos, r, y[0], y[1])):
+            if bad.any():
+                fault[index[bad]] = True
+
+    return faults, observe
+
+
 def shoot_from_centers(eos, p_centers, config=None):
     """Outward shots from many central pressures, run as lockstep lanes of
     `ode.solve_lanes`.  For a pure polytrope that costs less than shooting
@@ -381,13 +400,7 @@ def shoot_from_centers(eos, p_centers, config=None):
     if not lanes:
         return results
     r0, r_max, y0, atol = (np.array(column) for column in zip(*starts))
-    faults = np.zeros((2, len(lanes)), dtype=bool)
-
-    def observe(index, r, y):
-        for fault, bad in zip(faults, _domain_faults(eos, r, y[0], y[1])):
-            if bad.any():
-                fault[index[bad]] = True
-
+    faults, observe = _fault_observer(eos, len(lanes))
     sol = ode.solve_lanes(lambda r, y: _lanes_rhs(eos, r, y), r0, r_max,
                           y0.T, cfg.rtol, atol.T, _outward_events(eos),
                           observe)
@@ -403,25 +416,29 @@ def shoot_from_centers(eos, p_centers, config=None):
     return results
 
 
-def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
+def _inward_events(eos, with_center):
     """Terminal events for an inward run, with their labels in order.
 
-    Refinement runs drop the center-floor stop (with_center=False) so a
-    ceiling crossing sinking below r_floor can still fire."""
-    def slope_excess(r, y):
+    Each event takes the run's thresholds (w_ceiling, slope_floor, r_floor)
+    after (r, y): a scalar run binds them (_bind_thresholds), a lanes
+    solve passes each lane's as its event arguments.  Refinement runs drop
+    the center-floor stop (with_center=False) so a ceiling crossing
+    sinking below r_floor can still fire."""
+    def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
     events = [
-        _terminal(lambda r, y: y[1] - w_ceiling, 1),
+        _terminal(lambda r, y, w_ceiling, *_: y[1] - w_ceiling, 1),
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
         _terminal(slope_excess, -1),
-        _terminal(lambda r, y: y[1], -1),  # vacuum re-entry, w = 0
+        _terminal(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
     ]
     labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM]
 
     if with_center:
-        events.append(_terminal(lambda r, y: r - r_floor, -1))
+        events.append(_terminal(
+            lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1))
         labels.append(EXIT_CENTER_FLOOR)
 
     events.append(_horizon_event(eos.c_light**2))
@@ -429,11 +446,30 @@ def _inward_events(eos, w_ceiling, slope_floor, r_floor, with_center):
     return events, labels
 
 
-def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
-    """Inward shot from admissible boundary data; returns
-    (ShootClassification, TovTrajectory)."""
-    cfg = config or ShootConfig()
-    thr = thresholds or ClassifyThresholds()
+@dataclass
+class _InwardStart:
+    """Start state, tolerances and thresholds of an inward shot."""
+
+    r: float                # R - dr
+    y: list                 # [m, w] at r
+    atol: list
+    ceiling: float          # rung 0's pressure ceiling, at most p_cap
+    p_cap: float            # just below the EOS validity bound
+    w_ceiling: float        # the enthalpy variable at `ceiling`
+    slope_floor: float
+    r_floor: float
+    m_floor: float
+    diagnostics: dict
+
+    def thresholds(self, w_ceiling):
+        """The inward events' thresholds for a run under w_ceiling."""
+        return w_ceiling, self.slope_floor, self.r_floor
+
+
+def _inward_start(eos, radius, mass, cfg, thr):
+    """_InwardStart of an inward shot from (R, M); raises
+    AdmissibilityError for inadmissible data and EosValidityError where
+    the EOS cannot represent the fluid at the start."""
     if not admissible(radius, mass, eos.c_light):
         raise AdmissibilityError(
             "(R, M) = (%g, %g) inadmissible for c = %g"
@@ -465,38 +501,129 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
         "slope_floor": slope_floor, "r_floor": r_floor, "m_floor": m_floor,
         "refinement_radii": [],
     }
+    return _InwardStart(r=r_start, y=[m_start, w_start], atol=atol,
+                        ceiling=ceiling, p_cap=p_cap, w_ceiling=w_cap,
+                        slope_floor=slope_floor, r_floor=r_floor,
+                        m_floor=m_floor, diagnostics=diagnostics)
 
-    span_end = 0.01 * r_floor
 
-    def run(ceiling_p, rtol, with_center, prev_w_ceiling):
-        w_ceiling = eos.enthalpy_of_pressure(min(ceiling_p, p_cap))
-        events, labels = _inward_events(eos, w_ceiling, slope_floor, r_floor,
-                                        with_center)
-        sol = _solve(eos, (r_start, span_end), [m_start, w_start], events,
-                     rtol, atol)
-        return sol, _interpret_inward(sol, labels, r_floor,
-                                      prev_w_ceiling), w_ceiling
+def _bind_thresholds(events, thresholds):
+    """The events as ode.solve calls them, event(r, y), with the thresholds
+    bound."""
+    return [_terminal(lambda r, y, ev=ev: ev(r, y, *thresholds),
+                      ev.direction) for ev in events]
 
-    # refinement ladder for the blow-up radius: raise the ceiling (within
-    # the EOS cap) and tighten rtol, watching whether the estimate sinks
-    # below the radius floor
-    sol, (label, detail), w_ceil = run(ceiling, cfg.rtol, True, None)
+
+def _inward_run(eos, start, w_ceiling, rtol, with_center, prev_w_ceiling):
+    """One rung of an inward shot, a solve from the start to 0.01 r_floor
+    under w_ceiling; returns (sol, (label, detail)) as _interpret_inward
+    reads it."""
+    events, labels = _inward_events(eos, with_center)
+    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y,
+                 _bind_thresholds(events, start.thresholds(w_ceiling)), rtol,
+                 start.atol)
+    return sol, _interpret_inward(sol, labels, start.r_floor, prev_w_ceiling)
+
+
+def _refine_ladder(eos, start, cfg, thr, label, detail, sol=None):
+    """The refinement ladder for the blow-up radius after rung 0 ended
+    with (label, detail): while a rung ends at the pressure ceiling, raise
+    the ceiling (within the EOS cap) and tighten rtol, watching whether
+    the estimate sinks below the radius floor.  Returns the last rung's
+    (label, detail, sol); sol stays the one given when no rung runs."""
+    radii = start.diagnostics["refinement_radii"]
+    w_ceiling = start.w_ceiling
     level = 0
     while label == EXIT_PRESSURE_CEILING and level < thr.refinements:
-        diagnostics["refinement_radii"].append(detail["r_exit"])
+        radii.append(detail["r_exit"])
         level += 1
-        sol, (label, detail), w_ceil = run(
-            min(ceiling * 100.0 ** level, p_cap),
-            max(cfg.rtol * 0.01 ** level, 1e-13), False, w_ceil)
+        prev_w_ceiling, w_ceiling = w_ceiling, eos.enthalpy_of_pressure(
+            min(start.ceiling * 100.0 ** level, start.p_cap))
+        sol, (label, detail) = _inward_run(
+            eos, start, w_ceiling, max(cfg.rtol * 0.01 ** level, 1e-13),
+            False, prev_w_ceiling)
     if label == EXIT_PRESSURE_CEILING:
-        diagnostics["refinement_radii"].append(detail["r_exit"])
+        radii.append(detail["r_exit"])
+    return label, detail, sol
+
+
+def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
+    """Inward shot from admissible boundary data; returns
+    (ShootClassification, TovTrajectory)."""
+    cfg = config or ShootConfig()
+    thr = thresholds or ClassifyThresholds()
+    start = _inward_start(eos, radius, mass, cfg, thr)
+    sol, (label, detail) = _inward_run(eos, start, start.w_ceiling, cfg.rtol,
+                                       True, None)
+    label, detail, sol = _refine_ladder(eos, start, cfg, thr, label, detail,
+                                        sol)
 
     traj = TovTrajectory(eos, "inward", sol, label,
                          f_const=_f_const(eos, radius, mass))
-    cls = _classify(label, detail, eos, r_floor, m_floor, diagnostics)
+    cls = _classify(label, detail, eos, start.r_floor, start.m_floor,
+                    start.diagnostics)
     traj.exit = cls.exit
     traj.check_domain()
     return cls, traj
+
+
+def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
+    """Inward shots from many boundary data, rung 0 of each run as a lane
+    of one `ode.solve_lanes` call.  Returns one entry per (R, M), in order:
+    the ShootClassification of shoot_from_boundary, or the
+    StellarMatchError it would raise (returned, so that one sample's
+    failure leaves the others alone).
+
+    Each lane starts as the scalar shot does and has its events, with its
+    own thresholds, so it takes the same steps and ends on the same event
+    to roundoff.  Rung 0 never needs the dense output: its center-floor
+    event fires before any event below r_floor and before the span end, as
+    long as the start lies above r_floor (data whose start does not are
+    shot one by one).  A lane that ends at the pressure ceiling goes on
+    through the scalar ladder from rung 1.  check_domain's tests run on
+    every accepted state of every lane; a shot whose ladder runs past rung
+    0 is judged on its last rung's trajectory, as the scalar shot is."""
+    cfg = config or ShootConfig()
+    thr = thresholds or ClassifyThresholds()
+    results = [None] * len(radii)
+    lanes, starts = [], []
+    for i, (radius, mass) in enumerate(zip(radii, masses)):
+        try:
+            start = _inward_start(eos, radius, mass, cfg, thr)
+            if start.r <= start.r_floor:
+                results[i] = shoot_from_boundary(eos, radius, mass, cfg,
+                                                 thr)[0]
+                continue
+        except StellarMatchError as exc:
+            results[i] = exc
+            continue
+        lanes.append(i)
+        starts.append(start)
+    if not lanes:
+        return results
+
+    events, labels = _inward_events(eos, True)
+    faults, observe = _fault_observer(eos, len(lanes))
+    sol = ode.solve_lanes(
+        lambda r, y: _lanes_rhs(eos, r, y), [s.r for s in starts],
+        [0.01 * s.r_floor for s in starts], np.array([s.y for s in starts]).T,
+        cfg.rtol, np.array([s.atol for s in starts]).T, events, observe,
+        np.array([s.thresholds(s.w_ceiling) for s in starts]).T)
+    for j, (i, start) in enumerate(zip(lanes, starts)):
+        try:
+            if sol.status[j] < 0:
+                raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
+            detail = {"r_exit": float(sol.t[j]), "m_exit": float(sol.y[0, j]),
+                      "w_exit": float(sol.y[1, j])}
+            label, detail, rung = _refine_ladder(
+                eos, start, cfg, thr, labels[sol.event[j]], detail)
+            results[i] = _classify(label, detail, eos, start.r_floor,
+                                   start.m_floor, start.diagnostics)
+            _check_domain(faults[:, j] if rung is None else _domain_faults(
+                eos, rung.t, rung.y[0], rung.y[1]))
+        except StellarMatchError as exc:
+            results[i] = exc
+    return results
 
 
 def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):

@@ -21,8 +21,10 @@ from stellar_match.matching import (
     distance_to_curves,
     scan_components,
 )
+from stellar_match import tov
+from stellar_match.errors import StellarMatchError
 from stellar_match.reports import canonical_json
-from stellar_match.tov import CASE11, ShootConfig, admissible
+from stellar_match.tov import CASE11, ClassifyThresholds, ShootConfig, admissible
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +263,63 @@ def test_distance_requires_curves():
         distance_to_curves(1.0, 0.1, [])
 
 
+def _reference_segment_distance(q, a, b):
+    """Distance from q to segment [a, b], one segment at a time."""
+    d = b - a
+    length_sq = float(d @ d)
+    if length_sq == 0.0:
+        return float(np.hypot(*(q - a)))
+    t = float(np.clip((q - a) @ d / length_sq, 0.0, 1.0))
+    return float(np.hypot(*(q - (a + t * d))))
+
+
+def _reference_distance(radius, mass, curves):
+    """distance_to_curves segment by segment."""
+    best = None
+    for curve in curves:
+        q = np.array([radius / curve.r_ref, mass / curve.m_ref])
+        poly = curve.scaled_polyline()
+        if len(poly) == 1:
+            dist = float(np.hypot(*(q - poly[0])))
+        else:
+            dist = min(_reference_segment_distance(q, poly[k], poly[k + 1])
+                       for k in range(len(poly) - 1))
+        if best is None or dist < best[1]:
+            best = (curve.j, dist)
+    return best
+
+
+def test_distance_matches_the_per_segment_reference_bit_for_bit(
+        rel_gamma53_curves, newt_gamma2_curves):
+    rng = np.random.default_rng(23)
+    for _, curves in (rel_gamma53_curves, newt_gamma2_curves):
+        radii = np.concatenate([c.radii for c in curves])
+        masses = np.concatenate([c.masses for c in curves])
+        points = [(pt.radius, pt.mass) for c in curves for pt in c.points]
+        points += [(rng.uniform(0.5 * radii.min(), 1.5 * radii.max()),
+                    rng.uniform(0.5 * masses.min(), 1.5 * masses.max()))
+                   for _ in range(300)]
+        for radius, mass in points:
+            assert distance_to_curves(radius, mass, curves) == \
+                _reference_distance(radius, mass, curves)
+
+
+def test_distance_to_degenerate_polylines():
+    # A repeated vertex makes a zero-length segment and a one-point curve
+    # has none; both measure to the vertex, with no division warning.
+    def curve(j, pairs):
+        return MatchingCurve(j=j, points=[
+            MatchingCurvePoint(1e-3 * (k + 1), r, m, 0.0)
+            for k, (r, m) in enumerate(pairs)], p_lo=1e-3, p_hi=1e-2)
+
+    curves = [curve(0, [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0)]),
+              curve(1, [(5.0, 3.0)])]
+    for radius, mass in ((0.5, 1.0), (1.0, 2.0), (4.0, 3.0), (3.0, 1.0)):
+        assert distance_to_curves(radius, mass, curves) == \
+            _reference_distance(radius, mass, curves)
+    assert distance_to_curves(5.0, 3.0, curves) == (1, 0.0)
+
+
 # -- failure sweep ---------------------------------------------------------
 
 
@@ -301,6 +360,86 @@ def test_sweep_records_are_sample_independent(rel_gamma53_curves):
     assert short.sample_rows() == full.sample_rows()[:4]
     assert canonical_json(rerun.sample_rows()) == canonical_json(full.sample_rows())
     assert rerun.summary_json() == full.summary_json()
+
+
+def test_sweep_records_agree_across_the_lanes_threshold(rel_gamma53_curves):
+    # A sweep of LANES_MIN or more samples shoots rung 0 as lanes, a shorter
+    # one shot by shot: the records agree except for p_center, which the
+    # two paths compute to roundoff.
+    eos, curves = rel_gamma53_curves
+    sampler = SweepSampler(kind="on-curve", seed=3)
+    count = matching.LANES_MIN
+    short = ae_failure_sweep(eos, curves, sampler, count=count // 2)
+    full = ae_failure_sweep(eos, curves, sampler, count=count)
+    rerun = ae_failure_sweep(eos, curves, sampler, count=count)
+    assert full.summary["cases"] == {CASE11: count}
+    for a, b in zip(short.sample_rows(), full.sample_rows()):
+        assert b.pop("p_center") == pytest.approx(a.pop("p_center"), rel=1e-11)
+        assert a == b
+    assert canonical_json(rerun.sample_rows()) == canonical_json(full.sample_rows())
+    assert rerun.summary_json() == full.summary_json()
+
+
+def test_sweep_lanes_keep_a_failing_sample_to_itself(monkeypatch):
+    # One sample's inward shot fails, once by a collapsing step, once by
+    # domain faults.  Its record is the scalar one and its neighbours'
+    # records do not move.
+    eos = EosSpec(gamma=5.0 / 3.0)
+    coords = []
+    for p_center in (1e-4, 1e-3):
+        point, _ = _forward_point(eos, p_center, ShootConfig())
+        for fr, fm in ((1.0, 1.0), (1.0, 1.05), (1.1, 1.0), (1.3, 0.7),
+                       (1.1, 0.95), (1.3, 1.3), (0.9, 1.0), (1.0, 1.3)):
+            coords.append((fr * point.radius, fm * point.mass, None, 1.0))
+    m_split = 2.0 * max(mass for _, mass, _, _ in coords)
+    coords.insert(5, (1.5 * coords[4][0], 2.0 * m_split, None, 1.0))
+    assert len(coords) >= matching.LANES_MIN
+    config, thresholds = ShootConfig(), ClassifyThresholds()
+    before = matching._classify_samples(eos, coords, config, thresholds)
+    radius, mass, _, _ = coords[5]
+    r_step = radius * 0.9
+
+    def collapse(mp):
+        # dm/dr jumps by -1e8 at r_step where m > m_split: the steps of
+        # the one shot that carries such a mass collapse there
+        real, real_lanes = tov.tov_rhs, tov._lanes_rhs
+
+        def rhs(eos, r, m, w):
+            dm, dw = real(eos, r, m, w)
+            return dm - 1e8 * (r < r_step and m > m_split), dw
+
+        def lanes_rhs(eos, r, y):
+            out = real_lanes(eos, r, y)
+            out[0] -= 1e8 * ((r < r_step) & (y[0] > m_split))
+            return out
+
+        mp.setattr(tov, "tov_rhs", rhs)
+        mp.setattr(tov, "_lanes_rhs", lanes_rhs)
+
+    def faults(mp):
+        def domain_faults(eos, r, m, w):
+            return np.asarray(m) > m_split, np.zeros(np.shape(r), dtype=bool)
+
+        mp.setattr(tov, "_domain_faults", domain_faults)
+
+    for patch, words in ((collapse, "integrator failure"),
+                         (faults, "metric factor")):
+        with monkeypatch.context() as mp:
+            patch(mp)
+            with pytest.raises(StellarMatchError, match=words) as scalar:
+                tov.shoot_from_boundary(eos, radius, mass, config, thresholds)
+            lanes = tov.shoot_from_boundaries(
+                eos, [c[0] for c in coords], [c[1] for c in coords],
+                config, thresholds)
+            want = matching._classify_sample(eos, radius, mass, config,
+                                             thresholds)
+            got = matching._classify_samples(eos, coords, config, thresholds)
+        # the lane collapses where its scalar shot does, to roundoff
+        assert type(lanes[5]) is type(scalar.value)
+        assert str(lanes[5]).startswith(words)
+        assert want == {"case": None, "exit": "error:StellarMatchError"}
+        assert got[5] == want
+        assert got[:5] + got[6:] == before[:5] + before[6:]
 
 
 def test_sweep_repeats_byte_identical(rel_gamma53_curves):

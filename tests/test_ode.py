@@ -382,6 +382,30 @@ def test_lanes_stop_at_the_earliest_terminal_root(span):
     assert np.all(got.event == (0 if span[1] > span[0] else 1))
 
 
+def test_lanes_pass_each_lane_its_event_arguments():
+    # y = t; lane j stops where y reaches its own level, as a scalar solve
+    # with that level bound stops
+    def level(t, y, value):
+        return y[0] - value
+
+    level.terminal = True
+    starts, values = [0.0, 0.5, 1.0, 3.0], [2.0, 7.5, 5.0, 9.0]
+    got = ode.solve_lanes(lambda t, y: np.ones_like(y), starts,
+                          [10.0] * len(starts), np.array([starts]), 1e-10,
+                          1e-12, [level], event_args=[values])
+    for j, (start, value) in enumerate(zip(starts, values)):
+        def bound(t, y, value=value):
+            return level(t, y, value)
+
+        bound.terminal = True
+        want = ode.solve(lambda t, y: [1.0], (start, 10.0), [start], 1e-10,
+                         1e-12, [bound])
+        assert (got.status[j], got.event[j]) == (1, 0)
+        assert got.steps[j] == len(want.t) - 1
+        assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)
+        assert got.t[j] == pytest.approx(value, rel=LANE_TOL)
+
+
 def test_lanes_retire_a_collapsing_lane_alone():
     def fun(t, y):  # y = y0/(1 - y0 (t - t0)) blows up at t0 + 1/y0
         return [y[0] * y[0]]

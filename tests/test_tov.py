@@ -487,6 +487,138 @@ def test_lanes_raise_the_scalar_domain_error(monkeypatch):
         r_max_factor=1.0)) == [tov.EXIT_R_MAX]
 
 
+# -- inward shots as lockstep lanes ------------------------------------------
+
+
+def _inward_batch(eos, inadmissible):
+    """Boundary data whose inward shots end in every way a sweep sees:
+    case00, case01 and on-curve case11 around two stars, the point-mass
+    case10 (1, 1e-12), case00 (1, 1e-3), a start beyond the EOS validity
+    cap (relativistic only; a Newtonian polytrope has none) and
+    inadmissible data."""
+    batch = []
+    for p_center in (1e-4, 1e-3):
+        surface, _ = tov.shoot_from_center(eos, p_center)
+        for fr, fm in ((1.0, 1.0), (0.8, 1.0), (1.0, 0.7), (1.0, 1.05),
+                       (1.1, 1.0), (1.3, 0.7)):
+            batch.append((fr * surface.radius, fm * surface.mass))
+    batch += [(1.0, 1e-12), (1.0, 1e-3), (1.0, 0.5 * (1.0 - 1e-9)),
+              inadmissible]
+    return batch
+
+
+def _scalar_inward(eos, radius, mass, config=None, thresholds=None):
+    """shoot_from_boundary's classification, or the error it raises."""
+    try:
+        return tov.shoot_from_boundary(eos, radius, mass, config,
+                                       thresholds)[0]
+    except StellarMatchError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("eos, inadmissible", [
+    (eos_rel(), (1.0, 0.6)),
+    (eos_newt(), (1.0, 0.0)),
+])
+def test_boundary_lanes_match_scalar_shots(monkeypatch, lanes_solves, eos,
+                                           inadmissible):
+    batch = _inward_batch(eos, inadmissible)
+    assert len(batch) >= 16  # matching.LANES_MIN
+    got = tov.shoot_from_boundaries(eos, *zip(*batch))
+    [lanes] = lanes_solves
+
+    solves = []
+    real = ode.solve
+
+    def record(*args):
+        solves.append(real(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(ode, "solve", record)
+    lane = 0
+    kinds = set()
+    for (radius, mass), outcome in zip(batch, got):
+        solves.clear()
+        want = _scalar_inward(eos, radius, mass)
+        if solves:  # a shot that started: its rung 0 was lane `lane`
+            assert lanes.steps[lane] == len(solves[0].t) - 1
+            lane += 1
+        if isinstance(want, StellarMatchError):
+            assert type(outcome) is type(want)
+            assert str(outcome) == str(want)
+            kinds.add(type(want).__name__)
+            continue
+        assert (outcome.case, outcome.exit) == (want.case, want.exit)
+        kinds.add(want.case)
+        assert len(outcome.diagnostics["refinement_radii"]) == len(
+            want.diagnostics["refinement_radii"])
+        assert outcome.r_exit == pytest.approx(want.r_exit, rel=1e-11)
+        if want.case == tov.CASE11:
+            assert outcome.p_center == pytest.approx(want.p_center,
+                                                     rel=1e-11)
+    assert lane == lanes.steps.size
+    assert {tov.CASE00, tov.CASE01, tov.CASE10, tov.CASE11,
+            "AdmissibilityError"} <= kinds
+    assert ("EosValidityError" in kinds) == (not eos.nonrelativistic)
+
+
+def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
+    # Every state a lane shows is a domain fault, and no state of a scalar
+    # solve is.  A shot that ends on rung 0 then fails the domain check;
+    # one whose ladder runs on is judged on its last rung's trajectory, as
+    # the scalar shot is, and classifies as that shot does.
+    eos = eos_rel()
+    batch = _inward_batch(eos, (1.0, 0.6))
+    want = [_scalar_inward(eos, radius, mass) for radius, mass in batch]
+    in_lanes = [False]
+    real = ode.solve_lanes
+
+    def solve_lanes(*args):
+        in_lanes[0] = True
+        try:
+            return real(*args)
+        finally:
+            in_lanes[0] = False
+
+    def faults(eos, r, m, w):
+        return (np.full(np.shape(r), in_lanes[0]),
+                np.zeros(np.shape(r), dtype=bool))
+
+    monkeypatch.setattr(ode, "solve_lanes", solve_lanes)
+    monkeypatch.setattr(tov, "_domain_faults", faults)
+    got = tov.shoot_from_boundaries(eos, *zip(*batch))
+    ladders = 0
+    for outcome, scalar in zip(got, want):
+        if isinstance(scalar, StellarMatchError):
+            assert type(outcome) is type(scalar)
+        elif scalar.diagnostics["refinement_radii"]:
+            ladders += 1
+            assert (outcome.case, outcome.exit) == (scalar.case, scalar.exit)
+        else:
+            assert isinstance(outcome, StellarMatchError)
+            assert str(outcome) == "metric factor nonpositive at an " \
+                                   "accepted step"
+    assert ladders >= 4
+
+
+def test_boundary_lanes_leave_a_start_inside_the_floor_to_the_scalar_shot(
+        lanes_solves):
+    # With r_floor above the start the center-floor event cannot fire and
+    # the scalar shot reads its exit off the dense output, which lanes do
+    # not keep: such data is shot one by one.
+    eos = eos_rel()
+    thr = tov.ClassifyThresholds(r_floor_factor=2.0)
+    batch = _inward_batch(eos, (1.0, 0.6))
+    got = tov.shoot_from_boundaries(eos, *zip(*batch), thresholds=thr)
+    assert lanes_solves == []
+    for (radius, mass), outcome in zip(batch, got):
+        want = _scalar_inward(eos, radius, mass, thresholds=thr)
+        if isinstance(want, StellarMatchError):
+            assert str(outcome) == str(want)
+        else:
+            assert outcome == want
+
+
 # -- metric coefficients and junction --------------------------------------
 
 def _vacuum_trajectory(eos):
