@@ -209,7 +209,10 @@ def _validate_config(data):
             value = rule(value, key, bound)
         merged[section][name] = value
 
-    s, d = merged["sweep"], merged["distortion"]
+    s, d, t = merged["sweep"], merged["distortion"], merged["tov"]
+    # both scale with R: this keeps every inward start above the radius floor
+    if not t["r_floor_factor"] + t["dr_factor"] < 1.0:
+        _fail("tov.r_floor_factor", "tov.r_floor_factor + tov.dr_factor must be < 1")
     if s["p_hi"] <= s["p_lo"]:
         _fail("sweep.p_hi", "must exceed sweep.p_lo")
     if not d["b"]:

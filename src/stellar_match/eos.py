@@ -319,7 +319,6 @@ class EosSpec:
         def at_bound(_h, t):
             return t[0] - t_hi
 
-        at_bound.terminal = True
         # Below rho_lo the correction is negligible; seed with the closed
         # form.  On the valid range dh/d ln rho = rho dP/drho / (rho c^2 + P)
         # is below 1, so the bound lies within t_hi - t_lo of h_lo.

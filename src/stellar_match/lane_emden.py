@@ -15,7 +15,6 @@ event.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ode
 from .errors import NonTerminationError
@@ -86,14 +85,6 @@ class LaneEmdenSolution:
         the zero (vacuum branch, theta < 0)."""
         return self._eval(xi, 0, self.xi_extended)
 
-    def mass_integral(self):
-        """int_0^xi1 theta^n xi^2 dxi, which the equation makes equal to
-        mu1; used as an independent identity check."""
-        val, _ = quad(lambda x: _source(float(self.theta_at(x)), self.n)
-                      * x**2, 0.0, self.xi1, epsabs=1e-13, epsrel=1e-12,
-                      limit=200)
-        return float(val)
-
     def profile(self, points=500):
         """Arrays (xi, theta, dtheta) spanning [0, xi1] for export."""
         xi = np.linspace(0.0, self.xi1, points)
@@ -122,18 +113,17 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
 
     def surface(_xi, y):
         return y[0]
-    surface.terminal = True
     surface.direction = -1
 
     y0 = [_series_theta(xi_start, n), _series_dtheta(xi_start, n)]
     sol = ode.solve(rhs, (xi_start, xi_max), y0, rtol, atol, [surface])
     if not sol.success:
         raise NonTerminationError("integrator-failure", sol.message)
-    if sol.t_events[0].size == 0:
+    if sol.event != 0:
         raise NonTerminationError(
             "no-zero-within-guard",
             "no surface located below xi = %g (n = %g)" % (xi_max, n))
-    xi1 = float(sol.t_events[0][0])
+    xi1 = float(sol.t[-1])
     dtheta1 = sol.sol(xi1)[1]
     mu1 = -xi1**2 * dtheta1
 

@@ -4,13 +4,13 @@
 floats.  It is the package's one integrator: the TOV shots, the EOS table,
 the Lane-Emden profile and the distortion responses all run on it.  It
 returns the fields they read off a scipy ODE result: the accepted steps
-`t`, `y`, the dense output `sol`, the event roots `t_events`, `y_events`,
-and `nfev`, `success`, `message`.  It follows scipy's RK45 step by step,
-so its trajectories agree with those of scipy's RK45 driver (dense output
-on) to roundoff.  The step ends themselves agree only to about 1e-9
-relative: the error estimate cancels by several digits and scipy sums it
-in another order, so where it is mostly rounding (tight rtol) a step count
-can differ by one.  Copied:
+`t`, `y`, the dense output `sol`, `nfev`, `success`, `message`, and
+`event`, the index of the event that stopped it.  It follows scipy's RK45
+step by step, so its trajectories agree with those of scipy's RK45 driver
+(dense output on) to roundoff.  The step ends themselves agree only to
+about 1e-9 relative: the error estimate cancels by several digits and
+scipy sums it in another order, so where it is mostly rounding (tight
+rtol) a step count can differ by one.  Copied:
 
 - the Dormand-Prince pair (Dormand & Prince 1980, J. Comp. Appl. Math. 6,
   19) with local extrapolation, and Shampine's 4th-order continuous
@@ -20,9 +20,10 @@ can differ by one.  Copied:
   minimum step of 10 ulp of t, and the last step clipped to the bound;
 - the Hairer-Norsett-Wanner initial step (Solving ODEs I, sec. II.4),
   which costs one right-hand side call beyond the one at t0;
-- events as scipy's driver handles them: a sign change between step ends
-  in the event's direction, a brentq root on that step's interpolant, a
-  stop at the earliest terminal root, whose state replaces the step end.
+- events as scipy's driver handles terminal ones: a sign change between
+  step ends in the event's direction, a brentq root on that step's
+  interpolant, a stop at the earliest root (a tie goes to the lower event
+  index), whose state replaces the step end.  Every event is terminal.
 
 Each right-hand side call receives the state as a list and may return any
 sequence.  No numpy runs inside a step; the result arrays are built once
@@ -33,17 +34,17 @@ stops with success False and returns the steps accepted so far.
 lanes of numpy arrays: each lane keeps its own t, step size and rejection
 flag, takes the steps `solve` would take from its start (the same tableau,
 error norm, step rules, minimum step, initial step and event rules), and a
-mask retires it when it reaches its bound, a terminal event or a collapsed
-step.  Event thresholds may differ from lane to lane: per-lane event
-arguments follow each lane as the mask retires others, and an event sees
-the active lanes' values (one lane's floats when its root is found).  Its
-cost per lockstep step is about that of a few scalar steps, so it pays
-from about a dozen to twenty lanes (see matching.LANES_MIN).  It keeps no
-step history: it returns where each lane ended, and hands each accepted
-state to an optional observer.  The arithmetic is the scalar solve's,
-operation for operation, but numpy's elementwise functions may round the
-right-hand side differently by an ulp, so lanes agree with `solve` to
-roundoff, not bit for bit.
+mask retires it when it reaches its bound, an event or a collapsed step.
+Event arguments may differ from lane to lane: they follow each lane as the
+mask retires others, and an event sees the active lanes' values (one
+lane's floats when its root is found).  Its cost per lockstep step is
+about that of a few scalar steps, so it pays from about a dozen to twenty
+lanes (see matching.LANES_MIN).  It keeps no step history: it returns
+where each lane ended, and hands each accepted state to an optional
+observer.  The arithmetic is the scalar solve's, operation for operation,
+but numpy's elementwise functions may round the right-hand side
+differently by an ulp, so lanes agree with `solve` to roundoff, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -184,15 +185,25 @@ def _evaluate(coeffs, t):
             for y, q0, q1, q2, q3 in comps]
 
 
+def _first_root(events, crossed, coeffs, args, t_old, t_new, direction):
+    """(root, event index) of the earliest brentq root of the `crossed`
+    events on one step's interpolant `coeffs`; ties go to the lower index."""
+    roots = [(brentq(lambda s: events[e](s, _evaluate(coeffs, s), *args),
+                     t_old, t_new, xtol=4 * EPS, rtol=4 * EPS), e)
+             for e in crossed]
+    return min(roots, key=lambda root: direction * root[0])
+
+
 @dataclass
 class OdeResult:
-    """The ODE result fields this package reads, named as scipy names them."""
+    """The ODE result fields this package reads, named as scipy names them,
+    and LanesResult's `event`: the index of the event that stopped the
+    solve (-1 for none), whose root and state there are t[-1], y[:, -1]."""
 
     t: np.ndarray
     y: np.ndarray
     sol: DenseOutput
-    t_events: list
-    y_events: list
+    event: int
     nfev: int
     status: int
     message: str
@@ -202,13 +213,13 @@ class OdeResult:
         return self.status >= 0
 
 
-def solve(fun, t_span, y0, rtol, atol, events=()):
+def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
     """Integrate y' = fun(t, y) over t_span from y0 with scipy's RK45 rules.
 
     atol is a float or one float per component.  Each event is a function
-    event(t, y) with optional attributes `terminal` (stop at its first root)
-    and `direction` (sign of the crossings that count; 0 for both), as for
-    scipy's driver."""
+    event(t, y, *event_args) with an optional attribute `direction` (sign
+    of the crossings that count; 0 for both), as for scipy's driver.  Every
+    event is terminal: the earliest root stops the solve."""
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("empty integration span")
@@ -223,14 +234,11 @@ def solve(fun, t_span, y0, rtol, atol, events=()):
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
     nfev = 2
 
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
     senses = [getattr(ev, "direction", 0) for ev in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    g = [ev(t, y) for ev in events]
+    g = [ev(t, y, *event_args) for ev in events]
 
     ts, ys, steps = [t], [y], []
-    status = None
+    status, event = None, -1
     while status is None:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -295,32 +303,17 @@ def solve(fun, t_span, y0, rtol, atol, events=()):
         t_out, y_out = t, y
 
         if events:
-            g_new = [ev(t, y) for ev in events]
-            active = [i for i, (a, b, sense) in enumerate(zip(g, g_new,
-                                                              senses))
-                      if (sense >= 0 and a <= 0 <= b)
-                      or (sense <= 0 and a >= 0 >= b)]
-            if active:
+            g_new = [ev(t, y, *event_args) for ev in events]
+            crossed = [i for i, (a, b, sense) in enumerate(zip(g, g_new,
+                                                               senses))
+                       if (sense >= 0 and a <= 0 <= b)
+                       or (sense <= 0 and a >= 0 >= b)]
+            if crossed:
                 coeffs = _step_coeffs(step)
-                roots = []
-                for i in active:
-                    ev = events[i]
-                    roots.append(brentq(lambda s: ev(s, _evaluate(coeffs, s)),
-                                        t_old, t, xtol=4 * EPS, rtol=4 * EPS))
-                if any(terminal[i] for i in active):
-                    order = sorted(range(len(active)),
-                                   key=lambda j: direction * roots[j])
-                    active = [active[j] for j in order]
-                    roots = [roots[j] for j in order]
-                    stop = next(j for j, i in enumerate(active)
-                                if terminal[i])
-                    active, roots = active[:stop + 1], roots[:stop + 1]
-                    status = 1
-                    t_out = roots[-1]
-                    y_out = _evaluate(coeffs, t_out)
-                for i, root in zip(active, roots):
-                    t_events[i].append(root)
-                    y_events[i].append(_evaluate(coeffs, root))
+                t_out, event = _first_root(events, crossed, coeffs, event_args,
+                                           t_old, t, direction)
+                y_out = _evaluate(coeffs, t_out)
+                status = 1
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t_out:
@@ -331,19 +324,17 @@ def solve(fun, t_span, y0, rtol, atol, events=()):
 
     return OdeResult(
         t=np.array(ts), y=np.array(ys).T, sol=DenseOutput(ts, steps),
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
-        nfev=nfev, status=status, message=MESSAGES[status])
+        event=event, nfev=nfev, status=status, message=MESSAGES[status])
 
 
 @dataclass
 class LanesResult:
     """Where each lane of `solve_lanes` ended, lanes on the last axis.
 
-    `t`, `y` are the last accepted state, or the terminal event's root and
-    the state there.  `status` is OdeResult's: 0 at the bound, 1 on a
-    terminal event, -1 when the steps collapsed.  `event` is the index of
-    the event that stopped the lane (-1 for none); `steps` counts accepted
+    `t`, `y` are the last accepted state, or the event's root and the state
+    there.  `status` is OdeResult's: 0 at the bound, 1 on an event, -1 when
+    the steps collapsed.  `event` is OdeResult's too, the index of the
+    event that stopped the lane (-1 for none); `steps` counts accepted
     steps and `nfev` right-hand side evaluations, both per lane."""
 
     t: np.ndarray
@@ -384,13 +375,12 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
     every lane; y0 is (n, L) and atol a float or an (n, L) array.
     fun(t, y) receives the active lanes, t (k,) and y (n, k), and returns
     an (n, k) array or n arrays of k values.  Events are as for `solve`,
-    called on the same arrays (one value per lane) and, to find a root, on
-    one lane's floats; every event must be terminal, since lanes keep no
-    history.  event_args holds per-lane event arguments, each with one
-    value per lane (event thresholds, say): an event is called as
-    event(t, y, *args) with the active lanes' values of each, or one lane's
-    floats when finding its root, so each lane's events are those of its
-    scalar solve with that lane's arguments.  observe(lanes, t, y), if
+    terminal, called on the same arrays (one value per lane) and, to find a
+    root, on one lane's floats.  event_args holds per-lane event arguments,
+    each with one value per lane (event thresholds, say): an event is
+    called as event(t, y, *args) with the active lanes' values of each, or
+    one lane's floats when finding its root, so each lane's events are
+    those of its scalar solve with that lane's event_args.  observe(lanes, t, y), if
     given, sees the start and, after each lockstep step, the state of every
     active lane by lane index: its step end, the event root where an event
     stopped it, or its last state again where its step was rejected.
@@ -407,8 +397,6 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
         raise ValueError("lanes need nonempty spans in one direction")
     atol = np.array(np.broadcast_to(atol, (n, lanes)), dtype=float)
     rtol = max(float(rtol), 100 * EPS)  # scipy's floor on rtol
-    if not all(getattr(ev, "terminal", False) for ev in events):
-        raise ValueError("every event of a lanes solve must be terminal")
     senses = np.array([[getattr(ev, "direction", 0)] for ev in events])
     rising, falling = senses >= 0, senses <= 0
     args = np.array(event_args, dtype=float).reshape(len(event_args), lanes)
@@ -497,15 +485,10 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
                 coeffs = _step_coeffs((
                     float(t_old[j]), float(h[j]), y_old[:, j].tolist(),
                     *(k[:, j].tolist() for k in (k1, k3, k4, k5, k6, k7))))
-                lane_args = args[:, j].tolist()
-                roots = [(brentq(lambda s: events[e](s, _evaluate(coeffs, s),
-                                                     *lane_args),
-                                 float(t_old[j]), float(t[j]), xtol=4 * EPS,
-                                 rtol=4 * EPS), e)
-                         for e in np.flatnonzero(crossed[:, j])]
-                # the earliest root stops the lane; a tie goes to the
-                # first event, as in the scalar solve
-                root, e = min(roots, key=lambda re: direction * re[0])
+                root, e = _first_root(
+                    events, np.flatnonzero(crossed[:, j]), coeffs,
+                    args[:, j].tolist(), float(t_old[j]), float(t[j]),
+                    direction)
                 t[j], y[:, j] = root, _evaluate(coeffs, root)
                 fired[j], stop[j] = e, True
 

@@ -28,7 +28,8 @@ boundary data (R, M) just inside the surface and end in one of four ways:
             (the regular-center success)
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
-are reported as labeled exits outside the taxonomy.
+are reported as labeled exits outside the taxonomy.  Inward shots refuse
+(ValueError) a config whose start would lie inside the radius floor.
 
 Every shot is one or more solves with `ode.solve`, a Dormand-Prince 5(4)
 integrator in plain float arithmetic that follows scipy's RK45 step rules,
@@ -44,7 +45,8 @@ checks run on every accepted lane state.  `shoot_from_boundaries` does the
 same for rung 0 of many inward shots, each lane with its own event
 thresholds, and runs the refinement ladder of a lane that ends at the
 pressure ceiling shot by shot from rung 1; it returns each shot's
-classification or the error it raised.  Lanes pay from about a dozen
+classification or the error it raised.  On both paths rung 0 is read
+off the index of the event that stopped it.  Lanes pay from about a dozen
 outward and about twenty inward shots on (matching.LANES_MIN picks the
 batches that use them).
 """
@@ -69,6 +71,9 @@ EXIT_SLOPE_STALL = "slope_stall"
 EXIT_CENTER_FLOOR = "center_floor"
 EXIT_CENTER_MASSIVE = "center_floor_massive"
 EXIT_VACUUM = "vacuum_reentry"
+# Outward exits by the index of the event (_outward_events) that stopped the
+# solve; a solve that no event stopped (-1) ran into the range guard.
+_OUTWARD_EXITS = (EXIT_SURFACE, EXIT_HORIZON, EXIT_R_MAX)
 # Failure label for a central pressure outside the EOS validity range.
 LABEL_EOS_VALIDITY = "eos_validity"
 
@@ -280,10 +285,9 @@ def surface_start(eos, radius, mass, dr):
     return radius - dr, mass, g_s * dr
 
 
-def _terminal(event, direction):
-    """Mark an event function of ode.solve terminal, firing on crossings
-    in `direction`."""
-    event.terminal = True
+def _directed(event, direction):
+    """An event function of ode.solve that fires on crossings in
+    `direction` only."""
     event.direction = direction
     return event
 
@@ -292,7 +296,7 @@ def _horizon_event(csq):
     """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN (never
     when c = inf); the factor is inline, as the event runs every step.  It
     takes and ignores the inward events' thresholds."""
-    return _terminal(
+    return _directed(
         lambda r, y, *_: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
 
 
@@ -301,11 +305,11 @@ def _integrator_failure(r, message):
                              % (r, message))
 
 
-def _solve(eos, r_span, y0, events, rtol, atol):
+def _solve(eos, r_span, y0, events, rtol, atol, event_args=()):
     def rhs(r, y):
         return tov_rhs(eos, r, y[0], y[1])
 
-    sol = ode.solve(rhs, r_span, y0, rtol, atol, events)
+    sol = ode.solve(rhs, r_span, y0, rtol, atol, events, event_args)
     if not sol.success:
         raise _integrator_failure(sol.t[-1], sol.message)
     return sol
@@ -324,7 +328,7 @@ def _outward_start(eos, p_center, cfg):
 
 def _outward_events(eos):
     """The surface w = 0, then the horizon; floats or lanes."""
-    return [_terminal(lambda r, y: y[1], -1), _horizon_event(eos.c_light**2)]
+    return [_directed(lambda r, y: y[1], -1), _horizon_event(eos.c_light**2)]
 
 
 def _surface_data(eos, radius, mass):
@@ -340,20 +344,18 @@ def shoot_from_center(eos, p_center, config=None):
     cfg = config or ShootConfig()
     r0, r_max, y0, atol = _outward_start(eos, p_center, cfg)
     sol = _solve(eos, (r0, r_max), y0, _outward_events(eos), cfg.rtol, atol)
+    label = _OUTWARD_EXITS[sol.event]
 
-    if sol.t_events[0].size:
-        radius = float(sol.t_events[0][0])
-        mass = float(sol.y_events[0][0][0])
-        traj = TovTrajectory(eos, "outward", sol, EXIT_SURFACE,
+    if label == EXIT_SURFACE:
+        radius, mass = float(sol.t[-1]), float(sol.y[0, -1])
+        traj = TovTrajectory(eos, "outward", sol, label,
                              f_const=_f_const(eos, radius, mass))
         traj.check_domain()
         return _surface_data(eos, radius, mass), traj
 
-    if sol.t_events[1].size:
-        label = EXIT_HORIZON
+    if label == EXIT_HORIZON:
         message = "metric factor reached the horizon margin"
     else:
-        label = EXIT_R_MAX
         message = "no surface below r = %g" % r_max
     traj = TovTrajectory(eos, "outward", sol, label)
     raise ShootFailureError(label, message, trajectory=traj)
@@ -412,7 +414,7 @@ def shoot_from_centers(eos, p_centers, config=None):
             results[i] = _surface_data(eos, float(sol.t[j]),
                                        float(sol.y[0, j]))
         else:
-            results[i] = EXIT_HORIZON if sol.event[j] == 1 else EXIT_R_MAX
+            results[i] = _OUTWARD_EXITS[sol.event[j]]
     return results
 
 
@@ -420,24 +422,23 @@ def _inward_events(eos, with_center):
     """Terminal events for an inward run, with their labels in order.
 
     Each event takes the run's thresholds (w_ceiling, slope_floor, r_floor)
-    after (r, y): a scalar run binds them (_bind_thresholds), a lanes
-    solve passes each lane's as its event arguments.  Refinement runs drop
-    the center-floor stop (with_center=False) so a ceiling crossing
-    sinking below r_floor can still fire."""
+    after (r, y) as its event arguments, one set per lane on lanes.
+    Refinement runs drop the center-floor stop (with_center=False) so a
+    ceiling crossing sinking below r_floor can still fire."""
     def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
     events = [
-        _terminal(lambda r, y, w_ceiling, *_: y[1] - w_ceiling, 1),
+        _directed(lambda r, y, w_ceiling, *_: y[1] - w_ceiling, 1),
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
-        _terminal(slope_excess, -1),
-        _terminal(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
+        _directed(slope_excess, -1),
+        _directed(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
     ]
     labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM]
 
     if with_center:
-        events.append(_terminal(
+        events.append(_directed(
             lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1))
         labels.append(EXIT_CENTER_FLOOR)
 
@@ -464,6 +465,13 @@ class _InwardStart:
     def thresholds(self, w_ceiling):
         """The inward events' thresholds for a run under w_ceiling."""
         return w_ceiling, self.slope_floor, self.r_floor
+
+
+def _refuse_start_inside_floor(cfg, thr):
+    """ValueError unless every inward start R - dr lies above r_floor."""
+    if not thr.r_floor_factor + cfg.dr_factor < 1.0:
+        raise ValueError("r_floor_factor + dr_factor must be below 1, or the "
+                         "inward start lies inside the radius floor")
 
 
 def _inward_start(eos, radius, mass, cfg, thr):
@@ -507,21 +515,13 @@ def _inward_start(eos, radius, mass, cfg, thr):
                         m_floor=m_floor, diagnostics=diagnostics)
 
 
-def _bind_thresholds(events, thresholds):
-    """The events as ode.solve calls them, event(r, y), with the thresholds
-    bound."""
-    return [_terminal(lambda r, y, ev=ev: ev(r, y, *thresholds),
-                      ev.direction) for ev in events]
-
-
 def _inward_run(eos, start, w_ceiling, rtol, with_center, prev_w_ceiling):
     """One rung of an inward shot, a solve from the start to 0.01 r_floor
     under w_ceiling; returns (sol, (label, detail)) as _interpret_inward
     reads it."""
     events, labels = _inward_events(eos, with_center)
-    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y,
-                 _bind_thresholds(events, start.thresholds(w_ceiling)), rtol,
-                 start.atol)
+    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events, rtol,
+                 start.atol, start.thresholds(w_ceiling))
     return sol, _interpret_inward(sol, labels, start.r_floor, prev_w_ceiling)
 
 
@@ -549,9 +549,11 @@ def _refine_ladder(eos, start, cfg, thr, label, detail, sol=None):
 
 def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
     """Inward shot from admissible boundary data; returns
-    (ShootClassification, TovTrajectory)."""
+    (ShootClassification, TovTrajectory).  Raises ValueError for a config
+    whose start lies at or inside the radius floor."""
     cfg = config or ShootConfig()
     thr = thresholds or ClassifyThresholds()
+    _refuse_start_inside_floor(cfg, thr)
     start = _inward_start(eos, radius, mass, cfg, thr)
     sol, (label, detail) = _inward_run(eos, start, start.w_ceiling, cfg.rtol,
                                        True, None)
@@ -577,28 +579,24 @@ def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
     Each lane starts as the scalar shot does and has its events, with its
     own thresholds, so it takes the same steps and ends on the same event
     to roundoff.  Rung 0 never needs the dense output: its center-floor
-    event fires before any event below r_floor and before the span end, as
-    long as the start lies above r_floor (data whose start does not are
-    shot one by one).  A lane that ends at the pressure ceiling goes on
-    through the scalar ladder from rung 1.  check_domain's tests run on
-    every accepted state of every lane; a shot whose ladder runs past rung
-    0 is judged on its last rung's trajectory, as the scalar shot is."""
+    event fires before any event below r_floor and before the span end,
+    since every start lies above r_floor (else ValueError, before any
+    shot).  A lane that ends at the pressure ceiling goes on through the
+    scalar ladder from rung 1.  check_domain's tests run on every accepted
+    state of every lane; a shot whose ladder runs past rung 0 is judged on
+    its last rung's trajectory, as the scalar shot is."""
     cfg = config or ShootConfig()
     thr = thresholds or ClassifyThresholds()
+    _refuse_start_inside_floor(cfg, thr)
     results = [None] * len(radii)
     lanes, starts = [], []
     for i, (radius, mass) in enumerate(zip(radii, masses)):
         try:
-            start = _inward_start(eos, radius, mass, cfg, thr)
-            if start.r <= start.r_floor:
-                results[i] = shoot_from_boundary(eos, radius, mass, cfg,
-                                                 thr)[0]
-                continue
+            starts.append(_inward_start(eos, radius, mass, cfg, thr))
         except StellarMatchError as exc:
             results[i] = exc
             continue
         lanes.append(i)
-        starts.append(start)
     if not lanes:
         return results
 
@@ -627,32 +625,28 @@ def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
 
 
 def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
-    """Map the terminating event of an inward solve to a label and exit
-    state.  Non-ceiling events below the radius floor (possible only on
-    refinement runs) are folded back into the center-floor reading at
-    r_floor, as is a run that reaches the span end (0.01 r_floor) with the
-    pressure back under the previous ceiling."""
+    """Map the event that stopped an inward solve to a label and exit
+    state, the solve's last state.  Non-ceiling events below the radius
+    floor (possible only on refinement runs) are folded back into the
+    center-floor reading at r_floor, as is a run that reaches the span end
+    (0.01 r_floor) with the pressure back under the previous ceiling."""
     def center_floor_reading():
         m_f, w_f = (float(v) for v in sol.sol(r_floor))
         return EXIT_CENTER_FLOOR, {"r_exit": r_floor, "m_exit": m_f,
                                    "w_exit": w_f}
 
-    for idx, label in enumerate(labels):
-        if not sol.t_events[idx].size:
-            continue
-        r_e = float(sol.t_events[idx][0])
-        m_e, w_e = (float(v) for v in sol.y_events[idx][0])
-        if label != EXIT_PRESSURE_CEILING and r_e < r_floor:
+    end = {"r_exit": float(sol.t[-1]), "m_exit": float(sol.y[0, -1]),
+           "w_exit": float(sol.y[1, -1])}
+    if sol.event >= 0:
+        label = labels[sol.event]
+        if label != EXIT_PRESSURE_CEILING and end["r_exit"] < r_floor:
             return center_floor_reading()
-        return label, {"r_exit": r_e, "m_exit": m_e, "w_exit": w_e}
+        return label, end
 
     # span end reached: still above the previous ceiling means the crossing
     # moved below the span, an upper bound on the blow-up radius
-    w_end = float(sol.y[1][-1])
-    if prev_w_ceiling is not None and w_end >= prev_w_ceiling:
-        return EXIT_PRESSURE_CEILING, {"r_exit": float(sol.t[-1]),
-                                       "m_exit": float(sol.y[0][-1]),
-                                       "w_exit": w_end}
+    if prev_w_ceiling is not None and end["w_exit"] >= prev_w_ceiling:
+        return EXIT_PRESSURE_CEILING, end
     return center_floor_reading()
 
 

@@ -264,6 +264,26 @@ def test_shoot_boundary_inadmissible(capsys, tmp_path):
     assert stderr_error(err)["error"] == "AdmissibilityError"
 
 
+def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
+    # r_floor = 2 R lies above the start R - dr, where the center-floor
+    # event cannot fire; such a config is malformed, whatever (R, M).
+    out = run_python(
+        "-m", "stellar_match.cli", "shoot-boundary", "--radius", "9.5",
+        "--mass", "0.05", "--out", str(tmp_path / "o"),
+        "--set", "eos.gamma=1.6666666666666667", "--set", "eos.c=1",
+        "--set", "tov.r_floor_factor=2",
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert "tov.r_floor_factor" in record["message"]
+    assert "tov.dr_factor" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_shoot_boundary_past_a_monotone_validity_bound(tmp_path):
     # This EOS ends where dP/drho -> 0, so d ln rho/dh is huge at the end of
     # its enthalpy table; trial steps past it must keep rho and P finite
@@ -445,6 +465,18 @@ def test_cli_import_leaves_out_scipy_stats():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the package integrates with stellar_match.ode; scipy.integrate is a
+    # test oracle only, and importing it costs about 40 ms
+    out = run_python(
+        "-c",
+        "import sys, stellar_match.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))",
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "[]"
 
 
 # -- surface ---------------------------------------------------------------

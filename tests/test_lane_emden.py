@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from stellar_match import NonTerminationError
 from stellar_match import lane_emden as le
@@ -81,9 +82,12 @@ def test_xi1_monotone_in_n():
 
 
 def test_mass_integral_identity():
+    # int_0^xi1 theta^n xi^2 dxi equals mu1 by the equation
     for n in (0.5, 1.0, 1.5, 3.0):
         sol = le.solve(n)
-        assert sol.mass_integral() == pytest.approx(sol.mu1, rel=1e-8)
+        mass, _ = quad(lambda x: le._source(float(sol.theta_at(x)), n) * x**2,
+                       0.0, sol.xi1, epsabs=1e-13, epsrel=1e-12, limit=200)
+        assert mass == pytest.approx(sol.mu1, rel=1e-8)
 
 
 def test_vacuum_continuation_matches_potential():

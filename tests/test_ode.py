@@ -44,14 +44,31 @@ def recorded(monkeypatch):
     return calls
 
 
-def _oracle(fun, t_span, y0, rtol, atol, events=()):
+def _oracle(fun, t_span, y0, rtol, atol, events=(), event_args=()):
+    """solve_ivp on the same problem, each event with event_args bound and
+    marked terminal, as ode.solve treats every event."""
+    def bound(ev):
+        def event(t, y):
+            return ev(t, y, *event_args)
+
+        event.terminal = True
+        event.direction = getattr(ev, "direction", 0)
+        return event
+
     return solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol,
-                     dense_output=True, events=list(events))
+                     dense_output=True, events=[bound(ev) for ev in events])
+
+
+def _oracle_event(want):
+    """The index of the event that stopped a solve_ivp run, -1 for none."""
+    fired = [i for i, te in enumerate(want.t_events or ()) if te.size]
+    return fired[0] if fired else -1
 
 
 def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
-    """Same status, step count and nfev as the oracle; trajectory and event
-    roots within tolerance.  Returns the oracle's result."""
+    """Same status, step count and nfev as the oracle; trajectory, and the
+    stopping event's root and state, within tolerance.  Returns the
+    oracle's result."""
     want = _oracle(*args)
     assert got.status == want.status
     assert got.message == want.message
@@ -59,12 +76,13 @@ def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
     assert got.nfev == want.nfev
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
     assert np.max(np.abs(got.sol(want.t) - want.y) / scale) < TRAJECTORY_TOL
-    for t_got, t_want, y_got, y_want in zip(got.t_events, want.t_events,
-                                            got.y_events, want.y_events):
-        assert t_got.shape == t_want.shape
-        np.testing.assert_allclose(t_got, t_want, rtol=event_tol)
-        if t_want.size:
-            assert np.max(np.abs(y_got - y_want) / scale.T) < TRAJECTORY_TOL
+    assert got.event == _oracle_event(want)
+    if got.event >= 0:
+        np.testing.assert_allclose(got.t[-1], want.t_events[got.event][0],
+                                   rtol=event_tol)
+        y_want = want.y_events[got.event][0]
+        assert np.max(np.abs(got.y[:, -1] - y_want) / scale.T) \
+            < TRAJECTORY_TOL
     return want
 
 
@@ -199,18 +217,16 @@ def test_event_inside_the_first_step():
     def crossing(t, y):
         return y[0] - 1e-9
 
-    crossing.terminal = True
     got = ode.solve(fun, (0.0, 1.0), [0.0], 1e-10, 1e-12, [crossing])
     want = _oracle(fun, (0.0, 1.0), [0.0], 1e-10, 1e-12, [crossing])
-    assert got.status == 1 and got.success
+    assert got.status == 1 and got.success and got.event == 0
     assert len(got.t) == len(want.t) == 2
     assert got.t[-1] == pytest.approx(1e-9, rel=1e-13)
-    assert got.t_events[0][0] == pytest.approx(want.t_events[0][0],
-                                               rel=1e-13)
+    assert got.t[-1] == pytest.approx(want.t_events[0][0], rel=1e-13)
     assert got.nfev == want.nfev
 
 
-def test_event_direction_and_nonterminal_events():
+def test_event_direction():
     def fun(t, y):
         return [y[1], -y[0]]
 
@@ -223,18 +239,17 @@ def test_event_direction_and_nonterminal_events():
         return y[0]
 
     falling.direction = -1
-    falling.terminal = True
-    args = (fun, (4.0, 20.0), [math.sin(4.0), math.cos(4.0)], 1e-10, 1e-12,
-            [rising, falling])
-    got = ode.solve(*args)
-    want = _oracle(*args)
-    # sin t rises through 0 at 2 pi, which is recorded, and falls at 3 pi,
-    # which stops the run
-    np.testing.assert_allclose(got.t_events[0], [2.0 * math.pi], rtol=1e-9)
-    np.testing.assert_allclose(got.t_events[1], [3.0 * math.pi], rtol=1e-9)
-    for a, b in zip(got.t_events, want.t_events):
-        np.testing.assert_allclose(a, b, rtol=EVENT_TOL)
-    assert got.t[-1] == got.t_events[1][-1]
+    # sin t rises through 0 at 2 pi and falls at 3 pi: each event stops the
+    # run at its own crossing and lets the other one pass
+    for event, root in ((rising, 2.0 * math.pi), (falling, 3.0 * math.pi)):
+        args = (fun, (4.0, 20.0), [math.sin(4.0), math.cos(4.0)], 1e-10,
+                1e-12, [event])
+        got = ode.solve(*args)
+        want = _oracle(*args)
+        assert got.event == 0
+        np.testing.assert_allclose(got.t[-1], root, rtol=1e-9)
+        np.testing.assert_allclose(got.t[-1], want.t_events[0][0],
+                                   rtol=EVENT_TOL)
 
 
 @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
@@ -248,7 +263,6 @@ def test_earliest_terminal_root_in_the_step_wins(span):
         def event(t, y):
             return y[0] - value
 
-        event.terminal = True
         return event
 
     args = (fun, span, [span[0]], 1e-10, 1e-12, [level(5.0), level(5.0001)])
@@ -256,9 +270,7 @@ def test_earliest_terminal_root_in_the_step_wins(span):
     want = _oracle(*args)
     first = 5.0 if span[1] > span[0] else 5.0001
     assert got.t[-1] == pytest.approx(first, rel=1e-13)
-    assert [len(te) for te in got.t_events] == [len(te) for te in
-                                                want.t_events]
-    assert got.t_events[0].size + got.t_events[1].size == 1
+    assert got.event == _oracle_event(want) == (0 if first == 5.0 else 1)
 
 
 def test_root_at_the_previous_step_end_is_not_appended_twice():
@@ -270,7 +282,6 @@ def test_root_at_the_previous_step_end_is_not_appended_twice():
     def plateau(t, y):
         return max(0.0, 1.0 - t) + max(0.0, t - 2.0)
 
-    plateau.terminal = True
     plateau.direction = 1
     args = (fun, (0.0, 5.0), [0.0], 1e-8, 1e-10, [plateau])
     got = ode.solve(*args)
@@ -279,7 +290,7 @@ def test_root_at_the_previous_step_end_is_not_appended_twice():
     np.testing.assert_array_equal(np.diff(got.t) > 0, True)
     assert len(got.t) == len(want.t)
     assert len(got.sol._steps) == len(got.t) - 1
-    assert got.t[-1] == got.t_events[0][0]
+    assert got.event == _oracle_event(want) == 0
 
 
 def test_collapsing_steps_return_the_partial_result():
@@ -335,8 +346,7 @@ def _lanes_against_scalar(fun, lanes_fun, starts, t_end, y0s, events=()):
         if want.success:  # y blows up where the steps collapse
             np.testing.assert_allclose(got.y[:, j], want.y[:, -1],
                                        rtol=LANE_TOL, atol=LANE_TOL)
-        fired = [i for i, te in enumerate(want.t_events) if te.size]
-        assert got.event[j] == (fired[0] if fired else -1)
+        assert got.event[j] == want.event
     return got
 
 
@@ -350,7 +360,6 @@ def test_lanes_take_the_scalar_steps_to_a_terminal_event_or_the_bound():
     def falling(t, y):
         return y[0]
 
-    falling.terminal = True
     falling.direction = -1
     starts = [0.1, 0.5, 1.0, 2.0, 3.0]
     y0s = [[math.sin(s), math.cos(s)] for s in starts]
@@ -372,7 +381,6 @@ def test_lanes_stop_at_the_earliest_terminal_root(span):
         def event(t, y):
             return y[0] - value
 
-        event.terminal = True
         return event
 
     starts = [span[0], span[0] + 0.5 * (span[1] - span[0]) / 10.0]
@@ -388,18 +396,13 @@ def test_lanes_pass_each_lane_its_event_arguments():
     def level(t, y, value):
         return y[0] - value
 
-    level.terminal = True
     starts, values = [0.0, 0.5, 1.0, 3.0], [2.0, 7.5, 5.0, 9.0]
     got = ode.solve_lanes(lambda t, y: np.ones_like(y), starts,
                           [10.0] * len(starts), np.array([starts]), 1e-10,
                           1e-12, [level], event_args=[values])
     for j, (start, value) in enumerate(zip(starts, values)):
-        def bound(t, y, value=value):
-            return level(t, y, value)
-
-        bound.terminal = True
         want = ode.solve(lambda t, y: [1.0], (start, 10.0), [start], 1e-10,
-                         1e-12, [bound])
+                         1e-12, [level], (value,))
         assert (got.status[j], got.event[j]) == (1, 0)
         assert got.steps[j] == len(want.t) - 1
         assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)
@@ -432,7 +435,6 @@ def test_lanes_observe_every_accepted_state():
     def falling(t, y):
         return y[0]
 
-    falling.terminal = True
     falling.direction = -1
     starts = [0.5, 2.0]
     ode.solve_lanes(lambda t, y: np.array([y[1], -y[0]]), starts,
@@ -451,12 +453,38 @@ def test_lanes_observe_every_accepted_state():
 
 
 def test_lanes_refuse_what_they_cannot_keep():
-    def event(t, y):
-        return y[0]
-
-    with pytest.raises(ValueError, match="terminal"):
-        ode.solve_lanes(lambda t, y: y, [0.0], [1.0], [[1.0]], 1e-10, 1e-12,
-                        [event])
     with pytest.raises(ValueError, match="one direction"):
         ode.solve_lanes(lambda t, y: y, [0.0, 1.0], [1.0, 0.0],
                         [[1.0, 1.0]], 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
+def test_solve_and_lanes_stop_on_the_same_event(span):
+    # y = t.  Events 0 and 1 share the root y = level exactly (one is twice
+    # the other, so brentq takes the same iterates); event 2 has its root at
+    # y = other > level.  Going up the tie at level goes to event 0, going
+    # down event 2 comes first.  Each lane has its own (level, other).
+    def at_level(t, y, level, other):
+        return y[0] - level
+
+    def twice_at_level(t, y, level, other):
+        return 2.0 * (y[0] - level)
+
+    def at_other(t, y, level, other):
+        return y[0] - other
+
+    events = [at_level, twice_at_level, at_other]
+    levels, others = [2.0, 4.5, 5.0, 6.0], [7.0, 8.0, 5.5, 9.0]
+    starts = [span[0] + 0.01 * k * (span[1] - span[0]) for k in range(4)]
+    got = ode.solve_lanes(lambda t, y: np.ones_like(y), starts,
+                          [span[1]] * 4, np.array([starts]), 1e-10, 1e-12,
+                          events, event_args=[levels, others])
+    rising = span[1] > span[0]
+    for j, (start, args) in enumerate(zip(starts, zip(levels, others))):
+        want = ode.solve(lambda t, y: [1.0], (start, span[1]), [start],
+                         1e-10, 1e-12, events, args)
+        assert want.event == got.event[j] == (0 if rising else 2)
+        assert want.status == got.status[j] == 1
+        assert want.t[-1] == pytest.approx(args[0 if rising else 1],
+                                           rel=LANE_TOL)
+        assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)

@@ -601,22 +601,24 @@ def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
     assert ladders >= 4
 
 
-def test_boundary_lanes_leave_a_start_inside_the_floor_to_the_scalar_shot(
-        lanes_solves):
-    # With r_floor above the start the center-floor event cannot fire and
-    # the scalar shot reads its exit off the dense output, which lanes do
-    # not keep: such data is shot one by one.
+@pytest.mark.parametrize("dr_factor, r_floor_factor", [
+    (1e-6, 2.0), (1e-6, 1.0 - 1e-6), (0.5, 0.5)])
+def test_boundary_shots_refuse_a_start_inside_the_floor(
+        monkeypatch, lanes_solves, dr_factor, r_floor_factor):
+    # r_floor_factor + dr_factor >= 1 puts every start R - dr at or inside
+    # r_floor, where the center-floor event cannot fire.  Both paths refuse
+    # such a config before any shot, whatever the data.
     eos = eos_rel()
-    thr = tov.ClassifyThresholds(r_floor_factor=2.0)
     batch = _inward_batch(eos, (1.0, 0.6))
-    got = tov.shoot_from_boundaries(eos, *zip(*batch), thresholds=thr)
-    assert lanes_solves == []
-    for (radius, mass), outcome in zip(batch, got):
-        want = _scalar_inward(eos, radius, mass, thresholds=thr)
-        if isinstance(want, StellarMatchError):
-            assert str(outcome) == str(want)
-        else:
-            assert outcome == want
+    cfg = tov.ShootConfig(dr_factor=dr_factor)
+    thr = tov.ClassifyThresholds(r_floor_factor=r_floor_factor)
+    solves = []
+    monkeypatch.setattr(ode, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match="radius floor"):
+        tov.shoot_from_boundary(eos, *batch[0], cfg, thr)
+    with pytest.raises(ValueError, match="radius floor"):
+        tov.shoot_from_boundaries(eos, *zip(*batch), cfg, thr)
+    assert solves == [] and lanes_solves == []
 
 
 # -- metric coefficients and junction --------------------------------------
