@@ -25,8 +25,8 @@ theta, h0 and psi2 are integrated together as one system
 Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side never looks up
 the base profile; like the base profile, it runs on `ode.solve`.  A level
 surface Theta = theta_star is solved for every zeta at once with
-Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997) through
-scipy.optimize.elementwise.find_root.
+Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
+`roots.chandrupatla`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from . import ode
 from .errors import StellarMatchError
 from .lane_emden import _series_dtheta, _series_theta
+from .roots import chandrupatla
 
 # Above this rotation parameter the first-order truncation is advisory only.
 FIRST_ORDER_ADVISORY_B = 0.05
@@ -314,7 +314,7 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     """Level set Theta(xi, zeta) = theta_star, one bracketed root per zeta.
 
     All zeta are solved at once by Chandrupatla's method
-    (scipy.optimize.elementwise.find_root) on the brackets
+    (roots.chandrupatla, xatol 1e-13, xrtol 4e-15) on the brackets
     [0, min(Xi1(zeta), xi1 + EXTENSION_SPAN)]; the cap keeps the bracket
     inside the radial responses' Taylor range when the bulge is large.
     theta_star must keep ``margin`` away from both the center value 1 and
@@ -339,14 +339,9 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
         raise StellarMatchError(
             "level %g not bracketed on [0, %.6g] at zeta = %g" % (theta_star, hi[k], zeta[k])
         )
-    res = find_root(
-        objective,
-        (0.0, hi),
-        args=(p2,),
-        tolerances={"xatol": 1e-13, "xrtol": 4e-15, "fatol": 0.0, "frtol": 0.0},
-    )
-    if not np.all(res.success):
-        k = int(np.argmin(res.success))
+    res = chandrupatla(objective, 0.0, hi, args=(p2,), xatol=1e-13, xrtol=4e-15)
+    if np.any(res.status):
+        k = int(np.argmax(res.status != 0))
         raise StellarMatchError(
             "level %g root search failed (status %d) at zeta = %g"
             % (theta_star, res.status[k], zeta[k])

@@ -47,10 +47,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .errors import EosValidityError
+from .roots import brentq
 
 # Soft bounds on the adiabatic exponent; outside them the constructor only
 # raises a flag, it does not refuse to build the EOS.

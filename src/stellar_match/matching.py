@@ -32,6 +32,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads np.random on first use; importing it here keeps that load
+# in start-up, with the package's other imports.
+from numpy.random import default_rng
 
 from .errors import (
     AdmissibilityError,
@@ -102,6 +105,14 @@ class LogGrid:
         return np.geomspace(self.p_lo, self.p_hi, max(n, 2))
 
 
+def _median(values):
+    """np.median of finite values, bit for bit, without np.median's NaN
+    check, whose first call imports numpy.ma (about 17 ms)."""
+    v = np.sort(values)
+    k = v.size // 2
+    return float(v[k]) if v.size % 2 else float((v[k - 1] + v[k]) / 2)
+
+
 @dataclass(frozen=True)
 class MatchingCurvePoint:
     """One forward-shot outcome on a matching curve."""
@@ -151,11 +162,11 @@ class MatchingCurve:
 
     @property
     def r_ref(self):
-        return float(np.median(self.radii))
+        return _median(self.radii)
 
     @property
     def m_ref(self):
-        return float(np.median(self.masses))
+        return _median(self.masses)
 
     def scaled_polyline(self):
         """(n, 2) vertex array in this curve's scaled coordinates."""
@@ -318,10 +329,7 @@ def scan_components(eos, grid, config=None):
             p_hi, upper_bracket = p_succ, (p_fail, p_succ)
 
         base = list(points_by_p.values())
-        refs = (
-            float(np.median([pt.radius for pt in base])),
-            float(np.median([pt.mass for pt in base])),
-        )
+        refs = (_median([pt.radius for pt in base]), _median([pt.mass for pt in base]))
         _refine_sagitta(eos, points_by_p, refs, config, MAX_REFINE_DEPTH)
 
         curves.append(
@@ -491,7 +499,7 @@ def _draw_rect_samples(eos, curves, sampler, count):
             "grid sampler produced %d of %d samples after rejection"
             % (len(out), count)
         )
-    rng = np.random.default_rng(sampler.seed)
+    rng = default_rng(sampler.seed)
     attempts = 0
     max_attempts = max(200 * count, 10_000)
     while len(out) < count:
@@ -514,7 +522,7 @@ def _draw_on_curve_samples(eos, curves, sampler, count, config):
     """Fresh forward shots at central pressures inside curve intervals."""
     if not curves:
         raise ValueError("on-curve sampling needs a non-empty curve list")
-    rng = np.random.default_rng(sampler.seed)
+    rng = default_rng(sampler.seed)
     out = []
     margin = sampler.on_curve_log_margin
     while len(out) < count:

@@ -55,7 +55,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .roots import brentq
 
 EPS = sys.float_info.epsilon
 

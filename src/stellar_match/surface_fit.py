@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distortion import (FIRST_ORDER_ADVISORY_B, LEVEL_MARGIN, ZETA_GRID_POINTS,
                          level_surface, surface_curve)
 from .errors import FitConvergenceError
+from .roots import brentq
 
 # The fit's bracket search runs in s = ln(1 + a1): its first step, and the
 # largest |s| it tries (axis ratios sqrt(1 + a1) up to e^15 either way).

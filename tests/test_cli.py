@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -477,6 +478,47 @@ def test_cli_import_leaves_out_scipy_integrate():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_loads_no_scipy_module_at_import_or_run(tmp_path):
+    # scipy is a test oracle only.  Checking again after one command of
+    # each kind catches a lazy import, which would move the cost from
+    # start-up into the run.  numpy.ma, which np.median's NaN check
+    # imports, is not needed either.
+    script = (
+        "import json, sys\n"
+        "import stellar_match.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "at_import = scipy_modules()\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['shoot-center', '--out', out + '/c', '--p-center', '1e-4']),\n"
+        "         cli.main(['surface', '--out', out + '/s']),\n"
+        "         cli.main(['match', '--out', out + '/m', '--set', 'sweep.count=3'])]\n"
+        "print(json.dumps([at_import, codes, scipy_modules(), 'numpy.ma' in sys.modules]))\n"
+    )
+    out = run_python("-c", script, str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    at_import, codes, after_runs, numpy_ma = json.loads(out.stdout.strip().splitlines()[-1])
+    assert at_import == []
+    assert codes == [0, 0, 0]
+    assert after_runs == []
+    assert not numpy_ma
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_scipy_is_a_test_dependency_only():
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return [re.split(r"[<>=!~\[; ]", req, maxsplit=1)[0].lower() for req in requirements]
+
+    assert "scipy" not in names(project["dependencies"])
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 # -- surface ---------------------------------------------------------------

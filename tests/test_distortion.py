@@ -1,14 +1,16 @@
 """Rotational distortion: radial responses, surface curve, level surfaces."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 from scipy.special import spherical_jn
 
-from stellar_match import lane_emden
+from stellar_match import distortion, lane_emden, roots
 from stellar_match.distortion import (
     DistortionSolution,
     boundary_radius,
@@ -327,6 +329,35 @@ def test_level_surface_matches_scalar_brentq(fixture, request):
         ls = level_surface(dist, b, theta_star, zeta=zeta)
         ref = _brentq_level(dist, b, theta_star, zeta)
         assert np.max(np.abs(ls.xi_star - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2"])
+def test_level_surface_roots_match_scipy_find_root(fixture, request, monkeypatch):
+    # the port takes find_root's iterates on level_surface's own brackets
+    dist = request.getfixturevalue(fixture)
+    solved = []
+
+    def checked(f, a, b, args=(), **tolerances):
+        got = roots.chandrupatla(f, a, b, args, **tolerances)
+        want = find_root(f, (a, b), args=args,
+                         tolerances=dict(tolerances, fatol=0.0, frtol=0.0))
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.status, want.status)
+        np.testing.assert_array_equal(got.nit, want.nit)
+        solved.append(got)
+        return got
+
+    monkeypatch.setattr(distortion, "chandrupatla", checked)
+    for theta_star in (0.2, 0.5, 0.8):
+        level_surface(dist, 1e-2, theta_star)
+    assert len(solved) == 3
+
+
+def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):
+    monkeypatch.setattr(distortion, "chandrupatla",
+                        functools.partial(roots.chandrupatla, maxiter=3))
+    with pytest.raises(StellarMatchError, match=r"root search failed \(status -2\)"):
+        level_surface(dist_n15, 1e-2, 0.5)
 
 
 def test_level_surface_unbracketed_is_labelled(dist_n3):

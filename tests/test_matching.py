@@ -199,6 +199,14 @@ def test_refinement_bounds_chord_deviation(newt_gamma53_curves):
 # -- distances -------------------------------------------------------------
 
 
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in range(1, 40):
+        values = rng.lognormal(0.0, 3.0, n)
+        assert matching._median(values) == float(np.median(values))
+        assert matching._median(list(values)) == float(np.median(list(values)))
+
+
 def test_distance_zero_at_curve_vertices(newt_gamma53_curves):
     _, curves = newt_gamma53_curves
     curve = curves[0]
