@@ -55,7 +55,7 @@ from .surface_fit import (
     scaling_ladder_problem,
     stratification_report,
 )
-from .tov import ClassifyThresholds, ShootConfig, shoot_from_boundary, shoot_from_center
+from .tov import ShootConfig, shoot_from_boundary, shoot_from_center
 
 LOCK_NAME = ".stellar-match.lock"
 
@@ -131,14 +131,14 @@ def _path(v, path, bound):
     return v
 
 
-def _solver_keys(cls):
-    """One tov.* row per field of a solver dataclass, default included:
-    integers (refinement counts) >= 0, floats (scale factors) > 0."""
+def _solver_keys():
+    """One tov.* row per field of ShootConfig, default included: integers
+    (refinement counts) >= 0, floats (scale factors) > 0."""
     return tuple(
         ("tov." + f.name, _integer, (">=", 0), f.default)
         if type(f.default) is int
         else ("tov." + f.name, _number, (">", 0.0), f.default)
-        for f in fields(cls)
+        for f in fields(ShootConfig)
     )
 
 
@@ -151,8 +151,7 @@ SCHEMA = (
     ("eos.c", _light_speed, (">", 0.0), "inf"),
     ("eos.lambda", _numbers, None, []),
     ("eos.rho_max", _number, (">", 0.0), None),
-    *_solver_keys(ShootConfig),
-    *_solver_keys(ClassifyThresholds),
+    *_solver_keys(),
     ("sweep.p_lo", _number, (">", 0.0), 1e-5),
     ("sweep.p_hi", _number, (">", 0.0), 1e-2),
     ("sweep.per_decade", _number, (">=", 2.0), LogGrid.per_decade),
@@ -209,10 +208,11 @@ def _validate_config(data):
             value = rule(value, key, bound)
         merged[section][name] = value
 
-    s, d, t = merged["sweep"], merged["distortion"], merged["tov"]
-    # both scale with R: this keeps every inward start above the radius floor
-    if not t["r_floor_factor"] + t["dr_factor"] < 1.0:
-        _fail("tov.r_floor_factor", "tov.r_floor_factor + tov.dr_factor must be < 1")
+    try:
+        ShootConfig(**merged["tov"])
+    except ValueError as exc:
+        _fail("tov.r_floor_factor, tov.dr_factor", str(exc))
+    s, d = merged["sweep"], merged["distortion"]
     if s["p_hi"] <= s["p_lo"]:
         _fail("sweep.p_hi", "must exceed sweep.p_lo")
     if not d["b"]:
@@ -254,10 +254,6 @@ def _apply_set(data, assignment):
     _put(data, *parts, value)
 
 
-def _from_section(cls, section):
-    return cls(**{f.name: section[f.name] for f in fields(cls)})
-
-
 class RunConfig:
     """Validated run configuration with typed accessors."""
 
@@ -276,10 +272,7 @@ class RunConfig:
         return EosSpec(gamma=e["gamma"], A=e["A"], c_light=c, lambda_coeffs=e["lambda"])
 
     def shoot_config(self):
-        return _from_section(ShootConfig, self.data["tov"])
-
-    def thresholds(self):
-        return _from_section(ClassifyThresholds, self.data["tov"])
+        return ShootConfig(**self.data["tov"])
 
     def polytrope_n(self):
         """distortion.n, or else 1/(gamma - 1), held to the same bound."""
@@ -474,7 +467,7 @@ def cmd_shoot_boundary(cfg, radius, mass):
     eos = cfg.eos_spec()
     with output_lock(cfg.out_dir()) as out:
         cls, trajectory = shoot_from_boundary(
-            eos, radius, mass, config=cfg.shoot_config(), thresholds=cfg.thresholds()
+            eos, radius, mass, config=cfg.shoot_config()
         )
         report = {
             "radius": radius,
@@ -538,7 +531,6 @@ def cmd_match(cfg):
             count=s["count"],
             near_delta=s["near_delta"],
             config=cfg.shoot_config(),
-            thresholds=cfg.thresholds(),
         )
         write_jsonl(
             os.path.join(out, "sweep.jsonl"),

@@ -333,13 +333,15 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
         field = dist.h0.at(xi) + dist.a2 * dist.psi2.at(xi) * p2
         return base.theta_extended(xi) + b * field - theta_star
 
-    bad = (objective(0.0, p2) <= 0.0) | (objective(hi, p2) >= 0.0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    # objective(0) = 1 - theta_star >= margin > 0, so a bracket without a
+    # sign change (status -1) means the level lies beyond hi
+    res = chandrupatla(objective, 0.0, hi, args=(p2,), xatol=1e-13, xrtol=4e-15)
+    unbracketed = res.status == -1
+    if np.any(unbracketed):
+        k = int(np.argmax(unbracketed))
         raise StellarMatchError(
             "level %g not bracketed on [0, %.6g] at zeta = %g" % (theta_star, hi[k], zeta[k])
         )
-    res = chandrupatla(objective, 0.0, hi, args=(p2,), xatol=1e-13, xrtol=4e-15)
     if np.any(res.status):
         k = int(np.argmax(res.status != 0))
         raise StellarMatchError(

@@ -100,12 +100,9 @@ class EosSpec:
     c_light : speed of light; math.inf selects the nonrelativistic mode.
     lambda_coeffs : coefficients (lam_1, lam_2, ...) of the correction
         polynomial; empty means Lam == 0.
-    rho_assert_max : if given, the constructor verifies the validity
-        inequalities on (0, rho_assert_max] and raises when they fail there.
     """
 
-    def __init__(self, gamma, A=1.0, c_light=math.inf, lambda_coeffs=(),
-                 rho_assert_max=None):
+    def __init__(self, gamma, A=1.0, c_light=math.inf, lambda_coeffs=()):
         if not gamma > 1.0:
             raise ValueError("gamma must exceed 1, got %r" % (gamma,))
         if not A > 0.0:
@@ -127,10 +124,6 @@ class EosSpec:
         self.rho_valid_max, self.validity_binding, self.validity_probe_capped \
             = self._locate_validity_bound()
         self.p_valid_max = self._pressure_raw(self.rho_valid_max)
-        if rho_assert_max is not None:
-            error = self.requested_range_error(rho_assert_max)
-            if error is not None:
-                raise error
 
     # -- basic structure ---------------------------------------------------
 

@@ -14,18 +14,17 @@ class NonTerminationError(StellarMatchError):
     """An integration hit a guard (range cap, horizon approach, ...) instead
     of its expected terminal event.  Carries a short machine-readable label."""
 
-    def __init__(self, label, message, detail=None):
+    def __init__(self, label, message):
         super().__init__(message)
         self.label = label
-        self.detail = detail or {}
 
 
 class ShootFailureError(NonTerminationError):
     """A stellar-structure shot ended on a guard exit.  The partial
     trajectory is attached for diagnostics."""
 
-    def __init__(self, label, message, trajectory=None, detail=None):
-        super().__init__(label, message, detail)
+    def __init__(self, label, message, trajectory=None):
+        super().__init__(label, message)
         self.trajectory = trajectory
 
 

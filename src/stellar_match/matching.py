@@ -46,7 +46,6 @@ from .reports import canonical_json, sanitize
 from .tov import (
     CASE11,
     LABEL_EOS_VALIDITY,
-    ClassifyThresholds,
     ShootConfig,
     SurfaceData,
     admissible,
@@ -555,20 +554,18 @@ def _sample_record(outcome):
     return rec
 
 
-def _classify_sample(eos, radius, mass, config, thresholds):
+def _classify_sample(eos, radius, mass, config):
     """Inward classification wrapped as data."""
     if math.isnan(radius):
         return {"case": None, "exit": "forward_shot_failed"}
     try:
-        cls, _ = shoot_from_boundary(
-            eos, radius, mass, config=config, thresholds=thresholds
-        )
+        cls, _ = shoot_from_boundary(eos, radius, mass, config=config)
     except StellarMatchError as exc:
         return _sample_record(exc)
     return _sample_record(cls)
 
 
-def _classify_samples(eos, coords, config, thresholds):
+def _classify_samples(eos, coords, config):
     """_classify_sample for each (R, M, j, distance) sample, in order.
 
     The inward shots are independent, so when LANES_MIN or more samples
@@ -577,13 +574,13 @@ def _classify_samples(eos, coords, config, thresholds):
     shots = [k for k, (radius, _, _, _) in enumerate(coords)
              if not math.isnan(radius)]
     if len(shots) < LANES_MIN:
-        return [_classify_sample(eos, radius, mass, config, thresholds)
+        return [_classify_sample(eos, radius, mass, config)
                 for radius, mass, _, _ in coords]
     outcomes = dict(zip(shots, shoot_from_boundaries(
         eos, [coords[k][0] for k in shots], [coords[k][1] for k in shots],
-        config, thresholds)))
+        config)))
     return [_sample_record(outcomes[k]) if k in outcomes
-            else _classify_sample(eos, radius, mass, config, thresholds)
+            else _classify_sample(eos, radius, mass, config)
             for k, (radius, mass, _, _) in enumerate(coords)]
 
 
@@ -611,7 +608,6 @@ def ae_failure_sweep(
     count=SWEEP_COUNT_DEFAULT,
     near_delta=NEAR_DELTA_DEFAULT,
     config=None,
-    thresholds=None,
 ):
     """Sample boundary data and test "Case 11 only happens on a curve".
 
@@ -628,7 +624,6 @@ def ae_failure_sweep(
     """
     sampler = sampler or SweepSampler()
     config = config or ShootConfig()
-    thresholds = thresholds or ClassifyThresholds()
 
     if sampler.kind == "on-curve":
         coords = _draw_on_curve_samples(eos, curves, sampler, count, config)
@@ -640,7 +635,7 @@ def ae_failure_sweep(
             raise StellarMatchError("sampler produced inadmissible boundary data")
 
     samples = []
-    records = _classify_samples(eos, coords, config, thresholds)
+    records = _classify_samples(eos, coords, config)
     for idx, ((radius, mass, j, dist), record) in enumerate(zip(coords, records)):
         rec = {
             "index": idx,

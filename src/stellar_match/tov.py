@@ -28,8 +28,9 @@ boundary data (R, M) just inside the surface and end in one of four ways:
             (the regular-center success)
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
-are reported as labeled exits outside the taxonomy.  Inward shots refuse
-(ValueError) a config whose start would lie inside the radius floor.
+are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
+holds every setting of a shot, and refuses (ValueError) to be built with
+values that would put an inward start inside the radius floor.
 
 Every shot is one or more solves with `ode.solve`, a Dormand-Prince 5(4)
 integrator in plain float arithmetic that follows scipy's RK45 step rules,
@@ -88,32 +89,34 @@ _METRIC_FLOOR = 1e-14
 HORIZON_MARGIN = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShootConfig:
-    """Integration knobs shared by both directions."""
+    """Settings of a shot: the integration knobs, then the gates of the
+    inward four-case classification.
+
+    The classification's pressure gates scale with p_ref = M^2/R^4, the
+    G = 1 pressure scale of the boundary data.  The pressure ceiling is
+    additionally capped just below the EOS validity bound, since a
+    truncated correction series cannot be followed to arbitrary pressure.
+    Values that would put an inward start R - dr at or inside the radius
+    floor raise ValueError.
+    """
 
     rtol: float = 1e-10
     atol_factor: float = 1e-12      # abs tol = atol_factor * natural scale
     r0_factor: float = 1e-6         # center offset in units of the length scale
-    dr_factor: float = 1e-6         # surface offset in units of R
+    dr_factor: float = 1e-6         # inward surface offset in units of R
     r_max_factor: float = 1e3       # outward guard in units of the length scale
-
-
-@dataclass
-class ClassifyThresholds:
-    """Gates for the inward four-case classification.
-
-    Pressure gates scale with p_ref = M^2/R^4, the G = 1 pressure scale
-    of the boundary data.  The pressure ceiling is additionally capped
-    just below the EOS validity bound, since a truncated correction series
-    cannot be followed to arbitrary pressure.
-    """
-
     r_floor_factor: float = 1e-6
     m_floor_factor: float = 1e-5
     p_ceiling_factor: float = 1e6
     slope_floor_factor: float = 1e-8
     refinements: int = 2
+
+    def __post_init__(self):
+        if not self.r_floor_factor + self.dr_factor < 1.0:
+            raise ValueError("r_floor_factor + dr_factor must be below 1, or "
+                             "the inward start lies inside the radius floor")
 
 
 class TovTrajectory:
@@ -467,14 +470,7 @@ class _InwardStart:
         return w_ceiling, self.slope_floor, self.r_floor
 
 
-def _refuse_start_inside_floor(cfg, thr):
-    """ValueError unless every inward start R - dr lies above r_floor."""
-    if not thr.r_floor_factor + cfg.dr_factor < 1.0:
-        raise ValueError("r_floor_factor + dr_factor must be below 1, or the "
-                         "inward start lies inside the radius floor")
-
-
-def _inward_start(eos, radius, mass, cfg, thr):
+def _inward_start(eos, radius, mass, cfg):
     """_InwardStart of an inward shot from (R, M); raises
     AdmissibilityError for inadmissible data and EosValidityError where
     the EOS cannot represent the fluid at the start."""
@@ -487,13 +483,13 @@ def _inward_start(eos, radius, mass, cfg, thr):
                                  "margin")
 
     p_ref = mass**2 / radius**4
-    ceiling_nominal = thr.p_ceiling_factor * p_ref
+    ceiling_nominal = cfg.p_ceiling_factor * p_ref
     p_cap = 0.999 * eos.p_valid_max
     ceiling = min(ceiling_nominal, p_cap)
     limited_by = "eos_validity" if ceiling < ceiling_nominal else "p_ref"
-    slope_floor = thr.slope_floor_factor * p_ref / radius
-    r_floor = thr.r_floor_factor * radius
-    m_floor = thr.m_floor_factor * mass
+    slope_floor = cfg.slope_floor_factor * p_ref / radius
+    r_floor = cfg.r_floor_factor * radius
+    m_floor = cfg.m_floor_factor * mass
 
     dr = cfg.dr_factor * radius
     r_start, m_start, w_start = surface_start(eos, radius, mass, dr)
@@ -525,7 +521,7 @@ def _inward_run(eos, start, w_ceiling, rtol, with_center, prev_w_ceiling):
     return sol, _interpret_inward(sol, labels, start.r_floor, prev_w_ceiling)
 
 
-def _refine_ladder(eos, start, cfg, thr, label, detail, sol=None):
+def _refine_ladder(eos, start, cfg, label, detail, sol=None):
     """The refinement ladder for the blow-up radius after rung 0 ended
     with (label, detail): while a rung ends at the pressure ceiling, raise
     the ceiling (within the EOS cap) and tighten rtol, watching whether
@@ -534,7 +530,7 @@ def _refine_ladder(eos, start, cfg, thr, label, detail, sol=None):
     radii = start.diagnostics["refinement_radii"]
     w_ceiling = start.w_ceiling
     level = 0
-    while label == EXIT_PRESSURE_CEILING and level < thr.refinements:
+    while label == EXIT_PRESSURE_CEILING and level < cfg.refinements:
         radii.append(detail["r_exit"])
         level += 1
         prev_w_ceiling, w_ceiling = w_ceiling, eos.enthalpy_of_pressure(
@@ -547,18 +543,14 @@ def _refine_ladder(eos, start, cfg, thr, label, detail, sol=None):
     return label, detail, sol
 
 
-def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
+def shoot_from_boundary(eos, radius, mass, config=None):
     """Inward shot from admissible boundary data; returns
-    (ShootClassification, TovTrajectory).  Raises ValueError for a config
-    whose start lies at or inside the radius floor."""
+    (ShootClassification, TovTrajectory)."""
     cfg = config or ShootConfig()
-    thr = thresholds or ClassifyThresholds()
-    _refuse_start_inside_floor(cfg, thr)
-    start = _inward_start(eos, radius, mass, cfg, thr)
+    start = _inward_start(eos, radius, mass, cfg)
     sol, (label, detail) = _inward_run(eos, start, start.w_ceiling, cfg.rtol,
                                        True, None)
-    label, detail, sol = _refine_ladder(eos, start, cfg, thr, label, detail,
-                                        sol)
+    label, detail, sol = _refine_ladder(eos, start, cfg, label, detail, sol)
 
     traj = TovTrajectory(eos, "inward", sol, label,
                          f_const=_f_const(eos, radius, mass))
@@ -569,7 +561,7 @@ def shoot_from_boundary(eos, radius, mass, config=None, thresholds=None):
     return cls, traj
 
 
-def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
+def shoot_from_boundaries(eos, radii, masses, config=None):
     """Inward shots from many boundary data, rung 0 of each run as a lane
     of one `ode.solve_lanes` call.  Returns one entry per (R, M), in order:
     the ShootClassification of shoot_from_boundary, or the
@@ -580,19 +572,17 @@ def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
     own thresholds, so it takes the same steps and ends on the same event
     to roundoff.  Rung 0 never needs the dense output: its center-floor
     event fires before any event below r_floor and before the span end,
-    since every start lies above r_floor (else ValueError, before any
-    shot).  A lane that ends at the pressure ceiling goes on through the
-    scalar ladder from rung 1.  check_domain's tests run on every accepted
-    state of every lane; a shot whose ladder runs past rung 0 is judged on
-    its last rung's trajectory, as the scalar shot is."""
+    since ShootConfig puts every start above r_floor.  A lane that ends at
+    the pressure ceiling goes on through the scalar ladder from rung 1.
+    check_domain's tests run on every accepted state of every lane; a shot
+    whose ladder runs past rung 0 is judged on its last rung's trajectory,
+    as the scalar shot is."""
     cfg = config or ShootConfig()
-    thr = thresholds or ClassifyThresholds()
-    _refuse_start_inside_floor(cfg, thr)
     results = [None] * len(radii)
     lanes, starts = [], []
     for i, (radius, mass) in enumerate(zip(radii, masses)):
         try:
-            starts.append(_inward_start(eos, radius, mass, cfg, thr))
+            starts.append(_inward_start(eos, radius, mass, cfg))
         except StellarMatchError as exc:
             results[i] = exc
             continue
@@ -614,7 +604,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None, thresholds=None):
             detail = {"r_exit": float(sol.t[j]), "m_exit": float(sol.y[0, j]),
                       "w_exit": float(sol.y[1, j])}
             label, detail, rung = _refine_ladder(
-                eos, start, cfg, thr, labels[sol.event[j]], detail)
+                eos, start, cfg, labels[sol.event[j]], detail)
             results[i] = _classify(label, detail, eos, start.r_floor,
                                    start.m_floor, start.diagnostics)
             _check_domain(faults[:, j] if rung is None else _domain_faults(

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,11 +9,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellar_match import __version__, lane_emden
 from stellar_match.cli import DEFAULT_CONFIG, LOCK_NAME, load_config, main, output_lock
 from stellar_match.eos import EosSpec
-from stellar_match.errors import StellarMatchError
+from stellar_match.errors import ConfigError, StellarMatchError
+from stellar_match.tov import ShootConfig
 
 
 def run(capsys, *argv):
@@ -58,6 +61,28 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
     with pytest.raises(ConfigError):
         load_config(path=str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_floor_factor=st.floats(1e-9, 2.0), dr_factor=st.floats(1e-9, 2.0),
+       refinements=st.integers(0, 4))
+@example(r_floor_factor=0.5, dr_factor=0.5, refinements=0)
+def test_cli_and_shoot_config_agree_on_the_radius_floor(
+        r_floor_factor, dr_factor, refinements):
+    tov = {"r_floor_factor": r_floor_factor, "dr_factor": dr_factor,
+           "refinements": refinements}
+    sets = ["tov.%s=%r" % item for item in tov.items()]
+    try:
+        ShootConfig(**dict(DEFAULT_CONFIG["tov"], **tov))
+    except ValueError:
+        with pytest.raises(ConfigError, match="tov.r_floor_factor.*tov.dr_factor"):
+            load_config(sets=sets)
+        return
+    cfg = load_config(sets=sets)
+    assert cfg.shoot_config() == ShootConfig(**cfg["tov"])
+    assert {key: cfg["tov"][key] for key in tov} == tov
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.shoot_config().dr_factor = 0.5
 
 
 def test_threads_flag_is_gone(capsys, tmp_path):

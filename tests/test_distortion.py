@@ -353,6 +353,30 @@ def test_level_surface_roots_match_scipy_find_root(fixture, request, monkeypatch
     assert len(solved) == 3
 
 
+def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypatch):
+    # the bracket ends are checked by the root search itself: past the one
+    # evaluation that places the bracket end (boundary_radius), every
+    # evaluation of h0 is one the search makes
+    at_calls, objective_calls = [], []
+    real_at = dist_n15.h0.at
+
+    def at(xi):
+        at_calls.append(1)
+        return real_at(xi)
+
+    def counted(f, a, b, args=(), **tolerances):
+        def objective(*fargs):
+            objective_calls.append(1)
+            return f(*fargs)
+
+        return roots.chandrupatla(objective, a, b, args, **tolerances)
+
+    monkeypatch.setattr(dist_n15.h0, "at", at)
+    monkeypatch.setattr(distortion, "chandrupatla", counted)
+    level_surface(dist_n15, 1e-2, 0.5)
+    assert objective_calls and len(at_calls) == 1 + len(objective_calls)
+
+
 def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):
     monkeypatch.setattr(distortion, "chandrupatla",
                         functools.partial(roots.chandrupatla, maxiter=3))

@@ -45,10 +45,10 @@ def test_validity_gate_on_conversions():
         eos.density_of_pressure(10.0)
 
 
-def test_constructor_asserted_range():
-    EosSpec(gamma=2.0, A=1.0, c_light=1.0, rho_assert_max=0.4)
-    with pytest.raises(EosValidityError):
-        EosSpec(gamma=2.0, A=1.0, c_light=1.0, rho_assert_max=0.8)
+def test_requested_range_error():
+    eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0)
+    assert eos.requested_range_error(0.4) is None
+    assert isinstance(eos.requested_range_error(0.8), EosValidityError)
 
 
 def test_gamma_warning_flag_not_error():

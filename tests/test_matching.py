@@ -24,7 +24,7 @@ from stellar_match.matching import (
 from stellar_match import tov
 from stellar_match.errors import StellarMatchError
 from stellar_match.reports import canonical_json
-from stellar_match.tov import CASE11, ClassifyThresholds, ShootConfig, admissible
+from stellar_match.tov import CASE11, ShootConfig, admissible
 
 
 @pytest.fixture(scope="module")
@@ -402,8 +402,8 @@ def test_sweep_lanes_keep_a_failing_sample_to_itself(monkeypatch):
     m_split = 2.0 * max(mass for _, mass, _, _ in coords)
     coords.insert(5, (1.5 * coords[4][0], 2.0 * m_split, None, 1.0))
     assert len(coords) >= matching.LANES_MIN
-    config, thresholds = ShootConfig(), ClassifyThresholds()
-    before = matching._classify_samples(eos, coords, config, thresholds)
+    config = ShootConfig()
+    before = matching._classify_samples(eos, coords, config)
     radius, mass, _, _ = coords[5]
     r_step = radius * 0.9
 
@@ -435,13 +435,11 @@ def test_sweep_lanes_keep_a_failing_sample_to_itself(monkeypatch):
         with monkeypatch.context() as mp:
             patch(mp)
             with pytest.raises(StellarMatchError, match=words) as scalar:
-                tov.shoot_from_boundary(eos, radius, mass, config, thresholds)
+                tov.shoot_from_boundary(eos, radius, mass, config)
             lanes = tov.shoot_from_boundaries(
-                eos, [c[0] for c in coords], [c[1] for c in coords],
-                config, thresholds)
-            want = matching._classify_sample(eos, radius, mass, config,
-                                             thresholds)
-            got = matching._classify_samples(eos, coords, config, thresholds)
+                eos, [c[0] for c in coords], [c[1] for c in coords], config)
+            want = matching._classify_sample(eos, radius, mass, config)
+            got = matching._classify_samples(eos, coords, config)
         # the lane collapses where its scalar shot does, to roundoff
         assert type(lanes[5]) is type(scalar.value)
         assert str(lanes[5]).startswith(words)

@@ -253,8 +253,8 @@ def test_case00_estimates_stay_above_floor():
 
 
 def test_center_massive_exit_outside_taxonomy():
-    thr = tov.ClassifyThresholds(p_ceiling_factor=1e30)
-    cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-3, thresholds=thr)
+    cfg = tov.ShootConfig(p_ceiling_factor=1e30)
+    cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-3, config=cfg)
     assert cls.case is None
     assert cls.exit == tov.EXIT_CENTER_MASSIVE
     assert abs(cls.m_exit) > cls.diagnostics["m_floor"]
@@ -507,11 +507,10 @@ def _inward_batch(eos, inadmissible):
     return batch
 
 
-def _scalar_inward(eos, radius, mass, config=None, thresholds=None):
+def _scalar_inward(eos, radius, mass, config=None):
     """shoot_from_boundary's classification, or the error it raises."""
     try:
-        return tov.shoot_from_boundary(eos, radius, mass, config,
-                                       thresholds)[0]
+        return tov.shoot_from_boundary(eos, radius, mass, config)[0]
     except StellarMatchError as exc:
         return exc
 
@@ -606,18 +605,12 @@ def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
 def test_boundary_shots_refuse_a_start_inside_the_floor(
         monkeypatch, lanes_solves, dr_factor, r_floor_factor):
     # r_floor_factor + dr_factor >= 1 puts every start R - dr at or inside
-    # r_floor, where the center-floor event cannot fire.  Both paths refuse
-    # such a config before any shot, whatever the data.
-    eos = eos_rel()
-    batch = _inward_batch(eos, (1.0, 0.6))
-    cfg = tov.ShootConfig(dr_factor=dr_factor)
-    thr = tov.ClassifyThresholds(r_floor_factor=r_floor_factor)
+    # r_floor, where the center-floor event cannot fire.  Such a config
+    # cannot be built, so neither path runs a shot, whatever the data.
     solves = []
     monkeypatch.setattr(ode, "solve", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="radius floor"):
-        tov.shoot_from_boundary(eos, *batch[0], cfg, thr)
-    with pytest.raises(ValueError, match="radius floor"):
-        tov.shoot_from_boundaries(eos, *zip(*batch), cfg, thr)
+        tov.ShootConfig(dr_factor=dr_factor, r_floor_factor=r_floor_factor)
     assert solves == [] and lanes_solves == []
 
 
