@@ -298,16 +298,9 @@ class EosSpec:
         (dense output, h_lo, h_hi, ln rho at h_hi, d ln rho/dh at h_hi)."""
         rho_lo = self.rho_valid_max * 1e-16
         t_lo, t_hi = math.log(rho_lo), math.log(self.rho_valid_max)
-        g = self.gamma
-        x_scale = self.A / self.c_light**2
 
         def dt_dh(_h, t):
-            # The same ratio in x = A rho^(g-1)/c^2, where P/rho = c^2 x (1 +
-            # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam').
-            x = x_scale * math.exp((g - 1.0) * t[0])
-            lam, dlam = self._series(x)
-            return [(1.0 + x * (1.0 + lam))
-                    / (x * (g * (1.0 + lam) + (g - 1.0) * x * dlam))]
+            return [self._dln_rho_dh(t[0])]
 
         def at_bound(_h, t):
             return t[0] - t_hi
@@ -319,7 +312,7 @@ class EosSpec:
         sol = ode.solve(dt_dh, (h_lo, h_lo + (t_hi - t_lo)), [t_lo],
                         _TABLE_TOL, _TABLE_TOL, [at_bound])
         h_hi, t_end = float(sol.t[-1]), float(sol.y[0, -1])
-        slope = dt_dh(h_hi, [t_end])[0]
+        slope = self._dln_rho_dh(t_end)
         # At a monotone bound dP/drho -> 0, so d ln rho/dh diverges and the
         # steps collapse just short of t_hi.  The h still missing there is
         # at most (t_hi - t_end) / slope; the table must reach the bound to
@@ -328,6 +321,20 @@ class EosSpec:
             raise EosValidityError("enthalpy table stops short of the "
                                    "validity bound: " + sol.message)
         return sol.sol, h_lo, h_hi, t_end, slope
+
+    def _dln_rho_dh(self, t):
+        """d ln rho/dh at ln rho = t, the right-hand side of the table's
+        ODE.  Past ln rho_valid_max it keeps its value there, as ln rho
+        continues linearly past the table's end, so a trial stage that
+        overshoots the bound gets a finite value."""
+        g = self.gamma
+        # The same ratio in x = A rho^(g-1)/c^2, where P/rho = c^2 x (1 +
+        # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam').
+        x = self.A / self.c_light**2 * math.exp(
+            (g - 1.0) * min(t, math.log(self.rho_valid_max)))
+        lam, dlam = self._series(x)
+        return (1.0 + x * (1.0 + lam)) \
+            / (x * (g * (1.0 + lam) + (g - 1.0) * x * dlam))
 
     def _rho_of_w_unchecked(self, w):
         """Density from the enthalpy variable, with vacuum continuation

@@ -1,50 +1,66 @@
-"""Dormand-Prince 5(4) integration in plain float arithmetic.
+"""DOP853 integration in plain float arithmetic.
 
 `solve` integrates a small system y' = fun(t, y) whose state is a list of
 floats.  It is the package's one integrator: the TOV shots, the EOS table,
 the Lane-Emden profile and the distortion responses all run on it.  It
 returns the fields they read off a scipy ODE result: the accepted steps
 `t`, `y`, the dense output `sol`, `nfev`, `success`, `message`, and
-`event`, the index of the event that stopped it.  It follows scipy's RK45
-step by step, so its trajectories agree with those of scipy's RK45 driver
-(dense output on) to roundoff.  The step ends themselves agree only to
-about 1e-9 relative: the error estimate cancels by several digits and
-scipy sums it in another order, so where it is mostly rounding (tight
-rtol) a step count can differ by one.  Copied:
+`event`, the index of the event that stopped it.  Its steps are those of
+scipy's DOP853 driver, so up to an event its trajectories agree with
+scipy's to roundoff; the step ends agree only to a relative 1e-9 or so,
+since the error estimate cancels by several digits and scipy sums it in
+another order.  Copied from scipy (`integrate/_ivp/rk.py` and
+`dop853_coefficients.py`):
 
-- the Dormand-Prince pair (Dormand & Prince 1980, J. Comp. Appl. Math. 6,
-  19) with local extrapolation, and Shampine's 4th-order continuous
-  extension for the dense output (Shampine 1986, Math. Comp. 46, 135);
-- the RMS error norm with scale atol + max(|y|, |y_new|) rtol, safety 0.9,
-  a step factor in [0.2, 10] that is capped at 1 after a rejection, a
-  minimum step of 10 ulp of t, and the last step clipped to the bound;
-- the Hairer-Norsett-Wanner initial step (Solving ODEs I, sec. II.4),
-  which costs one right-hand side call beyond the one at t0;
+- the Dormand-Prince 8(5,3) pair with local extrapolation, 12 stages per
+  step with the last one reused (Hairer, Norsett & Wanner, Solving ODEs I,
+  sec. II.5), and its 7th-order continuous extension, which takes three
+  more stages (sec. II.6);
+- the error norm |h| err5^2 / sqrt((err5^2 + 0.01 err3^2) n), each error
+  scaled by atol + max(|y|, |y_new|) rtol, safety 0.9, a step factor
+  err^(-1/8) in [0.2, 10] that is capped at 1 after a rejection, a
+  minimum step of 10 ulp of t, the last step clipped to the bound, and
+  rtol floored at 100 eps;
+- the Hairer-Norsett-Wanner initial step for an order-7 error estimate
+  (sec. II.4), which costs one right-hand side call beyond the one at t0;
 - events as scipy's driver handles terminal ones: a sign change between
   step ends in the event's direction, a brentq root on that step's
   interpolant, a stop at the earliest root (a tie goes to the lower event
-  index), whose state replaces the step end.  Every event is terminal.
+  index).  Every event is terminal.
 
-Each right-hand side call receives the state as a list and may return any
-sequence.  No numpy runs inside a step; the result arrays are built once
-at the end.  When the step size collapses below its minimum the solve
-stops with success False and returns the steps accepted so far.
+One thing is not scipy's: the step that straddles the root is redone from
+its start with h ending at the root (HNW I, sec. II.6, on discontinuous
+right-hand sides).  The reported state and the last step of the dense
+output are that step's, so no stage of the last step reaches past the
+root, where a right-hand side may switch branch (the vacuum past a
+stellar surface).  A root at the step's start needs no redo: the solve
+ends at the previous step.
+
+The interpolant's three extra stages are computed only for a step whose
+interpolant is used (the step an event crosses, a float lookup of `sol`,
+or an array lookup, which builds them for every step with numpy and one
+right-hand side call per extra stage and step); `nfev` counts the calls
+made during the solve.  Each right-hand side call receives the state as a
+list and may return any sequence.  No numpy runs inside a step; the result
+arrays are built once at the end.  When the step size collapses below its
+minimum the solve stops with success False and returns the steps accepted
+so far.
 
 `solve_lanes` runs many independent solves of one system in lockstep, as
 lanes of numpy arrays: each lane keeps its own t, step size and rejection
 flag, takes the steps `solve` would take from its start (the same tableau,
-error norm, step rules, minimum step, initial step and event rules), and a
-mask retires it when it reaches its bound, an event or a collapsed step.
-Event arguments may differ from lane to lane: they follow each lane as the
-mask retires others, and an event sees the active lanes' values (one
-lane's floats when its root is found).  Its cost per lockstep step is
-about that of a few scalar steps, so it pays from about a dozen to twenty
-lanes (see matching.LANES_MIN).  It keeps no step history: it returns
+error norm, step rules, minimum step, initial step, event rules and redo),
+and a mask retires it when it reaches its bound, an event or a collapsed
+step.  Event arguments may differ from lane to lane: they follow each lane
+as the mask retires others, and an event sees the active lanes' values
+(one lane's floats when its root is found).  It pays from about sixteen
+lanes on (see matching.LANES_MIN).  It keeps no step history: it returns
 where each lane ended, and hands each accepted state to an optional
-observer.  The arithmetic is the scalar solve's, operation for operation,
-but numpy's elementwise functions may round the right-hand side
-differently by an ulp, so lanes agree with `solve` to roundoff, not bit
-for bit.
+observer.  Every weighted sum of stages is one Python expression that
+both paths evaluate, left to right, on floats or on arrays, so the
+arithmetic is the scalar solve's operation for operation; numpy's
+elementwise functions may still round a right-hand side differently by an
+ulp, so lanes agree with `solve` to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +69,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,37 +77,118 @@ from .roots import brentq
 
 EPS = sys.float_info.epsilon
 
-# Nodes, stage weights, 5th-order weights and error weights (5th minus 4th
-# order) of the Dormand-Prince pair; the zero entries, all in the second
-# stage, are left out.
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                           -5103 / 18656)
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                          17253 / 339200, -22 / 525, 1 / 40)
-# Shampine's dense output: y(t_old + x h) = y_old + h sum_j Q_j x^(j+1) with
-# Q = K^T P; the first column of P is (1, 0, ..., 0), so Q_0 = K_1.
-P1 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
-      -12715105075 / 11282082432)
-P3 = (131558114200 / 32700410799, -68118460800 / 10900136933,
-      87487479700 / 32700410799)
-P4 = (-1754552775 / 470086768, 14199869525 / 1410260304,
-      -10690763975 / 1880347072)
-P5 = (127303824393 / 49829197408, -318862633887 / 49829197408,
-      701980252875 / 199316789632)
-P6 = (-282668133 / 205662961, 2019193451 / 616988883,
-      -1453857185 / 822651844)
-P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
+# scipy's dop853_coefficients, copied.  C holds the nodes of the 12 stages,
+# of the stage at t + h that the next step reuses, and of the three extra
+# stages of the interpolant; row s of A (s entries) the weights of stage
+# s + 1, so A[12] is B, the weights of the step.  E5 and E3 (13 entries,
+# the last for the reused stage) give the 5th- and 3rd-order error
+# estimates, and D the four stage sums of the interpolant beyond its first
+# three rows.
+C = (0.0, 0.526001519587677318785587544488e-01,
+     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
+     0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
+     0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+     0.777777777777777777777777777778)
+A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+     -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+     -5.49237485713909884646569340306e-2, 0.0, 0.0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0,
+     0.0, 0.0, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+      -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+      0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+      0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+      -0.2235530786388629525884427845e-1, 0.0)
+D = (
+    (-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+     0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+     0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+     -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+     0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+     -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+     0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+     -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+     0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+     -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+     -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+     0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+     0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+     -0.14972683625798562581422125276e+3),
+)
+B = A[12]
+# B less the weights of the 3rd-order estimate, as scipy writes it
+E3 = (B[0] - 0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, B[5],
+      B[6], B[7], B[8] - 0.733846688281611857341361741547, B[9], B[10],
+      B[11] - 0.220588235294117647058823529412e-1, 0.0)
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-ERROR_EXPONENT = -1 / 5
+ERROR_EXPONENT = -1 / 8
 
 MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
@@ -99,20 +197,99 @@ MESSAGES = {
 }
 
 
+def _weighted_sums(template, *rows, floats):
+    """A function of (y, k, h) that fills `template` with the sum
+    w_0 k[0] + w_1 k[1] + ... of each row of weights w, over the nonzero
+    weights, left to right: once on arrays, or over the components of lists
+    of floats (floats=True).  Both kinds evaluate the same expression text,
+    built from the tables above, so they round alike."""
+    used = sorted({j for row in rows for j, w in enumerate(row) if w})
+    name = "k%d" if floats else "k[%d]"
+    expr = template % tuple(
+        " + ".join("(%r) * %s" % (w, name % j)
+                   for j, w in enumerate(row) if w)
+        for row in rows)
+    if not floats:
+        return eval("lambda y, k, h: " + expr)
+    return eval("lambda y, k, h: [%s for y%s in zip(y%s)]" % (
+        expr, "".join(", k%d" % j for j in used),
+        "".join(", k[%d]" % j for j in used)))
+
+
+class _Sums(NamedTuple):
+    """The tableau's weighted sums, on floats or on arrays: (node, the
+    argument y + h sum_j a_j k_j) of each stage after the first, the new
+    state y + h sum_j b_j k_j, the (err5, err3) sums, and the (node,
+    argument) of each extra stage and the four D sums of the
+    interpolant."""
+
+    stages: tuple
+    new: object
+    errors: object
+    extra: tuple
+    dense: object
+
+
+def _sums(floats):
+    def state(row):
+        return _weighted_sums("y + (%s) * h", row, floats=floats)
+
+    return _Sums(
+        stages=tuple(zip(C[1:12], map(state, A[1:12]))), new=state(B),
+        errors=_weighted_sums("(%s, %s)", E5, E3, floats=floats),
+        extra=tuple(zip(C[13:], map(state, A[13:]))),
+        dense=_weighted_sums("(%s, %s, %s, %s)", *D, floats=floats))
+
+
+_FLOATS = _sums(floats=True)
+_LANES = _sums(floats=False)
+
+
+def _rk_step(fun, sums, t, y, f, h, hy):
+    """One step of size h from (t, y), f = fun(t, y): (y_new, k), k the 12
+    stages and fun(t + h, y_new).  hy is h as `sums` multiplies the state
+    by it: h itself, or on lanes h repeated for each component."""
+    k = [f]
+    for c, stage in sums.stages:
+        k.append(fun(t + c * h, stage(y, k, hy)))
+    y_new = sums.new(y, k, hy)
+    k.append(fun(t + h, y_new))
+    return y_new, k
+
+
+def _extra_stages(fun, sums, t_old, h, y_old, k, hy):
+    """The step's stages k followed by the interpolant's three extra
+    ones."""
+    k = list(k)
+    for c, stage in sums.extra:
+        k.append(fun(t_old + c * h, stage(y_old, k, hy)))
+    return k
+
+
+def _rows(y_old, y_new, f_old, f_new, h, d):
+    """Rows F_0 .. F_6 of the interpolant of one component, or of arrays
+    of them, from the D sums d of its stages."""
+    dy = y_new - y_old
+    return (dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
+            h * d[0], h * d[1], h * d[2], h * d[3])
+
+
+def _horner(y_old, rows, x):
+    """y(t_old + x h) from the rows of _rows; floats or arrays."""
+    f0, f1, f2, f3, f4, f5, f6 = rows
+    x1 = 1.0 - x
+    return ((((((f6 * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1)
+            * x1 + f0) * x + y_old
+
+
 def _rms(values):
     return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
 
 
-def _quartic(k1, k3, k4, k5, k6, k7):
-    """(Q_0, .., Q_3) of one step from its stages; floats or arrays."""
-    return (k1,) + tuple(
-        p1 * k1 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6 + p7 * k7
-        for p1, p3, p4, p5, p6, p7 in zip(P1, P3, P4, P5, P6, P7))
-
-
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     """First step size (Hairer, Norsett & Wanner, sec. II.4), as scipy's
-    select_initial_step; makes one right-hand side call."""
+    select_initial_step for an order-7 error estimate; makes one right-hand
+    side call."""
     interval = abs(t_bound - t0)
     scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -125,21 +302,25 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, interval)
 
 
 class DenseOutput:
-    """Continuous solution over the accepted steps: one quartic per step.
+    """Continuous solution over the accepted steps: one 7th-order
+    interpolant per step.
 
     A float argument returns a list of floats, found with `bisect` and
-    evaluated by Horner; an array returns an (n, len(t)) array.  At a step
+    evaluated by Horner; the step's three extra stages are computed on its
+    first lookup.  An array returns an (n, len(t)) array; the first one
+    computes the extra stages of every step with numpy, one right-hand side
+    call per extra stage and step.  Both give the same bits.  At a step
     boundary the earlier step is used, and points outside the covered range
     extrapolate the nearest end step, as scipy's OdeSolution does.  The
-    last step of an event-truncated run keeps its full length."""
+    last step of an event-stopped run is the one redone to the root."""
 
     def __init__(self, ts, steps):
-        self._steps = steps  # (t_old, h, y_old, k1, k3, k4, k5, k6, k7)
+        self._steps = steps  # (t_old, h, y_old, y_new, stages, fun)
         self._coeffs = [None] * len(steps)
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = ts if self._sign > 0 else [-t for t in ts]
@@ -158,32 +339,46 @@ class DenseOutput:
 
     def _call_array(self, t):
         if self._arrays is None:
-            cols = list(zip(*self._steps))
-            t_old, h = np.array(cols[0]), np.array(cols[1])
-            # each (n, steps): y_old, then the stages
-            y_old, *k = (np.array(c, dtype=float).T for c in cols[2:])
-            self._arrays = (np.array(self._keys), t_old, h, y_old,
-                            _quartic(*k))
-        keys, t_old, h, y_old, (q0, q1, q2, q3) = self._arrays
+            self._arrays = self._build_arrays()
+        keys, t_old, h, y_old, rows = self._arrays
         i = np.searchsorted(keys, self._sign * t, side="left") - 1
         np.clip(i, 0, len(t_old) - 1, out=i)
-        h_i = h[i]
-        x = (t - t_old[i]) / h_i
-        return y_old[:, i] + h_i * (x * (q0[:, i] + x * (
-            q1[:, i] + x * (q2[:, i] + x * q3[:, i]))))
+        return _horner(y_old[:, i], [r[:, i] for r in rows],
+                       (t - t_old[i]) / h[i])
+
+    def _build_arrays(self):
+        t_old, h, y_old, y_new, k, funs = zip(*self._steps)
+        fun = funs[0]
+
+        def each_step(t, y):
+            return np.array([fun(*arg) for arg in zip(t.tolist(),
+                                                      y.T.tolist())]).T
+
+        t_old, h = np.array(t_old), np.array(h)
+        # each (n, steps)
+        y_old, y_new = (np.array(y, dtype=float).T for y in (y_old, y_new))
+        k = _extra_stages(each_step, _LANES, t_old, h, y_old,
+                          [np.array(s, dtype=float).T for s in zip(*k)], h)
+        return (np.array(self._keys), t_old, h, y_old,
+                _rows(y_old, y_new, k[0], k[12], h,
+                      _LANES.dense(y_old, k, h)))
 
 
 def _step_coeffs(step):
-    """(t_old, h, [(y_old, Q_0, .., Q_3) per component]) of one step."""
-    t_old, h, y_old, *k = step
-    return t_old, h, [(y, *_quartic(*ks)) for y, *ks in zip(y_old, *k)]
+    """(t_old, h, [(y_old, rows F_0 .. F_6) per component]) of one step;
+    computes its three extra stages."""
+    t_old, h, y_old, y_new, k, fun = step
+    k = _extra_stages(fun, _FLOATS, t_old, h, y_old, k, h)
+    return t_old, h, [
+        (a, _rows(a, b, f_old, f_new, h, d))
+        for a, b, f_old, f_new, d in zip(y_old, y_new, k[0], k[12],
+                                         _FLOATS.dense(y_old, k, h))]
 
 
 def _evaluate(coeffs, t):
     t_old, h, comps = coeffs
     x = (t - t_old) / h
-    return [y + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
-            for y, q0, q1, q2, q3 in comps]
+    return [_horner(y, rows, x) for y, rows in comps]
 
 
 def _first_root(events, crossed, coeffs, args, t_old, t_new, direction):
@@ -215,12 +410,14 @@ class OdeResult:
 
 
 def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
-    """Integrate y' = fun(t, y) over t_span from y0 with scipy's RK45 rules.
+    """Integrate y' = fun(t, y) over t_span from y0 with scipy's DOP853
+    rules.
 
     atol is a float or one float per component.  Each event is a function
     event(t, y, *event_args) with an optional attribute `direction` (sign
     of the crossings that count; 0 for both), as for scipy's driver.  Every
-    event is terminal: the earliest root stops the solve."""
+    event is terminal: the earliest root stops the solve, and the step to
+    it is redone to end there."""
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("empty integration span")
@@ -229,7 +426,6 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
     n = len(y)
     atol = [float(a) for a in atol] if np.ndim(atol) else [float(atol)] * n
     rtol = max(float(rtol), 100 * EPS)  # scipy's floor on rtol
-    sqrt_n = n ** 0.5
 
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
@@ -255,31 +451,21 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
             h = t_new - t
             h_abs = abs(h)
 
-            k1 = f
-            k2 = fun(t + C2 * h, [v + A21 * a * h for v, a in zip(y, k1)])
-            k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h
-                                  for v, a, b in zip(y, k1, k2)])
-            k4 = fun(t + C4 * h, [v + (A41 * a + A42 * b + A43 * c) * h
-                                  for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = fun(t + C5 * h,
-                     [v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
-                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h,
-                     [v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-                      * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * s)
-                     for v, a, c, d, e, s in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
-            nfev += 6
+            y_new, k = _rk_step(fun, _FLOATS, t, y, f, h, h)
+            nfev += 12
 
-            sq = 0.0
-            for v, w, a, c, d, e, s, z, tol in zip(y, y_new, k1, k3, k4, k5,
-                                                   k6, k7, atol):
-                err = (E1 * a + E3 * c + E4 * d + E5 * e + E6 * s
-                       + E7 * z) * h
+            sq5 = sq3 = 0.0
+            for v, w, (e5, e3), tol in zip(y, y_new, _FLOATS.errors(y, k, h),
+                                           atol):
                 v, w = abs(v), abs(w)
-                sq += (err / (tol + (v if v > w else w) * rtol)) ** 2
-            error_norm = math.sqrt(sq) / sqrt_n
+                scale = tol + (v if v > w else w) * rtol
+                e5, e3 = e5 / scale, e3 / scale
+                sq5 += e5 * e5
+                sq3 += e3 * e3
+            if sq5 == 0.0 and sq3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * n)
 
             if error_norm < 1.0:
                 if error_norm == 0.0:
@@ -296,9 +482,9 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
         if status == -1:
             break
 
-        step = (t, h, y, k1, k3, k4, k5, k6, k7)
+        step = (t, h, y, y_new, k, fun)
         steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, k7
+        t_old, y_old, t, y, f = t, y, t_new, y_new, k[12]
         if direction * (t - t_bound) >= 0:
             status = 0
         t_out, y_out = t, y
@@ -310,11 +496,17 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
                        if (sense >= 0 and a <= 0 <= b)
                        or (sense <= 0 and a >= 0 >= b)]
             if crossed:
-                coeffs = _step_coeffs(step)
-                t_out, event = _first_root(events, crossed, coeffs, event_args,
-                                           t_old, t, direction)
-                y_out = _evaluate(coeffs, t_out)
+                t_out, event = _first_root(events, crossed, _step_coeffs(step),
+                                           event_args, t_old, t, direction)
+                nfev += 3
                 status = 1
+                y_out = y_old
+                if t_out != t_old:  # redo the step to end at the root
+                    h = t_out - t_old
+                    y_out, k = _rk_step(fun, _FLOATS, t_old, y_old, k[0], h,
+                                        h)
+                    nfev += 12
+                    steps[-1] = (t_old, h, y_old, y_out, k, fun)
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t_out:
@@ -360,12 +552,20 @@ def _initial_step_lanes(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     # the quotient is only taken where d1 >= 1e-5 (no division by zero)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
     h0 = np.minimum(h0, interval)
-    f1 = np.asarray(fun(t0 + h0 * direction, y0 + h0 * direction * f0))
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
     d2 = _rms_lanes((f1 - f0) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** (1 / 5))
+                  (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** (1 / 8))
     return np.minimum(np.minimum(100 * h0, h1), interval)
+
+
+def _sum_rows(values):
+    """Sum over the first axis, row after row: the scalar solve's order."""
+    total = values[0]
+    for row in values[1:]:
+        total = total + row
+    return total
 
 
 def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
@@ -381,11 +581,15 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
     each with one value per lane (event thresholds, say): an event is
     called as event(t, y, *args) with the active lanes' values of each, or
     one lane's floats when finding its root, so each lane's events are
-    those of its scalar solve with that lane's event_args.  observe(lanes, t, y), if
-    given, sees the start and, after each lockstep step, the state of every
-    active lane by lane index: its step end, the event root where an event
-    stopped it, or its last state again where its step was rejected.
-    Returns a LanesResult."""
+    those of its scalar solve with that lane's event_args.  The steps to
+    the roots found in one lockstep step are redone together.
+    observe(lanes, t, y), if given, sees the start and, after each lockstep
+    step, the state of every active lane by lane index: its step end, the
+    event root where an event stopped it, or its last state again where its
+    step was rejected.  Returns a LanesResult."""
+    def rhs(t, y):
+        return np.asarray(fun(t, y), dtype=float)
+
     t = np.array(t0, dtype=float)
     t_bound = np.array(t_bound, dtype=float)
     y = np.array(y0, dtype=float)
@@ -401,10 +605,9 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
     senses = np.array([[getattr(ev, "direction", 0)] for ev in events])
     rising, falling = senses >= 0, senses <= 0
     args = np.array(event_args, dtype=float).reshape(len(event_args), lanes)
-    sqrt_n = n ** 0.5
 
-    f = np.asarray(fun(t, y), dtype=float)
-    h_abs = _initial_step_lanes(fun, t, y, f, t_bound, direction, rtol, atol)
+    f = rhs(t, y)
+    h_abs = _initial_step_lanes(rhs, t, y, f, t_bound, direction, rtol, atol)
     out = LanesResult(t=t.copy(), y=y.copy(), status=np.zeros(lanes, int),
                       event=np.full(lanes, -1), steps=np.zeros(lanes, int),
                       nfev=np.zeros(lanes, int))
@@ -416,10 +619,12 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
 
     # the active lanes' state; a lane whose last trial step was rejected
     # retries it, any other starts a new step.  Every active lane makes one
-    # trial step per lockstep step.
+    # trial step per lockstep step; `spent` counts the evaluations of its
+    # interpolant and its redone step.
     rejected = np.zeros(lanes, dtype=bool)
     fired = np.full(lanes, -1)
     steps = np.zeros(lanes, dtype=int)
+    spent = np.zeros(lanes, dtype=int)
     trials = 0
     while index.size:
         min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -432,27 +637,17 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
         # cheaper than broadcasting a (k,) one
         hn = np.array((h,) * n)
 
-        k1 = f
-        k2 = np.asarray(fun(t + C2 * h, y + A21 * k1 * hn))
-        k3 = np.asarray(fun(t + C3 * h, y + (A31 * k1 + A32 * k2) * hn))
-        k4 = np.asarray(fun(t + C4 * h,
-                            y + (A41 * k1 + A42 * k2 + A43 * k3) * hn))
-        k5 = np.asarray(fun(t + C5 * h, y + (A51 * k1 + A52 * k2 + A53 * k3
-                                             + A54 * k4) * hn))
-        k6 = np.asarray(fun(t + h, y + (A61 * k1 + A62 * k2 + A63 * k3
-                                        + A64 * k4 + A65 * k5) * hn))
-        y_new = y + hn * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        k7 = np.asarray(fun(t + h, y_new))
+        y_new, k = _rk_step(rhs, _LANES, t, y, f, h, hn)
         trials += 1
 
-        err = (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6
-               + E7 * k7) * hn
+        err5, err3 = _LANES.errors(y, k, hn)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        terms = (err / scale) ** 2
-        sq = terms[0]
-        for term in terms[1:]:  # the scalar solve's order of summation
-            sq = sq + term
-        error_norm = np.sqrt(sq) / sqrt_n
+        err5, err3 = err5 / scale, err3 / scale
+        sq5, sq3 = _sum_rows(err5 * err5), _sum_rows(err3 * err3)
+        # a zero sq5 gives a zero norm, with or without sq3, as in the
+        # scalar solve, and no division by zero
+        error_norm = np.abs(h) * sq5 / np.sqrt(np.where(
+            (sq5 == 0.0) & (sq3 == 0.0), 1.0, (sq5 + 0.01 * sq3) * n))
 
         accept = error_norm < 1.0
         # the floor gives a zero norm the factor MAX_FACTOR, as in the
@@ -467,9 +662,9 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
         if np.count_nonzero(rejected):
             t = np.where(accept, t_new, t)
             y = np.where(accept, y_new, y)
-            f = np.where(accept, k7, f)
+            f = np.where(accept, k[12], f)
         else:
-            t, y, f = t_new, y_new, k7
+            t, y, f = t_new, y_new, k[12]
         steps = steps + accept
         # a rejected lane's t, and so its minimum step, stay as they were
         collapsed = rejected & (h_abs < min_step)
@@ -480,18 +675,22 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
             crossed = accept & ((rising & (g <= 0) & (g_new >= 0))
                                 | (falling & (g >= 0) & (g_new <= 0)))
             g = g_new
-            ends = np.flatnonzero(crossed.any(axis=0)) \
-                if np.count_nonzero(crossed) else ()
-            for j in ends:
-                coeffs = _step_coeffs((
-                    float(t_old[j]), float(h[j]), y_old[:, j].tolist(),
-                    *(k[:, j].tolist() for k in (k1, k3, k4, k5, k6, k7))))
-                root, e = _first_root(
-                    events, np.flatnonzero(crossed[:, j]), coeffs,
-                    args[:, j].tolist(), float(t_old[j]), float(t[j]),
-                    direction)
-                t[j], y[:, j] = root, _evaluate(coeffs, root)
-                fired[j], stop[j] = e, True
+            if np.count_nonzero(crossed):
+                ends = np.flatnonzero(crossed.any(axis=0))
+                t_root = _stop_at_roots(
+                    rhs, events, crossed[:, ends], args[:, ends], direction,
+                    fired, ends, t_old[ends], t[ends], y_old[:, ends],
+                    y[:, ends], [s[:, ends] for s in k], hn[:, ends])
+                redo = t_root != t_old[ends]
+                y_root = y_old[:, ends]
+                if np.count_nonzero(redo):
+                    h_root = t_root[redo] - t_old[ends[redo]]
+                    y_root[:, redo], _ = _rk_step(
+                        rhs, _LANES, t_old[ends[redo]], y_old[:, ends[redo]],
+                        k[0][:, ends[redo]], h_root, np.array((h_root,) * n))
+                t[ends], y[:, ends] = t_root, y_root
+                stop[ends] = True
+                spent[ends] += 3 + 12 * redo
 
         if observe is not None:
             observe(index, t, y)
@@ -501,10 +700,32 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
             out.status[lane] = np.where(fired[stop] >= 0, 1,
                                         np.where(collapsed[stop], -1, 0))
             out.event[lane], out.steps[lane] = fired[stop], steps[stop]
-            out.nfev[lane] = 2 + 6 * trials
+            out.nfev[lane] = 2 + 12 * trials + spent[stop]
             go = ~stop
             (index, t, t_bound, y, f, atol, g, args, h_abs, rejected, fired,
-             steps) = (a[..., go] for a in (
+             steps, spent) = (a[..., go] for a in (
                  index, t, t_bound, y, f, atol, g, args, h_abs, rejected,
-                 fired, steps))
+                 fired, steps, spent))
     return out
+
+
+def _stop_at_roots(fun, events, crossed, args, direction, fired, ends, t_old,
+                   t_new, y_old, y_new, k, hn):
+    """The earliest root of each crossing lane `ends` of one lockstep step,
+    as `solve` finds it on the lane's interpolant (whose extra stages are
+    computed for all of them at once); records the event in `fired`.
+    Arrays cover those lanes only, except `fired`."""
+    h = hn[0]
+    k = _extra_stages(fun, _LANES, t_old, h, y_old, k, hn)
+    rows = np.array(_rows(y_old, y_new, k[0], k[12], h,
+                          _LANES.dense(y_old, k, hn)))  # (7, n, lanes)
+    roots = np.empty(len(ends))
+    for col, lane in enumerate(ends):
+        start = float(t_old[col])
+        coeffs = (start, float(h[col]),
+                  list(zip(y_old[:, col].tolist(),
+                           rows[:, :, col].T.tolist())))
+        roots[col], fired[lane] = _first_root(
+            events, np.flatnonzero(crossed[:, col]), coeffs,
+            args[:, col].tolist(), start, float(t_new[col]), direction)
+    return roots

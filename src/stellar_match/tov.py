@@ -9,9 +9,10 @@ One set of formulas serves both modes.  With w_unit the unit of w
 
 and dP/dw = w_unit (rho + P/c^2).  At c = inf every 1/c^2 term is an exact
 IEEE zero (x/inf = 0): the same lines give dw/dr = -m/r^2 and dP/dw = rho
-bit for bit, the compactness and F's constant are 0, and the horizon events
-cannot fire.  Only the metric itself needs a finite c: a c = inf
-trajectory has NaN F and H columns, and metric_coefficients refuses it.
+bit for bit, the compactness and F's constant are 0, and the shots carry no
+horizon event, which could not fire.  Only the metric itself needs a finite
+c: a c = inf trajectory has NaN F and H columns, and metric_coefficients
+refuses it.
 
 The pressure equation in w is regular at the surface, so (m, w) = (M, 0) is
 a usable starting point for inward shots, unlike (m, P) = (M, 0) which is
@@ -32,11 +33,12 @@ are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
 values that would put an inward start inside the radius floor.
 
-Every shot is one or more solves with `ode.solve`, a Dormand-Prince 5(4)
-integrator in plain float arithmetic that follows scipy's RK45 step rules,
-events and dense output, so its trajectories agree with scipy's RK45 to
-roundoff.  A solve whose steps collapse raises StellarMatchError naming
-the radius where they did.
+Every shot is one or more solves with `ode.solve`, an 8th-order
+integrator in plain float arithmetic that follows scipy's DOP853 step
+rules and dense output, and redoes the step that crosses an event's root
+to end there; the surface and the other exits are such events, so no stage
+of a shot's last step reaches past its exit.  A solve whose steps collapse
+raises StellarMatchError naming the radius where they did.
 
 `shoot_from_centers` runs many outward shots as the lanes of one
 `ode.solve_lanes` call: each lane takes the steps of its scalar shot, and
@@ -73,7 +75,8 @@ EXIT_CENTER_FLOOR = "center_floor"
 EXIT_CENTER_MASSIVE = "center_floor_massive"
 EXIT_VACUUM = "vacuum_reentry"
 # Outward exits by the index of the event (_outward_events) that stopped the
-# solve; a solve that no event stopped (-1) ran into the range guard.
+# solve; a solve that no event stopped (-1) ran into the range guard.  At
+# c = inf there is no horizon event, and index -1 still names the guard.
 _OUTWARD_EXITS = (EXIT_SURFACE, EXIT_HORIZON, EXIT_R_MAX)
 # Failure label for a central pressure outside the EOS validity range.
 LABEL_EOS_VALIDITY = "eos_validity"
@@ -295,12 +298,16 @@ def _directed(event, direction):
     return event
 
 
-def _horizon_event(csq):
-    """Stops a shot where 1 - 2m/(c^2 r) falls to HORIZON_MARGIN (never
-    when c = inf); the factor is inline, as the event runs every step.  It
-    takes and ignores the inward events' thresholds."""
-    return _directed(
-        lambda r, y, *_: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)
+def _horizon_events(eos):
+    """[the event that stops a shot where 1 - 2m/(c^2 r) falls to
+    HORIZON_MARGIN], or [] when c = inf, where it cannot fire.  The factor
+    is inline, as the event runs every step.  It takes and ignores the
+    inward events' thresholds."""
+    if eos.nonrelativistic:
+        return []
+    csq = eos.c_light**2
+    return [_directed(
+        lambda r, y, *_: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)]
 
 
 def _integrator_failure(r, message):
@@ -330,8 +337,9 @@ def _outward_start(eos, p_center, cfg):
 
 
 def _outward_events(eos):
-    """The surface w = 0, then the horizon; floats or lanes."""
-    return [_directed(lambda r, y: y[1], -1), _horizon_event(eos.c_light**2)]
+    """The surface w = 0, then the horizon (none at c = inf); floats or
+    lanes."""
+    return [_directed(lambda r, y: y[1], -1)] + _horizon_events(eos)
 
 
 def _surface_data(eos, radius, mass):
@@ -427,7 +435,8 @@ def _inward_events(eos, with_center):
     Each event takes the run's thresholds (w_ceiling, slope_floor, r_floor)
     after (r, y) as its event arguments, one set per lane on lanes.
     Refinement runs drop the center-floor stop (with_center=False) so a
-    ceiling crossing sinking below r_floor can still fire."""
+    ceiling crossing sinking below r_floor can still fire.  The horizon
+    comes last, and only for a finite c."""
     def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
@@ -445,9 +454,8 @@ def _inward_events(eos, with_center):
             lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1))
         labels.append(EXIT_CENTER_FLOOR)
 
-    events.append(_horizon_event(eos.c_light**2))
-    labels.append(EXIT_HORIZON)
-    return events, labels
+    horizon = _horizon_events(eos)
+    return events + horizon, labels + [EXIT_HORIZON] * len(horizon)
 
 
 @dataclass

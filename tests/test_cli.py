@@ -290,6 +290,17 @@ def test_shoot_boundary_inadmissible(capsys, tmp_path):
     assert stderr_error(err)["error"] == "AdmissibilityError"
 
 
+@pytest.mark.parametrize("mass", ["1e-3", "1e-12"])
+def test_shoot_boundary_at_c_inf_without_a_horizon_event(capsys, tmp_path,
+                                                        mass):
+    # the c = inf shots build no horizon event, which could not fire there;
+    # the classification is the one they had with it
+    code, out, _ = run(capsys, "shoot-boundary", "--radius", "1.0",
+                       "--mass", mass, "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "case = case00, exit = pressure_ceiling" in out
+
+
 def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
     # r_floor = 2 R lies above the start R - dr, where the center-floor
     # event cannot fire; such a config is malformed, whatever (R, M).

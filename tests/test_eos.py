@@ -282,3 +282,16 @@ def test_bad_parameters_raise():
         EosSpec(gamma=1.5, c_light=0.0)
     with pytest.raises(EosValidityError):
         EosSpec(gamma=1.5).pressure_of_density(-1.0)
+
+
+def test_lambda_table_slope_is_finite_past_the_bound():
+    # Trial stages of the table's solve overshoot ln rho_valid_max, by far
+    # enough for exp((gamma - 1) ln rho) to overflow; past the bound the
+    # slope keeps its value there, as ln rho continues linearly.
+    eos = EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
+    t_hi = math.log(eos.rho_valid_max)
+    for t in (t_hi + 1.0, t_hi + 1e3):
+        assert eos._dln_rho_dh(t) == eos._dln_rho_dh(t_hi)
+    assert math.isfinite(eos._dln_rho_dh(t_hi))
+    _sol, h_lo, h_hi, _t_end, slope = eos._ln_rho_table
+    assert 0.0 < h_lo < h_hi and math.isfinite(slope)

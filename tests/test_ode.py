@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from stellar_match import lane_emden, ode, tov
 from stellar_match.distortion import solve_distortion
@@ -55,7 +55,7 @@ def _oracle(fun, t_span, y0, rtol, atol, events=(), event_args=()):
         event.direction = getattr(ev, "direction", 0)
         return event
 
-    return solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol,
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                      dense_output=True, events=[bound(ev) for ev in events])
 
 
@@ -65,25 +65,62 @@ def _oracle_event(want):
     return fired[0] if fired else -1
 
 
+def _oracle_nfev(want, event):
+    """ode.solve's nfev on the oracle's steps.  scipy computes the three
+    extra stages of every step's interpolant; ode.solve only those of the
+    step an event crosses, which it then redoes to the root (12 more)."""
+    return want.nfev - 3 * (len(want.t) - 1) + (15 if event >= 0 else 0)
+
+
+def _oracle_last_step(fun, got, rtol, atol):
+    """The oracle without events from the start of got's last step to the
+    event root, with that step as its first: the step ode.solve redoes to
+    end at the root."""
+    t_old, root = got.t[-2], got.t[-1]
+    return solve_ivp(fun, (t_old, root), got.y[:, -2], method="DOP853",
+                     rtol=rtol, atol=atol, first_step=abs(root - t_old),
+                     dense_output=True)
+
+
 def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
     """Same status, step count and nfev as the oracle; trajectory, and the
-    stopping event's root and state, within tolerance.  Returns the
+    stopping event's root and state, within tolerance.  The state at the
+    root is compared with an oracle run that stops there.  Returns the
     oracle's result."""
     want = _oracle(*args)
     assert got.status == want.status
     assert got.message == want.message
     assert len(got.t) == len(want.t)
-    assert got.nfev == want.nfev
+    assert got.nfev == _oracle_nfev(want, got.event)
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
-    assert np.max(np.abs(got.sol(want.t) - want.y) / scale) < TRAJECTORY_TOL
+    steps = len(want.t) - (got.event >= 0)
+    assert np.max(np.abs(got.sol(want.t[:steps]) - want.y[:, :steps])
+                  / scale) < TRAJECTORY_TOL
     assert got.event == _oracle_event(want)
     if got.event >= 0:
         np.testing.assert_allclose(got.t[-1], want.t_events[got.event][0],
                                    rtol=event_tol)
-        y_want = want.y_events[got.event][0]
+        y_want = _oracle_last_step(args[0], got, *args[3:5]).y[:, -1]
         assert np.max(np.abs(got.y[:, -1] - y_want) / scale.T) \
             < TRAJECTORY_TOL
     return want
+
+
+def _assert_steps_match_oracle(args, got):
+    """Each accepted step of `got` is the oracle's step: scipy's DOP853,
+    started from the step's start with the step's size as its first step,
+    takes it without a rejection and lands on the step's end.  This is the
+    check for solves whose step choice follows rounding, where two codes
+    that sum the error estimate in different orders cannot take the same
+    steps over a whole run."""
+    fun, _span, _y0, rtol, atol = args[:5]
+    scale = np.max(np.abs(got.y), axis=1)
+    for t_old, h, y_old, y_new, *_ in got.sol._steps:
+        oracle = DOP853(fun, t_old, y_old, t_old + h, rtol=rtol, atol=atol,
+                        first_step=abs(h))
+        oracle.step()
+        assert oracle.t == t_old + h
+        assert np.max(np.abs(oracle.y - y_new) / scale) < TRAJECTORY_TOL
 
 
 def _assert_step_ends_close(got, want):
@@ -107,8 +144,10 @@ def test_lambda_table_matches_solve_ivp(recorded):
     eos = EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
     _sol, _h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
     [(args, got)] = recorded
+    # rtol 1e-13: the last step ends part by up to 6e-6 relative, so each
+    # step is checked against the oracle's step from its start
     want = _assert_matches_oracle(args, got)
-    _assert_step_ends_close(got, want)
+    _assert_steps_match_oracle(args, got)
     assert h_hi == pytest.approx(float(want.t[-1]), rel=EVENT_TOL)
 
 
@@ -118,28 +157,51 @@ def test_inward_ladder_matches_solve_ivp(recorded):
     cls, _ = tov.shoot_from_boundary(eos, surface.radius * 0.8, surface.mass)
     assert cls.case == tov.CASE00
     assert len(recorded) == 4  # the forward shot and three rungs
-    # the last rung runs at rtol 1e-13, where the two step grids part by up
-    # to 1e-4 relative (the error estimates are mostly roundoff there), so
-    # its blow-up radius agrees to about 1e-12
-    for args, got in recorded:
-        _assert_matches_oracle(args, got, event_tol=1e-11)
+    (args, got), *rungs = recorded
+    _assert_matches_oracle(args, got)
+    # The rungs' step choice follows rounding: from one state, the error
+    # norms of ode.solve and scipy part by about 1e-3 relative (DOP853's
+    # error weights sum to 4 in magnitude, RK45's to 0.15).  The grids part
+    # by 1e-5 relative by the third step of rung 0 (atol 1e-19 on w at the
+    # start), the rungs take 49, 76 and 96 steps against the oracle's 49,
+    # 76 and 97, and the blow-up radii agree to 2e-11, 2e-15 and 2e-13,
+    # each within the 2e-10, 3e-12 and 7e-13 that both miss a
+    # tolerance-1e-14 reference by.  So each step is checked against the
+    # oracle's step from its start, and the root by w reaching the ceiling
+    # there on the redone step, to the 1e-11 the radii were held to (the
+    # root is found on the interpolant of the step that crossed it, which
+    # misses the redone step's end by 2e-12 relative in w).
+    for args, got in rungs:
+        _assert_steps_match_oracle(args, got)
+        assert got.event == _oracle_event(_oracle(*args)) == 0
+        w_ceiling = args[6][0]
+        assert got.y[1, -1] == pytest.approx(w_ceiling, rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 4.5])
 def test_lane_emden_solves_match_solve_ivp(recorded, n):
+    # At rtol 1e-12 the step choice before the surface follows rounding
+    # (at n = 1, 55 steps against the oracle's 50, the first step end
+    # parting by 3e-5 relative), so each step is checked against the
+    # oracle's step from its start.
     sol = lane_emden.solve(n)
     assert len(recorded) == 2  # to the surface, then the vacuum continuation
-    want = [_assert_matches_oracle(args, got) for args, got in recorded]
-    assert sol.xi1 == pytest.approx(float(want[0].t_events[0][0]),
+    (args, got), (ext_args, ext_got) = recorded
+    _assert_steps_match_oracle(args, got)
+    want = _oracle(*args)
+    assert got.event == _oracle_event(want) == 0
+    assert sol.xi1 == pytest.approx(float(want.t_events[0][0]),
                                     rel=EVENT_TOL)
+    _assert_matches_oracle(ext_args, ext_got)
 
 
 def test_lane_emden_n0_matches_solve_ivp(recorded):
     # theta = 1 - xi^2/6 is a polynomial, so the error estimate is pure
-    # rounding and the two step counts part (37 vs 25).  The surface and the
-    # trajectory before it still agree; the step across the surface, where
-    # the source (theta v 0)^0 drops from 1 to 0, leaves theta' there exact
-    # only to about 1e-10 on either grid.
+    # rounding and the two step counts part (32 vs 25).  The surface and the
+    # trajectory before it still agree.  The oracle's step across the
+    # surface, where the source (theta v 0)^0 drops from 1 to 0, leaves
+    # theta' there exact only to about 1e-10; ode.solve redoes that step to
+    # end at the surface, so its theta' is exact to roundoff.
     sol = lane_emden.solve(0.0)
     assert sol.xi1 == pytest.approx(math.sqrt(6.0), rel=EVENT_TOL)
     (args, got), (ext_args, ext_got) = recorded
@@ -147,7 +209,8 @@ def test_lane_emden_n0_matches_solve_ivp(recorded):
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
     inside = np.abs(got.sol(want.t[:-1]) - want.y[:, :-1]) / scale
     assert np.max(inside) < TRAJECTORY_TOL
-    assert np.max(np.abs(got.y[:, -1] - want.y[:, -1]) / scale[:, 0]) < 1e-10
+    exact = [0.0, -math.sqrt(6.0) / 3.0]
+    assert np.max(np.abs(got.y[:, -1] - exact) / scale[:, 0]) < 1e-13
     _assert_matches_oracle(ext_args, ext_got)
 
 
@@ -167,18 +230,23 @@ def test_dense_output_scalar_array_and_oracle_agree(recorded):
     want = _oracle(*args)
     t = got.t
     # interior points of every step, the step ends, and points in the last
-    # step, which the surface event truncates
+    # step, which is redone to end at the surface event's root
     last = t[-2] + np.linspace(0.0, 1.0, 9) * (t[-1] - t[-2])
     probes = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), last])
     array = got.sol(probes)
     scalar = np.array([got.sol(float(x)) for x in probes]).T
     assert np.array_equal(array, scalar)
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
-    assert np.max(np.abs(array - want.sol(probes)) / scale) < TRAJECTORY_TOL
-    # the truncated step keeps the length of the step the solver took, and
-    # its interpolant puts the surface w = 0 at the event root
-    _t_old, h_last = got.sol._steps[-1][:2]
-    assert h_last > t[-1] - t[-2]
+    before = probes[probes <= t[-2]]
+    assert np.max(np.abs(got.sol(before) - want.sol(before)) / scale) \
+        < TRAJECTORY_TOL
+    to_root = _oracle_last_step(args[0], got, *args[3:5])
+    assert np.max(np.abs(got.sol(last) - to_root.sol(last)) / scale) \
+        < TRAJECTORY_TOL
+    # the last step is the one redone to end at the root, and its
+    # interpolant puts the surface w = 0 there
+    t_old, h_last = got.sol._steps[-1][:2]
+    assert (t_old, h_last) == (t[-2], t[-1] - t[-2])
     assert abs(got.sol(float(t[-1]))[1]) < 1e-12 * scale[1, 0]
 
 
@@ -223,7 +291,7 @@ def test_event_inside_the_first_step():
     assert len(got.t) == len(want.t) == 2
     assert got.t[-1] == pytest.approx(1e-9, rel=1e-13)
     assert got.t[-1] == pytest.approx(want.t_events[0][0], rel=1e-13)
-    assert got.nfev == want.nfev
+    assert got.nfev == _oracle_nfev(want, got.event)
 
 
 def test_event_direction():
@@ -303,14 +371,18 @@ def test_collapsing_steps_return_the_partial_result():
     assert got.message == want.message
     assert len(got.t) == len(want.t) > 1
     assert got.t[-1] == pytest.approx(want.t[-1], rel=1e-12)
-    assert got.t[-1] < 1.0 and got.y.shape == (1, len(got.t))
+    # DOP853 steps onto the pole before its steps collapse, as scipy's does
+    assert got.t[-1] == pytest.approx(1.0, rel=1e-10)
+    assert got.y.shape == (1, len(got.t))
 
 
 def test_tov_solve_labels_an_integrator_failure(monkeypatch):
-    # w' = w^2 from w(1) = 1 blows up at r = 2; _solve reads tov_rhs at
-    # call time, so the patched right-hand side is used
+    # w' = w^2 from w(1) = 1 blows up at r = 2, where the steps collapse
+    # just past the pole (at 2.000000000011868, as scipy's DOP853's do);
+    # _solve reads tov_rhs at call time, so the patched right-hand side is
+    # used
     monkeypatch.setattr(tov, "tov_rhs", lambda eos, r, m, w: (0.0, w * w))
-    with pytest.raises(StellarMatchError, match=r"at r = 1\.99999"):
+    with pytest.raises(StellarMatchError, match=r"at r = 2\.00000000001"):
         tov._solve(EosSpec(2.0), (1.0, 3.0), [0.0, 1.0], [], 1e-10,
                    [1e-12, 1e-12])
 
@@ -416,9 +488,12 @@ def test_lanes_retire_a_collapsing_lane_alone():
     def lanes_fun(t, y):
         return y * y
 
+    # lanes 0 and 2 collapse at their poles and retire; lane 1's pole is
+    # its bound, where its last step, clipped to the bound, lands with a
+    # finite y (as scipy's DOP853 does), so it ends at the bound
     got = _lanes_against_scalar(fun, lanes_fun, [0.0, 0.0, 0.5], 2.0,
                                 [[1.0], [0.5], [1.0]])
-    np.testing.assert_array_equal(got.status, -1)
+    np.testing.assert_array_equal(got.status, [-1, 0, -1])
     np.testing.assert_allclose(got.t, [1.0, 2.0, 1.5], rtol=1e-10)
 
 
@@ -488,3 +563,18 @@ def test_solve_and_lanes_stop_on_the_same_event(span):
         assert want.t[-1] == pytest.approx(args[0 if rising else 1],
                                            rel=LANE_TOL)
         assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)
+
+
+def test_tableau_is_scipys_dop853():
+    # the copied tables equal scipy's bit for bit; A's rows hold the
+    # weights below the diagonal, the extra stages' rows included
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    a = np.zeros((len(ode.A), len(ode.A)))
+    for s, row in enumerate(ode.A):
+        a[s, :len(row)] = row
+    for got, want in ((ode.C, dop.C), (a, dop.A), (ode.B, dop.B),
+                      (ode.E3, dop.E3), (ode.E5, dop.E5), (ode.D, dop.D)):
+        got = np.array(got, dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -353,6 +353,45 @@ def test_lambda_eos_rhs_does_no_root_finding(monkeypatch):
     assert cls.p_center == pytest.approx(2.5e-3, rel=1e-6)
 
 
+def test_events_hold_a_horizon_only_for_a_finite_c():
+    # at c = inf the metric factor is 1 and the horizon event cannot fire,
+    # so no shot builds it; a solve no event stopped still reads as the
+    # range guard
+    for eos, horizon in ((eos_newt(), 0), (eos_rel(), 1)):
+        assert len(tov._outward_events(eos)) == 1 + horizon
+        for with_center in (True, False):
+            events, labels = tov._inward_events(eos, with_center)
+            assert len(events) == len(labels) == 3 + with_center + horizon
+            assert labels.count(tov.EXIT_HORIZON) == horizon
+    assert tov._OUTWARD_EXITS[-1] == tov.EXIT_R_MAX
+
+
+# rho falls linearly to 0 at a gamma = 2 surface, so a step across it would
+# integrate through the jump of m'' into the vacuum branch, and M would
+# follow where that step falls.  The step to the surface is redone to end
+# there.
+GAMMA2_EOS = [EosSpec(2.0, c_light=1.0), EosSpec(2.0),
+              EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))]
+GAMMA2_P_CENTERS = np.geomspace(1e-4, 3e-3, 9).tolist()
+
+
+@pytest.mark.parametrize("eos", GAMMA2_EOS, ids=["c1", "c_inf", "lambda"])
+def test_gamma2_mass_does_not_follow_the_step_grid(eos):
+    nudged = tov.ShootConfig(rtol=1e-10 * (1.0 + 1e-14))
+    for p_center in GAMMA2_P_CENTERS:
+        surface, _ = tov.shoot_from_center(eos, p_center)
+        moved, _ = tov.shoot_from_center(eos, p_center, nudged)
+        assert moved.mass == pytest.approx(surface.mass, rel=1e-13)
+
+
+@pytest.mark.parametrize("eos", GAMMA2_EOS, ids=["c1", "c_inf", "lambda"])
+def test_gamma2_lanes_and_scalar_shots_agree_on_the_mass(eos):
+    lanes = tov.shoot_from_centers(eos, GAMMA2_P_CENTERS)
+    for p_center, lane in zip(GAMMA2_P_CENTERS, lanes):
+        surface, _ = tov.shoot_from_center(eos, p_center)
+        assert lane.mass == pytest.approx(surface.mass, rel=1e-13)
+
+
 # -- outward shots as lockstep lanes -----------------------------------------
 
 
