@@ -24,16 +24,18 @@ Density from enthalpy.  The pure polytrope inverts h or u in closed form,
 with math functions for a float and numpy for an array.  With Lam != 0 the
 first lookup builds a table of ln rho as a function of h: one ODE solve of
 d ln rho/dh = (rho c^2 + P) / (rho dP/drho)  (the enthalpy-as-variable form
-of Lindblom 1992, ApJ 398, 569) with the float Dormand-Prince integrator of
-`ode`, seeded by the closed form at 1e-16 rho_valid_max and stopped by an
-event at the validity bound.  Every later lookup, including each call from
-a TOV right-hand side, is one evaluation of its dense output (a bisection
-over the steps and a Horner sum); below the seed the closed form is
-used, past the bound ln rho continues linearly with the ODE's end slope, up
-to a cap that keeps rho and P finite.  h(P) inverts the same map: the
-closed form below the seed, the linear continuation past the bound, and one
-bracketed root on the dense output in between, so h -> P -> h round trips
-to roundoff.
+of Lindblom 1992, ApJ 398, 569) with the float DOP853 integrator of `ode`,
+seeded by the closed form at 1e-16 rho_valid_max and stopped by an event at
+the validity bound; past the bound the right-hand side keeps its value
+there, so trial stages that overshoot it get a finite slope.  Every later
+lookup, including each call from a TOV right-hand side, is one evaluation
+of its dense output (a bisection over the steps and a Horner sum of the
+step's 7th-order interpolant, whose three extra stages the step gets on
+its first lookup); below the seed the closed form is used, past the bound
+ln rho continues linearly with the ODE's end slope, up to a cap that keeps
+rho and P finite.  h(P) inverts the same map: the closed form below the
+seed, the linear continuation past the bound, and one bracketed root on
+the dense output in between, so h -> P -> h round trips to roundoff.
 
 One Horner sum gives Lam and Lam' for a float or an array, and the
 pressure law is written in plain arithmetic, so a float in gives a float

@@ -8,8 +8,10 @@ The right-hand side uses (theta v 0)^n, so past the zero the integration
 continues as the vacuum solution; a short guarded continuation beyond xi1 is
 kept internally because the distorted surface of a slowly rotating body pokes
 outside xi1 on the equator.  Both stretches are integrated with `ode.solve`,
-the package's Dormand-Prince integrator, and the surface is its terminal
-event.
+the package's DOP853 integrator, and the surface is its terminal event: the
+step to it is redone to end at xi1, so theta'(xi1), and mu1 with it, come
+from a step none of whose stages sees the vacuum branch (mu1 = 2 sqrt 6 to
+roundoff at n = 0).
 """
 
 from __future__ import annotations

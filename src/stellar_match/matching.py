@@ -69,8 +69,11 @@ MAX_REFINE_DEPTH = 6
 # Batches of at least this many forward shots (tov.shoot_from_centers) or
 # inward shots (tov.shoot_from_boundaries) run as lockstep lanes, smaller
 # ones shot by shot.  The lanes' cost per step is nearly flat in the lane
-# count; on a 2-core host they break even at about 12 forward shots for a
-# pure polytrope, 16 for the lambda-EOS table, and 16 to 20 inward shots.
+# count; on a 2-core host 16 lanes cost about 11-15 scalar shots for a
+# pure polytrope (forward), 18 inward ones, and about 29 with the
+# lambda-EOS table, whose batches in a `match` run stay below 16.  The
+# match-rel53 command is fastest at 16 (16 and 20 tie; 12, 24 and 32 are
+# 10-25% slower).
 LANES_MIN = 16
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4

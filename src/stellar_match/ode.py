@@ -679,8 +679,8 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
                 ends = np.flatnonzero(crossed.any(axis=0))
                 t_root = _stop_at_roots(
                     rhs, events, crossed[:, ends], args[:, ends], direction,
-                    fired, ends, t_old[ends], t[ends], y_old[:, ends],
-                    y[:, ends], [s[:, ends] for s in k], hn[:, ends])
+                    fired, ends, t_old[ends], t[ends], h[ends], hn[:, ends],
+                    y_old[:, ends], y[:, ends], [s[:, ends] for s in k])
                 redo = t_root != t_old[ends]
                 y_root = y_old[:, ends]
                 if np.count_nonzero(redo):
@@ -710,12 +710,11 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
 
 
 def _stop_at_roots(fun, events, crossed, args, direction, fired, ends, t_old,
-                   t_new, y_old, y_new, k, hn):
+                   t_new, h, hn, y_old, y_new, k):
     """The earliest root of each crossing lane `ends` of one lockstep step,
     as `solve` finds it on the lane's interpolant (whose extra stages are
     computed for all of them at once); records the event in `fired`.
     Arrays cover those lanes only, except `fired`."""
-    h = hn[0]
     k = _extra_stages(fun, _LANES, t_old, h, y_old, k, hn)
     rows = np.array(_rows(y_old, y_new, k[0], k[12], h,
                           _LANES.dense(y_old, k, hn)))  # (7, n, lanes)

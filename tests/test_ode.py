@@ -1,17 +1,26 @@
-"""The float Dormand-Prince integrator against scipy's solve_ivp(RK45),
-which stays here as the oracle.
+"""The float DOP853 integrator against scipy's solve_ivp(DOP853), which
+stays here as the oracle.
 
 The shots, the EOS table, the Lane-Emden profile and the distortion
 responses are recorded as they call `ode.solve` and
 re-run through solve_ivp with the same right-hand side, span, tolerances
-and events.  Both take the same number of steps, but the step ends agree
-only to about 1e-9 relative: the error estimate is a 7-term sum that
-cancels by six to nine digits, and scipy forms it with a BLAS dot product
-whose rounding order cannot be reproduced in Python floats.  Where the
-estimate is mostly rounding (the first steps of the EOS table, the rtol
-1e-13 ladder rung) the step ends part further.  The trajectories are
-therefore compared at the oracle's step ends through the dense output,
-relative to each component's largest magnitude."""
+and events.  Where the error estimate is not mostly rounding, both take
+the same number of steps, but the step ends agree only to about 1e-9
+relative: the estimate is an 8-term sum that cancels by many digits, and
+scipy forms it with a BLAS dot product whose rounding order cannot be
+reproduced in Python floats.  The trajectories are therefore compared at
+the oracle's step ends through the dense output, relative to each
+component's largest magnitude.  Where the estimate is mostly rounding
+(the ladder rungs, the EOS table at rtol 1e-13, the Lane-Emden profiles
+at 1e-12), the two error norms from one state part by about 1e-3 relative
+and the step grids part with them, so each step is compared with the
+oracle's step from the same start instead.
+
+An event stops ode.solve on its step redone to end at the root, which
+scipy does not do: the state there is compared with the oracle run from
+that step's start to the root, and nfev counts the redo and, for the one
+step whose interpolant it needs, the three extra stages scipy computes for
+every step."""
 
 import math
 

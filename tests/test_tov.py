@@ -505,7 +505,7 @@ def test_lanes_check_the_domain_of_every_accepted_state(monkeypatch):
     states = states[np.concatenate(([True], np.diff(states) != 0))]
     _, traj = tov.shoot_from_center(eos, 1e-4)
     # the same states; the step ends themselves part by up to about 1e-9,
-    # as those of ode.solve and scipy's RK45 do (see test_ode)
+    # as those of ode.solve and scipy's DOP853 do (see test_ode)
     np.testing.assert_allclose(states, traj.r, rtol=1e-8)
     assert states[-1] == surface.radius  # the event root
 
