@@ -45,16 +45,12 @@ def rk4_oracle(n, h=2e-5):
 def test_n0_closed_form():
     sol = le.solve(0.0)
     assert sol.xi1 == pytest.approx(SQRT6, abs=1e-10)
-    assert sol.mu1 == pytest.approx(2.0 * SQRT6, abs=1e-8)
-    xi = np.linspace(0.0, sol.xi1, 101)
-    assert np.max(np.abs(sol.theta_at(xi) - (1.0 - xi**2 / 6.0))) < 1e-10
-
-
-def test_n0_mu1_is_exact_to_roundoff():
     # The source (theta v 0)^0 drops from 1 to 0 at xi1.  The step to the
     # surface is redone to end there, so none of its stages sees the drop,
     # and the quadratic profile gives mu1 = 2 sqrt 6 to roundoff.
-    assert le.solve(0.0).mu1 == pytest.approx(2.0 * SQRT6, rel=1e-13)
+    assert sol.mu1 == pytest.approx(2.0 * SQRT6, rel=1e-13)
+    xi = np.linspace(0.0, sol.xi1, 101)
+    assert np.max(np.abs(sol.theta_at(xi) - (1.0 - xi**2 / 6.0))) < 1e-10
 
 
 def test_n1_closed_form():
