@@ -56,9 +56,10 @@ as the mask retires others, and an event sees the active lanes' values
 (one lane's floats when its root is found).  It pays from about sixteen
 lanes on (see matching.LANES_MIN).  It keeps no step history: it returns
 where each lane ended, and hands each accepted state to an optional
-observer.  Every weighted sum of stages is one Python expression that
-both paths evaluate, left to right, on floats or on arrays, so the
-arithmetic is the scalar solve's operation for operation; numpy's
+observer.  Every weighted sum of stages runs over the tableau row's
+nonzero weights left to right on both paths (`_dot` on arrays; written
+out as one expression per component on floats), so the arithmetic is the
+scalar solve's operation for operation; numpy's
 elementwise functions may still round a right-hand side differently by an
 ulp, so lanes agree with `solve` to roundoff, not bit for bit.
 """
@@ -197,23 +198,40 @@ MESSAGES = {
 }
 
 
-def _weighted_sums(template, *rows, floats):
-    """A function of (y, k, h) that fills `template` with the sum
-    w_0 k[0] + w_1 k[1] + ... of each row of weights w, over the nonzero
-    weights, left to right: once on arrays, or over the components of lists
-    of floats (floats=True).  Both kinds evaluate the same expression text,
-    built from the tables above, so they round alike."""
-    used = sorted({j for row in rows for j, w in enumerate(row) if w})
-    name = "k%d" if floats else "k[%d]"
+def _terms(row):
+    """(index, weight) of a tableau row's nonzero weights, in order."""
+    return tuple((j, w) for j, w in enumerate(row) if w)
+
+
+def _dot(terms, k):
+    """The weighted sum w_0 k[j_0] + w_1 k[j_1] + ... of stages over
+    `terms`, left to right; on lanes, where each stage is an array."""
+    (j, w), *rest = terms
+    total = w * k[j]
+    for j, w in rest:
+        total = total + w * k[j]
+    return total
+
+
+def _float_sums(template, *rows):
+    """A function of (y, k, h), lists of floats, that fills `template` with
+    each row's weighted sum of stages for every component.  The sum is
+    _dot's, written out as one expression built from the tables above, so
+    a step in floats makes the same operations as a step on lanes, without
+    a Python loop over the terms."""
     expr = template % tuple(
-        " + ".join("(%r) * %s" % (w, name % j)
-                   for j, w in enumerate(row) if w)
+        " + ".join("(%r) * k%d" % (w, j) for j, w in _terms(row))
         for row in rows)
-    if not floats:
-        return eval("lambda y, k, h: " + expr)
+    used = sorted({j for row in rows for j, _w in _terms(row)})
     return eval("lambda y, k, h: [%s for y%s in zip(y%s)]" % (
         expr, "".join(", k%d" % j for j in used),
         "".join(", k[%d]" % j for j in used)))
+
+
+def _lane_state(row):
+    """The argument y + h sum_j a_j k_j of a stage, for lanes."""
+    terms = _terms(row)
+    return lambda y, k, h: y + _dot(terms, k) * h
 
 
 class _Sums(NamedTuple):
@@ -230,19 +248,23 @@ class _Sums(NamedTuple):
     dense: object
 
 
-def _sums(floats):
-    def state(row):
-        return _weighted_sums("y + (%s) * h", row, floats=floats)
+_FLOATS = _Sums(
+    stages=tuple((c, _float_sums("y + (%s) * h", row))
+                 for c, row in zip(C[1:12], A[1:12])),
+    new=_float_sums("y + (%s) * h", B),
+    errors=_float_sums("(%s, %s)", E5, E3),
+    extra=tuple((c, _float_sums("y + (%s) * h", row))
+                for c, row in zip(C[13:], A[13:])),
+    dense=_float_sums("(%s, %s, %s, %s)", *D))
 
-    return _Sums(
-        stages=tuple(zip(C[1:12], map(state, A[1:12]))), new=state(B),
-        errors=_weighted_sums("(%s, %s)", E5, E3, floats=floats),
-        extra=tuple(zip(C[13:], map(state, A[13:]))),
-        dense=_weighted_sums("(%s, %s, %s, %s)", *D, floats=floats))
 
-
-_FLOATS = _sums(floats=True)
-_LANES = _sums(floats=False)
+_E5, _E3, _D = _terms(E5), _terms(E3), [_terms(row) for row in D]
+_LANES = _Sums(
+    stages=tuple((c, _lane_state(row)) for c, row in zip(C[1:12], A[1:12])),
+    new=_lane_state(B),
+    errors=lambda y, k, h: (_dot(_E5, k), _dot(_E3, k)),
+    extra=tuple((c, _lane_state(row)) for c, row in zip(C[13:], A[13:])),
+    dense=lambda y, k, h: tuple(_dot(terms, k) for terms in _D))
 
 
 def _rk_step(fun, sums, t, y, f, h, hy):
