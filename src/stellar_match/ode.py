@@ -365,8 +365,7 @@ class DenseOutput:
         keys, t_old, h, y_old, rows = self._arrays
         i = np.searchsorted(keys, self._sign * t, side="left") - 1
         np.clip(i, 0, len(t_old) - 1, out=i)
-        return _horner(y_old[:, i], [r[:, i] for r in rows],
-                       (t - t_old[i]) / h[i])
+        return _horner(y_old[:, i], rows[..., i], (t - t_old[i]) / h[i])
 
     def _build_arrays(self):
         t_old, h, y_old, y_new, k, funs = zip(*self._steps)
@@ -381,9 +380,10 @@ class DenseOutput:
         y_old, y_new = (np.array(y, dtype=float).T for y in (y_old, y_new))
         k = _extra_stages(each_step, _LANES, t_old, h, y_old,
                           [np.array(s, dtype=float).T for s in zip(*k)], h)
+        # rows (7, n, steps)
         return (np.array(self._keys), t_old, h, y_old,
-                _rows(y_old, y_new, k[0], k[12], h,
-                      _LANES.dense(y_old, k, h)))
+                np.array(_rows(y_old, y_new, k[0], k[12], h,
+                               _LANES.dense(y_old, k, h))))
 
 
 def _step_coeffs(step):
