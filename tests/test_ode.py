@@ -91,7 +91,7 @@ def _oracle_last_step(fun, got, rtol, atol):
                      dense_output=True)
 
 
-def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
+def _assert_matches_oracle(args, got):
     """Same status, step count and nfev as the oracle; trajectory, and the
     stopping event's root and state, within tolerance.  The state at the
     root is compared with an oracle run that stops there.  Returns the
@@ -108,7 +108,7 @@ def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
     assert got.event == _oracle_event(want)
     if got.event >= 0:
         np.testing.assert_allclose(got.t[-1], want.t_events[got.event][0],
-                                   rtol=event_tol)
+                                   rtol=EVENT_TOL)
         y_want = _oracle_last_step(args[0], got, *args[3:5]).y[:, -1]
         assert np.max(np.abs(got.y[:, -1] - y_want) / scale.T) \
             < TRAJECTORY_TOL
