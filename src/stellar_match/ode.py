@@ -56,10 +56,10 @@ as the mask retires others, and an event sees the active lanes' values
 (one lane's floats when its root is found).  It pays from about sixteen
 lanes on (see matching.LANES_MIN).  It keeps no step history: it returns
 where each lane ended, and hands each accepted state to an optional
-observer.  Every weighted sum of stages runs over the tableau row's
-nonzero weights left to right on both paths (`_dot` on arrays; written
-out as one expression per component on floats), so the arithmetic is the
-scalar solve's operation for operation; numpy's
+observer.  Both paths form every weighted sum of stages with one
+function, `_dot`, over the tableau row's nonzero weights left to right (on
+arrays for lanes, on each component's floats for `solve`), so the
+arithmetic is the scalar solve's operation for operation; numpy's
 elementwise functions may still round a right-hand side differently by an
 ulp, so lanes agree with `solve` to roundoff, not bit for bit.
 """
@@ -199,43 +199,24 @@ MESSAGES = {
 
 
 def _terms(row):
-    """(index, weight) of a tableau row's nonzero weights, in order."""
-    return tuple((j, w) for j, w in enumerate(row) if w)
+    """A tableau row's nonzero weights as (index, weight) pairs, in order:
+    (the first pair, a tuple of the rest)."""
+    terms = tuple((j, w) for j, w in enumerate(row) if w)
+    return terms[0], terms[1:]
 
 
 def _dot(terms, k):
     """The weighted sum w_0 k[j_0] + w_1 k[j_1] + ... of stages over
-    `terms`, left to right; on lanes, where each stage is an array."""
-    (j, w), *rest = terms
+    `terms`, left to right; each stage a float or an array."""
+    (j, w), rest = terms
     total = w * k[j]
     for j, w in rest:
         total = total + w * k[j]
     return total
 
 
-def _float_sums(template, *rows):
-    """A function of (y, k, h), lists of floats, that fills `template` with
-    each row's weighted sum of stages for every component.  The sum is
-    _dot's, written out as one expression built from the tables above, so
-    a step in floats makes the same operations as a step on lanes, without
-    a Python loop over the terms."""
-    expr = template % tuple(
-        " + ".join("(%r) * k%d" % (w, j) for j, w in _terms(row))
-        for row in rows)
-    used = sorted({j for row in rows for j, _w in _terms(row)})
-    return eval("lambda y, k, h: [%s for y%s in zip(y%s)]" % (
-        expr, "".join(", k%d" % j for j in used),
-        "".join(", k[%d]" % j for j in used)))
-
-
-def _lane_state(row):
-    """The argument y + h sum_j a_j k_j of a stage, for lanes."""
-    terms = _terms(row)
-    return lambda y, k, h: y + _dot(terms, k) * h
-
-
 class _Sums(NamedTuple):
-    """The tableau's weighted sums, on floats or on arrays: (node, the
+    """The tableau's weighted sums of one solve's (y, k, h): (node, the
     argument y + h sum_j a_j k_j) of each stage after the first, the new
     state y + h sum_j b_j k_j, the (err5, err3) sums, and the (node,
     argument) of each extra stage and the four D sums of the
@@ -248,23 +229,40 @@ class _Sums(NamedTuple):
     dense: object
 
 
-_FLOATS = _Sums(
-    stages=tuple((c, _float_sums("y + (%s) * h", row))
-                 for c, row in zip(C[1:12], A[1:12])),
-    new=_float_sums("y + (%s) * h", B),
-    errors=_float_sums("(%s, %s)", E5, E3),
-    extra=tuple((c, _float_sums("y + (%s) * h", row))
-                for c, row in zip(C[13:], A[13:])),
-    dense=_float_sums("(%s, %s, %s, %s)", *D))
-
-
 _E5, _E3, _D = _terms(E5), _terms(E3), [_terms(row) for row in D]
+
+
+def _lane_state(row):
+    terms = _terms(row)
+    return lambda y, k, h: y + _dot(terms, k) * h
+
+
+# y and each stage hold one array per component
 _LANES = _Sums(
     stages=tuple((c, _lane_state(row)) for c, row in zip(C[1:12], A[1:12])),
     new=_lane_state(B),
     errors=lambda y, k, h: (_dot(_E5, k), _dot(_E3, k)),
     extra=tuple((c, _lane_state(row)) for c, row in zip(C[13:], A[13:])),
     dense=lambda y, k, h: tuple(_dot(terms, k) for terms in _D))
+
+
+def _float_state(row):
+    terms = _terms(row)
+    return lambda y, k, h: [v + _dot(terms, col) * h
+                            for v, col in zip(y, zip(*k))]
+
+
+# y and each stage are lists of floats; each component's sums are _dot's
+# on its floats, so a float step makes a lane step's operations in the
+# same order
+_FLOATS = _Sums(
+    stages=tuple((c, _float_state(row)) for c, row in zip(C[1:12], A[1:12])),
+    new=_float_state(B),
+    errors=lambda y, k, h: [(_dot(_E5, col), _dot(_E3, col))
+                            for col in zip(*k)],
+    extra=tuple((c, _float_state(row)) for c, row in zip(C[13:], A[13:])),
+    dense=lambda y, k, h: [tuple(_dot(terms, col) for terms in _D)
+                           for col in zip(*k)])
 
 
 def _rk_step(fun, sums, t, y, f, h, hy):
@@ -341,8 +339,9 @@ class DenseOutput:
     extrapolate the nearest end step, as scipy's OdeSolution does.  The
     last step of an event-stopped run is the one redone to the root."""
 
-    def __init__(self, ts, steps):
-        self._steps = steps  # (t_old, h, y_old, y_new, stages, fun)
+    def __init__(self, ts, steps, fun):
+        self._steps = steps  # (t_old, h, y_old, y_new, stages)
+        self._fun = fun
         self._coeffs = [None] * len(steps)
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = ts if self._sign > 0 else [-t for t in ts]
@@ -356,7 +355,8 @@ class DenseOutput:
         i = min(max(i, 0), len(self._steps) - 1)
         coeffs = self._coeffs[i]
         if coeffs is None:
-            coeffs = self._coeffs[i] = _step_coeffs(self._steps[i])
+            coeffs = self._coeffs[i] = _step_coeffs(self._steps[i],
+                                                    self._fun)
         return _evaluate(coeffs, t)
 
     def _call_array(self, t):
@@ -368,11 +368,10 @@ class DenseOutput:
         return _horner(y_old[:, i], rows[..., i], (t - t_old[i]) / h[i])
 
     def _build_arrays(self):
-        t_old, h, y_old, y_new, k, funs = zip(*self._steps)
-        fun = funs[0]
+        t_old, h, y_old, y_new, k = zip(*self._steps)
 
         def each_step(t, y):
-            return np.array([fun(*arg) for arg in zip(t.tolist(),
+            return np.array([self._fun(*arg) for arg in zip(t.tolist(),
                                                       y.T.tolist())]).T
 
         t_old, h = np.array(t_old), np.array(h)
@@ -386,10 +385,10 @@ class DenseOutput:
                                _LANES.dense(y_old, k, h))))
 
 
-def _step_coeffs(step):
-    """(t_old, h, [(y_old, rows F_0 .. F_6) per component]) of one step;
-    computes its three extra stages."""
-    t_old, h, y_old, y_new, k, fun = step
+def _step_coeffs(step, fun):
+    """(t_old, h, [(y_old, rows F_0 .. F_6) per component]) of one step of
+    y' = fun(t, y); computes its three extra stages."""
+    t_old, h, y_old, y_new, k = step
     k = _extra_stages(fun, _FLOATS, t_old, h, y_old, k, h)
     return t_old, h, [
         (a, _rows(a, b, f_old, f_new, h, d))
@@ -504,7 +503,7 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
         if status == -1:
             break
 
-        step = (t, h, y, y_new, k, fun)
+        step = (t, h, y, y_new, k)
         steps.append(step)
         t_old, y_old, t, y, f = t, y, t_new, y_new, k[12]
         if direction * (t - t_bound) >= 0:
@@ -518,7 +517,8 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
                        if (sense >= 0 and a <= 0 <= b)
                        or (sense <= 0 and a >= 0 >= b)]
             if crossed:
-                t_out, event = _first_root(events, crossed, _step_coeffs(step),
+                t_out, event = _first_root(events, crossed,
+                                           _step_coeffs(step, fun),
                                            event_args, t_old, t, direction)
                 nfev += 3
                 status = 1
@@ -528,7 +528,7 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
                     y_out, k = _rk_step(fun, _FLOATS, t_old, y_old, k[0], h,
                                         h)
                     nfev += 12
-                    steps[-1] = (t_old, h, y_old, y_out, k, fun)
+                    steps[-1] = (t_old, h, y_old, y_out, k)
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t_out:
@@ -538,7 +538,7 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
             ys.append(y_out)
 
     return OdeResult(
-        t=np.array(ts), y=np.array(ys).T, sol=DenseOutput(ts, steps),
+        t=np.array(ts), y=np.array(ys).T, sol=DenseOutput(ts, steps, fun),
         event=event, nfev=nfev, status=status, message=MESSAGES[status])
 
 
