@@ -15,15 +15,17 @@ values set to the curve medians, so curves with very different absolute
 scales are treated uniformly.
 
 The scan's forward shots come in batches of independent shots: the grid,
-then each level of the chord refinement.  A batch of LANES_MIN or more
-runs as lockstep lanes (tov.shoot_from_centers), whose cost per step
-barely grows with the lane count; a smaller batch runs shot by shot, as
-the endpoint bisection and the on-curve sampler always do.  The sweep's
-inward shots are one batch: with LANES_MIN or more samples their first
-rung runs as lanes (tov.shoot_from_boundaries).  The choice depends on
-the batch size alone, and either way a shot gives the same outcome to
-roundoff.  Distances to a curve are one array expression over its
-segments, bit for bit the segment-by-segment result.
+then each planned round of the chord refinement (_refine_sagitta), which
+shoots the midpoints a round's verdicts are predicted to need before it
+draws them.  A batch of LANES_MIN or more runs as lockstep lanes
+(tov.shoot_from_centers), whose cost per step barely grows with the lane
+count; a smaller batch runs shot by shot, as the endpoint bisection and
+the on-curve sampler always do.  The sweep's inward shots are one batch:
+with LANES_MIN or more samples their first rung runs as lanes
+(tov.shoot_from_boundaries).  The choice depends on the batch size
+alone, and either way a shot gives the same outcome to roundoff.
+Distances to a curve are one array expression over its segments, bit for
+bit the segment-by-segment result.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ MAX_REFINE_DEPTH = 6
 # ones shot by shot.  The lanes' cost per step is nearly flat in the lane
 # count; on a 2-core host 16 lanes cost about 11-15 scalar shots for a
 # pure polytrope (forward), 18 inward ones, and about 29 with the
-# lambda-EOS table, whose batches in a `match` run stay below 16.  The
-# match-rel53 command is fastest at 16 (16 and 20 tie; 12, 24 and 32 are
-# 10-25% slower).
+# lambda-EOS table, whose batches in a `match` run stay below 16.  A
+# match-rel53 command shoots batches of 17 and 256 forward and 40 inward
+# shots, so any value up to 17 runs it the same way.
 LANES_MIN = 16
 # Scaled distance below which a sample counts as "on a curve".
 NEAR_DELTA_DEFAULT = 1e-4
@@ -249,11 +251,23 @@ def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
     sits within SAGITTA_TOL of the true curve (scaled coordinates), halving
     each chord at most max_depth times.
 
-    A failing midpoint inside a component would contradict the interval
-    assumption; refinement just stops on that chord and keeps it.  Each
-    chord's verdict depends only on its end points and its midpoint, so
-    the chords are refined level by level, each level's midpoints shot as
-    one batch (_forward_points).
+    A chord's verdict depends only on its end points and its midpoint: a
+    gap (the midpoint's scaled distance from the chord) above SAGITTA_TOL
+    keeps the midpoint and splits the chord in two.  A failing midpoint
+    inside a component would contradict the interval assumption;
+    refinement just stops on that chord and keeps it.
+
+    The midpoints are shot in planned rounds.  Each pending chord carries a
+    predicted gap: a child chord its parent's measured gap, a grid chord
+    the larger turn of its end vertices (_grid_gaps).  A gap falls about 4x
+    per halving, so a round plans each pending chord's midpoint and, while
+    the predicted gap / 4 exceeds SAGITTA_TOL, both halves' midpoints too,
+    with gap / 4, down to max_depth.  A round's planned midpoints are one
+    batch (_forward_points); the verdicts are then drawn level by level
+    from the shot outcomes, and a chord whose midpoint was not planned
+    waits for the next round.  Shots under a chord that passes are
+    dropped.  A shot's outcome does not depend on its batch mates, so the
+    kept vertices are those of shooting one level at a time.
     """
     r_ref, m_ref = refs
 
@@ -261,22 +275,65 @@ def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
         return np.array([pt.radius / r_ref, pt.mass / m_ref])
 
     ps = sorted(points_by_p)
-    chords = list(zip(ps[:-1], ps[1:]))
-    for _ in range(max_depth):
-        mids = [math.sqrt(p1 * p2) for p1, p2 in chords]
-        outcomes = _forward_points(eos, mids, config)
-        chords_next = []
-        for (p1, p2), p_mid, (point, _) in zip(chords, mids, outcomes):
-            if point is None:
-                continue
-            gap = _segment_distance(
-                scaled(point), scaled(points_by_p[p1]), scaled(points_by_p[p2])
-            )
-            if gap <= SAGITTA_TOL:
-                continue
-            points_by_p[p_mid] = point
-            chords_next += [(p1, p_mid), (p_mid, p2)]
-        chords = chords_next
+    gaps = _grid_gaps([scaled(points_by_p[p]) for p in ps])
+    # chords as (p1, p2, depth, predicted gap or None)
+    pending = [(p1, p2, 0, gap) for p1, p2, gap in zip(ps[:-1], ps[1:], gaps)]
+    shot = {}
+    while pending:
+        planned = [p for chord in pending
+                   for p in _planned_midpoints(*chord, max_depth)]
+        shot.update(zip(planned, _forward_points(eos, planned, config)))
+        level, pending = pending, []
+        while level:
+            next_level = []
+            for p1, p2, depth, gap in level:
+                if depth >= max_depth:
+                    continue
+                p_mid = math.sqrt(p1 * p2)
+                if p_mid not in shot:
+                    pending.append((p1, p2, depth, gap))
+                    continue
+                point = shot[p_mid][0]
+                if point is None:
+                    continue
+                gap = _segment_distance(
+                    scaled(point), scaled(points_by_p[p1]),
+                    scaled(points_by_p[p2]))
+                if gap <= SAGITTA_TOL:
+                    continue
+                points_by_p[p_mid] = point
+                next_level += [(p1, p_mid, depth + 1, gap),
+                               (p_mid, p2, depth + 1, gap)]
+            level = next_level
+
+
+def _grid_gaps(vertices):
+    """The predicted gap of each chord between consecutive vertices: the
+    larger turn of its end vertices, a vertex's turn being its distance
+    from the chord through its two neighbours.  None for every chord of
+    fewer than 3 vertices."""
+    turns = [_segment_distance(v, a, b)
+             for a, v, b in zip(vertices, vertices[1:], vertices[2:])]
+    if not turns:
+        return [None] * (len(vertices) - 1)
+    # an end vertex has no turn; the other end of its chord does
+    turns = turns[:1] + turns + turns[-1:]
+    return [max(a, b) for a, b in zip(turns, turns[1:])]
+
+
+def _planned_midpoints(p1, p2, depth, gap, max_depth):
+    """The midpoints one round shoots for a pending chord: its own, and
+    while its predicted gap / 4 exceeds SAGITTA_TOL, those its halves are
+    predicted to need, with gap / 4, down to max_depth."""
+    if depth >= max_depth:
+        return []
+    p_mid = math.sqrt(p1 * p2)
+    mids = [p_mid]
+    if gap is not None and gap / 4.0 > SAGITTA_TOL:
+        for half in ((p1, p_mid), (p_mid, p2)):
+            mids += _planned_midpoints(*half, depth + 1, gap / 4.0,
+                                       max_depth)
+    return mids
 
 
 def scan_components(eos, grid, config=None):
@@ -287,9 +344,9 @@ def scan_components(eos, grid, config=None):
     failing neighbor, and refines the sampling wherever the (R, M) trace
     bends faster than the stored chords can follow.  Grid points where the
     shot fails are recorded through the endpoint labels; no successes at
-    all yields an empty list.  The grid and each refinement level are shot
-    as batches (_forward_points); the endpoint bisection, one shot at a
-    time.
+    all yields an empty list.  The grid and each planned round of the
+    refinement (_refine_sagitta) are shot as batches (_forward_points);
+    the endpoint bisection, one shot at a time.
     """
     if not isinstance(grid, LogGrid):
         grid = LogGrid(*grid)

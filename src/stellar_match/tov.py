@@ -28,6 +28,16 @@ boundary data (R, M) just inside the surface and end in one of four ways:
     case11  the center floor is reached with m below the mass floor
             (the regular-center success)
 
+A shot that ends at the pressure ceiling climbs a refinement ladder: each
+rung raises the ceiling 100x, at most to the EOS cap, and tightens rtol
+100x, down to 1e-13, for at most ShootConfig.refinements rungs.  Once a
+rung's ceiling is the cap, a further rung would only tighten rtol, so the
+ladder stops there when that rung's blow-up radius agrees with the
+previous one's to LADDER_SETTLED_RTOL and lies LADDER_SETTLED_FLOORS
+radius floors or more from the center; diagnostics["ladder_stop"] says
+why a ladder stopped.  At c = inf the cap is infinite and every ladder
+climbs all its rungs.
+
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
@@ -90,6 +100,11 @@ _METRIC_FLOOR = 1e-14
 # Margin kept from the metric degeneracy 1 - 2m/(c^2 r) = 0 by the horizon
 # events.
 HORIZON_MARGIN = 1e-10
+# A refinement ladder whose ceiling is the EOS cap stops once two rungs'
+# blow-up radii agree to this relative tolerance, at this many radius
+# floors or more from the center (tov._settled).
+LADDER_SETTLED_RTOL = 1e-6
+LADDER_SETTLED_FLOORS = 100.0
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,7 @@ class ShootConfig:
     m_floor_factor: float = 1e-5
     p_ceiling_factor: float = 1e6
     slope_floor_factor: float = 1e-8
-    refinements: int = 2
+    refinements: int = 2            # most ladder rungs after rung 0
 
     def __post_init__(self):
         if not self.r_floor_factor + self.dr_factor < 1.0:
@@ -529,25 +544,48 @@ def _inward_run(eos, start, w_ceiling, rtol, with_center, prev_w_ceiling):
     return sol, _interpret_inward(sol, labels, start.r_floor, prev_w_ceiling)
 
 
+def _settled(start, level, radii):
+    """Whether the ladder may stop after rung `level` (>= 1): its ceiling
+    is already the EOS cap, so a further rung would only tighten rtol; its
+    estimate agrees with the previous rung's to LADDER_SETTLED_RTOL; and
+    it lies LADDER_SETTLED_FLOORS radius floors or more from the center,
+    far from the case00/case10 border."""
+    return (start.ceiling * 100.0 ** level >= start.p_cap
+            and abs(radii[-1] - radii[-2]) <= LADDER_SETTLED_RTOL * radii[-1]
+            and radii[-1] >= LADDER_SETTLED_FLOORS * start.r_floor)
+
+
 def _refine_ladder(eos, start, cfg, label, detail, sol=None):
     """The refinement ladder for the blow-up radius after rung 0 ended
     with (label, detail): while a rung ends at the pressure ceiling, raise
     the ceiling (within the EOS cap) and tighten rtol, watching whether
-    the estimate sinks below the radius floor.  Returns the last rung's
-    (label, detail, sol); sol stays the one given when no rung runs."""
+    the estimate sinks below the radius floor.  The ladder runs at most
+    cfg.refinements rungs past rung 0 and stops early once _settled; a
+    ladder that ran records why it stopped in diagnostics["ladder_stop"]:
+    "settled", "max_rungs", or "left_ceiling" for a rung that ended on
+    another event.  Returns the last rung's (label, detail, sol); sol
+    stays the one given when no rung runs."""
+    if label != EXIT_PRESSURE_CEILING:
+        return label, detail, sol
     radii = start.diagnostics["refinement_radii"]
     w_ceiling = start.w_ceiling
-    level = 0
-    while label == EXIT_PRESSURE_CEILING and level < cfg.refinements:
+    level, stop = 0, None
+    while stop is None:
         radii.append(detail["r_exit"])
-        level += 1
-        prev_w_ceiling, w_ceiling = w_ceiling, eos.enthalpy_of_pressure(
-            min(start.ceiling * 100.0 ** level, start.p_cap))
-        sol, (label, detail) = _inward_run(
-            eos, start, w_ceiling, max(cfg.rtol * 0.01 ** level, 1e-13),
-            False, prev_w_ceiling)
-    if label == EXIT_PRESSURE_CEILING:
-        radii.append(detail["r_exit"])
+        if level >= cfg.refinements:
+            stop = "max_rungs"
+        elif level and _settled(start, level, radii):
+            stop = "settled"
+        else:
+            level += 1
+            prev_w_ceiling, w_ceiling = w_ceiling, eos.enthalpy_of_pressure(
+                min(start.ceiling * 100.0 ** level, start.p_cap))
+            sol, (label, detail) = _inward_run(
+                eos, start, w_ceiling, max(cfg.rtol * 0.01 ** level, 1e-13),
+                False, prev_w_ceiling)
+            if label != EXIT_PRESSURE_CEILING:
+                stop = "left_ceiling"
+    start.diagnostics["ladder_stop"] = stop
     return label, detail, sol
 
 

@@ -180,6 +180,50 @@ def test_scan_keeps_the_depth_first_vertex_set(monkeypatch, gamma, c_light,
         np.testing.assert_allclose(a.masses, b.masses, rtol=1e-12)
 
 
+def _scan_batches(monkeypatch, eos, grid):
+    """(curves, the central pressures of each _forward_points batch) of
+    one scan."""
+    batches = []
+    real = matching._forward_points
+
+    def record(eos, ps, config):
+        batches.append(list(ps))
+        return real(eos, ps, config)
+
+    monkeypatch.setattr(matching, "_forward_points", record)
+    return scan_components(eos, grid), batches
+
+
+@pytest.mark.parametrize("eos, grid, batches, shots, n_vertices", [
+    # criterion 4's and match-rel53's scan: shot one level at a time, it
+    # takes six batches (17, 16, 32, 62, 106 and 20 shots, 253 in all)
+    (EosSpec(5.0 / 3.0, c_light=1.0), LogGrid(1e-6, 1e-2, 4), 3, 300, 127),
+    # match-lambda's scan: a two-point grid has no turn to predict from,
+    # and level by level it takes four batches (2, 1, 2 and 4 shots)
+    (EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1)),
+     LogGrid(2e-3, 3e-3, 2), 3, 9, 5),
+])
+def test_scan_plans_its_refinement_in_few_batches(monkeypatch, eos, grid,
+                                                  batches, shots,
+                                                  n_vertices):
+    [curve], got = _scan_batches(monkeypatch, eos, grid)
+    sizes = [len(batch) for batch in got]
+    assert 0 not in sizes
+    assert len(sizes) <= batches
+    assert sum(sizes) <= shots
+    assert len(curve.points) == n_vertices  # as level by level
+
+
+def test_default_scan_shoots_nothing_on_speculation(monkeypatch):
+    # The default `match` scan's grid bends too little to predict a split,
+    # and its 24 midpoints all pass: the grid, then those midpoints.
+    grid = LogGrid(1e-5, 1e-2, 8)
+    _, got = _scan_batches(monkeypatch, EosSpec(2.0), grid)
+    values = grid.values().tolist()
+    assert got == [values, [math.sqrt(p1 * p2)
+                            for p1, p2 in zip(values[:-1], values[1:])]]
+
+
 def test_refinement_bounds_chord_deviation(newt_gamma53_curves):
     # Forward shots taken between stored vertices must land within the
     # advertised sagitta of the polyline, otherwise near-curve membership

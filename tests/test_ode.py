@@ -229,7 +229,10 @@ def test_inward_ladder_matches_solve_ivp(recorded):
     surface, _ = tov.shoot_from_center(eos, 1e-3)
     cls, _ = tov.shoot_from_boundary(eos, surface.radius * 0.8, surface.mass)
     assert cls.case == tov.CASE00
-    assert len(recorded) == 4  # the forward shot and three rungs
+    # the forward shot and two rungs: the ceiling is the EOS cap from rung 0
+    # on, and rung 1's blow-up radius settles rung 0's, so the ladder stops
+    assert cls.diagnostics["ladder_stop"] == "settled"
+    assert len(recorded) == 3
     (args, got), *rungs = recorded
     _assert_matches_oracle(args, got)
     # The rungs' first steps choose their size from rounding: atol is
@@ -239,16 +242,22 @@ def test_inward_ladder_matches_solve_ivp(recorded):
     # the oracle's steps over the whole run.  Rung 0 (rtol 1e-10) takes as
     # many steps with the same nfev, but its step ends part by up to 3e-2
     # relative and its blow-up radius by 2e-11, while both miss a
-    # tolerance-1e-14 reference by 2e-10.  Rung 2 (rtol 1e-13) takes 96
-    # steps against the oracle's 97.  So every rung is also checked step
-    # by step against the oracle from each step's start.
-    rung0, rung1, _rung2 = rungs
+    # tolerance-1e-14 reference by 2e-10.  So every rung is also checked
+    # step by step against the oracle from each step's start.
+    rung0, rung1 = rungs
     _assert_matches_oracle(*rung1, event_tol=1e-11)
     args, got = rung0
     want = _oracle(*args)
     assert len(got.t) == len(want.t)
     assert got.nfev == _oracle_nfev(want, got.event)
-    for args, got in rungs:
+    # The rtol 1e-13 rung, from a ladder that climbs all its rungs: at
+    # (R, M) = (1, 1e-5) the ceiling reaches the EOS cap only on rung 2.
+    recorded.clear()
+    cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-5)
+    assert cls.diagnostics["ladder_stop"] == "max_rungs"
+    rung2 = recorded[2]
+    assert rung2[0][3] == 1e-13
+    for args, got in (rung0, rung1, rung2):
         want = _oracle(*args)
         assert got.status == want.status and got.message == want.message
         assert got.event == _oracle_event(want) == 0

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from stellar_match.eos import EosSpec
 from stellar_match.errors import (AdmissibilityError, EosValidityError,
                                   ShootFailureError, StellarMatchError)
 from stellar_match import ode, tov
+from stellar_match.matching import LANES_MIN
 
 # first zero and mass integral of the n = 1.5 profile, frozen from the
 # independently cross-checked values in test_lane_emden
@@ -250,6 +252,72 @@ def test_case00_estimates_stay_above_floor():
     assert cls.case == tov.CASE00
     radii = cls.diagnostics["refinement_radii"]
     assert all(r > cls.diagnostics["r_floor"] for r in radii)
+
+
+@pytest.mark.parametrize("mass", [1e-5, 1e-4])
+def test_ladder_climbs_every_rung_below_the_cap_or_while_moving(mass):
+    # At gamma = 5/3, c = 1 the ceiling of (1, 1e-5) reaches the EOS cap
+    # only on rung 2; that of (1, 1e-4) on rung 1, where the estimate still
+    # moves by 40%.
+    cls, _ = tov.shoot_from_boundary(eos_rel(), 1.0, mass)
+    assert cls.case == tov.CASE00
+    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
+    assert cls.diagnostics["ladder_stop"] == "max_rungs"
+    assert len(cls.diagnostics["refinement_radii"]) == 3
+
+
+def test_settled_needs_the_cap_agreement_and_the_floor_margin():
+    # (1, 1e-5) at gamma = 5/3, c = 1: the ceiling reaches the cap on rung
+    # 2, and r_floor is 1e-6
+    start = tov._inward_start(eos_rel(), 1.0, 1e-5, tov.ShootConfig())
+    assert tov._settled(start, 2, [0.1, 0.1 * (1.0 + 5e-7)])
+    assert not tov._settled(start, 1, [0.1, 0.1 * (1.0 + 5e-7)])
+    assert not tov._settled(start, 2, [0.1, 0.1 * (1.0 + 2e-6)])
+    assert tov._settled(start, 2, [1e-4, 1e-4])  # 100 floors
+    assert not tov._settled(start, 2, [5e-5, 5e-5])
+
+
+def _cap_pinned_case00(config=None):
+    """An inward shot 20% inside a P_c = 1e-3 star: case00, with a ceiling
+    at the EOS cap from rung 0 on."""
+    eos = eos_rel()
+    surface, _ = tov.shoot_from_center(eos, 1e-3)
+    return tov.shoot_from_boundary(eos, 0.8 * surface.radius, surface.mass,
+                                   config)[0]
+
+
+def test_cap_pinned_ladder_stops_once_settled(monkeypatch):
+    cls = _cap_pinned_case00()
+    d = cls.diagnostics
+    assert (cls.case, d["ceiling_limited_by"]) == (tov.CASE00, "eos_validity")
+    assert d["ladder_stop"] == "settled"
+    r0, r1 = d["refinement_radii"]
+    assert abs(r1 - r0) <= tov.LADDER_SETTLED_RTOL * r1
+    assert r1 >= tov.LADDER_SETTLED_FLOORS * d["r_floor"]
+    # the rung it leaves out, rtol 1e-13 under the same ceiling, keeps the
+    # verdict and moves the estimate by far less than the agreement asked
+    monkeypatch.setattr(tov, "_settled", lambda *args: False)
+    full = _cap_pinned_case00()
+    assert (full.case, full.exit) == (cls.case, cls.exit)
+    assert full.diagnostics["ladder_stop"] == "max_rungs"
+    assert full.diagnostics["refinement_radii"][:2] == [r0, r1]
+    assert full.r_minus == pytest.approx(r1, rel=1e-9)
+
+
+def test_ladder_within_the_floor_margin_never_stops_early():
+    # The same shot with a floor a tenth of its blow-up radius: the rungs
+    # are unchanged and settled, but the estimate lies within
+    # LADDER_SETTLED_FLOORS floors of the center, so every rung runs.
+    settled = _cap_pinned_case00()
+    scale = 0.1 * settled.r_minus / settled.diagnostics["r_floor"]
+    cls = _cap_pinned_case00(tov.ShootConfig(
+        r_floor_factor=scale * tov.ShootConfig().r_floor_factor))
+    radii = cls.diagnostics["refinement_radii"]
+    assert cls.case == tov.CASE00
+    assert cls.diagnostics["ladder_stop"] == "max_rungs"
+    assert len(radii) == 3
+    assert radii[:2] == settled.diagnostics["refinement_radii"]
+    assert radii[-1] < tov.LADDER_SETTLED_FLOORS * cls.diagnostics["r_floor"]
 
 
 def test_center_massive_exit_outside_taxonomy():
@@ -637,6 +705,51 @@ def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
             assert str(outcome) == "metric factor nonpositive at an " \
                                    "accepted step"
     assert ladders >= 4
+
+
+_BATCH_EOS = {
+    "gamma 5/3, c = 1": (eos_rel(), (1.0, 0.6)),
+    "gamma 2, c = inf": (eos_newt(gamma=2.0), (1.0, 0.0)),
+    "lambda (0.2, -0.1)": (EosSpec(2.0, c_light=1.0,
+                                   lambda_coeffs=(0.2, -0.1)), (1.0, 0.6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BATCH_EOS))
+def batch_pool(request):
+    """(eos, central pressures, boundary data, their outcomes shot as one
+    batch each): a central pressure the EOS cannot start from, and inward
+    shots ending in every way _inward_batch gives, plus three more."""
+    eos, inadmissible = _BATCH_EOS[request.param]
+    p_centers = np.geomspace(1e-5, 1e-2, 19).tolist()
+    if not eos.nonrelativistic:
+        p_centers.insert(7, 2.0 * eos.p_valid_max)
+    boundaries = _inward_batch(eos, inadmissible) + [
+        (1.0, 1e-5), (1.0, 1e-4), (2.0, 1e-3)]
+    return (eos, p_centers, boundaries,
+            tov.shoot_from_centers(eos, p_centers),
+            tov.shoot_from_boundaries(eos, *zip(*boundaries)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_lanes_do_not_depend_on_their_batch_mates(batch_pool, data):
+    # Each lane of a batch of LANES_MIN or more gives the outcome it gives
+    # in the whole pool's batch, bit for bit (the repr of a float is
+    # exact), whatever its batch mates and its place among them: the
+    # scan's planned refinement shoots speculative midpoints on that
+    # premise.
+    eos, p_centers, boundaries, centers_want, boundaries_want = batch_pool
+    for shoot, pool, want in (
+            (lambda batch: tov.shoot_from_centers(eos, batch), p_centers,
+             centers_want),
+            (lambda batch: tov.shoot_from_boundaries(eos, *zip(*batch)),
+             boundaries, boundaries_want)):
+        order = data.draw(st.permutations(range(len(pool))))
+        order = order[:data.draw(st.integers(LANES_MIN, len(pool)))]
+        got = shoot([pool[k] for k in order])
+        assert [repr(outcome) for outcome in got] == [
+            repr(want[k]) for k in order]
 
 
 @pytest.mark.parametrize("dr_factor, r_floor_factor", [
