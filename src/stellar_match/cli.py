@@ -132,14 +132,10 @@ def _path(v, path, bound):
 
 
 def _solver_keys():
-    """One tov.* row per field of ShootConfig, default included: integers
-    (refinement counts) >= 0, floats (scale factors) > 0."""
-    return tuple(
-        ("tov." + f.name, _integer, (">=", 0), f.default)
-        if type(f.default) is int
-        else ("tov." + f.name, _number, (">", 0.0), f.default)
-        for f in fields(ShootConfig)
-    )
+    """One tov.* row per field of ShootConfig, default included: every
+    field is a positive float (a tolerance or a scale factor)."""
+    return tuple(("tov." + f.name, _number, (">", 0.0), f.default)
+                 for f in fields(ShootConfig))
 
 
 # Every settable value: (section.key, type rule, bound, default).  None is

@@ -22,21 +22,24 @@ Outward shots start from a central pressure with a series start at r0 and end
 on the w = 0 event (the surface) or a guard.  Inward shots start from
 boundary data (R, M) just inside the surface and end in one of four ways:
 
-    case00  blow-up radius estimate stays above r_floor, P explodes
+    case00  P blows up at a radius above r_floor
     case01  |dP/dr| stalls at positive radius with P finite
-    case10  blow-up radius estimates shrink below r_floor under refinement
+    case10  P blows up at the center: at or below r_floor, or anywhere
+            when c = inf
     case11  the center floor is reached with m below the mass floor
             (the regular-center success)
 
-A shot that ends at the pressure ceiling climbs a refinement ladder: each
-rung raises the ceiling 100x, at most to the EOS cap, and tightens rtol
-100x, down to 1e-13, for at most ShootConfig.refinements rungs.  Once a
-rung's ceiling is the cap, a further rung would only tighten rtol, so the
-ladder stops there when that rung's blow-up radius agrees with the
-previous one's to LADDER_SETTLED_RTOL and lies LADDER_SETTLED_FLOORS
-radius floors or more from the center; diagnostics["ladder_stop"] says
-why a ladder stopped.  At c = inf the cap is infinite and every ladder
-climbs all its rungs.
+The first solve of an inward shot, rung 0, runs under a pressure ceiling
+p_ceiling_factor * p_ref, capped just below the EOS validity bound.  A
+rung 0 that ends at that ceiling is read by one rule.  At c = inf it is
+case10 at once: there dw/dr = -m/r^2 with m <= M, so P stays finite at
+every r > 0 and can blow up only at the center.  At a finite c a ceiling
+that is already the cap decides on rung 0's own blow-up radius; a ceiling
+that p_ref kept below the cap gets exactly one more solve, the cap solve,
+under the cap at the same rtol and without the center-floor stop, and the
+verdict is that solve's.  The cap is as high as a ceiling can go, and
+on the shots measured a tighter rtol under it moved the blow-up radius by
+1e-10 relative or less, so a further solve would not change the verdict.
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
@@ -56,12 +59,11 @@ the right-hand side and events evaluate on arrays of lanes.  It returns
 boundary data or failure labels only, with no trajectories; the domain
 checks run on every accepted lane state.  `shoot_from_boundaries` does the
 same for rung 0 of many inward shots, each lane with its own event
-thresholds, and runs the refinement ladder of a lane that ends at the
-pressure ceiling shot by shot from rung 1; it returns each shot's
-classification or the error it raised.  On both paths rung 0 is read
-off the index of the event that stopped it.  Lanes pay from about a dozen
-outward and about twenty inward shots on (matching.LANES_MIN picks the
-batches that use them).
+thresholds, and runs the cap solve of a lane that needs one shot by shot;
+it returns each shot's classification or the error it raised.  On both
+paths rung 0 is read off the index of the event that stopped it.  Lanes
+pay from about a dozen outward and about twenty inward shots on
+(matching.LANES_MIN picks the batches that use them).
 """
 
 from __future__ import annotations
@@ -100,11 +102,6 @@ _METRIC_FLOOR = 1e-14
 # Margin kept from the metric degeneracy 1 - 2m/(c^2 r) = 0 by the horizon
 # events.
 HORIZON_MARGIN = 1e-10
-# A refinement ladder whose ceiling is the EOS cap stops once two rungs'
-# blow-up radii agree to this relative tolerance, at this many radius
-# floors or more from the center (tov._settled).
-LADDER_SETTLED_RTOL = 1e-6
-LADDER_SETTLED_FLOORS = 100.0
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,6 @@ class ShootConfig:
     m_floor_factor: float = 1e-5
     p_ceiling_factor: float = 1e6
     slope_floor_factor: float = 1e-8
-    refinements: int = 2            # most ladder rungs after rung 0
 
     def __post_init__(self):
         if not self.r_floor_factor + self.dr_factor < 1.0:
@@ -449,8 +445,8 @@ def _inward_events(eos, with_center):
 
     Each event takes the run's thresholds (w_ceiling, slope_floor, r_floor)
     after (r, y) as its event arguments, one set per lane on lanes.
-    Refinement runs drop the center-floor stop (with_center=False) so a
-    ceiling crossing sinking below r_floor can still fire.  The horizon
+    The cap solve drops the center-floor stop (with_center=False) so a
+    ceiling crossing below r_floor can still fire.  The horizon
     comes last, and only for a finite c."""
     def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
@@ -534,58 +530,33 @@ def _inward_start(eos, radius, mass, cfg):
                         m_floor=m_floor, diagnostics=diagnostics)
 
 
-def _inward_run(eos, start, w_ceiling, rtol, with_center, prev_w_ceiling):
-    """One rung of an inward shot, a solve from the start to 0.01 r_floor
-    under w_ceiling; returns (sol, (label, detail)) as _interpret_inward
-    reads it."""
-    events, labels = _inward_events(eos, with_center)
+def _inward_run(eos, start, rtol, cap=False):
+    """Rung 0 of an inward shot, a solve from the start to 0.01 r_floor
+    under rung 0's ceiling with the center-floor stop, or with cap=True the
+    cap solve, under the EOS cap without it; returns (sol, (label, detail))
+    as _interpret_inward reads it."""
+    events, labels = _inward_events(eos, not cap)
+    w_ceiling = eos.enthalpy_of_pressure(start.p_cap) if cap \
+        else start.w_ceiling
     sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events, rtol,
                  start.atol, start.thresholds(w_ceiling))
-    return sol, _interpret_inward(sol, labels, start.r_floor, prev_w_ceiling)
+    return sol, _interpret_inward(sol, labels, start.r_floor,
+                                  start.w_ceiling if cap else None)
 
 
-def _settled(start, level, radii):
-    """Whether the ladder may stop after rung `level` (>= 1): its ceiling
-    is already the EOS cap, so a further rung would only tighten rtol; its
-    estimate agrees with the previous rung's to LADDER_SETTLED_RTOL; and
-    it lies LADDER_SETTLED_FLOORS radius floors or more from the center,
-    far from the case00/case10 border."""
-    return (start.ceiling * 100.0 ** level >= start.p_cap
-            and abs(radii[-1] - radii[-2]) <= LADDER_SETTLED_RTOL * radii[-1]
-            and radii[-1] >= LADDER_SETTLED_FLOORS * start.r_floor)
-
-
-def _refine_ladder(eos, start, cfg, label, detail, sol=None):
-    """The refinement ladder for the blow-up radius after rung 0 ended
-    with (label, detail): while a rung ends at the pressure ceiling, raise
-    the ceiling (within the EOS cap) and tighten rtol, watching whether
-    the estimate sinks below the radius floor.  The ladder runs at most
-    cfg.refinements rungs past rung 0 and stops early once _settled; a
-    ladder that ran records why it stopped in diagnostics["ladder_stop"]:
-    "settled", "max_rungs", or "left_ceiling" for a rung that ended on
-    another event.  Returns the last rung's (label, detail, sol); sol
-    stays the one given when no rung runs."""
-    if label != EXIT_PRESSURE_CEILING:
-        return label, detail, sol
+def _past_ceiling(eos, start, rtol, label, detail, sol=None):
+    """The cap solve after rung 0 ended with (label, detail), where it is
+    due: rung 0 ended at a ceiling that p_ref kept below a finite EOS cap.
+    The blow-up radius of each solve that ended at its ceiling goes to
+    diagnostics["refinement_radii"].  Returns the last solve's (label,
+    detail, sol); sol stays the one given when no solve runs."""
     radii = start.diagnostics["refinement_radii"]
-    w_ceiling = start.w_ceiling
-    level, stop = 0, None
-    while stop is None:
+    if label == EXIT_PRESSURE_CEILING:
         radii.append(detail["r_exit"])
-        if level >= cfg.refinements:
-            stop = "max_rungs"
-        elif level and _settled(start, level, radii):
-            stop = "settled"
-        else:
-            level += 1
-            prev_w_ceiling, w_ceiling = w_ceiling, eos.enthalpy_of_pressure(
-                min(start.ceiling * 100.0 ** level, start.p_cap))
-            sol, (label, detail) = _inward_run(
-                eos, start, w_ceiling, max(cfg.rtol * 0.01 ** level, 1e-13),
-                False, prev_w_ceiling)
-            if label != EXIT_PRESSURE_CEILING:
-                stop = "left_ceiling"
-    start.diagnostics["ladder_stop"] = stop
+        if start.ceiling < start.p_cap < math.inf:
+            sol, (label, detail) = _inward_run(eos, start, rtol, True)
+            if label == EXIT_PRESSURE_CEILING:
+                radii.append(detail["r_exit"])
     return label, detail, sol
 
 
@@ -594,9 +565,9 @@ def shoot_from_boundary(eos, radius, mass, config=None):
     (ShootClassification, TovTrajectory)."""
     cfg = config or ShootConfig()
     start = _inward_start(eos, radius, mass, cfg)
-    sol, (label, detail) = _inward_run(eos, start, start.w_ceiling, cfg.rtol,
-                                       True, None)
-    label, detail, sol = _refine_ladder(eos, start, cfg, label, detail, sol)
+    sol, (label, detail) = _inward_run(eos, start, cfg.rtol)
+    label, detail, sol = _past_ceiling(eos, start, cfg.rtol, label, detail,
+                                       sol)
 
     traj = TovTrajectory(eos, "inward", sol, label,
                          f_const=_f_const(eos, radius, mass))
@@ -618,11 +589,11 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     own thresholds, so it takes the same steps and ends on the same event
     to roundoff.  Rung 0 never needs the dense output: its center-floor
     event fires before any event below r_floor and before the span end,
-    since ShootConfig puts every start above r_floor.  A lane that ends at
-    the pressure ceiling goes on through the scalar ladder from rung 1.
-    check_domain's tests run on every accepted state of every lane; a shot
-    whose ladder runs past rung 0 is judged on its last rung's trajectory,
-    as the scalar shot is."""
+    since ShootConfig puts every start above r_floor.  A lane whose rung 0
+    needs the cap solve runs it as the scalar shot does.  check_domain's
+    tests run on every accepted state of every lane; a shot that runs the
+    cap solve is judged on that solve's trajectory, as the scalar shot
+    is."""
     cfg = config or ShootConfig()
     results = [None] * len(radii)
     lanes, starts = [], []
@@ -649,8 +620,8 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
                 raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
             detail = {"r_exit": float(sol.t[j]), "m_exit": float(sol.y[0, j]),
                       "w_exit": float(sol.y[1, j])}
-            label, detail, rung = _refine_ladder(
-                eos, start, cfg, labels[sol.event[j]], detail)
+            label, detail, rung = _past_ceiling(
+                eos, start, cfg.rtol, labels[sol.event[j]], detail)
             results[i] = _classify(label, detail, eos, start.r_floor,
                                    start.m_floor, start.diagnostics)
             _check_domain(faults[:, j] if rung is None else _domain_faults(
@@ -663,9 +634,10 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
 def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
     """Map the event that stopped an inward solve to a label and exit
     state, the solve's last state.  Non-ceiling events below the radius
-    floor (possible only on refinement runs) are folded back into the
+    floor (possible only on the cap solve) are folded back into the
     center-floor reading at r_floor, as is a run that reaches the span end
-    (0.01 r_floor) with the pressure back under the previous ceiling."""
+    (0.01 r_floor) with the pressure back under prev_w_ceiling, rung 0's
+    ceiling (the cap solve's only)."""
     def center_floor_reading():
         m_f, w_f = (float(v) for v in sol.sol(r_floor))
         return EXIT_CENTER_FLOOR, {"r_exit": r_floor, "m_exit": m_f,
@@ -679,7 +651,7 @@ def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
             return center_floor_reading()
         return label, end
 
-    # span end reached: still above the previous ceiling means the crossing
+    # span end reached: still above rung 0's ceiling means the crossing
     # moved below the span, an upper bound on the blow-up radius
     if prev_w_ceiling is not None and end["w_exit"] >= prev_w_ceiling:
         return EXIT_PRESSURE_CEILING, end
@@ -691,13 +663,12 @@ def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
     p_e = eos.pressure_of_enthalpy(w_e) if w_e > 0.0 else 0.0
 
     if label == EXIT_PRESSURE_CEILING:
-        radii = diagnostics["refinement_radii"] or [r_e]
-        # the most refined estimate decides: below the floor means the
-        # blow-up hugs the center
-        case = CASE10 if radii[-1] <= r_floor else CASE00
+        # a blow-up at or below the floor hugs the center; at c = inf the
+        # center is the only place P can blow up
+        case = CASE10 if eos.nonrelativistic or r_e <= r_floor else CASE00
         return ShootClassification(
             case=case, exit=EXIT_PRESSURE_CEILING, r_exit=r_e, m_exit=m_e,
-            w_exit=w_e, p_exit=math.inf, r_minus=radii[-1],
+            w_exit=w_e, p_exit=math.inf, r_minus=r_e,
             diagnostics={**diagnostics, "p_at_exit": p_e})
 
     if label == EXIT_SLOPE_STALL:

@@ -64,13 +64,11 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(r_floor_factor=st.floats(1e-9, 2.0), dr_factor=st.floats(1e-9, 2.0),
-       refinements=st.integers(0, 4))
-@example(r_floor_factor=0.5, dr_factor=0.5, refinements=0)
+@given(r_floor_factor=st.floats(1e-9, 2.0), dr_factor=st.floats(1e-9, 2.0))
+@example(r_floor_factor=0.5, dr_factor=0.5)
 def test_cli_and_shoot_config_agree_on_the_radius_floor(
-        r_floor_factor, dr_factor, refinements):
-    tov = {"r_floor_factor": r_floor_factor, "dr_factor": dr_factor,
-           "refinements": refinements}
+        r_floor_factor, dr_factor):
+    tov = {"r_floor_factor": r_floor_factor, "dr_factor": dr_factor}
     sets = ["tov.%s=%r" % item for item in tov.items()]
     try:
         ShootConfig(**dict(DEFAULT_CONFIG["tov"], **tov))
@@ -294,11 +292,25 @@ def test_shoot_boundary_inadmissible(capsys, tmp_path):
 def test_shoot_boundary_at_c_inf_without_a_horizon_event(capsys, tmp_path,
                                                         mass):
     # the c = inf shots build no horizon event, which could not fire there;
-    # the classification is the one they had with it
+    # P stays finite at every r > 0, so a pressure-ceiling exit is a
+    # center blow-up
     code, out, _ = run(capsys, "shoot-boundary", "--radius", "1.0",
                        "--mass", mass, "--out", str(tmp_path / "o"))
     assert code == 0
-    assert "case = case00, exit = pressure_ceiling" in out
+    assert "case = case10, exit = pressure_ceiling" in out
+
+
+def test_refinements_key_is_gone(tmp_path):
+    # the inward shot has no refinement ladder, so no rung count to set
+    out = run_python(
+        "-m", "stellar_match.cli", "shoot-boundary", "--radius", "1",
+        "--mass", "1e-3", "--out", str(tmp_path / "o"),
+        "--set", "tov.refinements=2",
+    )
+    record = sole_error_record(out, 2)
+    assert record["error"] == "ConfigError"
+    assert "refinements" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
@@ -310,11 +322,7 @@ def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
         "--set", "eos.gamma=1.6666666666666667", "--set", "eos.c=1",
         "--set", "tov.r_floor_factor=2",
     )
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    lines = out.stderr.strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
+    record = sole_error_record(out, 2)
     assert record["error"] == "ConfigError"
     assert "tov.r_floor_factor" in record["message"]
     assert "tov.dr_factor" in record["message"]
@@ -493,6 +501,16 @@ def run_python(*args):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def sole_error_record(out, code):
+    """The one JSON error line a subprocess run that exits `code` writes to
+    stderr, with no traceback."""
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -687,12 +705,7 @@ def test_surface_out_of_range_is_a_labelled_error(tmp_path, sets, code, error, w
     argv = ["-m", "stellar_match.cli", "surface", "--out", str(tmp_path / "s")]
     for assignment in sets:
         argv += ["--set", assignment]
-    out = run_python(*argv)
-    assert out.returncode == code
-    assert "Traceback" not in out.stderr
-    lines = out.stderr.strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
+    record = sole_error_record(run_python(*argv), code)
     assert record["error"] == error
     for word in words:
         assert word in record["message"]

@@ -48,7 +48,8 @@ shots = [{k: sp["attrs"].get(k, 0) for k in ("solves", "steps")}
          for sp in tracer.spans if sp["name"] in ("tov.fwd", "tov.inward")]
 metrics = tracer.metrics(0.0)["metrics"]
 # A scan through the name the match command calls: 9 grid shots, then
-# refinement levels of 8 and more midpoints, the larger ones run as lanes.
+# planned refinement rounds (one of 136 midpoints here), each round one
+# batch, run as lanes from LANES_MIN shots on.
 grid = matching.LogGrid(1e-4, 1e-2, 4)
 curves = stellar_match.cli.scan_components(rel53, grid)
 sagitta = [sp["attrs"]["kept"] for sp in tracer.spans
@@ -96,9 +97,9 @@ def test_layertrace_wraps_existing_attributes(traced):
 
 
 def test_layertrace_sees_the_batched_scan(traced):
-    # The scan's refinement runs level by level, with the larger levels as
-    # lanes, behind the same two wrapped names; the sagitta span still
-    # counts the vertices it adds.
+    # The scan's refinement runs in planned rounds, each round one batch
+    # and the larger ones lanes, behind the same two wrapped names; the
+    # sagitta span still counts the vertices it adds.
     for name in ("stellar_match.matching._refine_sagitta",
                  "stellar_match.cli.scan_components"):
         assert name in traced["wrapped"]

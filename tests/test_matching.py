@@ -163,8 +163,9 @@ def _depth_first_refine(eos, points_by_p, refs, config, max_depth):
 ])
 def test_scan_keeps_the_depth_first_vertex_set(monkeypatch, gamma, c_light,
                                                grid, n_vertices):
-    # Level by level, with batches of LANES_MIN or more shot as lanes, the
-    # scan keeps the vertices that shot-by-shot depth-first refinement keeps.
+    # In planned rounds, each round's midpoints one batch and batches of
+    # LANES_MIN or more shot as lanes, the scan keeps the vertices that
+    # shot-by-shot depth-first refinement keeps.
     eos = EosSpec(gamma, c_light=c_light)
     got = scan_components(eos, grid)
     monkeypatch.setattr(matching, "_refine_sagitta", _depth_first_refine)

@@ -11,12 +11,13 @@ scipy forms it with a BLAS dot product whose rounding order cannot be
 reproduced in Python floats.  The trajectories are therefore compared at
 the oracle's step ends through the dense output, relative to each
 component's largest magnitude.  Where the estimate is mostly rounding
-(the ladder rungs, the EOS table at rtol 1e-13, the Lane-Emden profiles
-at 1e-12), the two error norms from one state part by 1e-3 relative or
-more and the step grids can part with them; each of those solves keeps
-the whole-run checks that still hold and is also compared step by step
-with scipy's DOP853 run from each step's start: the step itself, the
-step size scipy's controller picks there, and the event root.
+(the inward solves' first steps, the EOS table at rtol 1e-13, the
+Lane-Emden profiles at 1e-12), the two error norms from one state part by
+1e-3 relative or more and the step grids can part with them; each of
+those solves keeps the whole-run checks that still hold and is also
+compared step by step with scipy's DOP853 run from each step's start: the
+step itself, the step size scipy's controller picks there, and the event
+root.
 
 An event stops ode.solve on its step redone to end at the root, which
 scipy does not do: the state there is compared with the oracle run from
@@ -98,7 +99,7 @@ def _oracle_last_step(fun, got, rtol, atol):
                      dense_output=True)
 
 
-def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
+def _assert_matches_oracle(args, got):
     """Same status, step count and nfev as the oracle; trajectory, and the
     stopping event's root and state, within tolerance.  The state at the
     root is compared with an oracle run that stops there.  Returns the
@@ -115,7 +116,7 @@ def _assert_matches_oracle(args, got, event_tol=EVENT_TOL):
     assert got.event == _oracle_event(want)
     if got.event >= 0:
         np.testing.assert_allclose(got.t[-1], want.t_events[got.event][0],
-                                   rtol=event_tol)
+                                   rtol=EVENT_TOL)
         y_want = _oracle_last_step(args[0], got, *args[3:5]).y[:, -1]
         assert np.max(np.abs(got.y[:, -1] - y_want) / scale.T) \
             < TRAJECTORY_TOL
@@ -229,37 +230,30 @@ def test_inward_ladder_matches_solve_ivp(recorded):
     surface, _ = tov.shoot_from_center(eos, 1e-3)
     cls, _ = tov.shoot_from_boundary(eos, surface.radius * 0.8, surface.mass)
     assert cls.case == tov.CASE00
-    # the forward shot and two rungs: the ceiling is the EOS cap from rung 0
-    # on, and rung 1's blow-up radius settles rung 0's, so the ladder stops
-    assert cls.diagnostics["ladder_stop"] == "settled"
-    assert len(recorded) == 3
-    (args, got), *rungs = recorded
+    # the forward shot and rung 0 alone: the ceiling is the EOS cap from
+    # rung 0 on, so rung 0 decides
+    assert len(recorded) == 2
+    (args, got), rung0 = recorded
     _assert_matches_oracle(args, got)
-    # The rungs' first steps choose their size from rounding: atol is
+    # Inward solves choose their first steps' size from rounding: atol is
     # 1e-19 on w at the start, and from one state the error norms of
     # ode.solve and scipy part by up to a factor 6 there (DOP853's error
-    # weights sum to 4 in magnitude).  Rung 1 (rtol 1e-12) still takes
-    # the oracle's steps over the whole run.  Rung 0 (rtol 1e-10) takes as
-    # many steps with the same nfev, but its step ends part by up to 3e-2
-    # relative and its blow-up radius by 2e-11, while both miss a
-    # tolerance-1e-14 reference by 2e-10.  So every rung is also checked
-    # step by step against the oracle from each step's start.
-    rung0, rung1 = rungs
-    _assert_matches_oracle(*rung1, event_tol=1e-11)
-    args, got = rung0
-    want = _oracle(*args)
-    assert len(got.t) == len(want.t)
-    assert got.nfev == _oracle_nfev(want, got.event)
-    # The rtol 1e-13 rung, from a ladder that climbs all its rungs: at
-    # (R, M) = (1, 1e-5) the ceiling reaches the EOS cap only on rung 2.
+    # weights sum to 4 in magnitude).  Rung 0 (rtol 1e-10) takes as many
+    # steps as the oracle with the same nfev, but its step ends part by up
+    # to 3e-2 relative and its blow-up radius by 2e-11, while both miss a
+    # tolerance-1e-14 reference by 2e-10.  So each inward solve is also
+    # checked step by step against the oracle from each step's start.
+    # At (R, M) = (1, 1e-5) the ceiling is limited by p_ref, so rung 0 is
+    # followed by the cap solve, at the same rtol, under the EOS cap.
     recorded.clear()
     cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-5)
-    assert cls.diagnostics["ladder_stop"] == "max_rungs"
-    rung2 = recorded[2]
-    assert rung2[0][3] == 1e-13
-    for args, got in (rung0, rung1, rung2):
+    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
+    assert len(recorded) == 2
+    for args, got in (rung0, *recorded):
         want = _oracle(*args)
         assert got.status == want.status and got.message == want.message
+        assert len(got.t) == len(want.t)
+        assert got.nfev == _oracle_nfev(want, got.event)
         assert got.event == _oracle_event(want) == 0
         _assert_steps_match_oracle(args, got)
 

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 from scipy.integrate import solve_ivp
 
 from stellar_match.eos import EosSpec
@@ -237,87 +238,96 @@ def test_off_curve_boundary_data_fails():
         assert cls.case in (tov.CASE00, tov.CASE01)
 
 
-def test_case10_refinement_ladder():
-    # point-mass-like data: the blow-up estimate sinks below the floor
+@pytest.fixture
+def solve_count(monkeypatch):
+    """The number of tov._solve calls made so far (a one-item list)."""
+    count = [0]
+    real = tov._solve
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tov, "_solve", counted)
+    return count
+
+
+def test_case10_refinement_ladder(solve_count):
+    # point-mass-like data at c = inf: the pressure ceiling ends rung 0,
+    # and a Newtonian blow-up can only be at the center, so the verdict is
+    # case10 from that one solve
     cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-12)
-    assert cls.case == tov.CASE10
-    radii = cls.diagnostics["refinement_radii"]
-    assert len(radii) == 3
-    assert radii[0] > radii[1] > radii[2]
-    assert radii[2] <= cls.diagnostics["r_floor"]
+    assert (cls.case, cls.exit) == (tov.CASE10, tov.EXIT_PRESSURE_CEILING)
+    assert solve_count[0] == 1
+    assert cls.diagnostics["refinement_radii"] == [cls.r_minus]
 
 
-def test_case00_estimates_stay_above_floor():
+def test_case00_estimates_stay_above_floor(solve_count):
+    # Newtonian (1, 1e-3): rung 0's estimate lies far above the floor, yet
+    # at c = inf it marks a center blow-up, case10 from one solve
     cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-3)
+    assert cls.case == tov.CASE10
+    assert solve_count[0] == 1
+    assert cls.r_minus > 100.0 * cls.diagnostics["r_floor"]
+    # at gamma = 5/3, c = 1 the ceiling of (1, 1e-4) is limited by p_ref;
+    # the cap solve's estimate stays above the floor, so case00
+    solve_count[0] = 0
+    cls, _ = tov.shoot_from_boundary(eos_rel(), 1.0, 1e-4)
     assert cls.case == tov.CASE00
+    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
+    assert solve_count[0] == 2
     radii = cls.diagnostics["refinement_radii"]
+    assert radii[-1] == cls.r_minus < radii[0]
     assert all(r > cls.diagnostics["r_floor"] for r in radii)
 
 
-@pytest.mark.parametrize("mass", [1e-5, 1e-4])
-def test_ladder_climbs_every_rung_below_the_cap_or_while_moving(mass):
-    # At gamma = 5/3, c = 1 the ceiling of (1, 1e-5) reaches the EOS cap
-    # only on rung 2; that of (1, 1e-4) on rung 1, where the estimate still
-    # moves by 40%.
-    cls, _ = tov.shoot_from_boundary(eos_rel(), 1.0, mass)
-    assert cls.case == tov.CASE00
-    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
-    assert cls.diagnostics["ladder_stop"] == "max_rungs"
-    assert len(cls.diagnostics["refinement_radii"]) == 3
-
-
-def test_settled_needs_the_cap_agreement_and_the_floor_margin():
-    # (1, 1e-5) at gamma = 5/3, c = 1: the ceiling reaches the cap on rung
-    # 2, and r_floor is 1e-6
-    start = tov._inward_start(eos_rel(), 1.0, 1e-5, tov.ShootConfig())
-    assert tov._settled(start, 2, [0.1, 0.1 * (1.0 + 5e-7)])
-    assert not tov._settled(start, 1, [0.1, 0.1 * (1.0 + 5e-7)])
-    assert not tov._settled(start, 2, [0.1, 0.1 * (1.0 + 2e-6)])
-    assert tov._settled(start, 2, [1e-4, 1e-4])  # 100 floors
-    assert not tov._settled(start, 2, [5e-5, 5e-5])
-
-
-def _cap_pinned_case00(config=None):
-    """An inward shot 20% inside a P_c = 1e-3 star: case00, with a ceiling
-    at the EOS cap from rung 0 on."""
+def test_cap_pinned_ceiling_decides_on_rung_0(solve_count):
+    # 20% inside a P_c = 1e-3 star at gamma = 5/3, c = 1: the ceiling is
+    # the EOS cap from rung 0 on, so rung 0's blow-up radius decides
     eos = eos_rel()
     surface, _ = tov.shoot_from_center(eos, 1e-3)
-    return tov.shoot_from_boundary(eos, 0.8 * surface.radius, surface.mass,
-                                   config)[0]
-
-
-def test_cap_pinned_ladder_stops_once_settled(monkeypatch):
-    cls = _cap_pinned_case00()
-    d = cls.diagnostics
-    assert (cls.case, d["ceiling_limited_by"]) == (tov.CASE00, "eos_validity")
-    assert d["ladder_stop"] == "settled"
-    r0, r1 = d["refinement_radii"]
-    assert abs(r1 - r0) <= tov.LADDER_SETTLED_RTOL * r1
-    assert r1 >= tov.LADDER_SETTLED_FLOORS * d["r_floor"]
-    # the rung it leaves out, rtol 1e-13 under the same ceiling, keeps the
-    # verdict and moves the estimate by far less than the agreement asked
-    monkeypatch.setattr(tov, "_settled", lambda *args: False)
-    full = _cap_pinned_case00()
-    assert (full.case, full.exit) == (cls.case, cls.exit)
-    assert full.diagnostics["ladder_stop"] == "max_rungs"
-    assert full.diagnostics["refinement_radii"][:2] == [r0, r1]
-    assert full.r_minus == pytest.approx(r1, rel=1e-9)
-
-
-def test_ladder_within_the_floor_margin_never_stops_early():
-    # The same shot with a floor a tenth of its blow-up radius: the rungs
-    # are unchanged and settled, but the estimate lies within
-    # LADDER_SETTLED_FLOORS floors of the center, so every rung runs.
-    settled = _cap_pinned_case00()
-    scale = 0.1 * settled.r_minus / settled.diagnostics["r_floor"]
-    cls = _cap_pinned_case00(tov.ShootConfig(
-        r_floor_factor=scale * tov.ShootConfig().r_floor_factor))
-    radii = cls.diagnostics["refinement_radii"]
+    solve_count[0] = 0
+    cls, _ = tov.shoot_from_boundary(eos, 0.8 * surface.radius, surface.mass)
     assert cls.case == tov.CASE00
-    assert cls.diagnostics["ladder_stop"] == "max_rungs"
-    assert len(radii) == 3
-    assert radii[:2] == settled.diagnostics["refinement_radii"]
-    assert radii[-1] < tov.LADDER_SETTLED_FLOORS * cls.diagnostics["r_floor"]
+    assert cls.diagnostics["ceiling_limited_by"] == "eos_validity"
+    assert solve_count[0] == 1
+    assert cls.diagnostics["refinement_radii"] == [cls.r_minus]
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gamma=st.sampled_from([G53, 2.0]), radius=st.floats(0.5, 2.0),
+       log_mass=st.floats(-12.0, 1.0))
+@example(gamma=G53, radius=1.0, log_mass=-3.0)
+def test_no_case00_at_c_inf(solve_count, gamma, radius, log_mass):
+    # At c = inf, P stays finite at every r > 0 along an inward shot, so a
+    # pressure-ceiling exit is a center blow-up: case10, from rung 0 alone.
+    solve_count[0] = 0
+    cls, _ = tov.shoot_from_boundary(eos_newt(gamma), radius, 10.0**log_mass)
+    assert cls.case != tov.CASE00
+    if cls.exit == tov.EXIT_PRESSURE_CEILING:
+        assert cls.case == tov.CASE10
+        assert solve_count[0] == 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(radius=st.floats(0.5, 2.0), log_compactness=st.floats(-8.0, -0.5))
+@example(radius=1.0, log_compactness=math.log10(2e-5))
+def test_cap_solve_is_rung_0_under_the_cap(radius, log_compactness):
+    # gamma = 5/3, c = 1: whenever a rung 0 under the EOS cap itself
+    # (p_ceiling_factor 1e30) ends at that ceiling, the default shot ends
+    # on the same blow-up radius, bit for bit, and the same case, whether
+    # its own rung 0 already ran under the cap or the cap solve followed.
+    eos = eos_rel()
+    mass = 0.5 * radius * 10.0**log_compactness
+    capped, _ = tov.shoot_from_boundary(
+        eos, radius, mass, tov.ShootConfig(p_ceiling_factor=1e30))
+    if capped.exit != tov.EXIT_PRESSURE_CEILING:
+        return
+    cls, _ = tov.shoot_from_boundary(eos, radius, mass)
+    assert cls.diagnostics["refinement_radii"][-1] == capped.r_exit
+    assert (cls.case, cls.exit, cls.r_minus) == (
+        capped.case, capped.exit, capped.r_exit)
 
 
 def test_center_massive_exit_outside_taxonomy():
@@ -600,7 +610,8 @@ def test_lanes_raise_the_scalar_domain_error(monkeypatch):
 def _inward_batch(eos, inadmissible):
     """Boundary data whose inward shots end in every way a sweep sees:
     case00, case01 and on-curve case11 around two stars, the point-mass
-    case10 (1, 1e-12), case00 (1, 1e-3), a start beyond the EOS validity
+    case10 (1, 1e-12), (1, 1e-3) (case00 at c = 1, case10 at c = inf,
+    where no shot is case00), a start beyond the EOS validity
     cap (relativistic only; a Newtonian polytrope has none) and
     inadmissible data."""
     batch = []
@@ -663,19 +674,26 @@ def test_boundary_lanes_match_scalar_shots(monkeypatch, lanes_solves, eos,
             assert outcome.p_center == pytest.approx(want.p_center,
                                                      rel=1e-11)
     assert lane == lanes.steps.size
-    assert {tov.CASE00, tov.CASE01, tov.CASE10, tov.CASE11,
-            "AdmissibilityError"} <= kinds
+    assert {tov.CASE01, tov.CASE10, tov.CASE11, "AdmissibilityError"} <= kinds
+    # at c = inf a pressure-ceiling exit is always case10
+    assert (tov.CASE00 in kinds) == (not eos.nonrelativistic)
     assert ("EosValidityError" in kinds) == (not eos.nonrelativistic)
 
 
-def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
+def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch,
+                                                         solve_count):
     # Every state a lane shows is a domain fault, and no state of a scalar
     # solve is.  A shot that ends on rung 0 then fails the domain check;
-    # one whose ladder runs on is judged on its last rung's trajectory, as
-    # the scalar shot is, and classifies as that shot does.
+    # one that runs the cap solve is judged on that solve's trajectory, as
+    # the scalar shot is, and classifies as that shot does.  (1, 1e-6),
+    # (1, 1e-5) and (1, 1e-4) have ceilings limited by p_ref.
     eos = eos_rel()
-    batch = _inward_batch(eos, (1.0, 0.6))
-    want = [_scalar_inward(eos, radius, mass) for radius, mass in batch]
+    batch = _inward_batch(eos, (1.0, 0.6)) + [
+        (1.0, 1e-6), (1.0, 1e-5), (1.0, 1e-4)]
+    want = []
+    for radius, mass in batch:
+        solve_count[0] = 0
+        want.append((_scalar_inward(eos, radius, mass), solve_count[0]))
     in_lanes = [False]
     real = ode.solve_lanes
 
@@ -693,18 +711,19 @@ def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
     monkeypatch.setattr(ode, "solve_lanes", solve_lanes)
     monkeypatch.setattr(tov, "_domain_faults", faults)
     got = tov.shoot_from_boundaries(eos, *zip(*batch))
-    ladders = 0
-    for outcome, scalar in zip(got, want):
+    cap_solves = 0
+    for outcome, (scalar, n_solves) in zip(got, want):
         if isinstance(scalar, StellarMatchError):
             assert type(outcome) is type(scalar)
-        elif scalar.diagnostics["refinement_radii"]:
-            ladders += 1
+        elif n_solves == 2:
+            cap_solves += 1
             assert (outcome.case, outcome.exit) == (scalar.case, scalar.exit)
         else:
+            assert n_solves == 1
             assert isinstance(outcome, StellarMatchError)
             assert str(outcome) == "metric factor nonpositive at an " \
                                    "accepted step"
-    assert ladders >= 4
+    assert cap_solves >= 4
 
 
 _BATCH_EOS = {
