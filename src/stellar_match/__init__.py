@@ -10,14 +10,13 @@ scaling (surface_fit).  The cli module exposes the batch commands.
 
 __version__ = "0.1.0"
 
-from .eos import EosSpec, PolytropeIndex
+from .eos import EosSpec
 from .errors import (AdmissibilityError, ConfigError, EosValidityError,
                      FitConvergenceError, NonTerminationError,
                      ShootFailureError, StellarMatchError)
 
 __all__ = [
     "EosSpec",
-    "PolytropeIndex",
     "StellarMatchError",
     "EosValidityError",
     "NonTerminationError",

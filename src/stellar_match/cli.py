@@ -119,12 +119,6 @@ def _choice(v, path, allowed):
     return v
 
 
-def _choices(v, path, allowed):
-    if not isinstance(v, (list, tuple)) or not v:
-        _fail(path, "expected a nonempty list")
-    return [_choice(x, path, allowed) for x in v]
-
-
 def _path(v, path, bound):
     if not isinstance(v, str) or not v:
         _fail(path, "expected a nonempty path")
@@ -164,7 +158,7 @@ SCHEMA = (
     ("distortion.levels", _numbers, None, [0.2, 0.5, 0.8]),
     ("distortion.level_margin", _number, (">", 0.0), LEVEL_MARGIN),
     ("output.directory", _path, None, "out"),
-    ("output.formats", _choices, ("csv", "json"), ["csv", "json"]),
+    ("output.format", _choice, ("csv", "json"), "csv"),
 )
 
 
@@ -284,9 +278,6 @@ class RunConfig:
             )
         return n
 
-    def table_format(self):
-        return self.data["output"]["formats"][0]
-
     def out_dir(self):
         return self.data["output"]["directory"]
 
@@ -315,7 +306,7 @@ def load_config(path=None, sets=(), seed=None, out=None, fmt=None):
     if out is not None:
         _put(data, "output", "directory", out)
     if fmt is not None:
-        _put(data, "output", "formats", [fmt])
+        _put(data, "output", "format", fmt)
     return RunConfig(_validate_config(data))
 
 
@@ -385,7 +376,7 @@ def _emit(obj, stream=None):
 
 
 def _write_rows(cfg, out, stem, columns, rows):
-    fmt = cfg.table_format()
+    fmt = cfg["output"]["format"]
     write_table(os.path.join(out, "%s.%s" % (stem, fmt)), columns, rows, cfg.resolved(), fmt)
 
 

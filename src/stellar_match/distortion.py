@@ -23,7 +23,13 @@ are out of scope.
 theta, h0 and psi2 are integrated together as one system
 (theta, theta', h0, h0', psi2, psi2') from the series start, as in
 Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side never looks up
-the base profile; like the base profile, it runs on `ode.solve`.  A level
+the base profile; like the base profile, it runs on `ode.solve`.  Past xi1,
+where the equatorial bulge reaches, all three are their vacuum solutions
+in closed form, each matched in value and slope at xi1 (`RadialProfile`):
+theta = mu1 (1/xi - 1/xi1), h0 = xi^2/6 + c1 + c2/xi and
+psi2 = d xi^2 + e xi^-3.  Since A2 d = -1/6, b [h0 + A2 psi2 P2] there is
+the centrifugal term b xi^2 (1 - zeta^2)/4 plus decaying monopole and
+quadrupole terms: the star's first-order exterior potential.  A level
 surface Theta = theta_star is solved for every zeta at once with
 Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
 `roots.chandrupatla`.
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import ode
 from .errors import StellarMatchError
-from .lane_emden import _series_dtheta, _series_theta
+from .lane_emden import RadialProfile, _theta_series
 from .roots import chandrupatla
 
 # Above this rotation parameter the first-order truncation is advisory only.
@@ -49,8 +55,6 @@ N_MIN = 1.0
 ZETA_GRID_POINTS = 201
 # Default distance a level theta_star keeps from 0 and 1.
 LEVEL_MARGIN = 1e-3
-# Radial evaluations may overshoot xi1 by at most this much (Taylor range).
-EXTENSION_SPAN = 0.5
 
 
 def legendre_p2(zeta):
@@ -73,57 +77,20 @@ def _psi2_series(xi, n):
     return xi**2 * (1.0 - n * xi**2 / 14.0), 2.0 * xi - 4.0 * n * xi**3 / 14.0
 
 
-class RadialSolution:
-    """One radial response on [0, xi1]: series core, dense middle, and a
-    short linear Taylor extension past the surface for evaluating inside
-    the rotational bulge.  ``dense`` is the coupled dense output; the
-    response and its derivative are its rows ``row`` and ``row + 1``."""
+def _h0_vacuum(xi1, f1, df1):
+    """h0 = xi^2/6 + c1 + c2/xi, which solves (1/xi^2)(xi^2 h0')' = 1 with
+    no density term, matched to h0 and h0' at xi1, as terms."""
+    c2 = xi1**2 * (xi1 / 3.0 - df1)
+    return ((1.0 / 6.0, 2), (f1 - xi1**2 / 6.0 - c2 / xi1, 0), (c2, -1))
 
-    def __init__(self, base, dense, row, series):
-        self.base = base
-        self.xi1 = base.xi1
-        self._dense = dense
-        self._row = row
-        self._xi_start = base.xi_start
-        self._series = series
-        surf = dense(self.xi1)
-        self._f1, self._df1 = float(surf[row]), float(surf[row + 1])
 
-    def _eval(self, xi, component):
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        if np.any(xi < 0.0) or np.any(xi > self.xi1 + EXTENSION_SPAN):
-            raise ValueError("xi outside [0, xi1 + extension span]")
-        out = np.empty_like(xi)
-        core = xi < self._xi_start
-        beyond = xi > self.xi1
-        mid = ~core & ~beyond
-        if np.any(core):
-            out[core] = self._series(xi[core], self.base.n)[component]
-        if np.any(mid):
-            out[mid] = self._dense(xi[mid])[self._row + component]
-        if np.any(beyond):
-            s = xi[beyond] - self.xi1
-            if component == 0:
-                out[beyond] = self._f1 + self._df1 * s
-            else:
-                out[beyond] = self._df1
-        return float(out[0]) if scalar else out
-
-    def at(self, xi):
-        return self._eval(xi, 0)
-
-    def d_at(self, xi):
-        return self._eval(xi, 1)
-
-    @property
-    def surface_value(self):
-        return self._f1
-
-    @property
-    def surface_slope(self):
-        return self._df1
+def _psi2_vacuum(xi1, f1, df1):
+    """psi2 = d xi^2 + e xi^-3, the two exterior quadrupole harmonics,
+    matched to psi2 and psi2' at xi1, as terms.  d is the growing part that
+    A2 d = -1/6 turns into the centrifugal term."""
+    d = (3.0 * f1 + xi1 * df1) / (5.0 * xi1**2)
+    e = xi1**3 * (2.0 * f1 - xi1 * df1) / 5.0
+    return ((d, 2), (e, -3))
 
 
 def compute_a2(base, psi2):
@@ -142,8 +109,8 @@ class DistortionSolution:
     """First-order distortion of one Lane-Emden base solution."""
 
     base: object
-    h0: RadialSolution
-    psi2: RadialSolution
+    h0: RadialProfile
+    psi2: RadialProfile
     a2: float
 
     def distortion_field(self, xi, zeta):
@@ -187,8 +154,7 @@ def integrate_responses(base, rtol=1e-12, atol=1e-14):
 
     xi_s = base.xi_start
     y0 = [
-        _series_theta(xi_s, n),
-        _series_dtheta(xi_s, n),
+        *_theta_series(xi_s, n),
         *_h0_series(xi_s, n),
         *_psi2_series(xi_s, n),
     ]
@@ -207,8 +173,8 @@ def solve_distortion(base, rtol=1e-12, atol=1e-14):
             "polytropic index out of the supported range"
         )
     dense = integrate_responses(base, rtol=rtol, atol=atol)
-    h0 = RadialSolution(base, dense, 2, _h0_series)
-    psi2 = RadialSolution(base, dense, 4, _psi2_series)
+    h0 = RadialProfile(base, dense, 2, _h0_series, _h0_vacuum)
+    psi2 = RadialProfile(base, dense, 4, _psi2_series, _psi2_vacuum)
     a2 = compute_a2(base, psi2)
     return DistortionSolution(base=base, h0=h0, psi2=psi2, a2=a2)
 
@@ -229,16 +195,6 @@ class SurfaceCurve:
 
     def as_rows(self):
         return list(zip(self.zeta.tolist(), self.values.tolist()))
-
-    def describe(self):
-        return {
-            "b": self.b,
-            "c0": self.c0,
-            "c1": self.c1,
-            "c2": self.c2,
-            "first_order_advisory": self.first_order_advisory,
-            "n_zeta": int(len(self.zeta)),
-        }
 
 
 def surface_curve(dist, b, zeta=None):
@@ -288,14 +244,13 @@ def boundary_radius(dist, b, zeta):
 def theta_distorted(dist, xi, zeta, b):
     """Distorted profile Theta = theta(xi) + b field(xi, zeta) for
     0 <= xi <= Xi1(zeta).  Past the spherical surface xi1 (inside the
-    bulge) theta continues on its vacuum branch."""
+    bulge) theta, h0 and psi2 are their vacuum solutions."""
     if b < 0.0:
         raise ValueError("rotation parameter b must be nonnegative")
     limit = boundary_radius(dist, b, zeta)
     if xi < 0.0 or xi > limit * (1.0 + 1e-12):
         raise ValueError("xi outside [0, Xi1(zeta)]")
-    theta = dist.base.theta_extended(xi) if xi > dist.base.xi1 else dist.base.theta_at(xi)
-    return float(theta) + b * dist.distortion_field(xi, zeta)
+    return dist.base.theta_extended(xi) + b * dist.distortion_field(xi, zeta)
 
 
 @dataclass
@@ -306,17 +261,13 @@ class LevelSurface:
     zeta: np.ndarray
     xi_star: np.ndarray
 
-    def as_rows(self):
-        return list(zip(self.zeta.tolist(), self.xi_star.tolist()))
-
 
 def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     """Level set Theta(xi, zeta) = theta_star, one bracketed root per zeta.
 
     All zeta are solved at once by Chandrupatla's method
     (roots.chandrupatla, xatol 1e-13, xrtol 4e-15) on the brackets
-    [0, min(Xi1(zeta), xi1 + EXTENSION_SPAN)]; the cap keeps the bracket
-    inside the radial responses' Taylor range when the bulge is large.
+    [0, Xi1(zeta)], which reach past xi1 into the equatorial bulge.
     theta_star must keep ``margin`` away from both the center value 1 and
     the surface value 0 so each bracket straddles the level.
     """
@@ -327,7 +278,7 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     zeta = np.asarray(zeta, dtype=float)
     base = dist.base
     p2 = legendre_p2(zeta)
-    hi = np.minimum(boundary_radius(dist, b, zeta), base.xi1 + EXTENSION_SPAN)
+    hi = boundary_radius(dist, b, zeta)
 
     def objective(xi, p2):
         field = dist.h0.at(xi) + dist.a2 * dist.psi2.at(xi) * p2

@@ -45,7 +45,6 @@ out on the right-hand-side path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,26 +68,6 @@ _TABLE_TOL = 1e-13
 _SATURATION_SPAN = 30.0
 _LN2 = math.log(2.0)
 _LOG_RHO_FLOOR = math.log(1e-300)
-
-
-@dataclass(frozen=True)
-class PolytropeIndex:
-    """Pair (gamma, n) with n = 1/(gamma - 1)."""
-
-    gamma: float
-    n: float
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "PolytropeIndex":
-        if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        return cls(gamma=float(gamma), n=1.0 / (gamma - 1.0))
-
-    @classmethod
-    def from_n(cls, n: float) -> "PolytropeIndex":
-        if n <= 0.0:
-            raise ValueError("polytropic index must be positive")
-        return cls(gamma=1.0 + 1.0 / n, n=float(n))
 
 
 class EosSpec:
@@ -116,7 +95,6 @@ class EosSpec:
         self.c_light = float(c_light)
         self.lambda_coeffs = tuple(float(l) for l in lambda_coeffs)
         self.gamma_warning = not (GAMMA_SOFT_MIN < self.gamma < GAMMA_SOFT_MAX)
-        self.index = PolytropeIndex.from_gamma(self.gamma)
         self.nonrelativistic = math.isinf(self.c_light)
         # Unit of the enthalpy variable w: c^2 for h, 1 for u = lim c^2 h.
         self.w_unit = 1.0 if self.nonrelativistic else self.c_light**2

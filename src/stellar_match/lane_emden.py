@@ -4,14 +4,18 @@ Solved with theta(0) = 1, theta'(0) = 0 via a series start at a small offset
 (the origin is a removable singularity of the radial Laplacian).  The first
 zero xi1 gives the surface, mu1 = -xi1^2 theta'(xi1) the mass integral.
 
-The right-hand side uses (theta v 0)^n, so past the zero the integration
-continues as the vacuum solution; a short guarded continuation beyond xi1 is
-kept internally because the distorted surface of a slowly rotating body pokes
-outside xi1 on the equator.  Both stretches are integrated with `ode.solve`,
-the package's DOP853 integrator, and the surface is its terminal event: the
-step to it is redone to end at xi1, so theta'(xi1), and mu1 with it, come
-from a step none of whose stages sees the vacuum branch (mu1 = 2 sqrt 6 to
-roundoff at n = 0).
+The profile is integrated with `ode.solve`, the package's DOP853
+integrator, and the surface is its terminal event: the step to it is redone
+to end at xi1, so theta'(xi1), and mu1 with it, come from a step none of
+whose stages sees the vacuum branch (mu1 = 2 sqrt 6 to roundoff at n = 0).
+The right-hand side uses (theta v 0)^n, so trial stages past the zero see
+the vacuum equation.  Past xi1 theta is that equation's solution in closed
+form, the point mass's potential mu1 (1/xi - 1/xi1): the distorted surface
+of a slowly rotating body pokes outside xi1 on the equator.
+
+`RadialProfile` is the piecewise evaluator this profile shares with the
+rotational responses of `distortion`: the center series, the dense output
+up to xi1, and a vacuum solution matched in value and slope there.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .errors import NonTerminationError
 
 XI_START_DEFAULT = 1e-4
 XI_MAX_DEFAULT = 1e4
-EXTEND_FACTOR_DEFAULT = 1.35
 
 
 def _source(theta, n):
@@ -31,72 +34,104 @@ def _source(theta, n):
     return theta**n if theta > 0.0 else 0.0
 
 
-def _series_theta(xi, n):
-    return 1.0 - xi**2 / 6.0 + n * xi**4 / 120.0
+def _theta_series(xi, n):
+    """Regular center of theta: 1 - xi^2/6 + n xi^4/120 and its derivative."""
+    return 1.0 - xi**2 / 6.0 + n * xi**4 / 120.0, -xi / 3.0 + n * xi**3 / 30.0
 
 
-def _series_dtheta(xi, n):
-    return -xi / 3.0 + n * xi**3 / 30.0
+def _theta_vacuum(xi1, _f1, df1):
+    """theta = mu1 (1/xi - 1/xi1) with mu1 = -xi1^2 theta'(xi1), as terms."""
+    mu1 = -xi1**2 * df1
+    return ((-mu1 / xi1, 0), (mu1, -1))
+
+
+class RadialProfile:
+    """A radial function f and its slope f' on [0, inf) for the polytrope
+    ``base`` (its n, xi_start and xi1): the regular center
+    ``series(xi, n)`` below xi_start, rows ``row`` and ``row + 1`` of the
+    dense output ``dense`` up to xi1, and past xi1 the vacuum solution
+    matched to f(xi1) and f'(xi1).  That solution is a sum of powers,
+    f = sum c xi^p over the (c, p) terms of ``vacuum(xi1, f1, df1)``,
+    kept as the ``vacuum`` attribute."""
+
+    def __init__(self, base, dense, row, series, vacuum):
+        self.xi1 = base.xi1
+        self._n = base.n
+        self._xi_start = base.xi_start
+        self._dense = dense
+        self._row = row
+        self._series = series
+        surf = dense(self.xi1)
+        self.surface_value = float(surf[row])
+        self.surface_slope = float(surf[row + 1])
+        self.vacuum = vacuum(self.xi1, self.surface_value, self.surface_slope)
+
+    def _eval(self, xi, component):
+        xi = np.asarray(xi, dtype=float)
+        scalar = xi.ndim == 0
+        xi = np.atleast_1d(xi)
+        if np.any(xi < 0.0):
+            raise ValueError("xi must be nonnegative")
+        out = np.empty_like(xi)
+        core = xi < self._xi_start
+        beyond = xi > self.xi1
+        mid = ~core & ~beyond
+        if np.any(core):
+            out[core] = self._series(xi[core], self._n)[component]
+        if np.any(mid):
+            out[mid] = self._dense(xi[mid])[self._row + component]
+        if np.any(beyond):
+            s = xi[beyond]
+            if component == 0:
+                out[beyond] = sum(c * s**p for c, p in self.vacuum)
+            else:
+                out[beyond] = sum(c * p * s ** (p - 1) for c, p in self.vacuum)
+        return float(out[0]) if scalar else out
+
+    def at(self, xi):
+        return self._eval(xi, 0)
+
+    def d_at(self, xi):
+        return self._eval(xi, 1)
 
 
 class LaneEmdenSolution:
-    """Profile with located surface.  Evaluate through theta_at/dtheta_at on
-    [0, xi1]; the guarded continuation past xi1 is internal."""
+    """Profile with located surface.  theta_at/dtheta_at evaluate it on
+    [0, xi1]; theta_extended also past xi1, on the vacuum solution."""
 
-    def __init__(self, n, xi1, mu1, dense_in, dense_ext, xi_start, xi_extended):
+    def __init__(self, n, xi1, dense, xi_start):
         self.n = float(n)
         self.xi1 = float(xi1)
-        self.mu1 = float(mu1)
         self.xi_start = float(xi_start)
-        self.xi_extended = float(xi_extended)
-        self._dense_in = dense_in
-        self._dense_ext = dense_ext
+        self._theta = RadialProfile(self, dense, 0, _theta_series, _theta_vacuum)
+        self.mu1 = -self.xi1**2 * self._theta.surface_slope
 
     @property
     def theta1_prime(self):
         return -self.mu1 / self.xi1**2
 
-    def _eval(self, xi, component, limit):
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if np.any(xi_arr < 0.0) or np.any(xi_arr > limit * (1.0 + 1e-12)):
-            raise ValueError("xi outside [0, %.6g]" % limit)
-        out = np.empty_like(xi_arr)
-        series = xi_arr < self.xi_start
-        if component == 0:
-            out[series] = _series_theta(xi_arr[series], self.n)
-        else:
-            out[series] = _series_dtheta(xi_arr[series], self.n)
-        inner = (~series) & (xi_arr <= self.xi1)
-        if inner.any():
-            out[inner] = self._dense_in(xi_arr[inner])[component]
-        outer = xi_arr > self.xi1
-        if outer.any():
-            out[outer] = self._dense_ext(xi_arr[outer])[component]
-        return out[0] if np.ndim(xi) == 0 else out
+    def _inside(self, xi):
+        if np.any(np.asarray(xi) > self.xi1 * (1.0 + 1e-12)):
+            raise ValueError("xi outside [0, %.6g]" % self.xi1)
 
     def theta_at(self, xi):
         """theta on [0, xi1]."""
-        return self._eval(xi, 0, self.xi1)
+        self._inside(xi)
+        return self._theta.at(xi)
 
     def dtheta_at(self, xi):
         """theta' on [0, xi1]."""
-        return self._eval(xi, 1, self.xi1)
+        self._inside(xi)
+        return self._theta.d_at(xi)
 
     def theta_extended(self, xi):
-        """theta on [0, xi_extended], continuing the guarded equation past
-        the zero (vacuum branch, theta < 0)."""
-        return self._eval(xi, 0, self.xi_extended)
-
-    def profile(self, points=500):
-        """Arrays (xi, theta, dtheta) spanning [0, xi1] for export."""
-        xi = np.linspace(0.0, self.xi1, points)
-        return {"xi": xi, "theta": self.theta_at(xi),
-                "dtheta": self.dtheta_at(xi)}
+        """theta on [0, inf), mu1 (1/xi - 1/xi1) past the zero."""
+        return self._theta.at(xi)
 
 
 def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
-          xi_max=XI_MAX_DEFAULT, extend_factor=EXTEND_FACTOR_DEFAULT):
-    """Integrate to the first zero and a short guarded stretch beyond it.
+          xi_max=XI_MAX_DEFAULT):
+    """Integrate to the first zero.
 
     n = 0 is accepted (closed form 1 - xi^2/6); n >= 5 has no finite zero
     and raises NonTerminationError without integrating; n < 0 raises
@@ -117,24 +152,13 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
         return y[0]
     surface.direction = -1
 
-    y0 = [_series_theta(xi_start, n), _series_dtheta(xi_start, n)]
-    sol = ode.solve(rhs, (xi_start, xi_max), y0, rtol, atol, [surface])
+    sol = ode.solve(rhs, (xi_start, xi_max), list(_theta_series(xi_start, n)),
+                    rtol, atol, [surface])
     if not sol.success:
         raise NonTerminationError("integrator-failure", sol.message)
     if sol.event != 0:
         raise NonTerminationError(
             "no-zero-within-guard",
             "no surface located below xi = %g (n = %g)" % (xi_max, n))
-    xi1 = float(sol.t[-1])
-    dtheta1 = sol.sol(xi1)[1]
-    mu1 = -xi1**2 * dtheta1
-
-    # vacuum continuation for the distorted-surface work
-    xi_ext = extend_factor * xi1
-    sol_ext = ode.solve(rhs, (xi1, xi_ext), [0.0, dtheta1], rtol, atol)
-    if not sol_ext.success:
-        raise NonTerminationError("integrator-failure", sol_ext.message)
-
-    return LaneEmdenSolution(n=n, xi1=xi1, mu1=mu1, dense_in=sol.sol,
-                             dense_ext=sol_ext.sol, xi_start=xi_start,
-                             xi_extended=xi_ext)
+    return LaneEmdenSolution(n=n, xi1=float(sol.t[-1]), dense=sol.sol,
+                             xi_start=xi_start)

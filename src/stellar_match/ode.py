@@ -463,7 +463,7 @@ def solve(fun, t_span, y0, rtol, atol, events=(), event_args=()):
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step collapses too
                 status = -1
                 break
             t_new = t + h_abs * direction
@@ -688,8 +688,9 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
         else:
             t, y, f = t_new, y_new, k[12]
         steps = steps + accept
-        # a rejected lane's t, and so its minimum step, stay as they were
-        collapsed = rejected & (h_abs < min_step)
+        # a rejected lane's t, and so its minimum step, stay as they were;
+        # a NaN step collapses too
+        collapsed = rejected & ~(h_abs >= min_step)
         stop = (direction * (t - t_bound) >= 0) | collapsed
 
         if events:

@@ -218,8 +218,10 @@ class ShootClassification:
 
 
 def admissible(radius, mass, c_light=math.inf):
-    """R > 0, M > 0 and 1 - 2M/(c^2 R) > 0 (always, when c = inf)."""
-    return radius > 0.0 and mass > 0.0 \
+    """Finite R > 0 and M > 0 with 1 - 2M/(c^2 R) > 0 (always, when
+    c = inf)."""
+    return math.isfinite(radius) and math.isfinite(mass) \
+        and radius > 0.0 and mass > 0.0 \
         and 1.0 - 2.0 * mass / (c_light**2 * radius) > 0.0
 
 
@@ -279,15 +281,19 @@ def center_start(eos, p_center, r0=None, r0_factor=1e-6):
     rho_c = eos.density_of_pressure(p_center)
     if rho_c <= 0.0:
         raise ValueError("central pressure must be positive")
-    a = eos.length_scale(rho_c)
     if r0 is None:
-        r0 = r0_factor * a
+        r0 = r0_factor * eos.length_scale(rho_c)
+    return (r0, *_center_series(eos, p_center, rho_c, r0))
+
+
+def _center_series(eos, p_center, rho_c, r0):
+    """(m0, w0) of center_start at r0 for a central density rho_c."""
     m0 = 4.0 * math.pi / 3.0 * rho_c * r0**3
     csq = eos.c_light**2
     p0 = p_center - 2.0 * math.pi / 3.0 * (rho_c + p_center / csq) \
         * (rho_c + 3.0 * p_center / csq) * r0**2
     w0 = eos.enthalpy_of_pressure(p0)
-    return r0, m0, w0
+    return m0, w0
 
 
 def surface_gravity(eos, radius, mass):
@@ -338,10 +344,15 @@ def _solve(eos, r_span, y0, events, rtol, atol, event_args=()):
 
 def _outward_start(eos, p_center, cfg):
     """(r0, range guard, [m0, w0], atol) of an outward shot; raises
-    EosValidityError for a central pressure the EOS cannot represent."""
+    EosValidityError for a central pressure the EOS cannot represent,
+    a non-finite or nonpositive one included."""
+    if not 0.0 < p_center < math.inf:
+        raise EosValidityError("central pressure must be finite and "
+                               "positive, got %r" % (p_center,))
     rho_c = eos.density_of_pressure(p_center)
     a = eos.length_scale(rho_c)
-    r0, m0, w0 = center_start(eos, p_center, r0_factor=cfg.r0_factor)
+    r0 = cfg.r0_factor * a
+    m0, w0 = _center_series(eos, p_center, rho_c, r0)
     m_scale = 4.0 * math.pi * rho_c * a**3
     return (r0, cfg.r_max_factor * a, [m0, w0],
             [cfg.atol_factor * m_scale, cfg.atol_factor * w0])

@@ -300,6 +300,24 @@ def test_shoot_boundary_at_c_inf_without_a_horizon_event(capsys, tmp_path,
     assert "case = case10, exit = pressure_ceiling" in out
 
 
+def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
+    # a zero, NaN or infinite central pressure, at gamma 2 and 5/3, and
+    # non-finite boundary data end in one labelled error, not a traceback
+    # or a solve whose NaN steps never collapse
+    cases = [
+        (["shoot-center", "--p-center", "0"], "EosValidityError"),
+        (["shoot-center", "--p-center", "0", *REL_GAMMA53], "EosValidityError"),
+        (["shoot-center", "--p-center", "nan"], "EosValidityError"),
+        (["shoot-center", "--p-center", "inf"], "EosValidityError"),
+        (["shoot-boundary", "--radius", "inf", "--mass", "0.1"], "AdmissibilityError"),
+        (["shoot-boundary", "--radius", "1", "--mass", "nan"], "AdmissibilityError"),
+    ]
+    for argv, error in cases:
+        out = run_python("-m", "stellar_match.cli", *argv,
+                         "--out", str(tmp_path / "o"))
+        assert sole_error_record(out, 1)["error"] == error, argv
+
+
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set
     out = run_python(
@@ -366,7 +384,7 @@ def test_shoot_center_json_table(capsys, tmp_path):
     assert code == 0
     table = json.loads((out / "center_shot_trajectory.json").read_text())
     assert table["columns"] == ["r", "m", "P", "rho", "h", "F", "H"]
-    assert table["config"]["output"]["formats"] == ["json"]
+    assert table["config"]["output"]["format"] == "json"
     assert "content_sha256" in table
 
 
@@ -609,8 +627,8 @@ def test_surface_pipeline_n1(capsys, tmp_path):
 
 
 def test_surface_pipeline_n3(capsys, tmp_path):
-    # The default b ladder bulges past the radial responses' Taylor range
-    # at n = 3; the level surfaces must still resolve.
+    # The default b ladder bulges 2.34 past xi1 at n = 3, where theta, h0
+    # and psi2 are their vacuum forms; the level surfaces must still resolve.
     out = tmp_path / "s"
     code, _, err = run(
         capsys, "surface", "--out", str(out), "--set", "eos.gamma=1.3333333333333333"
@@ -698,6 +716,14 @@ def test_surface_advisory_beyond_first_order(capsys, tmp_path):
             1,
             "StellarMatchError",
             ("b = 0.01", "n = 4.5", "min Xi1 = -"),
+        ),
+        # at n = 4 the default ladder's b_ref = 1e-2 bulge leaves Theta on
+        # the first-order boundary far from 0, so a level is not crossed
+        (
+            ["eos.gamma=1.25"],
+            1,
+            "StellarMatchError",
+            ("level 0.2 not bracketed on [0, 24.631]", "zeta = -0.89"),
         ),
     ],
 )

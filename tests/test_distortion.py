@@ -114,7 +114,34 @@ def test_radial_domain_guard(dist_n1):
     with pytest.raises(ValueError):
         dist_n1.h0.at(-0.1)
     with pytest.raises(ValueError):
-        dist_n1.h0.at(dist_n1.base.xi1 + 1.0)
+        dist_n1.psi2.d_at(np.array([1.0, -0.1]))
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
+def test_vacuum_responses_continuous_at_surface(fixture, request):
+    # one ulp past xi1 the closed forms give the dense output's value and
+    # slope at xi1 to roundoff
+    dist = request.getfixturevalue(fixture)
+    past = np.nextafter(dist.base.xi1, np.inf)
+    for sol in (dist.h0, dist.psi2):
+        for got, want in ((sol.at(past), sol.surface_value),
+                          (sol.d_at(past), sol.surface_slope)):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_vacuum_responses_closed_form_n1(dist_n1):
+    # n = 1: h0 = 1 - sin(xi)/xi and psi2 = 15 j2(xi) inside give
+    # h0 = xi^2/6 + 2 - pi^2/2 + (pi^3/3 - pi)/xi and
+    # psi2 = 3 xi^2/pi^2 + (45 pi - 3 pi^3)/xi^3 outside
+    pi = math.pi
+    xi = np.linspace(pi, 4.0 * pi, 200)[1:]
+    h0 = xi**2 / 6.0 + 2.0 - pi**2 / 2.0 + (pi**3 / 3.0 - pi) / xi
+    dh0 = xi / 3.0 - (pi**3 / 3.0 - pi) / xi**2
+    psi2 = 3.0 * xi**2 / pi**2 + (45.0 * pi - 3.0 * pi**3) / xi**3
+    dpsi2 = 6.0 * xi / pi**2 - 3.0 * (45.0 * pi - 3.0 * pi**3) / xi**4
+    for got, want in ((dist_n1.h0.at(xi), h0), (dist_n1.h0.d_at(xi), dh0),
+                      (dist_n1.psi2.at(xi), psi2), (dist_n1.psi2.d_at(xi), dpsi2)):
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
 
 
 @pytest.mark.parametrize("which", ["h0", "psi2"])
@@ -172,6 +199,15 @@ def test_a2_normalization_covariance(dist_n1):
     product = dist_n1.a2 * dist_n1.psi2.at(xi)
     product_scaled = a2_scaled * lam * dist_n1.psi2.at(xi)
     assert np.max(np.abs(product - product_scaled)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
+def test_a2_cancels_the_growing_quadrupole(fixture, request):
+    # A2 d = -1/6 for the growing exterior term d xi^2 of psi2, so past xi1
+    # b (h0 + A2 psi2 P2) grows as the centrifugal term b xi^2 (1 - zeta^2)/4
+    dist = request.getfixturevalue(fixture)
+    d = {p: c for c, p in dist.psi2.vacuum}[2]
+    assert abs(dist.a2 * d + 1.0 / 6.0) <= 1e-15
 
 
 def test_a2_degenerate_matching_rejected(dist_n1):
@@ -320,8 +356,9 @@ def _brentq_level(dist, b, theta_star, zeta):
     return np.array(roots)
 
 
-@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2"])
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
 def test_level_surface_matches_scalar_brentq(fixture, request):
+    # at n = 3 the b = 1e-2 bulge reaches xi1 + 2.34, on the vacuum forms
     dist = request.getfixturevalue(fixture)
     b = 1e-2
     zeta = np.linspace(-1.0, 1.0, 201)
@@ -385,9 +422,10 @@ def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):
 
 
 def test_level_surface_unbracketed_is_labelled(dist_n3):
-    # At n = 3 the b = 1e-2 bulge reaches past the responses' Taylor range,
-    # so the bracket is capped there; a level this close to the surface
-    # stays below Theta at the cap and must fail with the package error.
+    # At n = 3 the b = 1e-2 bulge reaches xi1 + 2.34, and the first-order
+    # Theta on the boundary Xi1(zeta), the bracket end, is up to 0.11, not
+    # 0; a level this close to the surface stays below Theta there and
+    # must fail with the package error.
     with pytest.raises(StellarMatchError, match="not bracketed"):
         level_surface(dist_n3, 1e-2, 0.05)
 

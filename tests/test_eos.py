@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stellar_match import EosSpec, EosValidityError
-from stellar_match.eos import PolytropeIndex
 
 
 def test_pressure_trivial_polytrope():
@@ -55,16 +54,6 @@ def test_gamma_warning_flag_not_error():
     assert EosSpec(gamma=2.5).gamma_warning
     assert EosSpec(gamma=1.1).gamma_warning
     assert not EosSpec(gamma=1.5).gamma_warning
-
-
-def test_polytrope_index():
-    idx = PolytropeIndex.from_gamma(2.0)
-    assert idx.n == pytest.approx(1.0, abs=1e-14)
-    idx = PolytropeIndex.from_gamma(5.0 / 3.0)
-    assert idx.n * (idx.gamma - 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert PolytropeIndex.from_n(1.5).gamma == pytest.approx(5.0 / 3.0)
-    with pytest.raises(ValueError):
-        PolytropeIndex.from_gamma(1.0)
 
 
 def test_enthalpy_nonrel_closed_form():
@@ -246,7 +235,7 @@ def test_closed_form_density_scalar_and_array_agree(gamma, c):
     # to 2 ulp, except that rho = y^n turns an ulp of y = expm1(..) into n
     # ulp of rho, which matters for n = 1/(gamma - 1) > 1.
     eos = EosSpec(gamma=gamma, A=1.0, c_light=c)
-    ulps = max(2.0, eos.index.n + 1.0)
+    ulps = max(2.0, 1.0 / (gamma - 1.0) + 1.0)
     rho_top = eos.rho_valid_max if math.isfinite(eos.rho_valid_max) else 1e3
     w_top = eos.enthalpy_of_pressure(eos.pressure_of_density(rho_top))
     w = np.geomspace(1e-12, w_top, 2001)

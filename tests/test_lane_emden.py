@@ -94,12 +94,16 @@ def test_mass_integral_identity():
 
 
 def test_vacuum_continuation_matches_potential():
-    # past xi1 the guarded equation gives theta = mu1 (1/xi - 1/xi1)
-    sol = le.solve(1.0)
-    for fac in (1.05, 1.2, 1.3):
-        xi = fac * sol.xi1
+    # past xi1 theta is the vacuum solution mu1 (1/xi - 1/xi1), to roundoff
+    # on the scale mu1/xi1 at any distance, as a scalar and as an array
+    for n in (0.0, 1.0, 1.5, 3.0, 4.5):
+        sol = le.solve(n)
+        xi = sol.xi1 * np.array([1.0 + 1e-12, 1.05, 1.3, 2.0, 10.0, 1e3, 1e8])
         expect = sol.mu1 * (1.0 / xi - 1.0 / sol.xi1)
-        assert sol.theta_extended(xi) == pytest.approx(expect, abs=1e-9)
+        roundoff = 4.0 * np.finfo(float).eps * sol.mu1 / sol.xi1
+        assert np.max(np.abs(sol.theta_extended(xi) - expect)) <= roundoff
+        for x, want in zip(xi, expect):
+            assert abs(sol.theta_extended(x) - want) <= roundoff
 
 
 def test_surface_slope_negative_and_theta_monotone():

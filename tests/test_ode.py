@@ -261,8 +261,8 @@ def test_inward_ladder_matches_solve_ivp(recorded):
 @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 4.5])
 def test_lane_emden_solves_match_solve_ivp(recorded, n):
     sol = lane_emden.solve(n)
-    assert len(recorded) == 2  # to the surface, then the vacuum continuation
-    (args, got), (ext_args, ext_got) = recorded
+    # one solve, to the surface: past it theta is in closed form
+    [(args, got)] = recorded
     if n == 1.0:
         # At rtol 1e-12 the error norms of ode.solve and scipy from one
         # state agree only to about 1e-3 before the surface and part by up
@@ -277,7 +277,6 @@ def test_lane_emden_solves_match_solve_ivp(recorded, n):
     _assert_steps_match_oracle(args, got)
     assert sol.xi1 == pytest.approx(float(want.t_events[0][0]),
                                     rel=EVENT_TOL)
-    _assert_matches_oracle(ext_args, ext_got)
 
 
 def test_lane_emden_n0_matches_solve_ivp(recorded):
@@ -290,7 +289,7 @@ def test_lane_emden_n0_matches_solve_ivp(recorded):
     # oracle's run from that step's start to the surface.
     sol = lane_emden.solve(0.0)
     assert sol.xi1 == pytest.approx(math.sqrt(6.0), rel=EVENT_TOL)
-    (args, got), (ext_args, ext_got) = recorded
+    [(args, got)] = recorded
     want = _oracle(*args)
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
     inside = np.abs(got.sol(want.t[:-1]) - want.y[:, :-1]) / scale
@@ -299,7 +298,6 @@ def test_lane_emden_n0_matches_solve_ivp(recorded):
     exact = [0.0, -math.sqrt(6.0) / 3.0]
     for y in (y_want, exact):
         assert np.max(np.abs(got.y[:, -1] - y) / scale[:, 0]) < 1e-13
-    _assert_matches_oracle(ext_args, ext_got)
 
 
 @pytest.mark.parametrize("n", [1.0, 1.5, 3.0])
@@ -465,6 +463,15 @@ def test_collapsing_steps_return_the_partial_result():
     assert got.y.shape == (1, len(got.t))
 
 
+def test_nan_right_hand_side_fails_the_solve():
+    # a NaN step size fails every comparison with the minimum step, so the
+    # collapse test must not read it as a usable step
+    got = ode.solve(lambda t, y: [math.nan], (0.0, 1.0), [1.0], 1e-10, 1e-12)
+    assert got.status == -1 and not got.success
+    assert got.message == ode.MESSAGES[-1]
+    assert list(got.t) == [0.0]
+
+
 def test_tov_solve_labels_an_integrator_failure(monkeypatch):
     # w' = w^2 from w(1) = 1 blows up at r = 2; the steps collapse at the
     # numerical solution's pole, 1.2e-11 past it (2.000000000011868 for
@@ -586,6 +593,22 @@ def test_lanes_retire_a_collapsing_lane_alone():
                                 [[1.0], [0.5], [1.0]])
     np.testing.assert_array_equal(got.status, [-1, 0, -1])
     np.testing.assert_allclose(got.t, [1.0, 2.0, 1.5], rtol=1e-10)
+
+
+def test_lanes_retire_a_nan_lane_alone():
+    # the right-hand side is NaN on lane 1 only; it retires at its start,
+    # and the other lanes run as they would without it
+    def lanes_fun(t, y):
+        return np.where(y < 0.0, np.nan, -y)
+
+    got = ode.solve_lanes(lanes_fun, [0.0] * 3, [1.0] * 3,
+                          np.array([[1.0, -1.0, 2.0]]), 1e-10, 1e-12)
+    alone = ode.solve_lanes(lanes_fun, [0.0] * 2, [1.0] * 2,
+                            np.array([[1.0, 2.0]]), 1e-10, 1e-12)
+    np.testing.assert_array_equal(got.status, [0, -1, 0])
+    assert (got.t[1], got.steps[1]) == (0.0, 0)
+    np.testing.assert_array_equal(got.y[:, [0, 2]], alone.y)
+    np.testing.assert_array_equal(got.steps[[0, 2]], alone.steps)
 
 
 def test_lanes_observe_every_accepted_state():

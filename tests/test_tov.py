@@ -345,6 +345,10 @@ def test_inadmissible_boundary_data():
             tov.shoot_from_boundary(eos, *bad)
     assert not tov.admissible(1.0, 0.5, 1.0)
     assert tov.admissible(1.0, 0.5)  # Newtonian mode has no horizon bound
+    for bad in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
+        assert not tov.admissible(*bad)
+        with pytest.raises(AdmissibilityError):
+            tov.shoot_from_boundary(eos_newt(), *bad)
 
 
 def test_near_horizon_start_beyond_validity():
@@ -527,6 +531,11 @@ def test_lanes_match_scalar_shots_rel53(lanes_solves):
     p_centers.insert(5, 2.0 * eos.p_valid_max)
     got = _assert_lanes_match_scalar_shots(eos, p_centers, lanes_solves)
     assert got[5] == tov.LABEL_EOS_VALIDITY
+    # a central pressure that is not finite and positive starts no lane
+    lanes_solves.clear()
+    got = _assert_lanes_match_scalar_shots(
+        eos, [math.nan, 1e-4, 0.0, math.inf, -1e-4], lanes_solves)
+    assert [got[i] for i in (0, 2, 3, 4)] == [tov.LABEL_EOS_VALIDITY] * 4
 
 
 def test_lanes_match_scalar_shots_lambda_eos(lanes_solves):
