@@ -29,8 +29,10 @@ in closed form, each matched in value and slope at xi1 (`RadialProfile`):
 theta = mu1 (1/xi - 1/xi1), h0 = xi^2/6 + c1 + c2/xi and
 psi2 = d xi^2 + e xi^-3.  Since A2 d = -1/6, b [h0 + A2 psi2 P2] there is
 the centrifugal term b xi^2 (1 - zeta^2)/4 plus decaying monopole and
-quadrupole terms: the star's first-order exterior potential.  A level
-surface Theta = theta_star is solved for every zeta at once with
+quadrupole terms: the star's first-order exterior potential.  h0 and
+psi2 are read together, with one evaluation of their dense output per
+call (`DistortionSolution.responses`); theta comes from the base profile.
+A level surface Theta = theta_star is solved for every zeta at once with
 Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
 `roots.chandrupatla`.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import ode
 from .errors import StellarMatchError
-from .lane_emden import RadialProfile, _theta_series
+from .lane_emden import RadialProfile, _theta_series, evaluate
 from .roots import chandrupatla
 
 # Above this rotation parameter the first-order truncation is advisory only.
@@ -113,14 +115,21 @@ class DistortionSolution:
     psi2: RadialProfile
     a2: float
 
+    def responses(self, xi):
+        """[h0(xi), psi2(xi)], read with one evaluation of their coupled
+        dense output."""
+        return evaluate((self.h0, self.psi2), xi)
+
     def distortion_field(self, xi, zeta):
         """Combined response h0(xi) + A2 psi2(xi) P2(zeta)."""
-        return self.h0.at(xi) + self.a2 * self.psi2.at(xi) * legendre_p2(zeta)
+        h0, psi2 = self.responses(xi)
+        return h0 + self.a2 * psi2 * legendre_p2(zeta)
 
     def profile(self, points=500):
         """Arrays (xi, h0, psi2) on [0, xi1] for export."""
         xi = np.linspace(0.0, self.base.xi1, points)
-        return {"xi": xi, "h0": self.h0.at(xi), "psi2": self.psi2.at(xi)}
+        h0, psi2 = self.responses(xi)
+        return {"xi": xi, "h0": h0, "psi2": psi2}
 
     def describe(self):
         return {
@@ -281,8 +290,8 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     hi = boundary_radius(dist, b, zeta)
 
     def objective(xi, p2):
-        field = dist.h0.at(xi) + dist.a2 * dist.psi2.at(xi) * p2
-        return base.theta_extended(xi) + b * field - theta_star
+        h0, psi2 = dist.responses(xi)
+        return base.theta_extended(xi) + b * (h0 + dist.a2 * psi2 * p2) - theta_star
 
     # objective(0) = 1 - theta_star >= margin > 0, so a bracket without a
     # sign change (status -1) means the level lies beyond hi

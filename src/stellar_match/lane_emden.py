@@ -13,9 +13,11 @@ the vacuum equation.  Past xi1 theta is that equation's solution in closed
 form, the point mass's potential mu1 (1/xi - 1/xi1): the distorted surface
 of a slowly rotating body pokes outside xi1 on the equator.
 
-`RadialProfile` is the piecewise evaluator this profile shares with the
+`RadialProfile` is the piecewise function this profile shares with the
 rotational responses of `distortion`: the center series, the dense output
 up to xi1, and a vacuum solution matched in value and slope there.
+`evaluate` reads several profiles of one dense output with one evaluation
+of it.
 """
 
 from __future__ import annotations
@@ -66,33 +68,44 @@ class RadialProfile:
         self.surface_slope = float(surf[row + 1])
         self.vacuum = vacuum(self.xi1, self.surface_value, self.surface_slope)
 
-    def _eval(self, xi, component):
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        if np.any(xi < 0.0):
-            raise ValueError("xi must be nonnegative")
-        out = np.empty_like(xi)
-        core = xi < self._xi_start
-        beyond = xi > self.xi1
-        mid = ~core & ~beyond
-        if np.any(core):
-            out[core] = self._series(xi[core], self._n)[component]
-        if np.any(mid):
-            out[mid] = self._dense(xi[mid])[self._row + component]
-        if np.any(beyond):
-            s = xi[beyond]
-            if component == 0:
-                out[beyond] = sum(c * s**p for c, p in self.vacuum)
-            else:
-                out[beyond] = sum(c * p * s ** (p - 1) for c, p in self.vacuum)
-        return float(out[0]) if scalar else out
-
     def at(self, xi):
-        return self._eval(xi, 0)
+        return evaluate((self,), xi)[0]
 
     def d_at(self, xi):
-        return self._eval(xi, 1)
+        return evaluate((self,), xi, 1)[0]
+
+
+def evaluate(profiles, xi, component=0):
+    """Values (component 0) or slopes (component 1) at xi of RadialProfiles
+    of one base polytrope that read one dense output, in a list, one entry
+    per profile: a float for a float xi, else an array.  The dense output
+    is evaluated once for all of them."""
+    first = profiles[0]
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    xi = np.atleast_1d(xi)
+    if np.any(xi < 0.0):
+        raise ValueError("xi must be nonnegative")
+    core = xi < first._xi_start
+    beyond = xi > first.xi1
+    mid = ~core & ~beyond
+    rows = first._dense(xi[mid]) if np.any(mid) else None
+    inner, s = xi[core], xi[beyond]
+    outs = []
+    for profile in profiles:
+        out = np.empty_like(xi)
+        if inner.size:
+            out[core] = profile._series(inner, profile._n)[component]
+        if rows is not None:
+            out[mid] = rows[profile._row + component]
+        if s.size:
+            if component == 0:
+                out[beyond] = sum(c * s**p for c, p in profile.vacuum)
+            else:
+                out[beyond] = sum(c * p * s ** (p - 1)
+                                  for c, p in profile.vacuum)
+        outs.append(float(out[0]) if scalar else out)
+    return outs
 
 
 class LaneEmdenSolution:

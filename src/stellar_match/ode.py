@@ -56,12 +56,19 @@ as the mask retires others, and an event sees the active lanes' values
 (one lane's floats when its root is found).  It pays from about sixteen
 lanes on (see matching.LANES_MIN).  It keeps no step history: it returns
 where each lane ended, and hands each accepted state to an optional
-observer.  Both paths form every weighted sum of stages with one
-function, `_dot`, over the tableau row's nonzero weights left to right (on
-arrays for lanes, on each component's floats for `solve`), so the
-arithmetic is the scalar solve's operation for operation; numpy's
-elementwise functions may still round a right-hand side differently by an
-ulp, so lanes agree with `solve` to roundoff, not bit for bit.
+observer.
+
+Both paths form every weighted sum of stages from one source.  At import
+one generator writes each sum (the 11 stages, B, the E5/E3 pair, the three
+extra stages and the four D sums) as one Python expression, the tableau
+row's nonzero weights as `repr` literals, which round-trip exactly, added
+left to right.  It compiles the text once into a float form, run on each
+component's floats by `solve` and `DenseOutput`'s float lookups, and a
+lane form, run on one array per component by the lanes and `DenseOutput`'s
+array lookups.  So the arithmetic is the scalar solve's operation for
+operation; numpy's elementwise functions may still round a right-hand side
+differently by an ulp, so lanes agree with `solve` to roundoff, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -198,23 +205,6 @@ MESSAGES = {
 }
 
 
-def _terms(row):
-    """A tableau row's nonzero weights as (index, weight) pairs, in order:
-    (the first pair, a tuple of the rest)."""
-    terms = tuple((j, w) for j, w in enumerate(row) if w)
-    return terms[0], terms[1:]
-
-
-def _dot(terms, k):
-    """The weighted sum w_0 k[j_0] + w_1 k[j_1] + ... of stages over
-    `terms`, left to right; each stage a float or an array."""
-    (j, w), rest = terms
-    total = w * k[j]
-    for j, w in rest:
-        total = total + w * k[j]
-    return total
-
-
 class _Sums(NamedTuple):
     """The tableau's weighted sums of one solve's (y, k, h): (node, the
     argument y + h sum_j a_j k_j) of each stage after the first, the new
@@ -229,40 +219,50 @@ class _Sums(NamedTuple):
     dense: object
 
 
-_E5, _E3, _D = _terms(E5), _terms(E3), [_terms(row) for row in D]
+def _sum_functions(name, rows, state):
+    """Source of name_floats and name_lanes, two functions (y, k, h) of one
+    expression: y + (the one row's sum) * h if `state`, else the tuple of
+    the rows' sums.  A sum is the row's nonzero weights as literals (repr
+    round-trips a float exactly), each times its stage k<j>, added left to
+    right.  The float form evaluates the expression on each component's
+    floats and returns their list; the lane form on one array per
+    component."""
+    sums = [" + ".join("%r * k%d" % (w, j) for j, w in enumerate(row) if w)
+            for row in rows]
+    expr = "y + (%s) * h" % sums[0] if state else "(%s,)" % ", ".join(sums)
+    used = sorted({j for row in rows for j, w in enumerate(row) if w})
+    names = ", ".join("k%d" % j for j in used)
+    values = ", ".join("k[%d]" % j for j in used)
+    lead = "y, " if state else ""
+    return ("def {0}_floats(y, k, h):\n"
+            "    return [{1} for {2}{3} in zip({2}{4})]\n"
+            "def {0}_lanes(y, k, h):\n"
+            "    {3} = {4}\n"
+            "    return {1}\n").format(name, expr, lead, names, values)
 
 
-def _lane_state(row):
-    terms = _terms(row)
-    return lambda y, k, h: y + _dot(terms, k) * h
+def _compile_sums():
+    """The float and the lane _Sums, compiled from one source, so a float
+    step makes a lane step's operations in the same order."""
+    source = "".join(
+        [_sum_functions("a%d" % s, [A[s]], True) for s in range(1, 16)]
+        + [_sum_functions("errors", [E5, E3], False),
+           _sum_functions("dense", D, False)])
+    scope = {}
+    exec(compile(source, "<DOP853 sums>", "exec"), scope)
+
+    def sums(form):
+        a = [scope.get("a%d_%s" % (s, form)) for s in range(16)]
+        return _Sums(stages=tuple(zip(C[1:12], a[1:12])), new=a[12],
+                     errors=scope["errors_" + form],
+                     extra=tuple(zip(C[13:], a[13:])),
+                     dense=scope["dense_" + form])
+    return sums("floats"), sums("lanes")
 
 
+# floats: y and each stage are lists of floats, one per component; lanes:
 # y and each stage hold one array per component
-_LANES = _Sums(
-    stages=tuple((c, _lane_state(row)) for c, row in zip(C[1:12], A[1:12])),
-    new=_lane_state(B),
-    errors=lambda y, k, h: (_dot(_E5, k), _dot(_E3, k)),
-    extra=tuple((c, _lane_state(row)) for c, row in zip(C[13:], A[13:])),
-    dense=lambda y, k, h: tuple(_dot(terms, k) for terms in _D))
-
-
-def _float_state(row):
-    terms = _terms(row)
-    return lambda y, k, h: [v + _dot(terms, col) * h
-                            for v, col in zip(y, zip(*k))]
-
-
-# y and each stage are lists of floats; each component's sums are _dot's
-# on its floats, so a float step makes a lane step's operations in the
-# same order
-_FLOATS = _Sums(
-    stages=tuple((c, _float_state(row)) for c, row in zip(C[1:12], A[1:12])),
-    new=_float_state(B),
-    errors=lambda y, k, h: [(_dot(_E5, col), _dot(_E3, col))
-                            for col in zip(*k)],
-    extra=tuple((c, _float_state(row)) for c, row in zip(C[13:], A[13:])),
-    dense=lambda y, k, h: [tuple(_dot(terms, col) for terms in _D)
-                           for col in zip(*k)])
+_FLOATS, _LANES = _compile_sums()
 
 
 def _rk_step(fun, sums, t, y, f, h, hy):

@@ -100,20 +100,10 @@ def write_table(path, columns, rows, config, fmt="csv"):
         write_json(path, {"columns": list(columns), "rows": rows, "config": config})
         return
     body_lines = [",".join(columns)]
-    body_lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    body_lines += [",".join(map(str, row)) for row in rows]
     body = "\n".join(body_lines) + "\n"
     replace_file(
         path,
         "# config: %s\n# content_sha256: %s\n%s"
         % (canonical_json(config), content_hash(body), body),
     )
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
-    return str(v)

@@ -640,6 +640,19 @@ def test_surface_pipeline_n3(capsys, tmp_path):
     assert len(rep["stratification"]) == 3
 
 
+def test_surface_reruns_identical(capsys, tmp_path):
+    out = tmp_path / "s"
+    names = ("surface_report.json", "surface_curve.csv", "distortion_profile.csv")
+    code, _, _ = run(capsys, "surface", "--out", str(out))
+    assert code == 0
+    first = {name: (out / name).read_bytes() for name in names}
+
+    code, _, _ = run(capsys, "surface", "--out", str(out))
+    assert code == 0
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob
+
+
 def test_surface_static_run(capsys, tmp_path):
     out = tmp_path / "s"
     code, _, _ = run(

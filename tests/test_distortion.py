@@ -117,6 +117,27 @@ def test_radial_domain_guard(dist_n1):
         dist_n1.psi2.d_at(np.array([1.0, -0.1]))
 
 
+def test_responses_read_the_coupled_dense_output_once(dist_n15, monkeypatch):
+    # one evaluation of the shared dense output gives both responses, with
+    # the bits each reads alone: center series, dense rows and vacuum terms
+    xi = np.array([0.0, 5e-5, 0.5, 2.0, dist_n15.base.xi1, 4.0, 9.0])
+    h0, psi2 = dist_n15.h0.at(xi), dist_n15.psi2.at(xi)
+    scalar = dist_n15.h0.at(2.0), dist_n15.psi2.at(2.0)
+    dense, calls = dist_n15.h0._dense, []
+
+    def counted(t):
+        calls.append(1)
+        return dense(t)
+
+    for sol in (dist_n15.h0, dist_n15.psi2):
+        monkeypatch.setattr(sol, "_dense", counted)
+    got = dist_n15.responses(xi)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got, [h0, psi2])
+    assert dist_n15.responses(2.0) == list(scalar)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
 def test_vacuum_responses_continuous_at_surface(fixture, request):
     # one ulp past xi1 the closed forms give the dense output's value and
@@ -392,14 +413,14 @@ def test_level_surface_roots_match_scipy_find_root(fixture, request, monkeypatch
 
 def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypatch):
     # the bracket ends are checked by the root search itself: past the one
-    # evaluation that places the bracket end (boundary_radius), every
-    # evaluation of h0 is one the search makes
-    at_calls, objective_calls = [], []
-    real_at = dist_n15.h0.at
+    # read that places the bracket end (boundary_radius), every read of the
+    # coupled responses h0 and psi2 is one the search makes, one per call
+    reads, objective_calls = [], []
+    real_responses = dist_n15.responses
 
-    def at(xi):
-        at_calls.append(1)
-        return real_at(xi)
+    def responses(xi):
+        reads.append(1)
+        return real_responses(xi)
 
     def counted(f, a, b, args=(), **tolerances):
         def objective(*fargs):
@@ -408,10 +429,10 @@ def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypat
 
         return roots.chandrupatla(objective, a, b, args, **tolerances)
 
-    monkeypatch.setattr(dist_n15.h0, "at", at)
+    monkeypatch.setattr(dist_n15, "responses", responses)
     monkeypatch.setattr(distortion, "chandrupatla", counted)
     level_surface(dist_n15, 1e-2, 0.5)
-    assert objective_calls and len(at_calls) == 1 + len(objective_calls)
+    assert objective_calls and len(reads) == 1 + len(objective_calls)
 
 
 def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):

@@ -691,3 +691,58 @@ def test_tableau_is_scipys_dop853():
         got = np.array(got, dtype=float)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _fold(row, k):
+    """The reference stage sum: w k[j] over the row's nonzero weights,
+    added left to right."""
+    total = None
+    for j, w in enumerate(row):
+        if w:
+            total = w * k[j] if total is None else total + w * k[j]
+    return total
+
+
+def _reference(rows, state, y, k, h):
+    """y + h (the one row's fold) if `state`, else the rows' folds."""
+    if state:
+        return y + _fold(rows[0], k) * h
+    return tuple(_fold(row, k) for row in rows)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_generated_sums_are_the_left_to_right_folds(n):
+    # both forms of every tableau sum against the reference, bit for bit;
+    # the stages spread over 12 decades, so any other order of the
+    # additions rounds differently
+    rng = np.random.default_rng(n)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+
+    for form in (ode._FLOATS, ode._LANES):
+        assert [c for c, _ in form.stages] == list(ode.C[1:12])
+        assert [c for c, _ in form.extra] == list(ode.C[13:])
+        stages = [*range(1, 12), 13, 14, 15]
+        sums = ([(fn, [ode.A[s]], True) for s, (_, fn)
+                 in zip(stages, form.stages + form.extra)]
+                + [(form.new, [ode.B], True),
+                   (form.errors, [ode.E5, ode.E3], False),
+                   (form.dense, ode.D, False)])
+        if form is ode._LANES:
+            y, h, k = draw(n, 50), draw(50), [draw(n, 50) for _ in range(16)]
+            hn = np.array([h] * n)
+            for fn, rows, state in sums:
+                assert np.array_equal(_bits(fn(y, k, hn)),
+                                      _bits(_reference(rows, state, y, k, hn)))
+        else:
+            y, h = draw(n).tolist(), float(draw())
+            k = [draw(n).tolist() for _ in range(16)]
+            for fn, rows, state in sums:
+                want = [_reference(rows, state, v, col, h)
+                        for v, col in zip(y, zip(*k))]
+                assert np.array_equal(_bits(fn(y, k, h)), _bits(want))

@@ -1,5 +1,8 @@
 """Artifact writers replace files atomically."""
 
+import math
+
+import numpy as np
 import pytest
 
 from stellar_match import reports
@@ -56,3 +59,13 @@ def test_write_replaces_artifact(tmp_path, kind):
     assert path.read_bytes() != first
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
 
+
+def test_table_cells_are_the_values_text(tmp_path):
+    # a float's shortest round-trip repr, non-finite floats by name, and a
+    # numpy scalar as its value
+    path = tmp_path / "table.csv"
+    row = [7, 1.0 / 3.0, 1e-300, math.inf, -math.inf, math.nan,
+           np.float64(1.5)]
+    write_table(str(path), "abcdefg", [row], {})
+    assert path.read_text().splitlines()[-1] == \
+        "7,0.3333333333333333,1e-300,inf,-inf,nan,1.5"
