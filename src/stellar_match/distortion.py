@@ -245,9 +245,12 @@ def surface_curve(dist, b, zeta=None):
 
 
 def boundary_radius(dist, b, zeta):
-    """Xi1 at a single zeta (or array), without building a SurfaceCurve."""
+    """Xi1 at a single zeta (or array), without building a SurfaceCurve.
+    The field at xi1 is read off the responses' stored surface values."""
     base = dist.base
-    return base.xi1 + base.xi1**2 / base.mu1 * dist.distortion_field(base.xi1, zeta) * b
+    field = dist.h0.surface_value \
+        + dist.a2 * dist.psi2.surface_value * legendre_p2(zeta)
+    return base.xi1 + base.xi1**2 / base.mu1 * field * b
 
 
 def theta_distorted(dist, xi, zeta, b):

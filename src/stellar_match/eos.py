@@ -20,31 +20,38 @@ in P, vanish at P = 0, and c^2 h -> u as c -> inf.  `w_unit` is the unit of
 the variable, c^2 for h and 1 for u, so that one set of hydrostatic formulas
 in `tov` serves both modes.
 
-Density from enthalpy.  The pure polytrope inverts h or u in closed form,
-with math functions for a float and numpy for an array.  With Lam != 0 the
-first lookup builds a table of ln rho as a function of h: one ODE solve of
-d ln rho/dh = (rho c^2 + P) / (rho dP/drho)  (the enthalpy-as-variable form
-of Lindblom 1992, ApJ 398, 569) with the float DOP853 integrator of `ode`,
-seeded by the closed form at 1e-16 rho_valid_max and stopped by an event at
-the validity bound; past the bound the right-hand side keeps its value
-there, so trial stages that overshoot it get a finite slope.  Every later
-lookup, including each call from a TOV right-hand side, is one evaluation
-of its dense output (a bisection over the steps and a Horner sum of the
-step's 7th-order interpolant, whose three extra stages the step gets on
-its first lookup); below the seed the closed form is used, past the bound
-ln rho continues linearly with the ODE's end slope, up to a cap that keeps
+Density from enthalpy.  The pure polytrope inverts h or u in closed form.
+With Lam != 0 the first lookup builds a table of ln rho as a function of
+s = ln h: one ODE solve of  d ln rho/ds = h (rho c^2 + P) / (rho dP/drho)
+(the enthalpy-as-variable form of Lindblom 1992, ApJ 398, 569, in ln h)
+with the float DOP853 integrator of `ode`, seeded by the closed form at
+1e-16 rho_valid_max and stopped by an event at the validity bound.  The
+slope tends to 1/(gamma - 1) at low density, so about 60 steps span the
+16 decades of h.  Past the bound and below the seed the right-hand side
+keeps its value at that end, so trial stages that overshoot get a finite
+slope.  Lookups below the seed use the closed form; past the bound ln rho
+continues linearly in h with the table's end slope, up to a cap that keeps
 rho and P finite.  h(P) inverts the same map: the closed form below the
-seed, the linear continuation past the bound, and one bracketed root on
-the dense output in between, so h -> P -> h round trips to roundoff.
+seed, the linear continuation past the bound, and one bracketed root in s
+on the dense output in between, so h -> P -> h round trips to roundoff.
 
+Every float read of (rho, P), each call from a TOV right-hand side
+included, goes through one closure per EOS, `_fluid`, built on first use.
+It holds the four branches (vacuum, closed form, table, saturation) and
+the coefficients of every table step, so a table read is a bisection over
+the steps and a Horner sum of the step's 7th-order interpolant at ln w,
+with the operations of a float lookup of the dense output.  The array
+path, `_rho_of_w_array`, reads the same branches with numpy masks; on the
+table and saturation branches it takes the math module's log and exp
+element by element, so lanes and scalar solves read the same densities.
 One Horner sum gives Lam and Lam' for a float or an array, and the
-pressure law is written in plain arithmetic, so a float in gives a float
-out on the right-hand-side path.
+pressure law is written in plain arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
 
 import numpy as np
@@ -61,8 +68,14 @@ GAMMA_SOFT_MAX = 2.0
 _VALIDITY_PROBE_X_MIN = 1e-10
 _VALIDITY_PROBE_X_MAX = 1e6
 _VALIDITY_PROBE_POINTS = 481
-# rtol and atol of the h -> ln rho table (atol is in ln rho).
-_TABLE_TOL = 1e-13
+# rtol and atol of the ln h -> ln rho table (atol is in ln rho).  The rtol
+# is the integrator's floor, 100 eps.
+_TABLE_RTOL = 100 * ode.EPS
+_TABLE_ATOL = 3e-15
+# The table must end within this fraction of h_hi of the validity bound.
+_TABLE_REACH = 1e-13
+# The table starts at this fraction of rho_valid_max, in closed form.
+_TABLE_SEED = 1e-16
 # Past the table's end, ln rho grows linearly for at most this much, which
 # keeps rho and P finite where trial RK stages overshoot the bound.
 _SATURATION_SPAN = 30.0
@@ -189,12 +202,12 @@ class EosSpec:
     def _fluid_of_w(self, w):
         """(rho, P) at the enthalpy variable w (a float or an array),
         unchecked, as a right-hand side reads them: vacuum (0, 0) for
-        w <= 0, saturation past the validity bound."""
+        w <= 0, saturation past the validity bound.  A float goes to
+        `_fluid`."""
         if isinstance(w, np.ndarray):
             rho = self._rho_of_w_array(w)
-        else:
-            rho = self._rho_of_w_unchecked(w)
-        return rho, self._pressure_raw(rho)
+            return rho, self._pressure_raw(rho)
+        return self._fluid(float(w))
 
     def pressure_of_density(self, rho):
         """P(rho); scalar in, scalar out (arrays pass through elementwise)."""
@@ -255,88 +268,147 @@ class EosSpec:
             self.A * np.power(rho, g - 1.0) / self.c_light**2)
 
     def _density_of_enthalpy_closed(self, w):
-        """Inverse of _enthalpy_closed; math for a float w, numpy for an
-        array.  Their expm1 and powers differ by an ulp at most, which the
-        power 1/(gamma - 1) scales to about n + 1 ulp of rho."""
+        """Inverse of _enthalpy_closed on an array of w."""
         g = self.gamma
         if self.nonrelativistic:
             return (w * (g - 1.0) / (self.A * g)) ** (1.0 / (g - 1.0))
-        expm1 = np.expm1 if isinstance(w, np.ndarray) else math.expm1
-        y = expm1((g - 1.0) * w / g) * self.c_light**2 / self.A
+        y = np.expm1((g - 1.0) * w / g) * self.c_light**2 / self.A
         return y ** (1.0 / (g - 1.0))
 
     @cached_property
     def _ln_rho_table(self):
-        """Dense h -> ln rho map for Lam != 0, built on first use: one ODE
-        solve in h,
+        """Dense ln h -> ln rho map for Lam != 0, built on first use: one
+        ODE solve in s = ln h,
 
-            d ln rho / dh = (rho c^2 + P) / (rho dP/drho),
+            d ln rho / ds = h (rho c^2 + P) / (rho dP/drho),
 
         from the closed-form seed at rho_lo = 1e-16 rho_valid_max up to
-        ln rho_valid_max, where a terminal event gives h_hi.  The table is
-        only built for Lam != 0, which forces a finite c.  Holds
-        (dense output, h_lo, h_hi, ln rho at h_hi, d ln rho/dh at h_hi)."""
-        rho_lo = self.rho_valid_max * 1e-16
+        ln rho_valid_max, where a terminal event gives ln h_hi.  At low
+        density the slope tends to 1/(gamma - 1), so the steps need not
+        follow the decades that h spans.  The table is only built for
+        Lam != 0, which forces a finite c.  Holds (dense output in s, h_lo,
+        h_hi, ln rho at h_hi, d ln rho/dh at h_hi)."""
+        rho_lo = self.rho_valid_max * _TABLE_SEED
         t_lo, t_hi = math.log(rho_lo), math.log(self.rho_valid_max)
 
-        def dt_dh(_h, t):
-            return [self._dln_rho_dh(t[0])]
+        def dt_ds(s, t):
+            return [math.exp(s) * self._dln_rho_dh(t[0])]
 
-        def at_bound(_h, t):
+        def at_bound(_s, t):
             return t[0] - t_hi
 
         # Below rho_lo the correction is negligible; seed with the closed
         # form.  On the valid range dh/d ln rho = rho dP/drho / (rho c^2 + P)
         # is below 1, so the bound lies within t_hi - t_lo of h_lo.
         h_lo = float(self._enthalpy_closed(rho_lo))
-        sol = ode.solve(dt_dh, (h_lo, h_lo + (t_hi - t_lo)), [t_lo],
-                        _TABLE_TOL, _TABLE_TOL, [at_bound])
-        h_hi, t_end = float(sol.t[-1]), float(sol.y[0, -1])
+        s_span = (math.log(h_lo), math.log(h_lo + (t_hi - t_lo)))
+        sol = ode.solve(dt_ds, s_span, [t_lo], _TABLE_RTOL, _TABLE_ATOL,
+                        [at_bound])
+        h_hi, t_end = math.exp(sol.t[-1]), float(sol.y[0, -1])
         slope = self._dln_rho_dh(t_end)
         # At a monotone bound dP/drho -> 0, so d ln rho/dh diverges and the
         # steps collapse just short of t_hi.  The h still missing there is
         # at most (t_hi - t_end) / slope; the table must reach the bound to
-        # within its tolerance in h.
-        if not t_hi - t_end <= _TABLE_TOL * h_hi * slope:
+        # within _TABLE_REACH h_hi.
+        if not t_hi - t_end <= _TABLE_REACH * h_hi * slope:
             raise EosValidityError("enthalpy table stops short of the "
                                    "validity bound: " + sol.message)
         return sol.sol, h_lo, h_hi, t_end, slope
 
     def _dln_rho_dh(self, t):
-        """d ln rho/dh at ln rho = t, the right-hand side of the table's
-        ODE.  Past ln rho_valid_max it keeps its value there, as ln rho
-        continues linearly past the table's end, so a trial stage that
-        overshoots the bound gets a finite value."""
+        """d ln rho/dh at ln rho = t, the table's slope before the factor
+        h = dh/ds.  Past ln rho_valid_max it keeps its value there, as
+        ln rho continues linearly past the table's end, so a trial stage
+        that overshoots the bound gets a finite value.  Below the table's
+        seed it keeps its value there too: where a monotone bound makes the
+        slope at the bound huge, a trial stage can swing far below the
+        table, and x = 0 would divide by zero."""
         g = self.gamma
+        t = min(max(t, math.log(self.rho_valid_max * _TABLE_SEED)),
+                math.log(self.rho_valid_max))
         # The same ratio in x = A rho^(g-1)/c^2, where P/rho = c^2 x (1 +
         # Lam) and dP/drho = c^2 x (g (1 + Lam) + (g-1) x Lam').
-        x = self.A / self.c_light**2 * math.exp(
-            (g - 1.0) * min(t, math.log(self.rho_valid_max)))
+        x = self.A / self.c_light**2 * math.exp((g - 1.0) * t)
         lam, dlam = self._series(x)
         return (1.0 + x * (1.0 + lam)) \
             / (x * (g * (1.0 + lam) + (g - 1.0) * x * dlam))
 
+    @cached_property
+    def _fluid(self):
+        """The float map w -> (rho, P), unchecked, built on first use: the
+        one float path of every right-hand side.  Vacuum (0, 0) for w <= 0;
+        for a pure polytrope, or below the table's h_lo, the closed form;
+        past its h_hi ln rho continues linearly with the table's end slope,
+        up to _SATURATION_SPAN; in between, ln rho is the table's step
+        interpolant at ln w, read through the coefficients of every step,
+        computed here once.  It makes the operations of `_pressure_raw`,
+        of the closed form (math.expm1 and float powers) and of a float
+        lookup of the dense output, in their order."""
+        g, a, csq = self.gamma, self.A, self.c_light**2
+        gm1 = g - 1.0
+        inv = 1.0 / gm1
+        if self.nonrelativistic:
+            ag = a * g
+
+            def fluid(w):
+                if w <= 0.0:
+                    return 0.0, 0.0
+                rho = (w * gm1 / ag) ** inv
+                return rho, a * rho ** g
+            return fluid
+        if self.pure_polytrope:
+            def fluid(w):
+                if w <= 0.0:
+                    return 0.0, 0.0
+                rho = (math.expm1(gm1 * w / g) * csq / a) ** inv
+                return rho, a * rho ** g
+            return fluid
+
+        sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
+        keys, coeffs = sol.pieces()  # a forward solve: the keys are s
+        last = len(coeffs) - 1
+        t_cap = t_hi + _SATURATION_SPAN
+        series = tuple(reversed((0.0,) + self.lambda_coeffs))
+        horner = ode._horner
+
+        def fluid(w):
+            if w <= 0.0:
+                return 0.0, 0.0
+            if w <= h_lo:
+                rho = (math.expm1(gm1 * w / g) * csq / a) ** inv
+            elif w >= h_hi:
+                rho = math.exp(min(t_hi + (w - h_hi) * slope, t_cap))
+            else:
+                s = math.log(w)
+                i = bisect_left(keys, s) - 1
+                if i < 0:
+                    i = 0
+                elif i > last:
+                    i = last
+                s_old, h, ((t_old, rows),) = coeffs[i]
+                rho = math.exp(horner(t_old, rows, (s - s_old) / h))
+            x = a * rho ** gm1 / csq
+            lam = 0.0
+            for coeff in series:
+                lam = lam * x + coeff
+            return rho, a * rho ** g * (1.0 + lam)
+        return fluid
+
     def _rho_of_w_unchecked(self, w):
         """Density from the enthalpy variable, with vacuum continuation
-        (w <= 0 -> 0) and saturation past the validity bound, where ln rho
-        continues linearly with the end slope of the table.  Used by
-        integrator right-hand sides; the public ops add the validity gate."""
-        if w <= 0.0:
-            return 0.0
-        if self.pure_polytrope:
-            return float(self._density_of_enthalpy_closed(w))
-        sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table
-        if w <= h_lo:
-            return float(self._density_of_enthalpy_closed(w))
-        if w >= h_hi:
-            return math.exp(min(t_hi + (w - h_hi) * slope,
-                                t_hi + _SATURATION_SPAN))
-        return math.exp(sol(w)[0])
+        (w <= 0 -> 0) and saturation past the validity bound: the density
+        of `_fluid`.  The public ops add the validity gate."""
+        return self._fluid(float(w))[0]
 
     def _rho_of_w_array(self, w):
-        """_rho_of_w_unchecked over an array of w, branch by branch.  A pure
-        polytrope has one branch, the closed form, which gives exactly 0
-        at w = 0, so it runs on max(w, 0) without masks."""
+        """The density of `_fluid` over an array of w, branch by branch.
+        The table and saturation branches take math.log and math.exp
+        element by element, so they give `_fluid`'s bits; the closed form
+        runs on numpy, whose expm1 and powers differ from the math
+        module's by an ulp at most, which the power 1/(gamma - 1) scales
+        to about n + 1 ulp of rho.  A pure polytrope has one branch, the
+        closed form, which gives exactly 0 at w = 0, so it runs on
+        max(w, 0) without masks."""
         w = np.asarray(w, dtype=float)
         if self.pure_polytrope:
             return self._density_of_enthalpy_closed(np.maximum(w, 0.0))
@@ -346,9 +418,11 @@ class EosSpec:
         saturated = w >= h_hi
         closed = (w > 0.0) & (w <= h_lo)
         if table.any():  # the dense output refuses an empty array
-            rho[table] = np.exp(sol(w[table])[0])
-        rho[saturated] = np.exp(np.minimum(
-            t_hi + (w[saturated] - h_hi) * slope, t_hi + _SATURATION_SPAN))
+            s = np.array([math.log(v) for v in w[table].tolist()])
+            rho[table] = [math.exp(t) for t in sol(s)[0].tolist()]
+        rho[saturated] = [math.exp(t) for t in np.minimum(
+            t_hi + (w[saturated] - h_hi) * slope,
+            t_hi + _SATURATION_SPAN).tolist()]
         rho[closed] = self._density_of_enthalpy_closed(w[closed])
         return rho
 
@@ -369,10 +443,9 @@ class EosSpec:
         t = math.log(rho)
         if t >= t_hi:
             return h_hi + (t - t_hi) / slope
-        # h spans many decades above h_lo: converge on brentq's relative
-        # tolerance alone.
-        return brentq(lambda x: sol(x)[0] - t, h_lo, h_hi, xtol=1e-300,
-                      maxiter=200)
+        # An absolute tolerance in s = ln h is a relative one in h.
+        return math.exp(brentq(lambda s: sol(s)[0] - t, sol.t_min, sol.t_max,
+                               xtol=ode.EPS, maxiter=200))
 
     def density_of_enthalpy(self, w):
         """Inverse of enthalpy_of_pressure composed with the pressure law;

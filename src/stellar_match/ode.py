@@ -337,7 +337,9 @@ class DenseOutput:
     call per extra stage and step.  Both give the same bits.  At a step
     boundary the earlier step is used, and points outside the covered range
     extrapolate the nearest end step, as scipy's OdeSolution does.  The
-    last step of an event-stopped run is the one redone to the root."""
+    last step of an event-stopped run is the one redone to the root.
+    `t_min` and `t_max` are the ends of the covered range, as scipy's
+    OdeSolution names them."""
 
     def __init__(self, ts, steps, fun):
         self._steps = steps  # (t_old, h, y_old, y_new, stages)
@@ -346,6 +348,7 @@ class DenseOutput:
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = ts if self._sign > 0 else [-t for t in ts]
         self._arrays = None
+        self.t_min, self.t_max = min(ts[0], ts[-1]), max(ts[0], ts[-1])
 
     def __call__(self, t):
         if not isinstance(t, float) and np.ndim(t):
@@ -358,6 +361,18 @@ class DenseOutput:
             coeffs = self._coeffs[i] = _step_coeffs(self._steps[i],
                                                     self._fun)
         return _evaluate(coeffs, t)
+
+    def pieces(self):
+        """(keys, coeffs) as a float lookup reads them: the sorted keys it
+        bisects (t, or -t on a backward solve) and each step's (t_old, h,
+        [(y_old, rows F_0 .. F_6) per component]).  Computes the extra
+        stages of every step not looked up yet.  For callers that evaluate
+        one step with `_horner` in a loop of their own; they must not
+        modify the lists."""
+        for i, coeffs in enumerate(self._coeffs):
+            if coeffs is None:
+                self._coeffs[i] = _step_coeffs(self._steps[i], self._fun)
+        return self._keys, self._coeffs
 
     def _call_array(self, t):
         if self._arrays is None:
@@ -377,8 +392,9 @@ class DenseOutput:
         t_old, h = np.array(t_old), np.array(h)
         # each (n, steps)
         y_old, y_new = (np.array(y, dtype=float).T for y in (y_old, y_new))
+        # stages (13, n, steps)
         k = _extra_stages(each_step, _LANES, t_old, h, y_old,
-                          [np.array(s, dtype=float).T for s in zip(*k)], h)
+                          np.array(k, dtype=float).transpose(1, 2, 0), h)
         # rows (7, n, steps)
         return (np.array(self._keys), t_old, h, y_old,
                 np.array(_rows(y_old, y_new, k[0], k[12], h,

@@ -237,15 +237,11 @@ def _f_const(eos, radius, mass):
 
 
 def _dw_dr(eos, r, m, p):
-    """dw/dr at radius r, mass m and pressure p."""
-    # the metric factor inline: this runs once per right-hand side call;
-    # the floor acts in trial steps only, the horizon event stops first
+    """dw/dr at radius r, mass m and pressure p, for lanes and events;
+    tov_rhs makes the same operations on floats inline.  The metric floor
+    acts in trial steps only: the horizon event stops first."""
     csq = eos.c_light**2
-    metric = 1.0 - 2.0 * m / (csq * r)
-    if isinstance(metric, np.ndarray):  # lanes
-        metric = np.maximum(metric, _METRIC_FLOOR)
-    elif metric < _METRIC_FLOOR:
-        metric = _METRIC_FLOOR
+    metric = np.maximum(1.0 - 2.0 * m / (csq * r), _METRIC_FLOOR)
     return -(m + 4.0 * math.pi * r**3 * p / csq) / (eos.w_unit * r**2 * metric)
 
 
@@ -255,10 +251,18 @@ def _dp_dw(eos, rho, p):
 
 
 def tov_rhs(eos, r, m, w):
-    """(dm/dr, dw/dr) for the enthalpy-variable system; vacuum (w <= 0)
-    continues smoothly with rho = P = 0."""
-    rho, p = eos._fluid_of_w(w)
-    return 4.0 * math.pi * r**2 * rho, _dw_dr(eos, r, m, p)
+    """(dm/dr, dw/dr) for the enthalpy-variable system on floats; vacuum
+    (w <= 0) continues smoothly with rho = P = 0.  It reads (rho, P) from
+    the EOS's float map and computes dw/dr inline, as _dw_dr does on
+    lanes, since it runs once per stage of every scalar solve."""
+    rho, p = eos._fluid(w)
+    csq = eos.c_light**2
+    metric = 1.0 - 2.0 * m / (csq * r)
+    if metric < _METRIC_FLOOR:
+        metric = _METRIC_FLOOR
+    return (4.0 * math.pi * r**2 * rho,
+            -(m + 4.0 * math.pi * r**3 * p / csq)
+            / (eos.w_unit * r**2 * metric))
 
 
 def _lanes_rhs(eos, r, y):

@@ -412,9 +412,10 @@ def test_level_surface_roots_match_scipy_find_root(fixture, request, monkeypatch
 
 
 def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypatch):
-    # the bracket ends are checked by the root search itself: past the one
-    # read that places the bracket end (boundary_radius), every read of the
-    # coupled responses h0 and psi2 is one the search makes, one per call
+    # the bracket ends are checked by the root search itself, and the
+    # bracket end (boundary_radius) reads the stored surface values: every
+    # read of the coupled responses h0 and psi2 is one the search makes,
+    # one per call
     reads, objective_calls = [], []
     real_responses = dist_n15.responses
 
@@ -432,7 +433,7 @@ def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypat
     monkeypatch.setattr(dist_n15, "responses", responses)
     monkeypatch.setattr(distortion, "chandrupatla", counted)
     level_surface(dist_n15, 1e-2, 0.5)
-    assert objective_calls and len(reads) == 1 + len(objective_calls)
+    assert objective_calls and len(reads) == len(objective_calls)
 
 
 def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stellar_match import EosSpec, EosValidityError
+from stellar_match.eos import _SATURATION_SPAN
 
 
 def test_pressure_trivial_polytrope():
@@ -224,6 +225,93 @@ def test_saturation_past_the_table_stays_finite():
         assert rho_array[k] == pytest.approx(rho, rel=1e-15)
         assert p_array[k] == pytest.approx(p, rel=1e-15)
     assert np.all(np.diff(rho_array) >= 0.0)
+
+
+@pytest.mark.parametrize("gamma, coeffs, bound", [
+    (2.0, (0.2, -0.1), 9.4e-13),
+    (5.0 / 3.0, (0.2, -0.1), 9.9e-13),
+    (2.0, (0.5,), 9.5e-13),
+    (1.5, (0.1, 0.05), 1.1e-12),
+])
+def test_lambda_table_matches_an_independent_solve(gamma, coeffs, bound):
+    # The reference solves ln h as a function of ln rho with solve_ivp,
+    # from the table's seed, as d = ln h - (gamma - 1) ln rho: d is O(1)
+    # and nearly constant, so rtol acts on it and not on ln h, which
+    # reaches -37 at the seed.  (A quadrature of dh/d ln rho agrees with it
+    # to the digits below.)  Each bound is the error that the same table
+    # solved in h itself, at rtol = atol = 1e-13, shows against this
+    # reference: the table in ln h must be no less accurate.
+    from scipy.integrate import solve_ivp
+
+    eos = EosSpec(gamma=gamma, A=1.0, c_light=1.0, lambda_coeffs=coeffs)
+    _sol, h_lo, _h_hi, _t_end, _slope = eos._ln_rho_table
+    t_lo = math.log(eos.rho_valid_max * 1e-16)
+    t_hi = math.log(eos.rho_valid_max)
+    lam = np.polynomial.Polynomial((0.0,) + coeffs)
+    dlam = lam.deriv()
+    g1 = gamma - 1.0
+
+    def dd_dt(t, d):
+        x = math.exp(g1 * t)
+        lam_x, dlam_x = lam(x), dlam(x)
+        dh_dt = x * (gamma * (1.0 + lam_x) + g1 * x * dlam_x) \
+            / (1.0 + x * (1.0 + lam_x))
+        return [dh_dt / math.exp(d[0] + g1 * t) - g1]
+
+    ref = solve_ivp(dd_dt, (t_lo, t_hi), [math.log(h_lo) - g1 * t_lo],
+                    method="DOP853", rtol=2.3e-14, atol=1e-16,
+                    dense_output=True)
+    t = np.linspace(t_lo + 0.5, t_hi - 1e-3, 3000)
+    h = np.exp(ref.sol(t)[0] + g1 * t)
+    assert np.max(np.abs(np.log(eos._rho_of_w_array(h)) - t)) < bound
+
+
+@pytest.mark.parametrize("gamma, coeffs", [
+    (2.0, (0.2, -0.1)), (5.0 / 3.0, (0.2, -0.1)), (1.5, (0.1, 0.05)),
+    (2.0, (-0.5,)),
+])
+def test_float_map_reads_the_table_and_the_pressure_law(gamma, coeffs):
+    # _fluid reads the table's step coefficients itself; it must give the
+    # bits of a float lookup of the dense output at ln w and of
+    # _pressure_raw, on every branch but the closed form's (A != 1, so
+    # that a regrouped product shows).
+    eos = EosSpec(gamma=gamma, A=0.7, c_light=1.0, lambda_coeffs=coeffs)
+    sol, h_lo, h_hi, t_end, slope = eos._ln_rho_table
+    rng = np.random.default_rng(0)
+    w = np.concatenate([[0.0, -1.0, h_hi, h_hi * 1e3],
+                        np.exp(rng.uniform(math.log(h_lo), math.log(h_hi),
+                                           2000)),
+                        h_hi * (1.0 + rng.uniform(0.0, 1.0, 50))])
+    for x in w.tolist():
+        rho, p = eos._fluid(x)
+        if x <= 0.0:
+            want = 0.0
+        elif x >= h_hi:
+            want = math.exp(min(t_end + (x - h_hi) * slope,
+                                t_end + _SATURATION_SPAN))
+        else:
+            want = math.exp(sol(math.log(x))[0])
+        assert (rho, p) == (want, eos._pressure_raw(want))
+
+
+@pytest.mark.parametrize("gamma, coeffs", [
+    (2.0, (0.2, -0.1)), (5.0 / 3.0, (0.2, -0.1)), (2.0, (-0.5,)),
+])
+def test_array_density_equals_the_float_map_off_the_closed_form(gamma,
+                                                                 coeffs):
+    # Lanes read _rho_of_w_array, a scalar solve _fluid: on the vacuum,
+    # table and saturation branches the two give the same bits (the closed
+    # form's ulp is the next test's).
+    eos = EosSpec(gamma=gamma, A=1.0, c_light=1.0, lambda_coeffs=coeffs)
+    _sol, h_lo, h_hi, _t_end, _slope = eos._ln_rho_table
+    rng = np.random.default_rng(1)
+    w = np.concatenate([[-1.0, 0.0, h_hi], -rng.uniform(0.0, 1.0, 50),
+                        np.exp(rng.uniform(math.log(h_lo), math.log(h_hi),
+                                           20000)),
+                        h_hi * (1.0 + rng.exponential(1.0, 200))])
+    w = w[(w <= 0.0) | (w > h_lo)]
+    want = np.array([eos._fluid(x)[0] for x in w.tolist()])
+    assert np.array_equal(eos._rho_of_w_array(w), want)
 
 
 @pytest.mark.parametrize("gamma, c", [

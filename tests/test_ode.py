@@ -11,7 +11,7 @@ scipy forms it with a BLAS dot product whose rounding order cannot be
 reproduced in Python floats.  The trajectories are therefore compared at
 the oracle's step ends through the dense output, relative to each
 component's largest magnitude.  Where the estimate is mostly rounding
-(the inward solves' first steps, the EOS table at rtol 1e-13, the
+(the inward solves' first steps, the EOS table at the rtol floor, the
 Lane-Emden profiles at 1e-12), the two error norms from one state part by
 1e-3 relative or more and the step grids can part with them; each of
 those solves keeps the whole-run checks that still hold and is also
@@ -99,16 +99,18 @@ def _oracle_last_step(fun, got, rtol, atol):
                      dense_output=True)
 
 
-def _assert_matches_oracle(args, got):
+def _assert_matches_oracle(args, got, same_steps=True):
     """Same status, step count and nfev as the oracle; trajectory, and the
     stopping event's root and state, within tolerance.  The state at the
-    root is compared with an oracle run that stops there.  Returns the
-    oracle's result."""
+    root is compared with an oracle run that stops there.  same_steps
+    False drops the step count and nfev, for a solve whose step choice
+    follows rounding.  Returns the oracle's result."""
     want = _oracle(*args)
     assert got.status == want.status
     assert got.message == want.message
-    assert len(got.t) == len(want.t)
-    assert got.nfev == _oracle_nfev(want, got.event)
+    if same_steps:
+        assert len(got.t) == len(want.t)
+        assert got.nfev == _oracle_nfev(want, got.event)
     scale = np.max(np.abs(want.y), axis=1, keepdims=True)
     steps = len(want.t) - (got.event >= 0)
     assert np.max(np.abs(got.sol(want.t[:steps]) - want.y[:, :steps])
@@ -218,11 +220,16 @@ def test_lambda_table_matches_solve_ivp(recorded):
     eos = EosSpec(2.0, c_light=1.0, lambda_coeffs=(0.2, -0.1))
     _sol, _h_lo, h_hi, _t_hi, _slope = eos._ln_rho_table
     [(args, got)] = recorded
-    # rtol 1e-13: the last step ends part by up to 6e-6 relative, so each
-    # step is checked against the oracle's step from its start
-    want = _assert_matches_oracle(args, got)
+    # The table is solved in s = ln h at the rtol floor, where the error
+    # estimate is mostly rounding, so the step count follows rounding too:
+    # each step is checked against the oracle's step from its start, and
+    # the whole run on the oracle's trajectory and event root
+    want = _assert_matches_oracle(args, got, same_steps=False)
     _assert_steps_match_oracle(args, got)
-    assert h_hi == pytest.approx(float(want.t[-1]), rel=EVENT_TOL)
+    # d ln rho/ds tends to a constant at low density: few steps span the
+    # 16 decades of h
+    assert len(got.t) < 80
+    assert h_hi == pytest.approx(math.exp(want.t[-1]), rel=EVENT_TOL)
 
 
 def test_inward_ladder_matches_solve_ivp(recorded):
@@ -489,7 +496,7 @@ def test_table_reads_the_partial_result_at_a_monotone_bound(recorded):
     _sol, _h_lo, h_hi, t_hi, _slope = eos._ln_rho_table
     [(_args, got)] = recorded
     assert not got.success  # the steps collapse just short of the bound
-    assert (h_hi, t_hi) == (got.t[-1], got.y[0, -1])
+    assert (h_hi, t_hi) == (math.exp(got.t[-1]), got.y[0, -1])
     assert t_hi < math.log(eos.rho_valid_max)
 
 
