@@ -20,10 +20,15 @@ an even curve in zeta = cos(angle from the rotation axis) that bulges at
 the equator.  Everything here is first order in b; quadratic remainders
 are out of scope.
 
-theta, h0 and psi2 are integrated together as one system
-(theta, theta', h0, h0', psi2, psi2') from the series start, as in
-Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side never looks up
-the base profile; like the base profile, it runs on `ode.solve`.  Past xi1,
+theta, h0 and psi2 are integrated together as one system from the series
+start, as in Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side
+never looks up the base profile; like the base profile, it runs on
+`ode.solve`.  The quadrupole is integrated as Chandrasekhar factors it,
+psi2 = xi^2 q with q'' + (6/xi) q' + n theta^(n-1) q = 0 and q(0) = 1:
+q is regular at the center, where the 6/xi^2 pole of the psi2 equation
+would hold the step size to a few percent of xi, so the state is
+(theta, theta', h0, h0', q, q') and psi2 = xi^2 q, psi2' = 2 xi q + xi^2 q'
+are read off it (`RadialProfile` with power 2).  Past xi1,
 where the equatorial bulge reaches, all three are their vacuum solutions
 in closed form, each matched in value and slope at xi1 (`RadialProfile`):
 theta = mu1 (1/xi - 1/xi1), h0 = xi^2/6 + c1 + c2/xi and
@@ -32,9 +37,11 @@ the centrifugal term b xi^2 (1 - zeta^2)/4 plus decaying monopole and
 quadrupole terms: the star's first-order exterior potential.  h0 and
 psi2 are read together, with one evaluation of their dense output per
 call (`DistortionSolution.responses`); theta comes from the base profile.
-A level surface Theta = theta_star is solved for every zeta at once with
-Chandrupatla's bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
-`roots.chandrupatla`.
+Level surfaces Theta = theta_star are solved for every level and every
+zeta at once, one bracket per (level, zeta), with Chandrupatla's
+bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
+`roots.chandrupatla`; each bracket iterates on its own, so a level solved
+with others has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -73,10 +80,10 @@ def _h0_series(xi, n):
     return xi**2 / 6.0 - n * xi**4 / 120.0, xi / 3.0 - n * xi**3 / 30.0
 
 
-def _psi2_series(xi, n):
-    """Regular center of psi2, normalized to unit xi^2 leading coefficient:
-    xi^2 (1 - n xi^2/14) and its derivative."""
-    return xi**2 * (1.0 - n * xi**2 / 14.0), 2.0 * xi - 4.0 * n * xi**3 / 14.0
+def _q_series(xi, n):
+    """Regular center of q = psi2 / xi^2, normalized to psi2's unit xi^2
+    leading coefficient: 1 - n xi^2/14 and its derivative."""
+    return 1.0 - n * xi**2 / 14.0, -n * xi / 7.0
 
 
 def _h0_vacuum(xi1, f1, df1):
@@ -143,13 +150,13 @@ class DistortionSolution:
 
 
 def integrate_responses(base, rtol=1e-12, atol=1e-14):
-    """Dense output of (theta, theta', h0, h0', psi2, psi2') on
-    [xi_start, xi1], integrated as one system from the series start; its
-    theta reproduces base.theta_at to the integration tolerance."""
+    """Dense output of (theta, theta', h0, h0', q, q') on [xi_start, xi1],
+    with q = psi2 / xi^2, integrated as one system from the series start;
+    its theta reproduces base.theta_at to the integration tolerance."""
     n = base.n
 
     def rhs(xi, y):
-        theta, dtheta, h, dh, p, dp = y
+        theta, dtheta, h, dh, q, dq = y
         t = theta if theta > 0.0 else 0.0
         coef = n * t ** (n - 1.0)
         return [
@@ -157,15 +164,15 @@ def integrate_responses(base, rtol=1e-12, atol=1e-14):
             -(t**n) - 2.0 * dtheta / xi,
             dh,
             1.0 - coef * h - 2.0 * dh / xi,
-            dp,
-            (6.0 / xi**2 - coef) * p - 2.0 * dp / xi,
+            dq,
+            -coef * q - 6.0 * dq / xi,
         ]
 
     xi_s = base.xi_start
     y0 = [
         *_theta_series(xi_s, n),
         *_h0_series(xi_s, n),
-        *_psi2_series(xi_s, n),
+        *_q_series(xi_s, n),
     ]
     sol = ode.solve(rhs, (xi_s, base.xi1), y0, rtol, atol)
     if not sol.success:
@@ -183,7 +190,7 @@ def solve_distortion(base, rtol=1e-12, atol=1e-14):
         )
     dense = integrate_responses(base, rtol=rtol, atol=atol)
     h0 = RadialProfile(base, dense, 2, _h0_series, _h0_vacuum)
-    psi2 = RadialProfile(base, dense, 4, _psi2_series, _psi2_vacuum)
+    psi2 = RadialProfile(base, dense, 4, _q_series, _psi2_vacuum, power=2)
     a2 = compute_a2(base, psi2)
     return DistortionSolution(base=base, h0=h0, psi2=psi2, a2=a2)
 
@@ -275,15 +282,20 @@ class LevelSurface:
 
 
 def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
-    """Level set Theta(xi, zeta) = theta_star, one bracketed root per zeta.
+    """Level sets Theta(xi, zeta) = theta_star, one bracketed root per
+    level and zeta: a LevelSurface for a float theta_star, else a list of
+    them, one per level in order.
 
-    All zeta are solved at once by Chandrupatla's method
+    All (level, zeta) pairs are solved at once by Chandrupatla's method
     (roots.chandrupatla, xatol 1e-13, xrtol 4e-15) on the brackets
-    [0, Xi1(zeta)], which reach past xi1 into the equatorial bulge.
-    theta_star must keep ``margin`` away from both the center value 1 and
-    the surface value 0 so each bracket straddles the level.
+    [0, Xi1(zeta)], shaped (levels, zeta), which reach past xi1 into the
+    equatorial bulge.  Every level must keep ``margin`` away from both the
+    center value 1 and the surface value 0 so each bracket straddles it.
+    A failed search raises for the first failing level, at its first
+    failing zeta.
     """
-    if not (margin <= theta_star <= 1.0 - margin):
+    levels = np.asarray(theta_star, dtype=float)
+    if not np.all((margin <= levels) & (levels <= 1.0 - margin)):
         raise ValueError("theta_star must lie in [margin, 1 - margin]")
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
@@ -292,26 +304,31 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     p2 = legendre_p2(zeta)
     hi = boundary_radius(dist, b, zeta)
 
-    def objective(xi, p2):
+    def objective(xi, p2, level):
         h0, psi2 = dist.responses(xi)
-        return base.theta_extended(xi) + b * (h0 + dist.a2 * psi2 * p2) - theta_star
+        return base.theta_extended(xi) + b * (h0 + dist.a2 * psi2 * p2) - level
 
-    # objective(0) = 1 - theta_star >= margin > 0, so a bracket without a
-    # sign change (status -1) means the level lies beyond hi
-    res = chandrupatla(objective, 0.0, hi, args=(p2,), xatol=1e-13, xrtol=4e-15)
-    unbracketed = res.status == -1
-    if np.any(unbracketed):
-        k = int(np.argmax(unbracketed))
-        raise StellarMatchError(
-            "level %g not bracketed on [0, %.6g] at zeta = %g" % (theta_star, hi[k], zeta[k])
-        )
-    if np.any(res.status):
-        k = int(np.argmax(res.status != 0))
-        raise StellarMatchError(
-            "level %g root search failed (status %d) at zeta = %g"
-            % (theta_star, res.status[k], zeta[k])
-        )
-    return LevelSurface(theta_star=float(theta_star), zeta=zeta, xi_star=res.x)
+    # objective(0) = 1 - level >= margin > 0, so a bracket without a sign
+    # change (status -1) means the level lies beyond hi
+    res = chandrupatla(objective, 0.0, hi, args=(p2, levels[..., None]),
+                       xatol=1e-13, xrtol=4e-15)
+    # one row per level, in the shape of zeta
+    xi_star, status = (np.reshape(v, (-1,) + zeta.shape) for v in (res.x, res.status))
+    for level, row in zip(levels.ravel(), status):
+        if np.any(row == -1):
+            k = int(np.argmax(row == -1))
+            raise StellarMatchError(
+                "level %g not bracketed on [0, %.6g] at zeta = %g" % (level, hi[k], zeta[k])
+            )
+        if np.any(row):
+            k = int(np.argmax(row != 0))
+            raise StellarMatchError(
+                "level %g root search failed (status %d) at zeta = %g"
+                % (level, row[k], zeta[k])
+            )
+    surfaces = [LevelSurface(theta_star=float(level), zeta=zeta, xi_star=row)
+                for level, row in zip(levels.ravel(), xi_star)]
+    return surfaces[0] if levels.ndim == 0 else surfaces
 
 
 def dimensional_scale(rho_o, a_const, gamma, grav=1.0):

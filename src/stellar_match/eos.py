@@ -154,12 +154,31 @@ class EosSpec:
             return 0.0, which, False
         lo, hi = rho_grid[first_bad - 1], rho_grid[first_bad]
 
-        # Bisect in log-rho on the worst-margin sign change.
-        def worst_margin(t):
-            return min(self._inequality_margins(math.exp(t)))
+        # Bisect in log-rho on the worst-margin sign change.  The root may
+        # land on either side of the bound, so keep the largest valid and
+        # the smallest invalid density the search evaluates, then halve the
+        # floats between them (about ten times) down to the last valid one.
+        ends = [float(lo), float(hi)]
 
-        t_star = brentq(worst_margin, math.log(lo), math.log(hi), xtol=1e-13)
-        return float(math.exp(t_star)), which, False
+        def worst_margin(t):
+            rho = math.exp(t)
+            margin = min(self._inequality_margins(rho))
+            if margin > 0.0:
+                ends[0] = max(ends[0], rho)
+            else:
+                ends[1] = min(ends[1], rho)
+            return margin
+
+        brentq(worst_margin, math.log(lo), math.log(hi), xtol=1e-13)
+        good, bad = ends
+        while True:
+            mid = good + 0.5 * (bad - good)
+            if mid in (good, bad):
+                return good, which, False
+            if self.valid_at(mid):
+                good = mid
+            else:
+                bad = mid
 
     def valid_at(self, rho):
         """Assumption inequalities hold at this density."""

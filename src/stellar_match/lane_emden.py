@@ -15,7 +15,8 @@ of a slowly rotating body pokes outside xi1 on the equator.
 
 `RadialProfile` is the piecewise function this profile shares with the
 rotational responses of `distortion`: the center series, the dense output
-up to xi1, and a vacuum solution matched in value and slope there.
+up to xi1 (optionally of f / xi^power, as for the quadrupole response),
+and a vacuum solution matched in value and slope there.
 `evaluate` reads several profiles of one dense output with one evaluation
 of it.
 """
@@ -49,23 +50,25 @@ def _theta_vacuum(xi1, _f1, df1):
 
 class RadialProfile:
     """A radial function f and its slope f' on [0, inf) for the polytrope
-    ``base`` (its n, xi_start and xi1): the regular center
-    ``series(xi, n)`` below xi_start, rows ``row`` and ``row + 1`` of the
-    dense output ``dense`` up to xi1, and past xi1 the vacuum solution
-    matched to f(xi1) and f'(xi1).  That solution is a sum of powers,
-    f = sum c xi^p over the (c, p) terms of ``vacuum(xi1, f1, df1)``,
-    kept as the ``vacuum`` attribute."""
+    ``base`` (its n, xi_start and xi1), read as f = xi^power g up to xi1:
+    below xi_start g and g' are the regular center ``series(xi, n)``, up to
+    xi1 rows ``row`` and ``row + 1`` of the dense output ``dense``.  Past
+    xi1 f is the vacuum solution matched to f(xi1) and f'(xi1), a sum of
+    powers, f = sum c xi^p over the (c, p) terms of
+    ``vacuum(xi1, f1, df1)``, kept as the ``vacuum`` attribute.  With
+    power 0, g is f itself."""
 
-    def __init__(self, base, dense, row, series, vacuum):
+    def __init__(self, base, dense, row, series, vacuum, power=0):
         self.xi1 = base.xi1
         self._n = base.n
         self._xi_start = base.xi_start
         self._dense = dense
         self._row = row
         self._series = series
-        surf = dense(self.xi1)
-        self.surface_value = float(surf[row])
-        self.surface_slope = float(surf[row + 1])
+        self._power = power
+        surf = dense(self.xi1)[row:row + 2]
+        self.surface_value = float(_scaled(surf, self.xi1, power, 0))
+        self.surface_slope = float(_scaled(surf, self.xi1, power, 1))
         self.vacuum = vacuum(self.xi1, self.surface_value, self.surface_slope)
 
     def at(self, xi):
@@ -73,6 +76,16 @@ class RadialProfile:
 
     def d_at(self, xi):
         return evaluate((self,), xi, 1)[0]
+
+
+def _scaled(g, xi, power, component):
+    """f (component 0) or f' (component 1) of f = xi^power g from the pair
+    (g, g'): xi^power g and power xi^(power-1) g + xi^power g'."""
+    if not power:
+        return g[component]
+    if component == 0:
+        return xi**power * g[0]
+    return power * xi ** (power - 1) * g[0] + xi**power * g[1]
 
 
 def evaluate(profiles, xi, component=0):
@@ -89,15 +102,17 @@ def evaluate(profiles, xi, component=0):
     core = xi < first._xi_start
     beyond = xi > first.xi1
     mid = ~core & ~beyond
-    rows = first._dense(xi[mid]) if np.any(mid) else None
-    inner, s = xi[core], xi[beyond]
+    inner, central, s = xi[core], xi[mid], xi[beyond]
+    rows = first._dense(central) if central.size else None
     outs = []
     for profile in profiles:
         out = np.empty_like(xi)
         if inner.size:
-            out[core] = profile._series(inner, profile._n)[component]
+            out[core] = _scaled(profile._series(inner, profile._n), inner,
+                                profile._power, component)
         if rows is not None:
-            out[mid] = rows[profile._row + component]
+            out[mid] = _scaled(rows[profile._row:profile._row + 2], central,
+                               profile._power, component)
         if s.size:
             if component == 0:
                 out[beyond] = sum(c * s**p for c, p in profile.vacuum)

@@ -255,13 +255,11 @@ def stratification_report(dist, b, levels, zeta=None, margin=LEVEL_MARGIN):
     ratio is not constant through the body, so not all of them can be
     ellipsoids at once; the per-level residuals quantify that.  A single
     surface fitting well is consistent with this report: no impossibility
-    is asserted for any one level alone.
+    is asserted for any one level alone.  All levels are solved in one
+    `level_surface` call.
     """
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
-    report = []
-    for theta_star in levels:
-        ls = level_surface(dist, b, theta_star, zeta=zeta, margin=margin)
-        fit = fit_ellipsoid(np.column_stack([ls.zeta, ls.xi_star]))
-        report.append((float(theta_star), fit))
-    return report
+    surfaces = level_surface(dist, b, levels, zeta=zeta, margin=margin)
+    return [(ls.theta_star, fit_ellipsoid(np.column_stack([ls.zeta, ls.xi_star])))
+            for ls in surfaces]

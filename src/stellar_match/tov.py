@@ -274,9 +274,20 @@ def _lanes_rhs(eos, r, y):
 
 
 def pressure_gradient(eos, r, m, w):
-    """dP/dr recovered from the enthalpy form, dP/dw dw/dr."""
-    rho, p = eos._fluid_of_w(w)
-    return _dp_dw(eos, rho, p) * _dw_dr(eos, r, m, p)
+    """dP/dr recovered from the enthalpy form, dP/dw dw/dr, for floats or
+    lanes.  A float w, as the inward slope-stall event passes at every
+    step, takes the float map and tov_rhs's inline dw/dr, in plain float
+    arithmetic."""
+    if isinstance(w, np.ndarray):
+        rho, p = eos._fluid_of_w(w)
+        return _dp_dw(eos, rho, p) * _dw_dr(eos, r, m, p)
+    rho, p = eos._fluid(float(w))
+    csq = eos.c_light**2
+    metric = 1.0 - 2.0 * m / (csq * r)
+    if metric < _METRIC_FLOOR:
+        metric = _METRIC_FLOOR
+    return _dp_dw(eos, rho, p) * (-(m + 4.0 * math.pi * r**3 * p / csq)
+                                  / (eos.w_unit * r**2 * metric))
 
 
 def center_start(eos, p_center, r0=None, r0_factor=1e-6):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 from scipy.special import spherical_jn
@@ -108,6 +108,58 @@ def test_coupled_theta_matches_lane_emden(fixture, request):
     xi = np.linspace(base.xi_start, base.xi1, 400)
     theta = integrate_responses(base)(xi)[0]
     assert np.max(np.abs(theta - base.theta_at(xi))) < 1e-10
+
+
+def _psi2_form_reference(base):
+    """(h0, h0', psi2, psi2') at xi1 and A2 from scipy's DOP853 on the
+    psi2 form of the responses, tightly, from the series at xi = 1e-5."""
+    n = base.n
+
+    def rhs(xi, y):
+        theta, dtheta, h, dh, p, dp = y
+        t = max(theta, 0.0)
+        coef = n * t ** (n - 1.0)
+        return [dtheta, -(t**n) - 2.0 * dtheta / xi, dh,
+                1.0 - coef * h - 2.0 * dh / xi, dp,
+                (6.0 / xi**2 - coef) * p - 2.0 * dp / xi]
+
+    x = 1e-5
+    y0 = [1.0 - x**2 / 6.0 + n * x**4 / 120.0, -x / 3.0 + n * x**3 / 30.0,
+          x**2 / 6.0 - n * x**4 / 120.0, x / 3.0 - n * x**3 / 30.0,
+          x**2 * (1.0 - n * x**2 / 14.0), 2.0 * x - 4.0 * n * x**3 / 14.0]
+    sol = solve_ivp(rhs, (x, base.xi1), y0, method="DOP853", rtol=2.3e-14, atol=1e-30)
+    h0, dh0, psi2, dpsi2 = sol.y[2:, -1]
+    a2 = -(5.0 / 6.0) * base.xi1**2 / (3.0 * psi2 + base.xi1 * dpsi2)
+    return h0, dh0, psi2, dpsi2, a2
+
+
+@pytest.mark.parametrize("fixture", ["dist_n15", "dist_n2", "dist_n3"])
+def test_q_form_matches_psi2_form_reference(fixture, request):
+    # psi2 = xi^2 q read off the integrated q agrees with a tight psi2-form
+    # integration at the surface, and so does A2
+    dist = request.getfixturevalue(fixture)
+    got = (dist.h0.surface_value, dist.h0.surface_slope,
+           dist.psi2.surface_value, dist.psi2.surface_slope, dist.a2)
+    for g, want in zip(got, _psi2_form_reference(dist.base)):
+        assert abs(g - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0])
+def test_response_integration_steps(n, monkeypatch):
+    # q is regular at the center, so the steps there are not held to a
+    # few percent of xi as psi2's 6/xi^2 pole holds them
+    base = lane_emden.solve(n)
+    solved = []
+    real_solve = distortion.ode.solve
+
+    def counted(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        solved.append(len(sol.t) - 1)
+        return sol
+
+    monkeypatch.setattr(distortion.ode, "solve", counted)
+    solve_distortion(base)
+    assert len(solved) == 1 and solved[0] <= 160
 
 
 def test_radial_domain_guard(dist_n1):
@@ -434,6 +486,39 @@ def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypat
     monkeypatch.setattr(distortion, "chandrupatla", counted)
     level_surface(dist_n15, 1e-2, 0.5)
     assert objective_calls and len(reads) == len(objective_calls)
+
+
+@pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
+def test_level_surfaces_in_one_call_match_single_levels(fixture, request):
+    # each (level, zeta) bracket iterates on its own, so the levels solved
+    # together have the bits each has alone
+    dist = request.getfixturevalue(fixture)
+    zeta = np.linspace(-1.0, 1.0, 201)
+    levels = (0.2, 0.5, 0.8)
+    together = level_surface(dist, 1e-2, levels, zeta=zeta)
+    assert [ls.theta_star for ls in together] == list(levels)
+    for ls, theta_star in zip(together, levels):
+        alone = level_surface(dist, 1e-2, theta_star, zeta=zeta)
+        np.testing.assert_array_equal(ls.zeta, alone.zeta)
+        np.testing.assert_array_equal(ls.xi_star, alone.xi_star)
+
+
+def test_level_surfaces_in_one_call_fail_as_the_first_failing_level():
+    # at n = 4 the b = 1e-2 boundary leaves the levels unbracketed near the
+    # poles; the error is the first level's, at its first failing zeta
+    dist = solve_distortion(lane_emden.solve(4.0))
+    with pytest.raises(StellarMatchError) as alone:
+        level_surface(dist, 1e-2, 0.2)
+    with pytest.raises(StellarMatchError) as together:
+        level_surface(dist, 1e-2, (0.2, 0.5, 0.8))
+    message = "level 0.2 not bracketed on [0, 24.631] at zeta = -0.89"
+    assert str(alone.value) == str(together.value) == message
+
+
+def test_level_surfaces_sequence_guards(dist_n15):
+    assert level_surface(dist_n15, 1e-3, []) == []
+    with pytest.raises(ValueError):
+        level_surface(dist_n15, 1e-3, (0.5, 0.99999))
 
 
 def test_level_surface_unconverged_root_is_labelled(dist_n15, monkeypatch):

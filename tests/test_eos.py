@@ -37,6 +37,14 @@ def test_sound_speed_causality_flag():
     assert eos.validity_binding == "causal"
 
 
+@pytest.mark.parametrize("lam", [(-0.5,), (0.2, -0.1), ()])
+def test_rho_valid_max_is_the_last_valid_density(lam):
+    # the bound is on the valid side, one float below the first invalid one
+    eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0, lambda_coeffs=lam)
+    assert eos.valid_at(eos.rho_valid_max)
+    assert not eos.valid_at(math.nextafter(eos.rho_valid_max, math.inf))
+
+
 def test_validity_gate_on_conversions():
     eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0)
     with pytest.raises(EosValidityError):

@@ -89,6 +89,22 @@ def test_pressure_gradient_sign():
     assert tov.pressure_gradient(eos, 2.0, 1.0, 2.5) < 0.0
 
 
+@pytest.mark.parametrize("eos", [eos_newt(), eos_rel(),
+                                 EosSpec(gamma=2.0, A=1.0, c_light=1.0,
+                                         lambda_coeffs=(0.2, -0.1))])
+def test_pressure_gradient_float_path_matches_lanes(eos):
+    # a float state, as the slope-stall event passes it, takes plain float
+    # arithmetic and gives the lanes' bits, metric floor and vacuum included
+    r = np.array([1e-3, 0.7, 2.0, 2.0, 5.0])
+    m = np.array([1e-12, 0.05, 0.3, 1.5, 0.4])
+    w = np.array([0.2, 0.01, 1e-4, 0.05, -0.1])
+    lanes = tov.pressure_gradient(eos, r, m, w)
+    for j in range(r.size):
+        got = tov.pressure_gradient(eos, float(r[j]), float(m[j]), float(w[j]))
+        assert type(got) is float
+        assert got == lanes[j]
+
+
 # -- series starts ---------------------------------------------------------
 
 def test_center_start_mass_term():
