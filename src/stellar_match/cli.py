@@ -29,7 +29,6 @@ import yaml
 
 from . import __version__, lane_emden
 from .distortion import (
-    FIRST_ORDER_ADVISORY_B,
     LEVEL_MARGIN,
     N_MIN,
     ZETA_GRID_POINTS,
@@ -50,9 +49,9 @@ from .matching import (
 )
 from .reports import sanitize, write_json, write_jsonl, write_table
 from .surface_fit import (
-    fit_ellipsoid,
-    scaling_from_pairs,
-    scaling_ladder_problem,
+    first_order_reference,
+    fit_ellipsoid,  # unused here; perfbench/layertrace.py wraps it at install
+    fit_ladder,
     stratification_report,
 )
 from .tov import ShootConfig, shoot_from_boundary, shoot_from_center
@@ -535,13 +534,13 @@ def cmd_match(cfg):
 
 
 def cmd_surface(cfg):
-    """Distortion pipeline: base profile, responses, surface curve, fits,
-    residual scaling, and level stratification."""
+    """Distortion pipeline: base profile, responses, surface curve, ladder
+    fits with their residual scaling, and level stratification."""
     d = cfg["distortion"]
     n = cfg.polytrope_n()
     gamma = 1.0 + 1.0 / n
     b_values = d["b"]
-    advisory = any(b > FIRST_ORDER_ADVISORY_B for b in b_values)
+    b_ref, advisory = first_order_reference(b_values)
     if advisory:
         _emit(
             {
@@ -552,30 +551,8 @@ def cmd_surface(cfg):
     base = lane_emden.solve(n)
     dist = solve_distortion(base)
     zeta = np.linspace(-1.0, 1.0, d["zeta_points"])
-    # Level surfaces and the exported curve stay inside the first-order
-    # range even when the requested ladder goes beyond it.
-    b_ref = min(max(b_values), FIRST_ORDER_ADVISORY_B)
     curve = surface_curve(dist, b_ref, zeta)
-
-    fits = []
-    for b in b_values:
-        sc = surface_curve(dist, b, zeta)
-        fits.append(fit_ellipsoid(np.column_stack([sc.zeta, sc.values])))
-
-    scaling = None
-    scaling_note = None
-    if scaling_ladder_problem(b_values) is None:
-        scaling = scaling_from_pairs(
-            [(b, fit.rms_residual) for b, fit in zip(b_values, fits)],
-            roundoff_scale=dist.base.xi1,
-        ).describe()
-        scaling["slope_in_range"] = bool(abs(scaling["slope"] - 2.0) <= 0.1)
-    else:
-        scaling_note = (
-            "residual scaling skipped: needs >= 4 increasing b in (0, %g] "
-            "spanning two decades" % FIRST_ORDER_ADVISORY_B
-        )
-
+    ladder = fit_ladder(dist, b_values, zeta)
     strat = stratification_report(
         dist, b_ref, d["levels"], zeta=zeta, margin=d["level_margin"]
     )
@@ -592,9 +569,7 @@ def cmd_surface(cfg):
         "b_max_requested": max(b_values),
         "first_order_advisory": advisory,
         "length_scale": dimensional_scale(d["rho_o"], cfg["eos"]["A"], gamma, d["grav"]),
-        "fits": [{"b": b, "fit": fit.describe()} for b, fit in zip(b_values, fits)],
-        "scaling": scaling,
-        "scaling_note": scaling_note,
+        **ladder.describe(),
         "stratification": [
             {"theta_star": theta, "fit": fit.describe()} for theta, fit in strat
         ],
@@ -613,7 +588,7 @@ def cmd_surface(cfg):
             ("xi", "h0", "psi2"),
             np.column_stack([prof["xi"], prof["h0"], prof["psi2"]]).tolist(),
         )
-    slope_text = "%.4f" % scaling["slope"] if scaling else "skipped"
+    slope_text = "%.4f" % ladder.scaling.slope if ladder.scaling else "skipped"
     print(
         "surface: n = %g, A2 = %.10g, c = (%.6g, %.6g, %.6g), slope = %s"
         % (n, dist.a2, curve.c0, curve.c1, curve.c2, slope_text)

@@ -56,7 +56,8 @@ from .errors import StellarMatchError
 from .lane_emden import RadialProfile, _theta_series, evaluate
 from .roots import chandrupatla
 
-# Above this rotation parameter the first-order truncation is advisory only.
+# Above this rotation parameter the first-order truncation is advisory
+# only; surface_fit is the one reader of this bound.
 FIRST_ORDER_ADVISORY_B = 0.05
 # Smallest polytropic index handled: below it theta^(n-1) diverges at xi1.
 N_MIN = 1.0
@@ -138,16 +139,6 @@ class DistortionSolution:
         h0, psi2 = self.responses(xi)
         return {"xi": xi, "h0": h0, "psi2": psi2}
 
-    def describe(self):
-        return {
-            "n": self.base.n,
-            "xi1": self.base.xi1,
-            "mu1": self.base.mu1,
-            "a2": self.a2,
-            "h0_surface": self.h0.surface_value,
-            "psi2_surface": self.psi2.surface_value,
-        }
-
 
 def integrate_responses(base, rtol=1e-12, atol=1e-14):
     """Dense output of (theta, theta', h0, h0', q, q') on [xi_start, xi1],
@@ -198,8 +189,7 @@ def solve_distortion(base, rtol=1e-12, atol=1e-14):
 @dataclass
 class SurfaceCurve:
     """Distorted boundary Xi1(zeta) with its quadratic regrouping
-    Xi1 = c0 + (c1 - c2 zeta^2) b.  ``first_order_advisory`` flags
-    rotation parameters where the truncation is no longer trustworthy."""
+    Xi1 = c0 + (c1 - c2 zeta^2) b."""
 
     b: float
     zeta: np.ndarray
@@ -207,7 +197,6 @@ class SurfaceCurve:
     c0: float
     c1: float
     c2: float
-    first_order_advisory: bool = False
 
     def as_rows(self):
         return list(zip(self.zeta.tolist(), self.values.tolist()))
@@ -247,7 +236,6 @@ def surface_curve(dist, b, zeta=None):
         c0=c0,
         c1=c1,
         c2=c2,
-        first_order_advisory=b > FIRST_ORDER_ADVISORY_B,
     )
 
 

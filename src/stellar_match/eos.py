@@ -413,12 +413,6 @@ class EosSpec:
             return rho, a * rho ** g * (1.0 + lam)
         return fluid
 
-    def _rho_of_w_unchecked(self, w):
-        """Density from the enthalpy variable, with vacuum continuation
-        (w <= 0 -> 0) and saturation past the validity bound: the density
-        of `_fluid`.  The public ops add the validity gate."""
-        return self._fluid(float(w))[0]
-
     def _rho_of_w_array(self, w):
         """The density of `_fluid` over an array of w, branch by branch.
         The table and saturation branches take math.log and math.exp
@@ -447,7 +441,7 @@ class EosSpec:
 
     def enthalpy_of_pressure(self, p):
         """h(P) (relativistic) or u(P) (nonrelativistic mode); the inverse
-        of _rho_of_w_unchecked composed with the pressure law."""
+        of the density of `_fluid` composed with the pressure law."""
         if p < 0.0:
             raise EosValidityError("negative pressure")
         if p == 0.0:
@@ -471,7 +465,7 @@ class EosSpec:
         w <= 0 returns 0 (vacuum)."""
         if w <= 0.0:
             return 0.0
-        rho = self._rho_of_w_unchecked(w)
+        rho = self._fluid(float(w))[0]
         self._require_valid_rho(rho)
         return rho
 

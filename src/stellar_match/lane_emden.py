@@ -134,10 +134,6 @@ class LaneEmdenSolution:
         self._theta = RadialProfile(self, dense, 0, _theta_series, _theta_vacuum)
         self.mu1 = -self.xi1**2 * self._theta.surface_slope
 
-    @property
-    def theta1_prime(self):
-        return -self.mu1 / self.xi1**2
-
     def _inside(self, xi):
         if np.any(np.asarray(xi) > self.xi1 * (1.0 + 1e-12)):
             raise ValueError("xi outside [0, %.6g]" % self.xi1)

@@ -14,6 +14,11 @@ given a1, so the least-squares ellipsoid is one bracketed root of the
 reduced gradient in a1, which fixes a1 to about eps over its slope rather
 than to the sqrt(eps) width of a flat minimum.
 
+The boundary fits across a b ladder and their scaling come from one
+function, `fit_ladder`, which the `surface` command and acceptance
+criterion 7 both call.  The first-order bound on b is read only here, by
+`scaling_ladder_problem` and `first_order_reference`.
+
 Nothing in these fits claims an impossibility proof; the reports carry
 numbers only.
 """
@@ -36,6 +41,9 @@ FIRST_STEP = 1e-3
 S_LIMIT = 30.0
 # All rms values below roundoff_scale times this mark a degenerate scaling.
 DEGENERATE_RMS_FACTOR = 1e-12
+# A non-ellipsoidal surface has residual slope 2 in b, within this margin.
+SLOPE_TARGET = 2.0
+SLOPE_TOLERANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,11 @@ class ScalingReport:
     slope_half_width: float
     degenerate: bool
 
+    @property
+    def slope_in_range(self):
+        """Whether the slope is SLOPE_TARGET within SLOPE_TOLERANCE."""
+        return bool(abs(self.slope - SLOPE_TARGET) <= SLOPE_TOLERANCE)
+
     def describe(self):
         return {
             "pairs": [list(p) for p in self.pairs],
@@ -165,6 +178,7 @@ class ScalingReport:
             "intercept": self.intercept,
             "slope_half_width": self.slope_half_width,
             "degenerate": self.degenerate,
+            "slope_in_range": self.slope_in_range,
         }
 
 
@@ -228,24 +242,50 @@ def scaling_ladder_problem(b_values):
     return None
 
 
-def residual_scaling(dist, b_values, zeta=None):
-    """Ellipsoid-residual scaling of the distorted surface.
+def first_order_reference(b_values):
+    """(b_ref, advisory): the largest requested b cut back to the
+    first-order range, and whether any requested b lies beyond it.  Level
+    surfaces and the exported curve are evaluated at b_ref."""
+    b_max = max(b_values)
+    return min(b_max, FIRST_ORDER_ADVISORY_B), b_max > FIRST_ORDER_ADVISORY_B
 
-    Fits the boundary curve at each rotation parameter and regresses the
-    rms residuals; the non-ellipsoidal quadrupole leaves a slope of 2.
-    Raises ValueError for a ladder that ``scaling_ladder_problem`` rejects.
-    """
-    problem = scaling_ladder_problem(b_values)
-    if problem is not None:
-        raise ValueError(problem)
+
+@dataclass(frozen=True)
+class LadderFits:
+    """Ellipsoid fits of the boundary at each b, as (b, fit) pairs, and
+    their residual scaling; ``scaling`` is None, and ``skipped`` says why,
+    when ``scaling_ladder_problem`` rejects the ladder."""
+
+    fits: tuple
+    scaling: ScalingReport | None
+    skipped: str | None
+
+    def describe(self):
+        return {
+            "fits": [{"b": b, "fit": fit.describe()} for b, fit in self.fits],
+            "scaling": self.scaling.describe() if self.scaling else None,
+            "scaling_note": None if self.skipped is None
+            else "residual scaling skipped: %s" % self.skipped,
+        }
+
+
+def fit_ladder(dist, b_values, zeta=None):
+    """Fit the boundary curve at each rotation parameter and regress the
+    rms residuals on b when the ladder allows it; the non-ellipsoidal
+    quadrupole leaves a slope of 2.  A rejected ladder is reported in
+    ``skipped``, not raised."""
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
-    pairs = []
+    fits = []
     for b in b_values:
         curve = surface_curve(dist, b, zeta)
-        fit = fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))
-        pairs.append((b, fit.rms_residual))
-    return scaling_from_pairs(pairs, roundoff_scale=dist.base.xi1)
+        fits.append((b, fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))))
+    skipped = scaling_ladder_problem(b_values)
+    scaling = None
+    if skipped is None:
+        scaling = scaling_from_pairs([(b, fit.rms_residual) for b, fit in fits],
+                                     roundoff_scale=dist.base.xi1)
+    return LadderFits(fits=tuple(fits), scaling=scaling, skipped=skipped)
 
 
 def stratification_report(dist, b, levels, zeta=None, margin=LEVEL_MARGIN):

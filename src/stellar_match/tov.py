@@ -708,7 +708,7 @@ def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
             # regular center: strip the known singular mode
             # m_res/(w_unit r) before reading off the central pressure,
             # since raw w(r_floor) amplifies the (R, M) error by ~R/r_floor
-            rho_e = eos._rho_of_w_unchecked(w_e)
+            rho_e = eos._fluid(float(w_e))[0]
             m_res = m_e - 4.0 * math.pi / 3.0 * rho_e * r_e**3
             w_center = w_e - m_res / (eos.w_unit * r_e)
             p_center = eos.pressure_of_enthalpy(max(w_center, 0.0))

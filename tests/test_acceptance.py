@@ -22,7 +22,8 @@ from stellar_match.eos import EosSpec
 from stellar_match.matching import (LogGrid, SweepSampler, ae_failure_sweep,
                                     scan_components)
 from stellar_match.reports import canonical_json
-from stellar_match.surface_fit import (fit_ellipsoid, residual_scaling,
+from stellar_match.surface_fit import (SLOPE_TARGET, SLOPE_TOLERANCE,
+                                       fit_ellipsoid, fit_ladder,
                                        stratification_report)
 from stellar_match.tov import (junction_check, metric_coefficients,
                                pressure_gradient, shoot_from_boundary,
@@ -163,16 +164,17 @@ def test_criterion_6_junction_check(rel53):
 
 
 def test_criterion_7_ellipsoid_residual_scaling(dist_n1):
-    rep = residual_scaling(dist_n1, np.geomspace(1e-4, 1e-2, 5))
-    slope_err = abs(rep.slope - 2.0)
+    # The same ladder fits and scaling that the surface command reports.
+    rep = fit_ladder(dist_n1, np.geomspace(1e-4, 1e-2, 5)).scaling
     zeta = np.linspace(-1.0, 1.0, 301)
     exact = 3.0 / np.sqrt(1.0 - 0.4 * zeta**2)
     fit = fit_ellipsoid(np.column_stack([zeta, exact]))
     rel_floor = fit.rms_residual / fit.a0
-    ok = slope_err < 0.1 and not rep.degenerate and rel_floor < 1e-12
+    ok = rep.slope_in_range and not rep.degenerate and rel_floor < 1e-12
     _verdict(7, "ellipsoid residual scaling", ok,
-             "slope=%.4f (target 2.0 +- 0.1), exact-ellipsoid relative "
-             "rms=%.1e (roundoff, tol 1e-12)" % (rep.slope, rel_floor))
+             "slope=%.4f (target %g +- %g), exact-ellipsoid relative "
+             "rms=%.1e (roundoff, tol 1e-12)"
+             % (rep.slope, SLOPE_TARGET, SLOPE_TOLERANCE, rel_floor))
 
 
 def test_criterion_8_stratification(dist_n1):

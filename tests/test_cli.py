@@ -8,13 +8,17 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stellar_match import __version__, lane_emden
 from stellar_match.cli import DEFAULT_CONFIG, LOCK_NAME, load_config, main, output_lock
+from stellar_match.distortion import solve_distortion
 from stellar_match.eos import EosSpec
 from stellar_match.errors import ConfigError, StellarMatchError
+from stellar_match.reports import canonical_json
+from stellar_match.surface_fit import fit_ladder
 from stellar_match.tov import ShootConfig
 
 
@@ -640,6 +644,23 @@ def test_surface_pipeline_n3(capsys, tmp_path):
     assert len(rep["stratification"]) == 3
 
 
+@pytest.mark.parametrize("gamma", ["2.0", "1.6666666666666667"])
+def test_surface_reports_what_fit_ladder_returns(capsys, tmp_path, gamma):
+    # The report's boundary fits and scaling are fit_ladder's, bit for bit;
+    # criterion 7 calls the same function.
+    out = tmp_path / "s"
+    code, _, _ = run(capsys, "surface", "--out", str(out), "--set", "eos.gamma=" + gamma)
+    assert code == 0
+    rep = json.loads((out / "surface_report.json").read_text())
+    d = rep["config"]["distortion"]
+    dist = solve_distortion(lane_emden.solve(rep["n"]))
+    ladder = fit_ladder(dist, d["b"], np.linspace(-1.0, 1.0, d["zeta_points"]))
+    assert ladder.scaling is not None
+    expected = json.loads(canonical_json(ladder.describe()))
+    assert set(expected) == {"fits", "scaling", "scaling_note"}
+    assert {key: rep[key] for key in expected} == expected
+
+
 def test_surface_reruns_identical(capsys, tmp_path):
     out = tmp_path / "s"
     names = ("surface_report.json", "surface_curve.csv", "distortion_profile.csv")
@@ -690,7 +711,8 @@ def test_surface_unordered_ladder_skips_scaling(capsys, tmp_path):
     assert err.strip() == ""
     rep = json.loads((out / "surface_report.json").read_text())
     assert rep["scaling"] is None
-    assert "skipped" in rep["scaling_note"]
+    assert rep["scaling_note"] == (
+        "residual scaling skipped: b values must be strictly increasing")
     assert [row["b"] for row in rep["fits"]] == [1e-4, 1e-2, 1e-3, 1e-2]
 
 
@@ -712,6 +734,8 @@ def test_surface_advisory_beyond_first_order(capsys, tmp_path):
     rep = json.loads((out / "surface_report.json").read_text())
     assert rep["first_order_advisory"] is True
     assert rep["scaling"] is None
+    assert rep["scaling_note"] == (
+        "residual scaling skipped: need at least 4 rotation parameters")
     # Level surfaces are evaluated at the first-order bound, not beyond.
     assert rep["b_ref"] == 0.05
     assert rep["b_max_requested"] == 0.2
@@ -748,6 +772,21 @@ def test_surface_out_of_range_is_a_labelled_error(tmp_path, sets, code, error, w
     assert record["error"] == error
     for word in words:
         assert word in record["message"]
+
+
+def test_surface_warns_before_the_first_order_curve_fails(tmp_path):
+    # At n = 4 the clamped curve at b_ref = 0.05 is not positive.  The
+    # advisory comes first, and the error names b_ref, not the ladder's 0.2.
+    out = run_python("-m", "stellar_match.cli", "surface", "--out", str(tmp_path / "s"),
+                     "--set", "eos.gamma=1.25", "--set", "distortion.b=[1e-3, 0.2]")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 2
+    warning, error = [json.loads(line) for line in lines]
+    assert warning == {"b_max": 0.2, "warning": "rotation parameter beyond first-order range"}
+    assert error["error"] == "StellarMatchError"
+    assert "first-order boundary is not positive at b = 0.05," in error["message"]
 
 
 # -- misc ------------------------------------------------------------------

@@ -341,12 +341,6 @@ def test_surface_even_and_equatorial_bulge(dist_n15):
 def test_surface_no_rotation(dist_n1):
     sc = surface_curve(dist_n1, 0.0)
     assert np.all(sc.values == dist_n1.base.xi1)
-    assert not sc.first_order_advisory
-
-
-def test_surface_advisory_flag(dist_n1):
-    assert surface_curve(dist_n1, 0.1).first_order_advisory
-    assert not surface_curve(dist_n1, 0.01).first_order_advisory
 
 
 def test_surface_rejects_negative_b(dist_n1):
@@ -561,8 +555,6 @@ def test_profile_and_describe(dist_n1):
     prof = dist_n1.profile(points=50)
     assert prof["xi"].shape == (50,)
     assert prof["h0"][0] == 0.0 and prof["psi2"][0] == 0.0
-    info = dist_n1.describe()
-    assert info["xi1"] == pytest.approx(math.pi, abs=1e-10)
     sc = surface_curve(dist_n1, 1e-3, zeta=np.linspace(-1, 1, 5))
     rows = sc.as_rows()
     assert len(rows) == 5 and rows[0][0] == -1.0

@@ -108,7 +108,7 @@ def test_vacuum_continuation_matches_potential():
 
 def test_surface_slope_negative_and_theta_monotone():
     sol = le.solve(3.0)
-    assert sol.theta1_prime < 0.0
+    assert sol.mu1 > 0.0
     xi = np.linspace(0.0, sol.xi1, 400)
     theta = sol.theta_at(xi)
     assert np.all(np.diff(theta) < 0.0)

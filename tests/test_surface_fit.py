@@ -10,9 +10,11 @@ from stellar_match.distortion import solve_distortion, surface_curve
 from stellar_match.errors import FitConvergenceError
 from stellar_match.surface_fit import (
     EllipsoidFit,
+    ScalingReport,
     _linregress,
+    first_order_reference,
     fit_ellipsoid,
-    residual_scaling,
+    fit_ladder,
     scaling_from_pairs,
     stratification_report,
 )
@@ -164,24 +166,57 @@ def test_surface_residual_is_second_order(dist_n1):
 
 
 def test_residual_scaling_slope_two(dist_n1):
-    report = residual_scaling(dist_n1, np.geomspace(1e-4, 1e-2, 5))
+    b_values = np.geomspace(1e-4, 1e-2, 5)
+    ladder = fit_ladder(dist_n1, b_values)
+    assert ladder.skipped is None
+    report = ladder.scaling
     assert not report.degenerate
     assert report.slope == pytest.approx(2.0, abs=0.1)
+    assert report.slope_in_range
     assert report.slope_half_width < 0.05
     assert math.isfinite(report.intercept)
     b_seq = [p[0] for p in report.pairs]
     assert b_seq == sorted(b_seq)
+    # The regression reads the ladder's own fits.
+    assert [rms for _, rms in report.pairs] == [fit.rms_residual for _, fit in ladder.fits]
+    for b, fit in ladder.fits:
+        curve = surface_curve(dist_n1, b)
+        assert fit == fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))
 
 
 def test_residual_scaling_preconditions(dist_n1):
-    with pytest.raises(ValueError):
-        residual_scaling(dist_n1, [1e-4, 1e-3, 1e-2])  # too few
-    with pytest.raises(ValueError):
-        residual_scaling(dist_n1, [1e-4, 1e-3, 1e-3, 1e-2])  # not increasing
-    with pytest.raises(ValueError):
-        residual_scaling(dist_n1, [1e-3, 2e-3, 5e-3, 1e-2])  # span too small
-    with pytest.raises(ValueError):
-        residual_scaling(dist_n1, [1e-3, 1e-2, 5e-2, 1e-1])  # beyond range
+    # A rejected ladder is still fitted at every b; only the scaling is
+    # skipped, with the reason in the report.
+    rejected = [
+        ([1e-4, 1e-3, 1e-2], "need at least 4 rotation parameters"),
+        ([1e-4, 1e-3, 1e-3, 1e-2], "b values must be strictly increasing"),
+        ([1e-3, 2e-3, 5e-3, 1e-2], "b values must span at least two decades"),
+        ([1e-3, 1e-2, 5e-2, 1e-1], "b values beyond 0.05 leave the first-order range"),
+    ]
+    for b_values, reason in rejected:
+        ladder = fit_ladder(dist_n1, b_values)
+        assert ladder.scaling is None
+        assert ladder.skipped == reason
+        assert [b for b, _ in ladder.fits] == b_values
+        described = ladder.describe()
+        assert described["scaling"] is None
+        assert described["scaling_note"] == "residual scaling skipped: " + reason
+
+
+def test_slope_in_range_bounds():
+    def report(slope):
+        return ScalingReport(pairs=(), slope=slope, intercept=0.0,
+                             slope_half_width=0.0, degenerate=False)
+
+    assert report(2.0).slope_in_range and report(1.95).slope_in_range
+    assert not report(1.85).slope_in_range and not report(2.2).slope_in_range
+    assert report(2.05).describe()["slope_in_range"] is True
+
+
+def test_first_order_reference():
+    assert first_order_reference([1e-4, 1e-2]) == (1e-2, False)
+    assert first_order_reference([0.05]) == (0.05, False)
+    assert first_order_reference([1e-3, 0.2, 1e-2]) == (0.05, True)
 
 
 def test_scaling_flags_exact_ellipsoids():
