@@ -21,7 +21,7 @@ draws them.  A batch of LANES_MIN or more runs as lockstep lanes
 (tov.shoot_from_centers), whose cost per step barely grows with the lane
 count; a smaller batch runs shot by shot, as the endpoint bisection and
 the on-curve sampler always do.  The sweep's inward shots are one batch:
-with LANES_MIN or more samples their first rung runs as lanes
+with LANES_MIN or more samples each shot's one solve runs as a lane
 (tov.shoot_from_boundaries).  The choice depends on the batch size
 alone, and either way a shot gives the same outcome to roundoff.
 Distances to a curve are one array expression over its segments, bit for
@@ -629,7 +629,7 @@ def _classify_samples(eos, coords, config):
     """_classify_sample for each (R, M, j, distance) sample, in order.
 
     The inward shots are independent, so when LANES_MIN or more samples
-    can be shot, their rung 0 runs as lanes of one lockstep solve
+    can be shot, they run as lanes of one lockstep solve
     (tov.shoot_from_boundaries); fewer run shot by shot."""
     shots = [k for k, (radius, _, _, _) in enumerate(coords)
              if not math.isnan(radius)]

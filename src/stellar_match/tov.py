@@ -22,48 +22,46 @@ Outward shots start from a central pressure with a series start at r0 and end
 on the w = 0 event (the surface) or a guard.  Inward shots start from
 boundary data (R, M) just inside the surface and end in one of four ways:
 
-    case00  P blows up at a radius above r_floor
+    case00  P blows up at a radius above r_floor (finite c only)
     case01  |dP/dr| stalls at positive radius with P finite
-    case10  P blows up at the center: at or below r_floor, or anywhere
-            when c = inf
+    case10  P blows up at c = inf, where it can only blow up at the center
     case11  the center floor is reached with m below the mass floor
             (the regular-center success)
 
-The first solve of an inward shot, rung 0, runs under a pressure ceiling
-p_ceiling_factor * p_ref, capped just below the EOS validity bound.  A
-rung 0 that ends at that ceiling is read by one rule.  At c = inf it is
-case10 at once: there dw/dr = -m/r^2 with m <= M, so P stays finite at
-every r > 0 and can blow up only at the center.  At a finite c a ceiling
-that is already the cap decides on rung 0's own blow-up radius; a ceiling
-that p_ref kept below the cap gets exactly one more solve, the cap solve,
-under the cap at the same rtol and without the center-floor stop, and the
-verdict is that solve's.  The cap is as high as a ceiling can go, and
-on the shots measured a tighter rtol under it moved the blow-up radius by
-1e-10 relative or less, so a further solve would not change the verdict.
+An inward shot is one solve, read off the event that stopped it.  It
+stops where the pressure reaches a ceiling, and at the center floor
+r_floor at the latest.  At a finite c the ceiling is the EOS cap, just
+below the validity bound: a truncated correction series cannot be followed
+to arbitrary pressure, and the cap is as high as a ceiling can go.  A
+ceiling exit there lies above r_floor, so it is case00, and data whose
+pressure would blow up only below r_floor reach the center floor with
+their mass: center_floor_massive.  At c = inf there is no cap, and the
+ceiling is p_ceiling_factor * p_ref.  A ceiling exit is case10 there:
+dw/dr = -m/r^2 with m <= M, so P stays finite at every r > 0 and can blow
+up only at the center.
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
 values that would put an inward start inside the radius floor.
 
-Every shot is one or more solves with `ode.solve`, an 8th-order
-integrator in plain float arithmetic that follows scipy's DOP853 step
-rules and dense output, and redoes the step that crosses an event's root
-to end there; the surface and the other exits are such events, so no stage
-of a shot's last step reaches past its exit.  A solve whose steps collapse
-raises StellarMatchError naming the radius where they did.
+Every shot is one solve with `ode.solve`, an 8th-order integrator in
+plain float arithmetic that follows scipy's DOP853 step rules and dense
+output, and redoes the step that crosses an event's root to end there; the
+surface and the other exits are such events, so no stage of a shot's last
+step reaches past its exit.  A solve whose steps collapse raises
+StellarMatchError naming the radius where they did.
 
 `shoot_from_centers` runs many outward shots as the lanes of one
 `ode.solve_lanes` call: each lane takes the steps of its scalar shot, and
 the right-hand side and events evaluate on arrays of lanes.  It returns
 boundary data or failure labels only, with no trajectories; the domain
 checks run on every accepted lane state.  `shoot_from_boundaries` does the
-same for rung 0 of many inward shots, each lane with its own event
-thresholds, and runs the cap solve of a lane that needs one shot by shot;
-it returns each shot's classification or the error it raised.  On both
-paths rung 0 is read off the index of the event that stopped it.  Lanes
-pay from about a dozen outward and about twenty inward shots on
-(matching.LANES_MIN picks the batches that use them).
+same for many inward shots, each lane with its own event thresholds, and
+returns each shot's classification or the error it raised.  On both paths
+a shot is read off the index of the event that stopped it.  Lanes pay from
+about a dozen outward and about twenty inward shots on (matching.LANES_MIN
+picks the batches that use them).
 """
 
 from __future__ import annotations
@@ -109,10 +107,10 @@ class ShootConfig:
     """Settings of a shot: the integration knobs, then the gates of the
     inward four-case classification.
 
-    The classification's pressure gates scale with p_ref = M^2/R^4, the
-    G = 1 pressure scale of the boundary data.  The pressure ceiling is
-    additionally capped just below the EOS validity bound, since a
-    truncated correction series cannot be followed to arbitrary pressure.
+    The classification's gates scale with p_ref = M^2/R^4, the G = 1
+    pressure scale of the boundary data.  p_ceiling_factor acts at c = inf
+    only: at a finite c the pressure ceiling is the EOS cap, just below
+    the validity bound.
     Values that would put an inward start R - dr at or inside the radius
     floor raise ValueError.
     """
@@ -466,33 +464,30 @@ def shoot_from_centers(eos, p_centers, config=None):
     return results
 
 
-def _inward_events(eos, with_center):
-    """Terminal events for an inward run, with their labels in order.
+def _inward_events(eos):
+    """Terminal events of an inward shot, with their labels in order.
 
-    Each event takes the run's thresholds (w_ceiling, slope_floor, r_floor)
-    after (r, y) as its event arguments, one set per lane on lanes.
-    The cap solve drops the center-floor stop (with_center=False) so a
-    ceiling crossing below r_floor can still fire.  The horizon
-    comes last, and only for a finite c."""
+    Each event takes the shot's thresholds (w_ceiling, slope_floor,
+    r_floor) after (r, y) as its event arguments, one set per lane on
+    lanes.  The center-floor stop fires at r_floor, before the solve's span
+    ends at 0.01 r_floor, so every inward solve ends on an event.  The
+    horizon comes last, and only for a finite c."""
     def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
+    horizon = _horizon_events(eos)
     events = [
         _directed(lambda r, y, w_ceiling, *_: y[1] - w_ceiling, 1),
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
         _directed(slope_excess, -1),
         _directed(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
-    ]
-    labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM]
-
-    if with_center:
-        events.append(_directed(
-            lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1))
-        labels.append(EXIT_CENTER_FLOOR)
-
-    horizon = _horizon_events(eos)
-    return events + horizon, labels + [EXIT_HORIZON] * len(horizon)
+        _directed(
+            lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1),
+    ] + horizon
+    labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM,
+              EXIT_CENTER_FLOOR] + [EXIT_HORIZON] * len(horizon)
+    return events, labels
 
 
 @dataclass
@@ -502,23 +497,22 @@ class _InwardStart:
     r: float                # R - dr
     y: list                 # [m, w] at r
     atol: list
-    ceiling: float          # rung 0's pressure ceiling, at most p_cap
-    p_cap: float            # just below the EOS validity bound
-    w_ceiling: float        # the enthalpy variable at `ceiling`
+    w_ceiling: float        # the enthalpy variable at the pressure ceiling
     slope_floor: float
     r_floor: float
     m_floor: float
     diagnostics: dict
 
-    def thresholds(self, w_ceiling):
-        """The inward events' thresholds for a run under w_ceiling."""
-        return w_ceiling, self.slope_floor, self.r_floor
+    def thresholds(self):
+        """The inward events' thresholds."""
+        return self.w_ceiling, self.slope_floor, self.r_floor
 
 
 def _inward_start(eos, radius, mass, cfg):
     """_InwardStart of an inward shot from (R, M); raises
-    AdmissibilityError for inadmissible data and EosValidityError where
-    the EOS cannot represent the fluid at the start."""
+    AdmissibilityError for inadmissible data, EosValidityError where the
+    EOS cannot represent the fluid at the start, and StellarMatchError
+    where the start is already past a c = inf shot's ceiling."""
     if not admissible(radius, mass, eos.c_light):
         raise AdmissibilityError(
             "(R, M) = (%g, %g) inadmissible for c = %g"
@@ -528,10 +522,9 @@ def _inward_start(eos, radius, mass, cfg):
                                  "margin")
 
     p_ref = mass**2 / radius**4
-    ceiling_nominal = cfg.p_ceiling_factor * p_ref
-    p_cap = 0.999 * eos.p_valid_max
-    ceiling = min(ceiling_nominal, p_cap)
-    limited_by = "eos_validity" if ceiling < ceiling_nominal else "p_ref"
+    # c = inf has no EOS cap, so p_ref sets the ceiling there
+    ceiling = cfg.p_ceiling_factor * p_ref if eos.nonrelativistic \
+        else 0.999 * eos.p_valid_max
     slope_floor = cfg.slope_floor_factor * p_ref / radius
     r_floor = cfg.r_floor_factor * radius
     m_floor = cfg.m_floor_factor * mass
@@ -539,51 +532,24 @@ def _inward_start(eos, radius, mass, cfg):
     dr = cfg.dr_factor * radius
     r_start, m_start, w_start = surface_start(eos, radius, mass, dr)
     atol = [cfg.atol_factor * mass, cfg.atol_factor * w_start]
-    w_cap = eos.enthalpy_of_pressure(ceiling)
-    if w_start >= w_cap:
+    w_ceiling = eos.enthalpy_of_pressure(ceiling)
+    if w_start >= w_ceiling:
+        if eos.nonrelativistic:
+            raise StellarMatchError(
+                "surface start pressure %g already at or above the c = inf "
+                "pressure ceiling p_ceiling_factor * p_ref = %g"
+                % (eos.pressure_of_enthalpy(w_start), ceiling))
         raise EosValidityError(
             "surface start enthalpy %g already beyond the pressure ceiling; "
             "the EOS cannot represent the fluid at this boundary" % w_start)
 
-    diagnostics = {
-        "p_ref": p_ref, "ceiling": ceiling, "ceiling_limited_by": limited_by,
-        "slope_floor": slope_floor, "r_floor": r_floor, "m_floor": m_floor,
-        "refinement_radii": [],
-    }
+    diagnostics = {"p_ref": p_ref, "ceiling": ceiling,
+                   "slope_floor": slope_floor, "r_floor": r_floor,
+                   "m_floor": m_floor}
     return _InwardStart(r=r_start, y=[m_start, w_start], atol=atol,
-                        ceiling=ceiling, p_cap=p_cap, w_ceiling=w_cap,
-                        slope_floor=slope_floor, r_floor=r_floor,
-                        m_floor=m_floor, diagnostics=diagnostics)
-
-
-def _inward_run(eos, start, rtol, cap=False):
-    """Rung 0 of an inward shot, a solve from the start to 0.01 r_floor
-    under rung 0's ceiling with the center-floor stop, or with cap=True the
-    cap solve, under the EOS cap without it; returns (sol, (label, detail))
-    as _interpret_inward reads it."""
-    events, labels = _inward_events(eos, not cap)
-    w_ceiling = eos.enthalpy_of_pressure(start.p_cap) if cap \
-        else start.w_ceiling
-    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events, rtol,
-                 start.atol, start.thresholds(w_ceiling))
-    return sol, _interpret_inward(sol, labels, start.r_floor,
-                                  start.w_ceiling if cap else None)
-
-
-def _past_ceiling(eos, start, rtol, label, detail, sol=None):
-    """The cap solve after rung 0 ended with (label, detail), where it is
-    due: rung 0 ended at a ceiling that p_ref kept below a finite EOS cap.
-    The blow-up radius of each solve that ended at its ceiling goes to
-    diagnostics["refinement_radii"].  Returns the last solve's (label,
-    detail, sol); sol stays the one given when no solve runs."""
-    radii = start.diagnostics["refinement_radii"]
-    if label == EXIT_PRESSURE_CEILING:
-        radii.append(detail["r_exit"])
-        if start.ceiling < start.p_cap < math.inf:
-            sol, (label, detail) = _inward_run(eos, start, rtol, True)
-            if label == EXIT_PRESSURE_CEILING:
-                radii.append(detail["r_exit"])
-    return label, detail, sol
+                        w_ceiling=w_ceiling, slope_floor=slope_floor,
+                        r_floor=r_floor, m_floor=m_floor,
+                        diagnostics=diagnostics)
 
 
 def shoot_from_boundary(eos, radius, mass, config=None):
@@ -591,35 +557,30 @@ def shoot_from_boundary(eos, radius, mass, config=None):
     (ShootClassification, TovTrajectory)."""
     cfg = config or ShootConfig()
     start = _inward_start(eos, radius, mass, cfg)
-    sol, (label, detail) = _inward_run(eos, start, cfg.rtol)
-    label, detail, sol = _past_ceiling(eos, start, cfg.rtol, label, detail,
-                                       sol)
-
-    traj = TovTrajectory(eos, "inward", sol, label,
+    events, labels = _inward_events(eos)
+    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events,
+                 cfg.rtol, start.atol, start.thresholds())
+    cls = _classify(eos, start, labels[sol.event], float(sol.t[-1]),
+                    float(sol.y[0, -1]), float(sol.y[1, -1]))
+    traj = TovTrajectory(eos, "inward", sol, cls.exit,
                          f_const=_f_const(eos, radius, mass))
-    cls = _classify(label, detail, eos, start.r_floor, start.m_floor,
-                    start.diagnostics)
-    traj.exit = cls.exit
     traj.check_domain()
     return cls, traj
 
 
 def shoot_from_boundaries(eos, radii, masses, config=None):
-    """Inward shots from many boundary data, rung 0 of each run as a lane
-    of one `ode.solve_lanes` call.  Returns one entry per (R, M), in order:
-    the ShootClassification of shoot_from_boundary, or the
-    StellarMatchError it would raise (returned, so that one sample's
-    failure leaves the others alone).
+    """Inward shots from many boundary data, run as the lanes of one
+    `ode.solve_lanes` call.  Returns one entry per (R, M), in order: the
+    ShootClassification of shoot_from_boundary, or the StellarMatchError
+    it would raise (returned, so that one sample's failure leaves the
+    others alone).
 
     Each lane starts as the scalar shot does and has its events, with its
     own thresholds, so it takes the same steps and ends on the same event
-    to roundoff.  Rung 0 never needs the dense output: its center-floor
-    event fires before any event below r_floor and before the span end,
-    since ShootConfig puts every start above r_floor.  A lane whose rung 0
-    needs the cap solve runs it as the scalar shot does.  check_domain's
-    tests run on every accepted state of every lane; a shot that runs the
-    cap solve is judged on that solve's trajectory, as the scalar shot
-    is."""
+    to roundoff.  No shot needs the dense output: its center-floor event
+    fires before any event below r_floor and before the span end, since
+    ShootConfig puts every start above r_floor.  check_domain's tests run
+    on every accepted state of every lane."""
     cfg = config or ShootConfig()
     results = [None] * len(radii)
     lanes, starts = [], []
@@ -633,65 +594,36 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     if not lanes:
         return results
 
-    events, labels = _inward_events(eos, True)
+    events, labels = _inward_events(eos)
     faults, observe = _fault_observer(eos, len(lanes))
     sol = ode.solve_lanes(
         lambda r, y: _lanes_rhs(eos, r, y), [s.r for s in starts],
         [0.01 * s.r_floor for s in starts], np.array([s.y for s in starts]).T,
         cfg.rtol, np.array([s.atol for s in starts]).T, events, observe,
-        np.array([s.thresholds(s.w_ceiling) for s in starts]).T)
+        np.array([s.thresholds() for s in starts]).T)
     for j, (i, start) in enumerate(zip(lanes, starts)):
         try:
             if sol.status[j] < 0:
                 raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
-            detail = {"r_exit": float(sol.t[j]), "m_exit": float(sol.y[0, j]),
-                      "w_exit": float(sol.y[1, j])}
-            label, detail, rung = _past_ceiling(
-                eos, start, cfg.rtol, labels[sol.event[j]], detail)
-            results[i] = _classify(label, detail, eos, start.r_floor,
-                                   start.m_floor, start.diagnostics)
-            _check_domain(faults[:, j] if rung is None else _domain_faults(
-                eos, rung.t, rung.y[0], rung.y[1]))
+            results[i] = _classify(eos, start, labels[sol.event[j]],
+                                   float(sol.t[j]), float(sol.y[0, j]),
+                                   float(sol.y[1, j]))
+            _check_domain(faults[:, j])
         except StellarMatchError as exc:
             results[i] = exc
     return results
 
 
-def _interpret_inward(sol, labels, r_floor, prev_w_ceiling):
-    """Map the event that stopped an inward solve to a label and exit
-    state, the solve's last state.  Non-ceiling events below the radius
-    floor (possible only on the cap solve) are folded back into the
-    center-floor reading at r_floor, as is a run that reaches the span end
-    (0.01 r_floor) with the pressure back under prev_w_ceiling, rung 0's
-    ceiling (the cap solve's only)."""
-    def center_floor_reading():
-        m_f, w_f = (float(v) for v in sol.sol(r_floor))
-        return EXIT_CENTER_FLOOR, {"r_exit": r_floor, "m_exit": m_f,
-                                   "w_exit": w_f}
-
-    end = {"r_exit": float(sol.t[-1]), "m_exit": float(sol.y[0, -1]),
-           "w_exit": float(sol.y[1, -1])}
-    if sol.event >= 0:
-        label = labels[sol.event]
-        if label != EXIT_PRESSURE_CEILING and end["r_exit"] < r_floor:
-            return center_floor_reading()
-        return label, end
-
-    # span end reached: still above rung 0's ceiling means the crossing
-    # moved below the span, an upper bound on the blow-up radius
-    if prev_w_ceiling is not None and end["w_exit"] >= prev_w_ceiling:
-        return EXIT_PRESSURE_CEILING, end
-    return center_floor_reading()
-
-
-def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
-    r_e, m_e, w_e = detail["r_exit"], detail["m_exit"], detail["w_exit"]
+def _classify(eos, start, label, r_e, m_e, w_e):
+    """The ShootClassification of an inward solve that ended on the event
+    `label` at (r_e, m_e, w_e)."""
     p_e = eos.pressure_of_enthalpy(w_e) if w_e > 0.0 else 0.0
+    diagnostics = start.diagnostics
 
     if label == EXIT_PRESSURE_CEILING:
-        # a blow-up at or below the floor hugs the center; at c = inf the
-        # center is the only place P can blow up
-        case = CASE10 if eos.nonrelativistic or r_e <= r_floor else CASE00
+        # at c = inf the center is the only place P can blow up; at a
+        # finite c the center-floor stop comes first below r_floor
+        case = CASE10 if eos.nonrelativistic else CASE00
         return ShootClassification(
             case=case, exit=EXIT_PRESSURE_CEILING, r_exit=r_e, m_exit=m_e,
             w_exit=w_e, p_exit=math.inf, r_minus=r_e,
@@ -704,7 +636,7 @@ def _classify(label, detail, eos, r_floor, m_floor, diagnostics):
             diagnostics=diagnostics)
 
     if label == EXIT_CENTER_FLOOR:
-        if abs(m_e) <= m_floor:
+        if abs(m_e) <= start.m_floor:
             # regular center: strip the known singular mode
             # m_res/(w_unit r) before reading off the central pressure,
             # since raw w(r_floor) amplifies the (R, M) error by ~R/r_floor

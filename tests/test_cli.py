@@ -322,6 +322,20 @@ def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
         assert sole_error_record(out, 1)["error"] == error, argv
 
 
+def test_start_past_the_c_inf_ceiling_is_a_labelled_error(capsys, tmp_path):
+    # c = inf has no EOS bound: a ceiling p_ceiling_factor * p_ref below the
+    # surface start is the setting's fault, and the error names it
+    code, _, err = run(capsys, "shoot-boundary", "--radius", "1",
+                       "--mass", "1e-3", "--out", str(tmp_path / "o"),
+                       "--set", "tov.p_ceiling_factor=1e-30")
+    assert code == 1
+    record = stderr_error(err)
+    assert record["error"] == "StellarMatchError"
+    assert re.fullmatch(
+        r"surface start pressure \S+ already at or above the c = inf pressure "
+        r"ceiling p_ceiling_factor \* p_ref = 1e-36", record["message"])
+
+
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set
     out = run_python(

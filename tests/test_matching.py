@@ -416,7 +416,7 @@ def test_sweep_records_are_sample_independent(rel_gamma53_curves):
 
 
 def test_sweep_records_agree_across_the_lanes_threshold(rel_gamma53_curves):
-    # A sweep of LANES_MIN or more samples shoots rung 0 as lanes, a shorter
+    # A sweep of LANES_MIN or more samples shoots as lanes, a shorter
     # one shot by shot: the records agree except for p_center, which the
     # two paths compute to roundoff.
     eos, curves = rel_gamma53_curves

@@ -232,31 +232,30 @@ def test_lambda_table_matches_solve_ivp(recorded):
     assert h_hi == pytest.approx(math.exp(want.t[-1]), rel=EVENT_TOL)
 
 
-def test_inward_ladder_matches_solve_ivp(recorded):
+def test_inward_shots_match_solve_ivp(recorded):
     eos = EosSpec(5.0 / 3.0, c_light=1.0)
     surface, _ = tov.shoot_from_center(eos, 1e-3)
     cls, _ = tov.shoot_from_boundary(eos, surface.radius * 0.8, surface.mass)
     assert cls.case == tov.CASE00
-    # the forward shot and rung 0 alone: the ceiling is the EOS cap from
-    # rung 0 on, so rung 0 decides
+    # the forward shot, then the inward shot's one solve
     assert len(recorded) == 2
-    (args, got), rung0 = recorded
+    (args, got), inward = recorded
     _assert_matches_oracle(args, got)
     # Inward solves choose their first steps' size from rounding: atol is
     # 1e-19 on w at the start, and from one state the error norms of
     # ode.solve and scipy part by up to a factor 6 there (DOP853's error
-    # weights sum to 4 in magnitude).  Rung 0 (rtol 1e-10) takes as many
-    # steps as the oracle with the same nfev, but its step ends part by up
-    # to 3e-2 relative and its blow-up radius by 2e-11, while both miss a
-    # tolerance-1e-14 reference by 2e-10.  So each inward solve is also
-    # checked step by step against the oracle from each step's start.
-    # At (R, M) = (1, 1e-5) the ceiling is limited by p_ref, so rung 0 is
-    # followed by the cap solve, at the same rtol, under the EOS cap.
+    # weights sum to 4 in magnitude).  An inward solve (rtol 1e-10) takes
+    # as many steps as the oracle with the same nfev, but its step ends
+    # part by up to 3e-2 relative and its blow-up radius by 2e-11, while
+    # both miss a tolerance-1e-14 reference by 2e-10.  So each inward
+    # solve is also checked step by step against the oracle from each
+    # step's start.  (R, M) = (1, 1e-5) is light data, whose p_ref lies
+    # far below the EOS cap: it too is one solve, under the cap.
     recorded.clear()
     cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-5)
-    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
-    assert len(recorded) == 2
-    for args, got in (rung0, *recorded):
+    assert cls.case == tov.CASE00
+    assert len(recorded) == 1
+    for args, got in (inward, *recorded):
         want = _oracle(*args)
         assert got.status == want.status and got.message == want.message
         assert len(got.t) == len(want.t)

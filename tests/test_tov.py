@@ -269,45 +269,46 @@ def solve_count(monkeypatch):
 
 
 def test_case10_refinement_ladder(solve_count):
-    # point-mass-like data at c = inf: the pressure ceiling ends rung 0,
-    # and a Newtonian blow-up can only be at the center, so the verdict is
-    # case10 from that one solve
+    # point-mass-like data at c = inf: the pressure ceiling ends the one
+    # solve above the center floor, and a Newtonian blow-up can only be at
+    # the center, so the verdict is case10
     cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-12)
     assert (cls.case, cls.exit) == (tov.CASE10, tov.EXIT_PRESSURE_CEILING)
     assert solve_count[0] == 1
-    assert cls.diagnostics["refinement_radii"] == [cls.r_minus]
+    assert cls.r_minus > cls.diagnostics["r_floor"]
 
 
 def test_case00_estimates_stay_above_floor(solve_count):
-    # Newtonian (1, 1e-3): rung 0's estimate lies far above the floor, yet
-    # at c = inf it marks a center blow-up, case10 from one solve
+    # Newtonian (1, 1e-3): the blow-up estimate lies far above the floor,
+    # yet at c = inf it marks a center blow-up, case10 from one solve
     cls, _ = tov.shoot_from_boundary(eos_newt(), 1.0, 1e-3)
     assert cls.case == tov.CASE10
     assert solve_count[0] == 1
     assert cls.r_minus > 100.0 * cls.diagnostics["r_floor"]
-    # at gamma = 5/3, c = 1 the ceiling of (1, 1e-4) is limited by p_ref;
-    # the cap solve's estimate stays above the floor, so case00
+    # at gamma = 5/3, c = 1, p_ceiling_factor * p_ref of (1, 1e-4) lies
+    # below the EOS cap, and the one solve runs under the cap: its estimate
+    # stays above the floor, so case00
     solve_count[0] = 0
-    cls, _ = tov.shoot_from_boundary(eos_rel(), 1.0, 1e-4)
+    eos = eos_rel()
+    cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-4)
     assert cls.case == tov.CASE00
-    assert cls.diagnostics["ceiling_limited_by"] == "p_ref"
-    assert solve_count[0] == 2
-    radii = cls.diagnostics["refinement_radii"]
-    assert radii[-1] == cls.r_minus < radii[0]
-    assert all(r > cls.diagnostics["r_floor"] for r in radii)
+    assert solve_count[0] == 1
+    assert tov.ShootConfig().p_ceiling_factor * cls.diagnostics["p_ref"] \
+        < cls.diagnostics["ceiling"] == 0.999 * eos.p_valid_max
+    assert cls.r_minus > cls.diagnostics["r_floor"]
 
 
 def test_cap_pinned_ceiling_decides_on_rung_0(solve_count):
-    # 20% inside a P_c = 1e-3 star at gamma = 5/3, c = 1: the ceiling is
-    # the EOS cap from rung 0 on, so rung 0's blow-up radius decides
+    # 20% inside a P_c = 1e-3 star at gamma = 5/3, c = 1: the one solve
+    # ends at the EOS cap above the floor, so its blow-up radius decides
     eos = eos_rel()
     surface, _ = tov.shoot_from_center(eos, 1e-3)
     solve_count[0] = 0
     cls, _ = tov.shoot_from_boundary(eos, 0.8 * surface.radius, surface.mass)
     assert cls.case == tov.CASE00
-    assert cls.diagnostics["ceiling_limited_by"] == "eos_validity"
+    assert cls.diagnostics["ceiling"] == 0.999 * eos.p_valid_max
     assert solve_count[0] == 1
-    assert cls.diagnostics["refinement_radii"] == [cls.r_minus]
+    assert cls.r_minus > cls.diagnostics["r_floor"]
 
 
 @settings(max_examples=12, deadline=None,
@@ -317,7 +318,7 @@ def test_cap_pinned_ceiling_decides_on_rung_0(solve_count):
 @example(gamma=G53, radius=1.0, log_mass=-3.0)
 def test_no_case00_at_c_inf(solve_count, gamma, radius, log_mass):
     # At c = inf, P stays finite at every r > 0 along an inward shot, so a
-    # pressure-ceiling exit is a center blow-up: case10, from rung 0 alone.
+    # pressure-ceiling exit is a center blow-up: case10, from one solve.
     solve_count[0] = 0
     cls, _ = tov.shoot_from_boundary(eos_newt(gamma), radius, 10.0**log_mass)
     assert cls.case != tov.CASE00
@@ -326,24 +327,41 @@ def test_no_case00_at_c_inf(solve_count, gamma, radius, log_mass):
         assert solve_count[0] == 1
 
 
-@settings(max_examples=12, deadline=None)
-@given(radius=st.floats(0.5, 2.0), log_compactness=st.floats(-8.0, -0.5))
-@example(radius=1.0, log_compactness=math.log10(2e-5))
-def test_cap_solve_is_rung_0_under_the_cap(radius, log_compactness):
-    # gamma = 5/3, c = 1: whenever a rung 0 under the EOS cap itself
-    # (p_ceiling_factor 1e30) ends at that ceiling, the default shot ends
-    # on the same blow-up radius, bit for bit, and the same case, whether
-    # its own rung 0 already ran under the cap or the cap solve followed.
-    eos = eos_rel()
+# EOSes of a finite c, where the pressure ceiling is the EOS cap
+FINITE_C_EOS = {
+    "gamma 5/3, c = 1": eos_rel(),
+    "gamma 2, c = 1": eos_rel(gamma=2.0),
+    "lambda (0.2, -0.1)": EosSpec(2.0, c_light=1.0,
+                                  lambda_coeffs=(0.2, -0.1)),
+}
+
+
+@settings(max_examples=16, deadline=None)
+@given(name=st.sampled_from(sorted(FINITE_C_EOS)), radius=st.floats(0.3, 3.0),
+       log_compactness=st.floats(-12.0, -0.5),
+       factor=st.sampled_from([1e3, 1e30]))
+@example(name="gamma 5/3, c = 1", radius=1.0, log_compactness=math.log10(2e-7),
+         factor=1e30)
+@example(name="gamma 5/3, c = 1", radius=1.0, log_compactness=math.log10(2e-7),
+         factor=1e3)
+def test_finite_c_verdicts_do_not_hinge_on_the_ceiling_factor(
+        name, radius, log_compactness, factor):
+    # At a finite c the pressure ceiling is the EOS cap whatever
+    # p_ceiling_factor says, so a shot ends as the default shot does, on
+    # the same blow-up radius, bit for bit, where it ends at the ceiling.
+    # Light data such as the examples, 2M/R = 2e-7, reach the center floor
+    # with their mass under every factor.
+    eos = FINITE_C_EOS[name]
     mass = 0.5 * radius * 10.0**log_compactness
-    capped, _ = tov.shoot_from_boundary(
-        eos, radius, mass, tov.ShootConfig(p_ceiling_factor=1e30))
-    if capped.exit != tov.EXIT_PRESSURE_CEILING:
+    want = _scalar_inward(eos, radius, mass)
+    got = _scalar_inward(eos, radius, mass,
+                         tov.ShootConfig(p_ceiling_factor=factor))
+    if isinstance(want, StellarMatchError):
+        assert (type(got), str(got)) == (type(want), str(want))
         return
-    cls, _ = tov.shoot_from_boundary(eos, radius, mass)
-    assert cls.diagnostics["refinement_radii"][-1] == capped.r_exit
-    assert (cls.case, cls.exit, cls.r_minus) == (
-        capped.case, capped.exit, capped.r_exit)
+    assert (got.case, got.exit) == (want.case, want.exit)
+    if want.exit == tov.EXIT_PRESSURE_CEILING:
+        assert got.r_exit == want.r_exit
 
 
 def test_center_massive_exit_outside_taxonomy():
@@ -457,10 +475,9 @@ def test_events_hold_a_horizon_only_for_a_finite_c():
     # range guard
     for eos, horizon in ((eos_newt(), 0), (eos_rel(), 1)):
         assert len(tov._outward_events(eos)) == 1 + horizon
-        for with_center in (True, False):
-            events, labels = tov._inward_events(eos, with_center)
-            assert len(events) == len(labels) == 3 + with_center + horizon
-            assert labels.count(tov.EXIT_HORIZON) == horizon
+        events, labels = tov._inward_events(eos)
+        assert len(events) == len(labels) == 4 + horizon
+        assert labels.count(tov.EXIT_HORIZON) == horizon
     assert tov._OUTWARD_EXITS[-1] == tov.EXIT_R_MAX
 
 
@@ -635,10 +652,10 @@ def test_lanes_raise_the_scalar_domain_error(monkeypatch):
 def _inward_batch(eos, inadmissible):
     """Boundary data whose inward shots end in every way a sweep sees:
     case00, case01 and on-curve case11 around two stars, the point-mass
-    case10 (1, 1e-12), (1, 1e-3) (case00 at c = 1, case10 at c = inf,
-    where no shot is case00), a start beyond the EOS validity
-    cap (relativistic only; a Newtonian polytrope has none) and
-    inadmissible data."""
+    (1, 1e-12) (case10 at c = inf, center_floor_massive at c = 1), (1, 1e-3)
+    (case00 at c = 1, case10 at c = inf, where no shot is case00), a start
+    beyond the EOS validity cap (relativistic only; a Newtonian polytrope
+    has none) and inadmissible data."""
     batch = []
     for p_center in (1e-4, 1e-3):
         surface, _ = tov.shoot_from_center(eos, p_center)
@@ -682,7 +699,7 @@ def test_boundary_lanes_match_scalar_shots(monkeypatch, lanes_solves, eos,
     for (radius, mass), outcome in zip(batch, got):
         solves.clear()
         want = _scalar_inward(eos, radius, mass)
-        if solves:  # a shot that started: its rung 0 was lane `lane`
+        if solves:  # a shot that started: its one solve was lane `lane`
             assert lanes.steps[lane] == len(solves[0].t) - 1
             lane += 1
         if isinstance(want, StellarMatchError):
@@ -691,34 +708,29 @@ def test_boundary_lanes_match_scalar_shots(monkeypatch, lanes_solves, eos,
             kinds.add(type(want).__name__)
             continue
         assert (outcome.case, outcome.exit) == (want.case, want.exit)
-        kinds.add(want.case)
-        assert len(outcome.diagnostics["refinement_radii"]) == len(
-            want.diagnostics["refinement_radii"])
+        kinds.update((want.case, want.exit))
         assert outcome.r_exit == pytest.approx(want.r_exit, rel=1e-11)
         if want.case == tov.CASE11:
             assert outcome.p_center == pytest.approx(want.p_center,
                                                      rel=1e-11)
     assert lane == lanes.steps.size
-    assert {tov.CASE01, tov.CASE10, tov.CASE11, "AdmissibilityError"} <= kinds
-    # at c = inf a pressure-ceiling exit is always case10
+    assert {tov.CASE01, tov.CASE11, "AdmissibilityError"} <= kinds
+    # at c = inf a pressure-ceiling exit is always case10; at c = 1 it lies
+    # above the floor, and the point mass reaches the floor with its mass
     assert (tov.CASE00 in kinds) == (not eos.nonrelativistic)
+    assert (tov.CASE10 in kinds) == eos.nonrelativistic
+    assert (tov.EXIT_CENTER_MASSIVE in kinds) == (not eos.nonrelativistic)
     assert ("EosValidityError" in kinds) == (not eos.nonrelativistic)
 
 
-def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch,
-                                                         solve_count):
+def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
     # Every state a lane shows is a domain fault, and no state of a scalar
-    # solve is.  A shot that ends on rung 0 then fails the domain check;
-    # one that runs the cap solve is judged on that solve's trajectory, as
-    # the scalar shot is, and classifies as that shot does.  (1, 1e-6),
-    # (1, 1e-5) and (1, 1e-4) have ceilings limited by p_ref.
+    # solve is.  Every shot is one solve, run as a lane, so every shot
+    # that starts fails the domain check, and one that cannot start keeps
+    # the error the scalar shot raises.
     eos = eos_rel()
-    batch = _inward_batch(eos, (1.0, 0.6)) + [
-        (1.0, 1e-6), (1.0, 1e-5), (1.0, 1e-4)]
-    want = []
-    for radius, mass in batch:
-        solve_count[0] = 0
-        want.append((_scalar_inward(eos, radius, mass), solve_count[0]))
+    batch = _inward_batch(eos, (1.0, 0.6))
+    want = [_scalar_inward(eos, radius, mass) for radius, mass in batch]
     in_lanes = [False]
     real = ode.solve_lanes
 
@@ -736,19 +748,17 @@ def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch,
     monkeypatch.setattr(ode, "solve_lanes", solve_lanes)
     monkeypatch.setattr(tov, "_domain_faults", faults)
     got = tov.shoot_from_boundaries(eos, *zip(*batch))
-    cap_solves = 0
-    for outcome, (scalar, n_solves) in zip(got, want):
+    started = 0
+    for outcome, scalar in zip(got, want):
         if isinstance(scalar, StellarMatchError):
-            assert type(outcome) is type(scalar)
-        elif n_solves == 2:
-            cap_solves += 1
-            assert (outcome.case, outcome.exit) == (scalar.case, scalar.exit)
+            assert (type(outcome), str(outcome)) == (type(scalar),
+                                                     str(scalar))
         else:
-            assert n_solves == 1
+            started += 1
             assert isinstance(outcome, StellarMatchError)
             assert str(outcome) == "metric factor nonpositive at an " \
                                    "accepted step"
-    assert cap_solves >= 4
+    assert started >= 12
 
 
 _BATCH_EOS = {
