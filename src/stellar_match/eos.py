@@ -199,13 +199,19 @@ class EosSpec:
             % (self.rho_valid_max, self.validity_binding, rho_max))
 
     def _require_valid_rho(self, rho):
-        r = np.asarray(rho, dtype=float)
-        if np.any(r < 0.0):
+        bound = self.rho_valid_max * (1.0 + 1e-9)
+        if isinstance(rho, float):  # the common case: two plain comparisons
+            negative, beyond = rho < 0.0, rho > bound
+        else:
+            r = np.asarray(rho, dtype=float)
+            negative, beyond = np.any(r < 0.0), np.any(r > bound)
+        if negative:
             raise EosValidityError("negative density")
-        if np.any(r > self.rho_valid_max * (1.0 + 1e-9)):
+        if beyond:
             raise EosValidityError(
                 "density %.6g beyond validity bound %.6g (%s inequality)"
-                % (float(np.max(r)), self.rho_valid_max, self.validity_binding))
+                % (float(np.max(rho)), self.rho_valid_max,
+                   self.validity_binding))
 
     # -- state conversions -------------------------------------------------
 
@@ -379,8 +385,14 @@ class EosSpec:
             def fluid(w):
                 if w <= 0.0:
                     return 0.0, 0.0
-                rho = (math.expm1(gm1 * w / g) * csq / a) ** inv
-                return rho, a * rho ** g
+                try:
+                    rho = (math.expm1(gm1 * w / g) * csq / a) ** inv
+                    return rho, a * rho ** g
+                except OverflowError:
+                    # a trial stage far past the cap, where a step jumps
+                    # below the radius floor: inf, as numpy reads it on
+                    # lanes, so the step is rejected instead of raising
+                    return math.inf, math.inf
             return fluid
 
         sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table

@@ -22,23 +22,22 @@ Outward shots start from a central pressure with a series start at r0 and end
 on the w = 0 event (the surface) or a guard.  Inward shots start from
 boundary data (R, M) just inside the surface and end in one of four ways:
 
-    case00  P blows up at a radius above r_floor (finite c only)
+    case00  P reaches the EOS cap above r_floor (finite c only)
     case01  |dP/dr| stalls at positive radius with P finite
-    case10  P blows up at c = inf, where it can only blow up at the center
-    case11  the center floor is reached with m below the mass floor
+    case10  the center floor is reached with m above the mass floor at
+            c = inf, where P then rises like m/r all the way to r = 0
+    case11  the center floor is reached with |m| within the mass floor
             (the regular-center success)
 
-An inward shot is one solve, read off the event that stopped it.  It
-stops where the pressure reaches a ceiling, and at the center floor
-r_floor at the latest.  At a finite c the ceiling is the EOS cap, just
-below the validity bound: a truncated correction series cannot be followed
-to arbitrary pressure, and the cap is as high as a ceiling can go.  A
-ceiling exit there lies above r_floor, so it is case00, and data whose
-pressure would blow up only below r_floor reach the center floor with
-their mass: center_floor_massive.  At c = inf there is no cap, and the
-ceiling is p_ceiling_factor * p_ref.  A ceiling exit is case10 there:
-dw/dr = -m/r^2 with m <= M, so P stays finite at every r > 0 and can blow
-up only at the center.
+An inward shot is one solve, read off the event that stopped it and the
+mass at its exit; no setting enters the rule.  It stops at the slope
+stall, at vacuum re-entry, at the center floor r_floor at the latest, and
+at a finite c at the EOS cap, just below the validity bound.  A cap exit
+lies above r_floor, so it is case00, and data whose pressure would blow
+up only below r_floor reach the center floor with their mass:
+center_floor_massive.  At c = inf there is no cap and no ceiling:
+dw/dr = -m/r^2 with m <= M, so P stays finite at every r > 0, and a
+center-floor exit with m above the mass floor is case10.
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
@@ -108,9 +107,8 @@ class ShootConfig:
     inward four-case classification.
 
     The classification's gates scale with p_ref = M^2/R^4, the G = 1
-    pressure scale of the boundary data.  p_ceiling_factor acts at c = inf
-    only: at a finite c the pressure ceiling is the EOS cap, just below
-    the validity bound.
+    pressure scale of the boundary data.  No setting moves the pressure
+    ceiling: it is the EOS cap at a finite c, and there is none at c = inf.
     Values that would put an inward start R - dr at or inside the radius
     floor raise ValueError.
     """
@@ -122,7 +120,6 @@ class ShootConfig:
     r_max_factor: float = 1e3       # outward guard in units of the length scale
     r_floor_factor: float = 1e-6
     m_floor_factor: float = 1e-5
-    p_ceiling_factor: float = 1e6
     slope_floor_factor: float = 1e-8
 
     def __post_init__(self):
@@ -210,8 +207,6 @@ class ShootClassification:
     w_exit: float
     p_exit: float
     p_center: float | None = None
-    r_minus: float | None = None
-    p_minus: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -464,29 +459,40 @@ def shoot_from_centers(eos, p_centers, config=None):
     return results
 
 
-def _inward_events(eos):
+def _w_ceiling(eos):
+    """The enthalpy variable at the inward pressure ceiling: the EOS cap
+    0.999 p_valid_max at a finite c, the same for every shot of the EOS;
+    None at c = inf, where there is no cap."""
+    if eos.nonrelativistic:
+        return None
+    return eos.enthalpy_of_pressure(0.999 * eos.p_valid_max)
+
+
+def _inward_events(eos, w_ceiling):
     """Terminal events of an inward shot, with their labels in order.
 
-    Each event takes the shot's thresholds (w_ceiling, slope_floor,
-    r_floor) after (r, y) as its event arguments, one set per lane on
-    lanes.  The center-floor stop fires at r_floor, before the solve's span
-    ends at 0.01 r_floor, so every inward solve ends on an event.  The
-    horizon comes last, and only for a finite c."""
-    def slope_excess(r, y, w_ceiling, slope_floor, r_floor):
+    Each event takes the shot's thresholds (slope_floor, r_floor) after
+    (r, y) as its event arguments, one set per lane on lanes.  The
+    center-floor stop fires at r_floor, before the solve's span ends at
+    0.01 r_floor, so every inward solve ends on an event.  The pressure
+    ceiling w_ceiling (_w_ceiling) comes first and the horizon last, both
+    only for a finite c."""
+    def slope_excess(r, y, slope_floor, r_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
     horizon = _horizon_events(eos)
-    events = [
-        _directed(lambda r, y, w_ceiling, *_: y[1] - w_ceiling, 1),
+    ceiling = [] if w_ceiling is None else [
+        _directed(lambda r, y, *_: y[1] - w_ceiling, 1)]
+    events = ceiling + [
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
         _directed(slope_excess, -1),
         _directed(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
-        _directed(
-            lambda r, y, w_ceiling, slope_floor, r_floor: r - r_floor, -1),
+        _directed(lambda r, y, slope_floor, r_floor: r - r_floor, -1),
     ] + horizon
-    labels = [EXIT_PRESSURE_CEILING, EXIT_SLOPE_STALL, EXIT_VACUUM,
-              EXIT_CENTER_FLOOR] + [EXIT_HORIZON] * len(horizon)
+    labels = [EXIT_PRESSURE_CEILING] * len(ceiling) + [
+        EXIT_SLOPE_STALL, EXIT_VACUUM, EXIT_CENTER_FLOOR] \
+        + [EXIT_HORIZON] * len(horizon)
     return events, labels
 
 
@@ -497,7 +503,6 @@ class _InwardStart:
     r: float                # R - dr
     y: list                 # [m, w] at r
     atol: list
-    w_ceiling: float        # the enthalpy variable at the pressure ceiling
     slope_floor: float
     r_floor: float
     m_floor: float
@@ -505,14 +510,14 @@ class _InwardStart:
 
     def thresholds(self):
         """The inward events' thresholds."""
-        return self.w_ceiling, self.slope_floor, self.r_floor
+        return self.slope_floor, self.r_floor
 
 
-def _inward_start(eos, radius, mass, cfg):
-    """_InwardStart of an inward shot from (R, M); raises
-    AdmissibilityError for inadmissible data, EosValidityError where the
-    EOS cannot represent the fluid at the start, and StellarMatchError
-    where the start is already past a c = inf shot's ceiling."""
+def _inward_start(eos, radius, mass, cfg, w_ceiling):
+    """_InwardStart of an inward shot from (R, M) under the pressure
+    ceiling w_ceiling (_w_ceiling); raises AdmissibilityError for
+    inadmissible data and EosValidityError where the EOS cannot represent
+    the fluid at the start."""
     if not admissible(radius, mass, eos.c_light):
         raise AdmissibilityError(
             "(R, M) = (%g, %g) inadmissible for c = %g"
@@ -522,9 +527,6 @@ def _inward_start(eos, radius, mass, cfg):
                                  "margin")
 
     p_ref = mass**2 / radius**4
-    # c = inf has no EOS cap, so p_ref sets the ceiling there
-    ceiling = cfg.p_ceiling_factor * p_ref if eos.nonrelativistic \
-        else 0.999 * eos.p_valid_max
     slope_floor = cfg.slope_floor_factor * p_ref / radius
     r_floor = cfg.r_floor_factor * radius
     m_floor = cfg.m_floor_factor * mass
@@ -532,32 +534,27 @@ def _inward_start(eos, radius, mass, cfg):
     dr = cfg.dr_factor * radius
     r_start, m_start, w_start = surface_start(eos, radius, mass, dr)
     atol = [cfg.atol_factor * mass, cfg.atol_factor * w_start]
-    w_ceiling = eos.enthalpy_of_pressure(ceiling)
-    if w_start >= w_ceiling:
-        if eos.nonrelativistic:
-            raise StellarMatchError(
-                "surface start pressure %g already at or above the c = inf "
-                "pressure ceiling p_ceiling_factor * p_ref = %g"
-                % (eos.pressure_of_enthalpy(w_start), ceiling))
-        raise EosValidityError(
-            "surface start enthalpy %g already beyond the pressure ceiling; "
-            "the EOS cannot represent the fluid at this boundary" % w_start)
-
-    diagnostics = {"p_ref": p_ref, "ceiling": ceiling,
-                   "slope_floor": slope_floor, "r_floor": r_floor,
-                   "m_floor": m_floor}
+    diagnostics = {"p_ref": p_ref, "slope_floor": slope_floor,
+                   "r_floor": r_floor, "m_floor": m_floor}
+    if w_ceiling is not None:
+        if w_start >= w_ceiling:
+            raise EosValidityError(
+                "surface start enthalpy %g already beyond the pressure "
+                "ceiling; the EOS cannot represent the fluid at this "
+                "boundary" % w_start)
+        diagnostics["ceiling"] = 0.999 * eos.p_valid_max
     return _InwardStart(r=r_start, y=[m_start, w_start], atol=atol,
-                        w_ceiling=w_ceiling, slope_floor=slope_floor,
-                        r_floor=r_floor, m_floor=m_floor,
-                        diagnostics=diagnostics)
+                        slope_floor=slope_floor, r_floor=r_floor,
+                        m_floor=m_floor, diagnostics=diagnostics)
 
 
 def shoot_from_boundary(eos, radius, mass, config=None):
     """Inward shot from admissible boundary data; returns
     (ShootClassification, TovTrajectory)."""
     cfg = config or ShootConfig()
-    start = _inward_start(eos, radius, mass, cfg)
-    events, labels = _inward_events(eos)
+    w_ceiling = _w_ceiling(eos)
+    start = _inward_start(eos, radius, mass, cfg, w_ceiling)
+    events, labels = _inward_events(eos, w_ceiling)
     sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events,
                  cfg.rtol, start.atol, start.thresholds())
     cls = _classify(eos, start, labels[sol.event], float(sol.t[-1]),
@@ -576,17 +573,19 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     others alone).
 
     Each lane starts as the scalar shot does and has its events, with its
-    own thresholds, so it takes the same steps and ends on the same event
-    to roundoff.  No shot needs the dense output: its center-floor event
-    fires before any event below r_floor and before the span end, since
-    ShootConfig puts every start above r_floor.  check_domain's tests run
-    on every accepted state of every lane."""
+    own thresholds and the batch's one pressure ceiling, so it takes the
+    same steps and ends on the same event to roundoff.  No shot needs the
+    dense output: its center-floor event fires before any event below
+    r_floor and before the span end, since ShootConfig puts every start
+    above r_floor.  check_domain's tests run on every accepted state of
+    every lane."""
     cfg = config or ShootConfig()
+    w_ceiling = _w_ceiling(eos)
     results = [None] * len(radii)
     lanes, starts = [], []
     for i, (radius, mass) in enumerate(zip(radii, masses)):
         try:
-            starts.append(_inward_start(eos, radius, mass, cfg))
+            starts.append(_inward_start(eos, radius, mass, cfg, w_ceiling))
         except StellarMatchError as exc:
             results[i] = exc
             continue
@@ -594,7 +593,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     if not lanes:
         return results
 
-    events, labels = _inward_events(eos)
+    events, labels = _inward_events(eos, w_ceiling)
     faults, observe = _fault_observer(eos, len(lanes))
     sol = ode.solve_lanes(
         lambda r, y: _lanes_rhs(eos, r, y), [s.r for s in starts],
@@ -616,46 +615,33 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
 
 def _classify(eos, start, label, r_e, m_e, w_e):
     """The ShootClassification of an inward solve that ended on the event
-    `label` at (r_e, m_e, w_e)."""
-    p_e = eos.pressure_of_enthalpy(w_e) if w_e > 0.0 else 0.0
-    diagnostics = start.diagnostics
-
+    `label` at (r_e, m_e, w_e): one decision per exit label."""
+    case, p_center = None, None
     if label == EXIT_PRESSURE_CEILING:
-        # at c = inf the center is the only place P can blow up; at a
-        # finite c the center-floor stop comes first below r_floor
-        case = CASE10 if eos.nonrelativistic else CASE00
-        return ShootClassification(
-            case=case, exit=EXIT_PRESSURE_CEILING, r_exit=r_e, m_exit=m_e,
-            w_exit=w_e, p_exit=math.inf, r_minus=r_e,
-            diagnostics={**diagnostics, "p_at_exit": p_e})
-
-    if label == EXIT_SLOPE_STALL:
-        return ShootClassification(
-            case=CASE01, exit=EXIT_SLOPE_STALL, r_exit=r_e, m_exit=m_e,
-            w_exit=w_e, p_exit=p_e, r_minus=r_e, p_minus=p_e,
-            diagnostics=diagnostics)
-
-    if label == EXIT_CENTER_FLOOR:
+        # the EOS cap, at a finite c only, where its exit lies above r_floor
+        case = CASE00
+    elif label == EXIT_SLOPE_STALL:
+        case = CASE01
+    elif label == EXIT_CENTER_FLOOR:
         if abs(m_e) <= start.m_floor:
             # regular center: strip the known singular mode
             # m_res/(w_unit r) before reading off the central pressure,
             # since raw w(r_floor) amplifies the (R, M) error by ~R/r_floor
+            case = CASE11
             rho_e = eos._fluid(float(w_e))[0]
             m_res = m_e - 4.0 * math.pi / 3.0 * rho_e * r_e**3
             w_center = w_e - m_res / (eos.w_unit * r_e)
             p_center = eos.pressure_of_enthalpy(max(w_center, 0.0))
-            return ShootClassification(
-                case=CASE11, exit=EXIT_CENTER_FLOOR, r_exit=r_e, m_exit=m_e,
-                w_exit=w_e, p_exit=p_e, p_center=p_center,
-                diagnostics=diagnostics)
-        return ShootClassification(
-            case=None, exit=EXIT_CENTER_MASSIVE, r_exit=r_e, m_exit=m_e,
-            w_exit=w_e, p_exit=p_e, diagnostics=diagnostics)
-
-    # horizon or vacuum re-entry: outside the taxonomy
+        elif m_e > 0.0 and eos.nonrelativistic:
+            # dw/dr = -m/r^2: P rises like m/r all the way to r = 0
+            case = CASE10
+        else:
+            label = EXIT_CENTER_MASSIVE
+    # a horizon or vacuum re-entry exit lies outside the taxonomy
     return ShootClassification(
-        case=None, exit=label, r_exit=r_e, m_exit=m_e, w_exit=w_e,
-        p_exit=p_e, diagnostics=diagnostics)
+        case=case, exit=label, r_exit=r_e, m_exit=m_e, w_exit=w_e,
+        p_exit=eos.pressure_of_enthalpy(w_e), p_center=p_center,
+        diagnostics=start.diagnostics)
 
 
 # ---------------------------------------------------------------------------

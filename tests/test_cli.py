@@ -295,13 +295,13 @@ def test_shoot_boundary_inadmissible(capsys, tmp_path):
 @pytest.mark.parametrize("mass", ["1e-3", "1e-12"])
 def test_shoot_boundary_at_c_inf_without_a_horizon_event(capsys, tmp_path,
                                                         mass):
-    # the c = inf shots build no horizon event, which could not fire there;
-    # P stays finite at every r > 0, so a pressure-ceiling exit is a
-    # center blow-up
+    # the c = inf shots build no horizon event, which could not fire there,
+    # and no pressure ceiling; P stays finite at every r > 0, so a positive
+    # mass at the center floor is a center blow-up
     code, out, _ = run(capsys, "shoot-boundary", "--radius", "1.0",
                        "--mass", mass, "--out", str(tmp_path / "o"))
     assert code == 0
-    assert "case = case10, exit = pressure_ceiling" in out
+    assert "case = case10, exit = center_floor\n" in out
 
 
 def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
@@ -322,31 +322,20 @@ def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
         assert sole_error_record(out, 1)["error"] == error, argv
 
 
-def test_start_past_the_c_inf_ceiling_is_a_labelled_error(capsys, tmp_path):
-    # c = inf has no EOS bound: a ceiling p_ceiling_factor * p_ref below the
-    # surface start is the setting's fault, and the error names it
-    code, _, err = run(capsys, "shoot-boundary", "--radius", "1",
-                       "--mass", "1e-3", "--out", str(tmp_path / "o"),
-                       "--set", "tov.p_ceiling_factor=1e-30")
-    assert code == 1
-    record = stderr_error(err)
-    assert record["error"] == "StellarMatchError"
-    assert re.fullmatch(
-        r"surface start pressure \S+ already at or above the c = inf pressure "
-        r"ceiling p_ceiling_factor \* p_ref = 1e-36", record["message"])
-
-
 def test_refinements_key_is_gone(tmp_path):
-    # the inward shot has no refinement ladder, so no rung count to set
-    out = run_python(
-        "-m", "stellar_match.cli", "shoot-boundary", "--radius", "1",
-        "--mass", "1e-3", "--out", str(tmp_path / "o"),
-        "--set", "tov.refinements=2",
-    )
-    record = sole_error_record(out, 2)
-    assert record["error"] == "ConfigError"
-    assert "refinements" in record["message"]
-    assert not (tmp_path / "o").exists()
+    # the inward shot has no refinement ladder, so no rung count to set,
+    # and no pressure-ceiling factor: the ceiling is the EOS cap at a
+    # finite c, and there is none at c = inf
+    for key, value in (("refinements", "2"), ("p_ceiling_factor", "1e6")):
+        out = run_python(
+            "-m", "stellar_match.cli", "shoot-boundary", "--radius", "1",
+            "--mass", "1e-3", "--out", str(tmp_path / "o"),
+            "--set", "tov.%s=%s" % (key, value),
+        )
+        record = sole_error_record(out, 2)
+        assert record["error"] == "ConfigError"
+        assert key in record["message"]
+        assert not (tmp_path / "o").exists()
 
 
 def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):

@@ -53,6 +53,31 @@ def test_validity_gate_on_conversions():
         eos.density_of_pressure(10.0)
 
 
+def test_validity_gate_raises_alike_on_floats_and_arrays():
+    # a float takes plain comparisons, an array numpy's: the same verdict
+    # and the same message
+    eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0)
+    for rho in (-1.0, 0.0, 0.3, 0.7, 1e300, math.inf, math.nan):
+        outcomes = []
+        for value in (rho, np.array([rho])):
+            try:
+                eos._require_valid_rho(value)
+                outcomes.append(None)
+            except EosValidityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], rho
+    assert EosSpec(gamma=2.0)._require_valid_rho(1e300) is None
+
+
+def test_closed_form_float_map_reads_an_overflow_as_inf():
+    # a trial stage far past the cap overflows expm1: the float map gives
+    # inf, as numpy does on lanes, instead of raising OverflowError
+    eos = EosSpec(gamma=5.0 / 3.0, A=1.0, c_light=1.0)
+    assert eos._fluid(1e20) == (math.inf, math.inf)
+    with np.errstate(over="ignore"):
+        assert eos._rho_of_w_array(np.array([1e20]))[0] == math.inf
+
+
 def test_requested_range_error():
     eos = EosSpec(gamma=2.0, A=1.0, c_light=1.0)
     assert eos.requested_range_error(0.4) is None
