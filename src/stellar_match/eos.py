@@ -227,11 +227,13 @@ class EosSpec:
     def _fluid_of_w(self, w):
         """(rho, P) at the enthalpy variable w (a float or an array),
         unchecked, as a right-hand side reads them: vacuum (0, 0) for
-        w <= 0, saturation past the validity bound.  A float goes to
-        `_fluid`."""
+        w <= 0, saturation past the validity bound, and inf where the
+        closed form overflows, without a warning, as `_fluid` reads it.  A
+        float goes to `_fluid`."""
         if isinstance(w, np.ndarray):
-            rho = self._rho_of_w_array(w)
-            return rho, self._pressure_raw(rho)
+            with np.errstate(over="ignore"):
+                rho = self._rho_of_w_array(w)
+                return rho, self._pressure_raw(rho)
         return self._fluid(float(w))
 
     def pressure_of_density(self, rho):
@@ -372,27 +374,28 @@ class EosSpec:
         g, a, csq = self.gamma, self.A, self.c_light**2
         gm1 = g - 1.0
         inv = 1.0 / gm1
-        if self.nonrelativistic:
-            ag = a * g
+        if self.pure_polytrope:
+            if self.nonrelativistic:
+                ag = a * g
+
+                def closed(w):
+                    return (w * gm1 / ag) ** inv
+            else:
+                def closed(w):
+                    return (math.expm1(gm1 * w / g) * csq / a) ** inv
 
             def fluid(w):
                 if w <= 0.0:
                     return 0.0, 0.0
-                rho = (w * gm1 / ag) ** inv
-                return rho, a * rho ** g
-            return fluid
-        if self.pure_polytrope:
-            def fluid(w):
-                if w <= 0.0:
-                    return 0.0, 0.0
+                rho = math.inf
                 try:
-                    rho = (math.expm1(gm1 * w / g) * csq / a) ** inv
+                    rho = closed(w)
                     return rho, a * rho ** g
                 except OverflowError:
-                    # a trial stage far past the cap, where a step jumps
-                    # below the radius floor: inf, as numpy reads it on
-                    # lanes, so the step is rejected instead of raising
-                    return math.inf, math.inf
+                    # a trial stage far past the cap: inf where the float
+                    # operation overflows, as numpy reads it on lanes, so
+                    # the step is rejected instead of raising
+                    return rho, math.inf
             return fluid
 
         sol, h_lo, h_hi, t_hi, slope = self._ln_rho_table

@@ -29,15 +29,16 @@ boundary data (R, M) just inside the surface and end in one of four ways:
     case11  the center floor is reached with |m| within the mass floor
             (the regular-center success)
 
-An inward shot is one solve, read off the event that stopped it and the
-mass at its exit; no setting enters the rule.  It stops at the slope
-stall, at vacuum re-entry, at the center floor r_floor at the latest, and
-at a finite c at the EOS cap, just below the validity bound.  A cap exit
-lies above r_floor, so it is case00, and data whose pressure would blow
-up only below r_floor reach the center floor with their mass:
-center_floor_massive.  At c = inf there is no cap and no ceiling:
-dw/dr = -m/r^2 with m <= M, so P stays finite at every r > 0, and a
-center-floor exit with m above the mass floor is case10.
+An inward shot is one solve whose span ends at the center floor r_floor,
+read off the event that stopped it (the floor, where none did) and the
+mass at its exit; no setting enters the rule.  Events stop it at the
+slope stall, at vacuum re-entry and at a finite c at the EOS cap, just
+below the validity bound.  A cap exit lies above r_floor, so it is
+case00, and data whose pressure would blow up only below r_floor reach
+the center floor with their mass: center_floor_massive.  At c = inf
+there is no cap and no ceiling: dw/dr = -m/r^2 with m <= M, so P stays
+finite at every r > 0, and a center-floor exit with m above the mass
+floor is case10.
 
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
@@ -48,7 +49,8 @@ Every shot is one solve with `ode.solve`, an 8th-order integrator in
 plain float arithmetic that follows scipy's DOP853 step rules and dense
 output, and redoes the step that crosses an event's root to end there; the
 surface and the other exits are such events, so no stage of a shot's last
-step reaches past its exit.  A solve whose steps collapse raises
+step reaches past its exit.  The range guard and the center floor are span
+bounds, which no stage passes.  A solve whose steps collapse raises
 StellarMatchError naming the radius where they did.
 
 `shoot_from_centers` runs many outward shots as the lanes of one
@@ -56,9 +58,10 @@ StellarMatchError naming the radius where they did.
 the right-hand side and events evaluate on arrays of lanes.  It returns
 boundary data or failure labels only, with no trajectories; the domain
 checks run on every accepted lane state.  `shoot_from_boundaries` does the
-same for many inward shots, each lane with its own event thresholds, and
-returns each shot's classification or the error it raised.  On both paths
-a shot is read off the index of the event that stopped it.  Lanes pay from
+same for many inward shots, each lane with its own slope and radius
+floors, and returns each shot's classification or the error it raised.
+On both paths a shot is read off the index of the event that stopped it,
+-1 where it reached its span bound.  Lanes pay from
 about a dozen outward and about twenty inward shots on (matching.LANES_MIN
 picks the batches that use them).
 """
@@ -283,19 +286,10 @@ def pressure_gradient(eos, r, m, w):
                                   / (eos.w_unit * r**2 * metric))
 
 
-def center_start(eos, p_center, r0=None, r0_factor=1e-6):
-    """Series start just off the center: m = (4 pi/3) rho_c r0^3 and the
-    quadratic pressure dip converted to the enthalpy variable."""
-    rho_c = eos.density_of_pressure(p_center)
-    if rho_c <= 0.0:
-        raise ValueError("central pressure must be positive")
-    if r0 is None:
-        r0 = r0_factor * eos.length_scale(rho_c)
-    return (r0, *_center_series(eos, p_center, rho_c, r0))
-
-
 def _center_series(eos, p_center, rho_c, r0):
-    """(m0, w0) of center_start at r0 for a central density rho_c."""
+    """(m0, w0) of the series start just off the center, at r0 for a
+    central density rho_c: m = (4 pi/3) rho_c r0^3 and the quadratic
+    pressure dip converted to the enthalpy variable."""
     m0 = 4.0 * math.pi / 3.0 * rho_c * r0**3
     csq = eos.c_light**2
     p0 = p_center - 2.0 * math.pi / 3.0 * (rho_c + p_center / csq) \
@@ -327,7 +321,7 @@ def _horizon_events(eos):
     """[the event that stops a shot where 1 - 2m/(c^2 r) falls to
     HORIZON_MARGIN], or [] when c = inf, where it cannot fire.  The factor
     is inline, as the event runs every step.  It takes and ignores the
-    inward events' thresholds."""
+    inward events' slope floor."""
     if eos.nonrelativistic:
         return []
     csq = eos.c_light**2
@@ -469,54 +463,50 @@ def _w_ceiling(eos):
 
 
 def _inward_events(eos, w_ceiling):
-    """Terminal events of an inward shot, with their labels in order.
+    """Terminal events of an inward shot, and the labels of its exits by
+    the index of the event that stopped the solve.
 
-    Each event takes the shot's thresholds (slope_floor, r_floor) after
-    (r, y) as its event arguments, one set per lane on lanes.  The
-    center-floor stop fires at r_floor, before the solve's span ends at
-    0.01 r_floor, so every inward solve ends on an event.  The pressure
-    ceiling w_ceiling (_w_ceiling) comes first and the horizon last, both
-    only for a finite c."""
-    def slope_excess(r, y, slope_floor, r_floor):
+    Each event takes the shot's slope_floor after (r, y) as its event
+    argument, one per lane on lanes.  The pressure ceiling w_ceiling
+    (_w_ceiling) comes first and the horizon last, both only for a finite
+    c.  A solve that no event stopped (-1) reached its span bound, the
+    center floor."""
+    def slope_excess(r, y, slope_floor):
         return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
 
     horizon = _horizon_events(eos)
     ceiling = [] if w_ceiling is None else [
-        _directed(lambda r, y, *_: y[1] - w_ceiling, 1)]
+        _directed(lambda r, y, _: y[1] - w_ceiling, 1)]
     events = ceiling + [
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
         _directed(slope_excess, -1),
-        _directed(lambda r, y, *_: y[1], -1),  # vacuum re-entry, w = 0
-        _directed(lambda r, y, slope_floor, r_floor: r - r_floor, -1),
+        _directed(lambda r, y, _: y[1], -1),  # vacuum re-entry, w = 0
     ] + horizon
     labels = [EXIT_PRESSURE_CEILING] * len(ceiling) + [
-        EXIT_SLOPE_STALL, EXIT_VACUUM, EXIT_CENTER_FLOOR] \
-        + [EXIT_HORIZON] * len(horizon)
+        EXIT_SLOPE_STALL, EXIT_VACUUM] + [EXIT_HORIZON] * len(horizon) \
+        + [EXIT_CENTER_FLOOR]
     return events, labels
 
 
 @dataclass
 class _InwardStart:
-    """Start state, tolerances and thresholds of an inward shot."""
+    """Start state, tolerances and floors of an inward shot."""
 
     r: float                # R - dr
     y: list                 # [m, w] at r
     atol: list
-    slope_floor: float
-    r_floor: float
+    slope_floor: float      # the inward events' argument
+    r_floor: float          # the solve's span bound
     m_floor: float
     diagnostics: dict
-
-    def thresholds(self):
-        """The inward events' thresholds."""
-        return self.slope_floor, self.r_floor
 
 
 def _inward_start(eos, radius, mass, cfg, w_ceiling):
     """_InwardStart of an inward shot from (R, M) under the pressure
     ceiling w_ceiling (_w_ceiling); raises AdmissibilityError for
-    inadmissible data and EosValidityError where the EOS cannot represent
+    inadmissible data, or data whose p_ref or slope floor is not a finite
+    positive float, and EosValidityError where the EOS cannot represent
     the fluid at the start."""
     if not admissible(radius, mass, eos.c_light):
         raise AdmissibilityError(
@@ -526,8 +516,15 @@ def _inward_start(eos, radius, mass, cfg, w_ceiling):
         raise AdmissibilityError("boundary data starts inside the horizon "
                                  "margin")
 
-    p_ref = mass**2 / radius**4
+    # numpy scalars give the float powers' bits, and where a power over-
+    # or underflows give inf, 0 or NaN instead of raising
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p_ref = float(np.float64(mass)**2 / np.float64(radius)**4)
     slope_floor = cfg.slope_floor_factor * p_ref / radius
+    if not (0.0 < p_ref < math.inf and 0.0 < slope_floor < math.inf):
+        raise AdmissibilityError(
+            "(R, M) = (%g, %g) give p_ref = %g and slope floor %g; both "
+            "must be finite and positive" % (radius, mass, p_ref, slope_floor))
     r_floor = cfg.r_floor_factor * radius
     m_floor = cfg.m_floor_factor * mass
 
@@ -555,8 +552,8 @@ def shoot_from_boundary(eos, radius, mass, config=None):
     w_ceiling = _w_ceiling(eos)
     start = _inward_start(eos, radius, mass, cfg, w_ceiling)
     events, labels = _inward_events(eos, w_ceiling)
-    sol = _solve(eos, (start.r, 0.01 * start.r_floor), start.y, events,
-                 cfg.rtol, start.atol, start.thresholds())
+    sol = _solve(eos, (start.r, start.r_floor), start.y, events, cfg.rtol,
+                 start.atol, (start.slope_floor,))
     cls = _classify(eos, start, labels[sol.event], float(sol.t[-1]),
                     float(sol.y[0, -1]), float(sol.y[1, -1]))
     traj = TovTrajectory(eos, "inward", sol, cls.exit,
@@ -573,11 +570,9 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     others alone).
 
     Each lane starts as the scalar shot does and has its events, with its
-    own thresholds and the batch's one pressure ceiling, so it takes the
-    same steps and ends on the same event to roundoff.  No shot needs the
-    dense output: its center-floor event fires before any event below
-    r_floor and before the span end, since ShootConfig puts every start
-    above r_floor.  check_domain's tests run on every accepted state of
+    own slope floor, its own span bound r_floor and the batch's one
+    pressure ceiling, so it takes the same steps and ends on the same exit
+    to roundoff.  check_domain's tests run on every accepted state of
     every lane."""
     cfg = config or ShootConfig()
     w_ceiling = _w_ceiling(eos)
@@ -597,9 +592,9 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     faults, observe = _fault_observer(eos, len(lanes))
     sol = ode.solve_lanes(
         lambda r, y: _lanes_rhs(eos, r, y), [s.r for s in starts],
-        [0.01 * s.r_floor for s in starts], np.array([s.y for s in starts]).T,
+        [s.r_floor for s in starts], np.array([s.y for s in starts]).T,
         cfg.rtol, np.array([s.atol for s in starts]).T, events, observe,
-        np.array([s.thresholds() for s in starts]).T)
+        [[s.slope_floor for s in starts]])
     for j, (i, start) in enumerate(zip(lanes, starts)):
         try:
             if sol.status[j] < 0:
@@ -614,7 +609,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
 
 
 def _classify(eos, start, label, r_e, m_e, w_e):
-    """The ShootClassification of an inward solve that ended on the event
+    """The ShootClassification of an inward solve that ended on the exit
     `label` at (r_e, m_e, w_e): one decision per exit label."""
     case, p_center = None, None
     if label == EXIT_PRESSURE_CEILING:

@@ -322,6 +322,21 @@ def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
         assert sole_error_record(out, 1)["error"] == error, argv
 
 
+@pytest.mark.parametrize("radius, mass", [
+    ("1e-150", "0.1"), ("1e-110", "1e-111"), ("1e100", "1e99")])
+def test_extreme_boundary_data_are_labelled_errors(tmp_path, radius, mass):
+    # M^2/R^4 underflows or overflows a float power at these (R, M): the
+    # pressure scale p_ref is then not a finite positive float, and the
+    # shot is refused with one JSON error line, with no traceback and no
+    # numpy warning
+    out = run_python("-W", "error::RuntimeWarning", "-m", "stellar_match.cli",
+                     "shoot-boundary", "--radius", radius, "--mass", mass,
+                     "--out", str(tmp_path / "o"))
+    record = sole_error_record(out, 1)
+    assert record["error"] == "AdmissibilityError"
+    assert "p_ref" in record["message"]
+
+
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set,
     # and no pressure-ceiling factor: the ceiling is the EOS cap at a
@@ -339,8 +354,9 @@ def test_refinements_key_is_gone(tmp_path):
 
 
 def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
-    # r_floor = 2 R lies above the start R - dr, where the center-floor
-    # event cannot fire; such a config is malformed, whatever (R, M).
+    # r_floor = 2 R lies above the start R - dr, so the inward span to
+    # r_floor would point outward; such a config is malformed, whatever
+    # (R, M).
     out = run_python(
         "-m", "stellar_match.cli", "shoot-boundary", "--radius", "9.5",
         "--mass", "0.05", "--out", str(tmp_path / "o"),

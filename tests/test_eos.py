@@ -70,12 +70,24 @@ def test_validity_gate_raises_alike_on_floats_and_arrays():
 
 
 def test_closed_form_float_map_reads_an_overflow_as_inf():
-    # a trial stage far past the cap overflows expm1: the float map gives
-    # inf, as numpy does on lanes, instead of raising OverflowError
+    # a trial stage far past the cap overflows expm1 or a power, in both
+    # modes: the float map gives inf, as numpy does on lanes, instead of
+    # raising OverflowError, and the array map gives inf without a warning
+    # (which this suite turns into an error).  Both give the same (rho, P),
+    # rho to the closed form's ulp.
     eos = EosSpec(gamma=5.0 / 3.0, A=1.0, c_light=1.0)
     assert eos._fluid(1e20) == (math.inf, math.inf)
     with np.errstate(over="ignore"):
         assert eos._rho_of_w_array(np.array([1e20]))[0] == math.inf
+    for gamma in (4.0 / 3.0, 5.0 / 3.0, 2.0):
+        for c in (1.0, math.inf):
+            eos = EosSpec(gamma=gamma, A=1.0, c_light=c)
+            for w in (1e20, 1e100, 1e200, 1e300):
+                rho, p = eos._fluid(w)
+                rho_a, p_a = eos._fluid_of_w(np.array([w]))
+                assert rho == pytest.approx(float(rho_a[0]), rel=1e-15)
+                assert p == pytest.approx(float(p_a[0]), rel=1e-15)
+            assert eos._fluid(1e300)[1] == math.inf
 
 
 def test_requested_range_error():

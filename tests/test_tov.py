@@ -111,8 +111,7 @@ def test_center_start_mass_term():
     eos = eos_newt()
     p_c = 1e-3
     rho_c = eos.density_of_pressure(p_c)
-    r0, m0, w0 = tov.center_start(eos, p_c, r0=1e-3)
-    assert r0 == 1e-3
+    m0, w0 = tov._center_series(eos, p_c, rho_c, 1e-3)
     assert m0 == pytest.approx(4.0 * math.pi / 3.0 * rho_c * 1e-9, rel=1e-14)
     assert 0.0 < w0 < eos.enthalpy_of_pressure(p_c)
 
@@ -121,9 +120,10 @@ def test_center_start_quadratic_dip():
     # the pressure deficit at r0 is quadratic: halving r0 quarters it
     eos = eos_rel()
     p_c = 1e-3
+    rho_c = eos.density_of_pressure(p_c)
     u_c = eos.enthalpy_of_pressure(p_c)
-    _, _, w_a = tov.center_start(eos, p_c, r0=1e-3)
-    _, _, w_b = tov.center_start(eos, p_c, r0=5e-4)
+    _, w_a = tov._center_series(eos, p_c, rho_c, 1e-3)
+    _, w_b = tov._center_series(eos, p_c, rho_c, 5e-4)
     assert (u_c - w_a) / (u_c - w_b) == pytest.approx(4.0, rel=1e-2)
 
 
@@ -361,11 +361,11 @@ def test_c_inf_reads_a_blow_up_off_the_center_floor(gamma, data):
         assert lane.r_exit == pytest.approx(want.r_exit, rel=1e-11)
 
 
-def test_a_step_past_the_center_floor_is_rejected_not_raised():
-    # This near-case11 shot at gamma = 5/3, c = 1 tries a step to the span
-    # end below r_floor, where the singular mode m/r drives a trial stage
-    # to w ~ 1e20.  The float map reads that as inf, as numpy does on
-    # lanes, so the step is rejected instead of overflowing math.expm1.
+def test_a_near_case11_shot_ends_at_the_center_floor():
+    # This near-case11 shot at gamma = 5/3, c = 1 once tried a step below
+    # r_floor, where the singular mode m/r drove a trial stage to
+    # w ~ 1e20.  r_floor is now its span bound, and both configs still
+    # read a regular center there.
     for cfg in (tov.ShootConfig(), tov.ShootConfig(dr_factor=1e-7)):
         cls, _ = tov.shoot_from_boundary(eos_rel(), 2.1944351886319136,
                                          0.30835285128143747, cfg)
@@ -381,10 +381,56 @@ FINITE_C_EOS = {
 }
 
 
+def _inward_rhs_radii(monkeypatch):
+    """(floats, lanes): lists that collect the radius of every scalar and
+    every lane right-hand side call."""
+    floats, lanes = [], []
+    real_rhs, real_lanes = tov.tov_rhs, tov._lanes_rhs
+
+    def rhs(eos, r, m, w):
+        floats.append(r)
+        return real_rhs(eos, r, m, w)
+
+    def lanes_rhs(eos, r, y):
+        lanes.extend(r.tolist())
+        return real_lanes(eos, r, y)
+
+    monkeypatch.setattr(tov, "tov_rhs", rhs)
+    monkeypatch.setattr(tov, "_lanes_rhs", lanes_rhs)
+    return floats, lanes
+
+
+@pytest.mark.parametrize("eos, mass, want", [
+    (eos_rel(), None, (tov.CASE11, tov.EXIT_CENTER_FLOOR)),
+    (eos_newt(), 1e-3, (tov.CASE10, tov.EXIT_CENTER_FLOOR)),
+    (eos_rel(), 1e-7, (None, tov.EXIT_CENTER_MASSIVE)),
+], ids=["case11", "case10", "massive"])
+def test_no_inward_rhs_call_sees_a_radius_below_the_floor(monkeypatch, eos,
+                                                          mass, want):
+    # r_floor is the inward solve's span bound, so no stage of a shot that
+    # reaches the center floor evaluates the right-hand side below it, on
+    # floats or on lanes; the last step ends on the floor exactly.  A
+    # stage at t + h of the last step rounds within an ulp of its start t,
+    # far above r_floor, hence the 1e-12 (the span once ran to
+    # 0.01 r_floor).
+    radius = 1.0
+    if mass is None:  # on the curve
+        surface, _ = tov.shoot_from_center(eos, 1e-3)
+        radius, mass = surface.radius, surface.mass
+    floats, lanes = _inward_rhs_radii(monkeypatch)
+    cls, _ = tov.shoot_from_boundary(eos, radius, mass)
+    [lane] = tov.shoot_from_boundaries(eos, [radius], [mass])
+    r_floor = tov.ShootConfig().r_floor_factor * radius
+    for got, radii in ((cls, floats), (lane, lanes)):
+        assert (got.case, got.exit) == want
+        assert got.r_exit == got.diagnostics["r_floor"] == r_floor
+        assert min(radii) == pytest.approx(r_floor, rel=1e-12)
+
+
 def test_center_massive_exit_outside_taxonomy():
     # At a finite c the pressure ceiling is the EOS cap, and light data,
-    # 2M/R = 2e-7, would reach it only below r_floor: the center-floor stop
-    # ends the shot with the mass, outside the taxonomy.
+    # 2M/R = 2e-7, would reach it only below r_floor: the solve ends at
+    # its span bound r_floor with the mass, outside the taxonomy.
     for eos in FINITE_C_EOS.values():
         cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-7)
         assert cls.case is None
@@ -473,6 +519,22 @@ def test_inadmissible_boundary_data():
         assert not tov.admissible(*bad)
         with pytest.raises(AdmissibilityError):
             tov.shoot_from_boundary(eos_newt(), *bad)
+
+
+def test_extreme_boundary_data_are_inadmissible():
+    # M^2/R^4 underflows or overflows a float power at these (R, M), so
+    # p_ref or the slope floor is not a finite positive float: both paths
+    # refuse the data, and a lane's refusal leaves its batch mates alone
+    eos = eos_newt(gamma=2.0)
+    extreme = [(1e-150, 0.1), (1e-110, 1e-111), (1e100, 1e99)]
+    for radius, mass in extreme:
+        with pytest.raises(AdmissibilityError, match="p_ref"):
+            tov.shoot_from_boundary(eos, radius, mass)
+    *refused, shot = tov.shoot_from_boundaries(
+        eos, *zip(*extreme, (1.0, 1e-3)))
+    for exc in refused:
+        assert isinstance(exc, AdmissibilityError) and "p_ref" in str(exc)
+    assert (shot.case, shot.exit) == (tov.CASE10, tov.EXIT_CENTER_FLOOR)
 
 
 def test_near_horizon_start_beyond_validity():
@@ -569,7 +631,11 @@ def test_events_hold_a_horizon_only_for_a_finite_c():
         w_ceiling = tov._w_ceiling(eos)
         assert (w_ceiling is None) == (not finite_c)
         events, labels = tov._inward_events(eos, w_ceiling)
-        assert len(events) == len(labels) == 3 + 2 * finite_c
+        # the center floor is the span bound, not an event: a solve no
+        # event stopped (-1) reached it
+        assert len(events) == 2 + 2 * finite_c
+        assert len(labels) == len(events) + 1
+        assert labels[-1] == tov.EXIT_CENTER_FLOOR
         assert labels.count(tov.EXIT_HORIZON) == finite_c
         assert labels.count(tov.EXIT_PRESSURE_CEILING) == finite_c
     assert tov._OUTWARD_EXITS[-1] == tov.EXIT_R_MAX
@@ -907,8 +973,9 @@ def test_lanes_do_not_depend_on_their_batch_mates(batch_pool, data):
 def test_boundary_shots_refuse_a_start_inside_the_floor(
         monkeypatch, lanes_solves, dr_factor, r_floor_factor):
     # r_floor_factor + dr_factor >= 1 puts every start R - dr at or inside
-    # r_floor, where the center-floor event cannot fire.  Such a config
-    # cannot be built, so neither path runs a shot, whatever the data.
+    # r_floor, the inward solve's span bound, so the span would be empty or
+    # point outward.  Such a config cannot be built, so neither path runs a
+    # shot, whatever the data.
     solves = []
     monkeypatch.setattr(ode, "solve", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="radius floor"):
