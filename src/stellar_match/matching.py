@@ -34,9 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads np.random on first use; importing it here keeps that load
-# in start-up, with the package's other imports.
-from numpy.random import default_rng
 
 from .errors import (
     AdmissibilityError,
@@ -45,6 +42,7 @@ from .errors import (
     StellarMatchError,
 )
 from .reports import canonical_json, sanitize
+from .rng import Pcg64
 from .tov import (
     CASE11,
     LABEL_EOS_VALIDITY,
@@ -558,7 +556,7 @@ def _draw_rect_samples(eos, curves, sampler, count):
             "grid sampler produced %d of %d samples after rejection"
             % (len(out), count)
         )
-    rng = default_rng(sampler.seed)
+    rng = Pcg64(sampler.seed)
     attempts = 0
     max_attempts = max(200 * count, 10_000)
     while len(out) < count:
@@ -581,11 +579,11 @@ def _draw_on_curve_samples(eos, curves, sampler, count, config):
     """Fresh forward shots at central pressures inside curve intervals."""
     if not curves:
         raise ValueError("on-curve sampling needs a non-empty curve list")
-    rng = default_rng(sampler.seed)
+    rng = Pcg64(sampler.seed)
     out = []
     margin = sampler.on_curve_log_margin
     while len(out) < count:
-        curve = curves[int(rng.integers(len(curves)))]
+        curve = curves[rng.integers(len(curves))]
         lo, hi = math.log(curve.p_lo), math.log(curve.p_hi)
         width = hi - lo
         p = math.exp(rng.uniform(lo + margin * width, hi - margin * width))

@@ -69,6 +69,7 @@ picks the batches that use them).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,9 +518,14 @@ def _inward_start(eos, radius, mass, cfg, w_ceiling):
                                  "margin")
 
     # numpy scalars give the float powers' bits, and where a power over-
-    # or underflows give inf, 0 or NaN instead of raising
+    # or underflows give inf, 0 or NaN instead of raising.  Where M**2 or
+    # R**4 is zero or subnormal, (M/R/R)**2 keeps p_ref's digits.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p_ref = float(np.float64(mass)**2 / np.float64(radius)**4)
+        m2, r4 = np.float64(mass)**2, np.float64(radius)**4
+        if min(m2, r4) < sys.float_info.min:
+            p_ref = float((np.float64(mass) / radius / radius)**2)
+        else:
+            p_ref = float(m2 / r4)
     slope_floor = cfg.slope_floor_factor * p_ref / radius
     if not (0.0 < p_ref < math.inf and 0.0 < slope_floor < math.inf):
         raise AdmissibilityError(

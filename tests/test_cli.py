@@ -325,10 +325,9 @@ def test_degenerate_shot_inputs_are_labelled_errors(tmp_path):
 @pytest.mark.parametrize("radius, mass", [
     ("1e-150", "0.1"), ("1e-110", "1e-111"), ("1e100", "1e99")])
 def test_extreme_boundary_data_are_labelled_errors(tmp_path, radius, mass):
-    # M^2/R^4 underflows or overflows a float power at these (R, M): the
-    # pressure scale p_ref is then not a finite positive float, and the
-    # shot is refused with one JSON error line, with no traceback and no
-    # numpy warning
+    # the pressure scale p_ref = M^2/R^4 or its slope floor is not a
+    # finite positive float at these (R, M), and the shot is refused with
+    # one JSON error line, with no traceback and no numpy warning
     out = run_python("-W", "error::RuntimeWarning", "-m", "stellar_match.cli",
                      "shoot-boundary", "--radius", radius, "--mass", mass,
                      "--out", str(tmp_path / "o"))
@@ -531,6 +530,22 @@ def test_empty_lock_does_not_block(capsys, tmp_path):
     code, _, _ = run(capsys, "eos-check", "--out", str(tmp_path))
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == ["eos_check.json"]
+
+
+def test_commands_do_not_load_numpy_random(tmp_path):
+    # the sweep draws from stellar_match.rng, so surface and a 3-sample
+    # match run in one process without importing numpy's random package
+    script = (
+        "import sys\n"
+        "from stellar_match import cli\n"
+        "assert cli.main(['surface', '--out', sys.argv[1] + '/s']) == 0\n"
+        "assert cli.main(['match', '--out', sys.argv[1] + '/m',\n"
+        "                 '--set', 'sweep.count=3']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+        "assert not loaded, loaded\n"
+    )
+    out = run_python("-c", script, str(tmp_path))
+    assert out.returncode == 0, out.stderr
 
 
 def run_python(*args):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from stellar_match.eos import EosSpec
 from stellar_match.errors import (AdmissibilityError, EosValidityError,
@@ -522,9 +523,9 @@ def test_inadmissible_boundary_data():
 
 
 def test_extreme_boundary_data_are_inadmissible():
-    # M^2/R^4 underflows or overflows a float power at these (R, M), so
-    # p_ref or the slope floor is not a finite positive float: both paths
-    # refuse the data, and a lane's refusal leaves its batch mates alone
+    # p_ref = M^2/R^4 or the slope floor p_ref/R overflows, or R**4 does
+    # and p_ref reads 0, at these (R, M): both paths refuse the data, and a
+    # lane's refusal leaves its batch mates alone
     eos = eos_newt(gamma=2.0)
     extreme = [(1e-150, 0.1), (1e-110, 1e-111), (1e100, 1e99)]
     for radius, mass in extreme:
@@ -535,6 +536,33 @@ def test_extreme_boundary_data_are_inadmissible():
     for exc in refused:
         assert isinstance(exc, AdmissibilityError) and "p_ref" in str(exc)
     assert (shot.case, shot.exit) == (tov.CASE10, tov.EXIT_CENTER_FLOOR)
+
+
+def test_p_ref_keeps_its_digits_where_a_power_underflows():
+    # R**4 is zero at R = 1e-100 and subnormal at R = 1e-80, and M**2 is
+    # subnormal at M = 1e-160: there p_ref = M^2/R^4 is computed as
+    # (M/R/R)^2, so (1e-100, 1e-101) reads a verdict, with p_ref = 1e198,
+    # instead of a refusal as p_ref = inf
+    eos = eos_newt(gamma=2.0)
+    for cls in (tov.shoot_from_boundary(eos, 1e-100, 1e-101)[0],
+                *tov.shoot_from_boundaries(eos, [1e-100], [1e-101])):
+        assert (cls.case, cls.exit) == (tov.CASE10, tov.EXIT_CENTER_FLOOR)
+        assert cls.diagnostics["p_ref"] == pytest.approx(1e198, rel=1e-15)
+    for radius, mass in ((1e-80, 1e-81), (1e-70, 1e-160)):
+        start = tov._inward_start(eos, radius, mass, tov.ShootConfig(), None)
+        assert start.diagnostics["p_ref"] == (mass / radius / radius)**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_r=st.floats(-70.0, 70.0), log_c=st.floats(-12.0, math.log10(0.3)))
+def test_p_ref_keeps_the_float_powers_bits(log_r, log_c):
+    # where neither power underflows, p_ref is M**2/R**4 bit for bit, so
+    # every slope floor and trajectory of ordinary data is unchanged
+    radius = 10.0**log_r
+    mass = 0.5 * radius * 10.0**log_c
+    start = tov._inward_start(eos_newt(gamma=2.0), radius, mass,
+                              tov.ShootConfig(), None)
+    assert start.diagnostics["p_ref"] == mass**2 / radius**4
 
 
 def test_near_horizon_start_beyond_validity():
@@ -981,6 +1009,171 @@ def test_boundary_shots_refuse_a_start_inside_the_floor(
     with pytest.raises(ValueError, match="radius floor"):
         tov.ShootConfig(dr_factor=dr_factor, r_floor_factor=r_floor_factor)
     assert solves == [] and lanes_solves == []
+
+
+# -- the n = 1 Newtonian inward problem in closed form -----------------------
+#
+# At c = inf and gamma 2 (n = 1, A = 1) the inward equations du/dr = -m/r^2
+# and dm/dr = 2 pi r^2 u are linear, with u = w = 2 rho.  From u(R) = 0 and
+# m(R) = M they give, with k = sqrt(2 pi),
+#   u(r) = M sin(k(R - r))/(kRr),
+#   m(r) = M [sin(k(R - r)) + kr cos(k(R - r))]/(kR)
+# (the n = 1 Lane-Emden solution sin(xi)/xi).  m(0) = M sin(kR)/(kR), so
+# the center is regular only on the line R = sqrt(pi/2), where kR = pi and
+# P_c = (M/(2R))^2.  Inside it (R < sqrt(pi/2)) m stays positive down to
+# r = 0: case10.  Outside it u vanishes at r = R - sqrt(pi/2), where the
+# pressure gradient stalls: case01.
+
+K_N1 = math.sqrt(2.0 * math.pi)
+R_N1 = math.sqrt(math.pi / 2.0)
+# Measured largest errors over the shots below, floats and lanes: m to
+# 2.0e-11 M and u to 5.5e-11 (max|u| + M/r); allowed with about 5x
+# headroom.  An error dm in m feeds u through du/dr = -m/r^2 as dm/r,
+# which near the floor outgrows max|u| on the curve, hence the M/r term.
+N1_M_TOL = 1e-10
+N1_U_TOL = 3e-10
+N1_SHOTS = [(0.3, 0.06), (0.6, 3e-4), (1.0, 5e-13), (1.2, 0.03),
+            (R_N1, 5e-4), (R_N1, 0.2), (R_N1 * (1.0 - 3e-6), 5e-3),
+            (R_N1 * (1.0 + 3e-7), 5e-3), (1.4, 7e-4), (2.5, 0.125)]
+
+
+def _n1_inward(r, radius, mass):
+    """(u, m) of the exact inward solution from (R, M), at radii r."""
+    phase = K_N1 * (radius - r)
+    u = mass * np.sin(phase) / (K_N1 * radius * r)
+    m = mass * (np.sin(phase) + K_N1 * r * np.cos(phase)) / (K_N1 * radius)
+    return u, m
+
+
+def _assert_n1_states(radius, mass, r, m, w):
+    u_exact, m_exact = _n1_inward(r, radius, mass)
+    u_max = np.max(np.abs(u_exact))
+    assert np.all(np.abs(m - m_exact) <= N1_M_TOL * mass)
+    assert np.all(np.abs(w - u_exact) <= N1_U_TOL * (u_max + mass / r))
+
+
+def test_n1_inward_trajectories_are_exact(monkeypatch):
+    # on the curve, just inside and outside the case11 band, and far off
+    # it on both sides, every accepted state of a scalar shot and of a
+    # lane sits on the closed form
+    eos = eos_newt(gamma=2.0)
+    for radius, mass in N1_SHOTS:
+        _, traj = tov.shoot_from_boundary(eos, radius, mass)
+        _assert_n1_states(radius, mass, traj.r, traj.m, traj.w)
+
+    states = []
+    real = tov._fault_observer
+
+    def observer(eos, lanes):
+        faults, observe = real(eos, lanes)
+
+        def record(index, r, y):
+            states.append((np.array(index), np.array(r), np.array(y)))
+            observe(index, r, y)
+
+        return faults, record
+
+    monkeypatch.setattr(tov, "_fault_observer", observer)
+    tov.shoot_from_boundaries(eos, *zip(*N1_SHOTS))
+    for lane, (radius, mass) in enumerate(N1_SHOTS):
+        r, y = zip(*[(r[index == lane], y[:, index == lane])
+                     for index, r, y in states])
+        r, y = np.concatenate(r), np.concatenate(y, axis=1)
+        assert r.size > 10
+        _assert_n1_states(radius, mass, r, y[0], y[1])
+
+
+# Just outside the band u vanishes so close to r_floor, and so steeply,
+# that a step can pass the slope floor's thin shell and stop on u = 0
+# instead: vacuum re-entry, outside the taxonomy.  Seen up to 131 r_floor
+# past the curve; allowed up to this many r_floor.
+N1_VACUUM_REACH = 1e3
+
+
+def _n1_verdicts(radius, mass, cfg):
+    """The (case, exit) pairs the closed form allows under the floors of
+    cfg, or None within a relative 1e-3 of an edge of the case11 band.  The
+    band is -m_floor_factor < R/sqrt(pi/2) - 1 < r_floor_factor: inside it
+    m at r_floor is within the mass floor, and u does not vanish above
+    r_floor."""
+    r_floor = cfg.r_floor_factor * radius
+    # u's first zero inward of R is at R - sqrt(pi/2)
+    d_ratio = (radius - R_N1) / r_floor
+    if abs(d_ratio - 1.0) < 1e-3:
+        return None
+    if d_ratio > N1_VACUUM_REACH:
+        return {(tov.CASE01, tov.EXIT_SLOPE_STALL)}
+    if d_ratio > 1.0:
+        return {(tov.CASE01, tov.EXIT_SLOPE_STALL), (None, tov.EXIT_VACUUM)}
+    m_ratio = _n1_inward(r_floor, radius, mass)[1] / (cfg.m_floor_factor
+                                                        * mass)
+    if abs(m_ratio - 1.0) < 1e-3:
+        return None
+    if m_ratio > 1.0:
+        return {(tov.CASE10, tov.EXIT_CENTER_FLOOR)}
+    return {(tov.CASE11, tov.EXIT_CENTER_FLOOR)}
+
+
+def _n1_stall_radius(radius, mass, slope_floor):
+    """Where |dP/dr| = (u/2)|m|/r^2 of the closed form falls to
+    slope_floor, above r = R - sqrt(pi/2), where u vanishes."""
+    def excess(r):
+        u, m = _n1_inward(r, radius, mass)
+        return 0.5 * u * abs(m) / r**2 - slope_floor
+
+    zero = radius - R_N1
+    return brentq(excess, zero, zero + 0.01 * R_N1, xtol=1e-300, rtol=1e-15)
+
+
+NEAR_N1 = st.builds(lambda sign, log_eps: R_N1 * (1.0 + sign * 10.0**log_eps),
+                    st.sampled_from([-1.0, 1.0]), st.floats(-8.0, -3.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.lists(st.tuples(st.one_of(st.floats(0.3, 3.0), NEAR_N1),
+                               st.floats(-12.0, math.log10(0.3))),
+                     min_size=1, max_size=6))
+@example(data=[(R_N1 * (1.0 - 5e-6), -2.0), (R_N1 * (1.0 + 5e-7), -2.0),
+               (R_N1 * (1.0 - 2e-5), -2.0), (R_N1 * (1.0 + 2e-6), -2.0)])
+def test_n1_inward_verdicts_follow_the_closed_form(data):
+    # R < sqrt(pi/2) is case10 and R > sqrt(pi/2) is case01, except in the
+    # case11 band the floors give (and the vacuum re-entries just past it),
+    # on floats and on lanes alike.  case10's m_exit is m(r_floor); case01
+    # stops where the closed form's slope falls to the slope floor,
+    # measured to 2.1e-10 relative 0.01 R or more past the curve.  Nearer
+    # it the stall radius is small, and u's error of about dm/r moves it
+    # further (1.2e-9 relative at 0.004 R), so it is not checked there.
+    eos = eos_newt(gamma=2.0)
+    cfg = tov.ShootConfig()
+    radii = [radius for radius, _ in data]
+    masses = [0.5 * radius * 10.0**log_c for radius, log_c in data]
+    lanes = tov.shoot_from_boundaries(eos, radii, masses)
+    for radius, mass, lane in zip(radii, masses, lanes):
+        scalar, _ = tov.shoot_from_boundary(eos, radius, mass)
+        want = _n1_verdicts(radius, mass, cfg)
+        for cls in (scalar, lane):
+            if want is not None:
+                assert (cls.case, cls.exit) in want, (radius, mass)
+            if cls.case == tov.CASE10:
+                m_exact = _n1_inward(cls.r_exit, radius, mass)[1]
+                assert abs(cls.m_exit - m_exact) <= N1_M_TOL * mass
+            if cls.case == tov.CASE01 and radius - R_N1 >= 0.01 * radius:
+                stall = _n1_stall_radius(radius, mass,
+                                         cls.diagnostics["slope_floor"])
+                assert cls.r_exit == pytest.approx(stall, rel=1e-9)
+
+
+@pytest.mark.parametrize("mass", [1e-9, 1e-3, 0.1, 0.5])
+def test_n1_case11_p_center_is_exact(mass):
+    # On R = sqrt(pi/2) the center is regular with P_c = rho_c^2 =
+    # (M/(2R))^2.  Measured to 7.7e-9 relative; allowed 3e-8.
+    eos = eos_newt(gamma=2.0)
+    want = (mass / (2.0 * R_N1))**2
+    scalar, _ = tov.shoot_from_boundary(eos, R_N1, mass)
+    [lane] = tov.shoot_from_boundaries(eos, [R_N1], [mass])
+    for cls in (scalar, lane):
+        assert cls.case == tov.CASE11
+        assert cls.p_center == pytest.approx(want, rel=3e-8)
 
 
 # -- metric coefficients and junction --------------------------------------
