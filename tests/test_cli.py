@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stellar_match import __version__, lane_emden
 from stellar_match.cli import DEFAULT_CONFIG, LOCK_NAME, load_config, main, output_lock
@@ -19,7 +19,10 @@ from stellar_match.eos import EosSpec
 from stellar_match.errors import ConfigError, StellarMatchError
 from stellar_match.reports import canonical_json
 from stellar_match.surface_fit import fit_ladder
-from stellar_match.tov import ShootConfig
+from stellar_match.tov import (CASE00, CASE01, CASE10, CASE11,
+                               EXIT_CENTER_FLOOR, EXIT_CENTER_MASSIVE,
+                               EXIT_HORIZON, EXIT_PRESSURE_CEILING,
+                               EXIT_SLOPE_STALL, EXIT_VACUUM, ShootConfig)
 
 
 def run(capsys, *argv):
@@ -336,6 +339,43 @@ def test_extreme_boundary_data_are_labelled_errors(tmp_path, radius, mass):
     assert "p_ref" in record["message"]
 
 
+# (case, exit) pairs an inward shot can report: the four cases, each on
+# the exit that decides it, and the labelled exits outside the taxonomy
+INWARD_VERDICTS = {
+    (CASE00, EXIT_PRESSURE_CEILING), (CASE01, EXIT_SLOPE_STALL),
+    (CASE10, EXIT_CENTER_FLOOR), (CASE11, EXIT_CENTER_FLOOR),
+    (None, EXIT_CENTER_MASSIVE), (None, EXIT_HORIZON), (None, EXIT_VACUUM),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_r=st.floats(-160.0, 160.0),
+       log_compactness=st.floats(-14.0, math.log10(0.49)),
+       c=st.sampled_from(["inf", "1", "10"]),
+       gamma=st.sampled_from(["2", repr(5.0 / 3.0), "1.5"]))
+def test_shoot_boundary_gives_a_verdict_or_a_labelled_refusal(
+        capsys, tmp_path, log_r, log_compactness, c, gamma):
+    # any boundary data from tiny to huge R, at any compactness below the
+    # horizon, on each EOS: exit 0 with a verdict of the taxonomy at a
+    # finite radius, or exit 1 or 2 with one JSON error line; a traceback
+    # (or a numpy warning, an error under the test settings) escapes main
+    radius = 10.0 ** log_r
+    mass = radius * 10.0 ** log_compactness
+    code, _, err = run(capsys, "shoot-boundary", "--radius", repr(radius),
+                       "--mass", repr(mass), "--out", str(tmp_path / "o"),
+                       "--set", "eos.c=" + c, "--set", "eos.gamma=" + gamma)
+    if code == 0:
+        rep = json.loads((tmp_path / "o" / "boundary_shot.json").read_text())
+        assert (rep["case"], rep["exit"]) in INWARD_VERDICTS, rep
+        assert isinstance(rep["r_exit"], float) and math.isfinite(rep["r_exit"])
+    else:
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set,
     # and no pressure-ceiling factor: the ceiling is the EOS cap at a
@@ -532,16 +572,22 @@ def test_empty_lock_does_not_block(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["eos_check.json"]
 
 
-def test_commands_do_not_load_numpy_random(tmp_path):
-    # the sweep draws from stellar_match.rng, so surface and a 3-sample
-    # match run in one process without importing numpy's random package
+def test_commands_do_not_load_numpy_random_or_openssl(tmp_path):
+    # the sweep draws from stellar_match.rng, and artifacts are hashed with
+    # CPython's built-in sha256, so every command runs in one process
+    # without importing numpy's random package or hashlib's OpenSSL binding
     script = (
         "import sys\n"
         "from stellar_match import cli\n"
-        "assert cli.main(['surface', '--out', sys.argv[1] + '/s']) == 0\n"
-        "assert cli.main(['match', '--out', sys.argv[1] + '/m',\n"
-        "                 '--set', 'sweep.count=3']) == 0\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['surface'], ['match', '--set', 'sweep.count=3'],\n"
+        "             ['shoot-center', '--p-center', '1e-3'],\n"
+        "             ['shoot-boundary', '--radius', '1', '--mass', '1e-3'],\n"
+        "             ['eos-check']):\n"
+        "    assert cli.main(argv + ['--out', out + '/' + argv[0]]) == 0, argv\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+        "assert not loaded, loaded\n"
+        "loaded = sorted(m for m in ('_hashlib', 'ssl') if m in sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     out = run_python("-c", script, str(tmp_path))
