@@ -318,7 +318,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     h0 = min(h0, interval)
     f1 = fun(t0 + h0 * direction,
              [v + h0 * direction * d for v, d in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    # an overflowing d1 gives h0 = 0, where numpy's division gives inf or
+    # NaN, and the step then collapses
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0 \
+        if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

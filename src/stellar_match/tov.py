@@ -18,9 +18,14 @@ The pressure equation in w is regular at the surface, so (m, w) = (M, 0) is
 a usable starting point for inward shots, unlike (m, P) = (M, 0) which is
 an equilibrium of the pressure-form right-hand side.
 
-Outward shots start from a central pressure with a series start at r0 and end
-on the w = 0 event (the surface) or a guard.  Inward shots start from
-boundary data (R, M) just inside the surface and end in one of four ways:
+Outward shots start from a central pressure with a series start at r0,
+run in r until w falls to TAIL_FRACTION of its start value, and finish in
+x = sqrt(w) with state (r, m): the surface x = 0 is that solve's span
+bound, and m = M - C x^(2n+2) near it, where in r the kink of rho ~ w^n
+costs rejected steps (Lindblom 1992, ApJ 398, 569).  A guard may stop a
+shot first.  Inward shots start from boundary data (R, M) just inside the
+surface, run in s = ln r, where the steps do not shrink toward the center,
+and end in one of four ways:
 
     case00  P reaches the EOS cap above r_floor (finite c only)
     case01  |dP/dr| stalls at positive radius with P finite
@@ -45,38 +50,42 @@ are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
 values that would put an inward start inside the radius floor.
 
-Every shot is one solve with `ode.solve`, an 8th-order integrator in
-plain float arithmetic that follows scipy's DOP853 step rules and dense
-output, and redoes the step that crosses an event's root to end there; the
-surface and the other exits are such events, so no stage of a shot's last
-step reaches past its exit.  The range guard and the center floor are span
-bounds, which no stage passes.  A solve whose steps collapse raises
-StellarMatchError naming the radius where they did.
+Every solve runs on `ode.solve`, an 8th-order integrator in plain float
+arithmetic that follows scipy's DOP853 step rules and dense output, and
+redoes the step that crosses an event's root to end there, so no stage of
+a solve's last step reaches past its exit.  The surface, the center floor
+and the range guard in r are span bounds, which no stage passes.  A solve
+whose steps collapse raises StellarMatchError naming the radius where
+they did.
 
-`shoot_from_centers` runs many outward shots as the lanes of one
-`ode.solve_lanes` call: each lane takes the steps of its scalar shot, and
-the right-hand side and events evaluate on arrays of lanes.  It returns
-boundary data or failure labels only, with no trajectories; the domain
-checks run on every accepted lane state.  `shoot_from_boundaries` does the
-same for many inward shots, each lane with its own slope and radius
-floors, and returns each shot's classification or the error it raised.
-On both paths a shot is read off the index of the event that stopped it,
--1 where it reached its span bound.  Lanes pay from
+`shoot_from_centers` runs many outward shots as the lanes of
+`ode.solve_lanes`, one call per solve: each lane takes the steps of its
+scalar shot, and the right-hand side and events evaluate on arrays of
+lanes.  It returns boundary data or failure labels only, with no
+trajectories; the domain checks run on every accepted lane state.
+`shoot_from_boundaries` does the same for many inward shots, each lane
+with its own slope and radius floors, and returns each shot's
+classification or the error it raised.  On both paths a solve is read off
+the index of the event that stopped it, -1 where it reached its span
+bound.  Lanes pay from
 about a dozen outward and about twenty inward shots on (matching.LANES_MIN
 picks the batches that use them).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import ode
 from .errors import (AdmissibilityError, EosValidityError, ShootFailureError,
                      StellarMatchError)
+from .roots import chandrupatla
 
 # exit labels
 EXIT_SURFACE = "surface"
@@ -87,10 +96,16 @@ EXIT_SLOPE_STALL = "slope_stall"
 EXIT_CENTER_FLOOR = "center_floor"
 EXIT_CENTER_MASSIVE = "center_floor_massive"
 EXIT_VACUUM = "vacuum_reentry"
-# Outward exits by the index of the event (_outward_events) that stopped the
-# solve; a solve that no event stopped (-1) ran into the range guard.  At
-# c = inf there is no horizon event, and index -1 still names the guard.
+# Exits of an outward shot's solve in r by the index of the event
+# (_outward_events) that stopped it: the tail's start, on the way to the
+# surface, or the horizon; a solve that no event stopped (-1) ran into the
+# range guard.  At c = inf there is no horizon event, and index -1 still
+# names the guard.
 _OUTWARD_EXITS = (EXIT_SURFACE, EXIT_HORIZON, EXIT_R_MAX)
+# The fraction of its start value at which w hands an outward shot to its
+# tail in x = sqrt(w); the cost hardly depends on it (gamma 5/3, c = 1,
+# P_c = 1e-3: 331, 331, 307 and 319 evaluations at 0.02, 0.05, 0.2, 0.5).
+TAIL_FRACTION = 0.05
 # Failure label for a central pressure outside the EOS validity range.
 LABEL_EOS_VALIDITY = "eos_validity"
 
@@ -135,19 +150,50 @@ class ShootConfig:
 class TovTrajectory:
     """Accepted integration steps plus the dense interpolant.
 
-    Columns r, m and w are stored; P and rho are recovered through the EOS
-    on demand.  f_const is the additive constant fixing the time metric
-    coefficient, F = f_const - w (0 when c = inf; None on failed shots)."""
+    `sol` is a solve in r, or in s = ln r inward; `tail` an outward shot's
+    solve in x = sqrt(w) after it.  Columns r, m and w are stored; P and
+    rho are recovered through the EOS on demand.  f_const is the additive
+    constant fixing the time metric coefficient, F = f_const - w (0 when
+    c = inf; None on failed shots)."""
 
-    def __init__(self, eos, direction, sol, exit_label, f_const=None):
+    def __init__(self, eos, direction, sol, exit_label, f_const=None,
+                 tail=None):
         self.eos = eos
         self.direction = direction
         self.exit = exit_label
-        self.dense = sol.sol
-        self.r = np.asarray(sol.t, dtype=float)
-        self.m = np.asarray(sol.y[0], dtype=float)
-        self.w = np.asarray(sol.y[1], dtype=float)
+        self._sol, self._tail = sol.sol, tail
+        r = np.asarray(sol.t, dtype=float)
+        if direction == "inward":
+            r = _exp(r)
+        m, w = np.asarray(sol.y, dtype=float)
+        if tail is not None:
+            x = tail.t[1:]
+            r, m, w = (np.concatenate(pair) for pair in (
+                (r, tail.y[0, 1:]), (m, tail.y[1, 1:]), (w, x * x)))
+        self.r, self.m, self.w = r, m, w
         self.f_const = f_const
+
+    def dense(self, r):
+        """(m, w) at radius r, a float or an array.  In the tail it inverts
+        the monotone r(x); past the tail's end it reads the end state."""
+        if self.direction == "inward":
+            return self._sol(np.log(r) if np.ndim(r) else math.log(r))
+        if self._tail is None:
+            return self._sol(r)
+        radii = np.atleast_1d(np.asarray(r, dtype=float))
+        m, w = np.asarray(self._sol(radii), dtype=float)
+        beyond = radii > self.r[len(self.r) - len(self._tail.t)]
+        if beyond.any():
+            tail, (x_end, x0) = self._tail.sol, self._tail.t[[-1, 0]]
+            x = chandrupatla(lambda x, target: tail(x)[0] - target,
+                             float(x_end), float(x0),
+                             args=(np.minimum(radii[beyond], self.r[-1]),),
+                             xatol=ode.EPS * float(x0),
+                             xrtol=4.0 * ode.EPS).x
+            m[beyond], w[beyond] = tail(x)[1], x * x
+        if np.ndim(r):
+            return m, w
+        return float(m[0]), float(w[0])
 
     def state_at(self, r):
         m, w = self.dense(r)
@@ -239,7 +285,8 @@ def _dw_dr(eos, r, m, p):
     acts in trial steps only: the horizon event stops first."""
     csq = eos.c_light**2
     metric = np.maximum(1.0 - 2.0 * m / (csq * r), _METRIC_FLOOR)
-    return -(m + 4.0 * math.pi * r**3 * p / csq) / (eos.w_unit * r**2 * metric)
+    return -(m + 4.0 * math.pi * r * r * r * p / csq) \
+        / (eos.w_unit * r * r * metric)
 
 
 def _dp_dw(eos, rho, p):
@@ -251,15 +298,17 @@ def tov_rhs(eos, r, m, w):
     """(dm/dr, dw/dr) for the enthalpy-variable system on floats; vacuum
     (w <= 0) continues smoothly with rho = P = 0.  It reads (rho, P) from
     the EOS's float map and computes dw/dr inline, as _dw_dr does on
-    lanes, since it runs once per stage of every scalar solve."""
+    lanes, since it runs once per stage of every scalar solve.  Powers of
+    r are products, as on lanes: numpy's r**3 and the float one round
+    apart on about 5% of arguments."""
     rho, p = eos._fluid(w)
     csq = eos.c_light**2
     metric = 1.0 - 2.0 * m / (csq * r)
     if metric < _METRIC_FLOOR:
         metric = _METRIC_FLOOR
-    return (4.0 * math.pi * r**2 * rho,
-            -(m + 4.0 * math.pi * r**3 * p / csq)
-            / (eos.w_unit * r**2 * metric))
+    return (4.0 * math.pi * r * r * rho,
+            -(m + 4.0 * math.pi * r * r * r * p / csq)
+            / (eos.w_unit * r * r * metric))
 
 
 def _lanes_rhs(eos, r, y):
@@ -267,7 +316,7 @@ def _lanes_rhs(eos, r, y):
     array.  It does not call tov_rhs, so that a call of tov_rhs stays one
     scalar evaluation (the unit the benchmark's tov.rhs counters count)."""
     rho, p = eos._fluid_of_w(y[1])
-    return np.array((4.0 * math.pi * r**2 * rho, _dw_dr(eos, r, y[0], p)))
+    return np.array((4.0 * math.pi * r * r * rho, _dw_dr(eos, r, y[0], p)))
 
 
 def pressure_gradient(eos, r, m, w):
@@ -283,8 +332,8 @@ def pressure_gradient(eos, r, m, w):
     metric = 1.0 - 2.0 * m / (csq * r)
     if metric < _METRIC_FLOOR:
         metric = _METRIC_FLOOR
-    return _dp_dw(eos, rho, p) * (-(m + 4.0 * math.pi * r**3 * p / csq)
-                                  / (eos.w_unit * r**2 * metric))
+    return _dp_dw(eos, rho, p) * (-(m + 4.0 * math.pi * r * r * r * p / csq)
+                                  / (eos.w_unit * r * r * metric))
 
 
 def _center_series(eos, p_center, rho_c, r0):
@@ -318,16 +367,76 @@ def _directed(event, direction):
     return event
 
 
-def _horizon_events(eos):
+def _exp(s):
+    """exp(s) by math.exp, element by element on lanes, so that lanes and
+    floats read the same bits of r off s = ln r (np.exp rounds otherwise
+    on about 4% of arguments)."""
+    if isinstance(s, float):
+        return math.exp(s)
+    return np.array(list(map(math.exp, s.tolist())))
+
+
+def _float_rhs(eos, r, y):
+    """tov_rhs on the rows y = (m, w)."""
+    return tov_rhs(eos, r, y[0], y[1])
+
+
+class _Variable(NamedTuple):
+    """An independent variable t of the shots' solves: in_t(rhs, eos) is
+    the right-hand side in t made from rhs(eos, r, (m, w)), and state(t, y)
+    the radius and the rows (m, w) of a state."""
+
+    in_t: Callable
+    state: Callable
+
+    # made per solve, so that they call the module's tov_rhs and
+    # _lanes_rhs of that time
+    def floats(self, eos):
+        return self.in_t(_float_rhs, eos)
+
+    def lanes(self, eos):
+        return self.in_t(_lanes_rhs, eos)
+
+
+def _rhs_in_s(rhs, eos):
+    """(r dm/dr, r dw/dr) in s = ln r."""
+    def in_s(s, y):
+        r = _exp(s)
+        dm, dw = rhs(eos, r, y)
+        return r * dm, r * dw
+    return in_s
+
+
+def _rhs_in_x(rhs, eos):
+    """(dr/dx, dm/dx) = (2x/w', 2x m'/w') in x = sqrt(w), with state
+    (r, m), at w = x x."""
+    def in_x(x, y):
+        dm, dw = rhs(eos, y[0], (y[1], x * x))
+        dr = 2.0 * x / dw
+        return dr, dr * dm
+    return in_x
+
+
+# r: an outward shot up to its tail; s = ln r: inward shots; x = sqrt(w):
+# an outward shot's tail
+_IN_R = _Variable(functools.partial, lambda r, y: (r, y))
+_IN_S = _Variable(_rhs_in_s, lambda s, y: (_exp(s), y))
+_IN_X = _Variable(_rhs_in_x, lambda x, y: (y[0], (y[1], x * x)))
+
+
+def _horizon_events(eos, variable=_IN_R):
     """[the event that stops a shot where 1 - 2m/(c^2 r) falls to
-    HORIZON_MARGIN], or [] when c = inf, where it cannot fire.  The factor
-    is inline, as the event runs every step.  It takes and ignores the
-    inward events' slope floor."""
+    HORIZON_MARGIN], in `variable`, or [] when c = inf, where it cannot
+    fire.  The factor is inline, as the event runs every step.  It takes
+    and ignores its solve's event argument."""
     if eos.nonrelativistic:
         return []
     csq = eos.c_light**2
-    return [_directed(
-        lambda r, y, *_: 1.0 - 2.0 * y[0] / (csq * r) - HORIZON_MARGIN, -1)]
+
+    def horizon(t, y, *_):
+        r, (m, _w) = variable.state(t, y)
+        return 1.0 - 2.0 * m / (csq * r) - HORIZON_MARGIN
+    return [_directed(horizon, -1)]
 
 
 def _integrator_failure(r, message):
@@ -335,20 +444,35 @@ def _integrator_failure(r, message):
                              % (r, message))
 
 
-def _solve(eos, r_span, y0, events, rtol, atol, event_args=()):
-    def rhs(r, y):
-        return tov_rhs(eos, r, y[0], y[1])
-
-    sol = ode.solve(rhs, r_span, y0, rtol, atol, events, event_args)
+def _solve(eos, span, y0, events, rtol, atol, event_args=(),
+           variable=_IN_R):
+    """One solve of a shot over `span` in `variable` (_IN_R, _IN_S or
+    _IN_X); raises the integrator failure at the radius where its steps
+    collapsed."""
+    sol = ode.solve(variable.floats(eos), span, y0, rtol, atol, events,
+                    event_args)
     if not sol.success:
-        raise _integrator_failure(sol.t[-1], sol.message)
+        radius, _ = variable.state(sol.t[-1], sol.y[:, -1])
+        raise _integrator_failure(radius, sol.message)
     return sol
 
 
+@dataclass
+class _OutwardStart:
+    """Start state, tolerances and guards of an outward shot."""
+
+    r: float                # r0, the series start
+    y: list                 # [m0, w0] at r0
+    atol: list              # on (m, w)
+    tail_atol: list         # on the tail's (r, m)
+    r_max: float            # the range guard
+    w_tail: float           # the tail's start, event argument in r
+
+
 def _outward_start(eos, p_center, cfg):
-    """(r0, range guard, [m0, w0], atol) of an outward shot; raises
-    EosValidityError for a central pressure the EOS cannot represent,
-    a non-finite or nonpositive one included."""
+    """_OutwardStart of an outward shot; raises EosValidityError for a
+    central pressure the EOS cannot represent, a non-finite or nonpositive
+    one included."""
     if not 0.0 < p_center < math.inf:
         raise EosValidityError("central pressure must be finite and "
                                "positive, got %r" % (p_center,))
@@ -357,14 +481,31 @@ def _outward_start(eos, p_center, cfg):
     r0 = cfg.r0_factor * a
     m0, w0 = _center_series(eos, p_center, rho_c, r0)
     m_scale = 4.0 * math.pi * rho_c * a**3
-    return (r0, cfg.r_max_factor * a, [m0, w0],
-            [cfg.atol_factor * m_scale, cfg.atol_factor * w0])
+    return _OutwardStart(
+        r=r0, y=[m0, w0],
+        atol=[cfg.atol_factor * m_scale, cfg.atol_factor * w0],
+        tail_atol=[cfg.atol_factor * a, cfg.atol_factor * m_scale],
+        r_max=cfg.r_max_factor * a, w_tail=TAIL_FRACTION * w0)
 
 
 def _outward_events(eos):
-    """The surface w = 0, then the horizon (none at c = inf); floats or
+    """Events of an outward shot's solve in r: w falls to the tail's start
+    (the event argument), then the horizon (none at c = inf); floats or
     lanes."""
-    return [_directed(lambda r, y: y[1], -1)] + _horizon_events(eos)
+    return [_directed(lambda r, y, w_tail: y[1] - w_tail, -1)] \
+        + _horizon_events(eos)
+
+
+def _tail_events(eos):
+    """Events of an outward shot's tail and its exits by event index: the
+    range guard r >= r_max (the event argument), since dr/dx = 2x/w'
+    grows without bound where w' falls to 0, then the horizon (none at
+    c = inf); -1 is the span bound x = 0, the surface."""
+    horizon = _horizon_events(eos, _IN_X)
+    events = [_directed(lambda x, y, r_max: y[0] - r_max, 1)] + horizon
+    labels = (EXIT_R_MAX,) + (EXIT_HORIZON,) * len(horizon) \
+        + (EXIT_SURFACE,)
+    return events, labels
 
 
 def _surface_data(eos, radius, mass):
@@ -374,26 +515,34 @@ def _surface_data(eos, radius, mass):
 
 
 def shoot_from_center(eos, p_center, config=None):
-    """Outward shot.  Returns (SurfaceData, TovTrajectory) on the surface
-    event; raises ShootFailureError with the partial trajectory on the
+    """Outward shot.  Returns (SurfaceData, TovTrajectory) on reaching the
+    surface; raises ShootFailureError with the partial trajectory on the
     range guard or horizon exits."""
     cfg = config or ShootConfig()
-    r0, r_max, y0, atol = _outward_start(eos, p_center, cfg)
-    sol = _solve(eos, (r0, r_max), y0, _outward_events(eos), cfg.rtol, atol)
-    label = _OUTWARD_EXITS[sol.event]
+    start = _outward_start(eos, p_center, cfg)
+    sol = _solve(eos, (start.r, start.r_max), start.y, _outward_events(eos),
+                 cfg.rtol, start.atol, (start.w_tail,))
+    label, tail = _OUTWARD_EXITS[sol.event], None
+    if label == EXIT_SURFACE:
+        # from the solve's end state, not the nominal w_tail
+        events, labels = _tail_events(eos)
+        tail = _solve(eos, (math.sqrt(sol.y[1, -1]), 0.0),
+                      [sol.t[-1], sol.y[0, -1]], events, cfg.rtol,
+                      start.tail_atol, (start.r_max,), _IN_X)
+        label = labels[tail.event]
 
     if label == EXIT_SURFACE:
-        radius, mass = float(sol.t[-1]), float(sol.y[0, -1])
+        radius, mass = float(tail.y[0, -1]), float(tail.y[1, -1])
         traj = TovTrajectory(eos, "outward", sol, label,
-                             f_const=_f_const(eos, radius, mass))
+                             f_const=_f_const(eos, radius, mass), tail=tail)
         traj.check_domain()
         return _surface_data(eos, radius, mass), traj
 
     if label == EXIT_HORIZON:
         message = "metric factor reached the horizon margin"
     else:
-        message = "no surface below r = %g" % r_max
-    traj = TovTrajectory(eos, "outward", sol, label)
+        message = "no surface below r = %g" % start.r_max
+    traj = TovTrajectory(eos, "outward", sol, label, tail=tail)
     raise ShootFailureError(label, message, trajectory=traj)
 
 
@@ -412,9 +561,9 @@ def _fault_observer(eos, lanes):
 
 def shoot_from_centers(eos, p_centers, config=None):
     """Outward shots from many central pressures, run as lockstep lanes of
-    `ode.solve_lanes`.  For a pure polytrope that costs less than shooting
-    them one by one from about a dozen lanes on (2.5x less at 32 lanes),
-    and more below.
+    `ode.solve_lanes`: one call in r, one for the tails.  For a pure
+    polytrope that costs less than shooting them one by one from about a
+    dozen lanes on (2.5x less at 32 lanes), and more below.
 
     Each lane starts as shoot_from_center does and has its events, so it
     takes the same steps and finds the same surface to roundoff.  Returns
@@ -437,20 +586,38 @@ def shoot_from_centers(eos, p_centers, config=None):
         lanes.append(i)
     if not lanes:
         return results
-    r0, r_max, y0, atol = (np.array(column) for column in zip(*starts))
+    r_max = np.array([s.r_max for s in starts])
     faults, observe = _fault_observer(eos, len(lanes))
-    sol = ode.solve_lanes(lambda r, y: _lanes_rhs(eos, r, y), r0, r_max,
-                          y0.T, cfg.rtol, atol.T, _outward_events(eos),
-                          observe)
+    sol = ode.solve_lanes(
+        _IN_R.lanes(eos), [s.r for s in starts], r_max,
+        np.array([s.y for s in starts]).T, cfg.rtol,
+        np.array([s.atol for s in starts]).T, _outward_events(eos), observe,
+        [[s.w_tail for s in starts]])
+    # the tails, one lane per solve that reached its event 0
+    tails = np.flatnonzero(sol.event == 0)
+    at = dict(zip(tails.tolist(), range(tails.size)))
+    if tails.size:
+        events, labels = _tail_events(eos)
+        tail = ode.solve_lanes(
+            _IN_X.lanes(eos), np.sqrt(sol.y[1, tails]), np.zeros(tails.size),
+            np.array((sol.t[tails], sol.y[0, tails])), cfg.rtol,
+            np.array([starts[j].tail_atol for j in tails]).T, events,
+            lambda index, x, y: observe(tails[index], *_IN_X.state(x, y)),
+            [r_max[tails]])
     for j, i in enumerate(lanes):
         if sol.status[j] < 0:
             raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
-        if sol.event[j] == 0:
-            _check_domain(faults[:, j])
-            results[i] = _surface_data(eos, float(sol.t[j]),
-                                       float(sol.y[0, j]))
-        else:
+        if j not in at:
             results[i] = _OUTWARD_EXITS[sol.event[j]]
+            continue
+        k = at[j]
+        if tail.status[k] < 0:
+            raise _integrator_failure(tail.y[0, k], ode.MESSAGES[-1])
+        results[i] = labels[tail.event[k]]
+        if results[i] == EXIT_SURFACE:
+            _check_domain(faults[:, j])
+            results[i] = _surface_data(eos, float(tail.y[0, k]),
+                                       float(tail.y[1, k]))
     return results
 
 
@@ -464,25 +631,25 @@ def _w_ceiling(eos):
 
 
 def _inward_events(eos, w_ceiling):
-    """Terminal events of an inward shot, and the labels of its exits by
-    the index of the event that stopped the solve.
+    """Terminal events of an inward shot's solve in s = ln r, and the
+    labels of its exits by the index of the event that stopped the solve.
 
-    Each event takes the shot's slope_floor after (r, y) as its event
+    Each event takes the shot's slope_floor after (s, y) as its event
     argument, one per lane on lanes.  The pressure ceiling w_ceiling
     (_w_ceiling) comes first and the horizon last, both only for a finite
     c.  A solve that no event stopped (-1) reached its span bound, the
     center floor."""
-    def slope_excess(r, y, slope_floor):
-        return abs(pressure_gradient(eos, r, y[0], y[1])) - slope_floor
+    def slope_excess(s, y, slope_floor):
+        return abs(pressure_gradient(eos, _exp(s), y[0], y[1])) - slope_floor
 
-    horizon = _horizon_events(eos)
+    horizon = _horizon_events(eos, _IN_S)
     ceiling = [] if w_ceiling is None else [
-        _directed(lambda r, y, _: y[1] - w_ceiling, 1)]
+        _directed(lambda s, y, _: y[1] - w_ceiling, 1)]
     events = ceiling + [
         # fire only on falling crossings, so the slope rising through the
         # floor just inside the surface is ignored
         _directed(slope_excess, -1),
-        _directed(lambda r, y, _: y[1], -1),  # vacuum re-entry, w = 0
+        _directed(lambda s, y, _: y[1], -1),  # vacuum re-entry, w = 0
     ] + horizon
     labels = [EXIT_PRESSURE_CEILING] * len(ceiling) + [
         EXIT_SLOPE_STALL, EXIT_VACUUM] + [EXIT_HORIZON] * len(horizon) \
@@ -501,6 +668,16 @@ class _InwardStart:
     r_floor: float          # the solve's span bound
     m_floor: float
     diagnostics: dict
+
+    @property
+    def span(self):
+        """The solve's span in s = ln r."""
+        return math.log(self.r), math.log(self.r_floor)
+
+    def exit_radius(self, event, s):
+        """The radius where the solve ended at s after `event`: r_floor
+        itself at the span bound (-1), so no ulp of exp or log moves it."""
+        return self.r_floor if event < 0 else math.exp(s)
 
 
 def _inward_start(eos, radius, mass, cfg, w_ceiling):
@@ -527,11 +704,13 @@ def _inward_start(eos, radius, mass, cfg, w_ceiling):
         else:
             p_ref = float(m2 / r4)
     slope_floor = cfg.slope_floor_factor * p_ref / radius
-    if not (0.0 < p_ref < math.inf and 0.0 < slope_floor < math.inf):
-        raise AdmissibilityError(
-            "(R, M) = (%g, %g) give p_ref = %g and slope floor %g; both "
-            "must be finite and positive" % (radius, mass, p_ref, slope_floor))
     r_floor = cfg.r_floor_factor * radius
+    if not (0.0 < p_ref < math.inf and 0.0 < slope_floor < math.inf
+            and r_floor > 0.0):
+        raise AdmissibilityError(
+            "(R, M) = (%g, %g) give p_ref = %g, slope floor %g and radius "
+            "floor %g; all must be finite and positive"
+            % (radius, mass, p_ref, slope_floor, r_floor))
     m_floor = cfg.m_floor_factor * mass
 
     dr = cfg.dr_factor * radius
@@ -558,12 +737,14 @@ def shoot_from_boundary(eos, radius, mass, config=None):
     w_ceiling = _w_ceiling(eos)
     start = _inward_start(eos, radius, mass, cfg, w_ceiling)
     events, labels = _inward_events(eos, w_ceiling)
-    sol = _solve(eos, (start.r, start.r_floor), start.y, events, cfg.rtol,
-                 start.atol, (start.slope_floor,))
-    cls = _classify(eos, start, labels[sol.event], float(sol.t[-1]),
+    sol = _solve(eos, start.span, start.y, events, cfg.rtol, start.atol,
+                 (start.slope_floor,), _IN_S)
+    cls = _classify(eos, start, labels[sol.event],
+                    start.exit_radius(sol.event, float(sol.t[-1])),
                     float(sol.y[0, -1]), float(sol.y[1, -1]))
     traj = TovTrajectory(eos, "inward", sol, cls.exit,
                          f_const=_f_const(eos, radius, mass))
+    traj.r[-1] = cls.r_exit  # r_floor itself at the span bound
     traj.check_domain()
     return cls, traj
 
@@ -576,7 +757,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     others alone).
 
     Each lane starts as the scalar shot does and has its events, with its
-    own slope floor, its own span bound r_floor and the batch's one
+    own slope floor, its own span bound ln r_floor and the batch's one
     pressure ceiling, so it takes the same steps and ends on the same exit
     to roundoff.  check_domain's tests run on every accepted state of
     every lane."""
@@ -596,18 +777,20 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
 
     events, labels = _inward_events(eos, w_ceiling)
     faults, observe = _fault_observer(eos, len(lanes))
+    s0, s_floor = zip(*[s.span for s in starts])
     sol = ode.solve_lanes(
-        lambda r, y: _lanes_rhs(eos, r, y), [s.r for s in starts],
-        [s.r_floor for s in starts], np.array([s.y for s in starts]).T,
-        cfg.rtol, np.array([s.atol for s in starts]).T, events, observe,
+        _IN_S.lanes(eos), s0, s_floor, np.array([s.y for s in starts]).T,
+        cfg.rtol, np.array([s.atol for s in starts]).T, events,
+        lambda index, s, y: observe(index, *_IN_S.state(s, y)),
         [[s.slope_floor for s in starts]])
     for j, (i, start) in enumerate(zip(lanes, starts)):
         try:
+            s_end = float(sol.t[j])
             if sol.status[j] < 0:
-                raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
+                raise _integrator_failure(math.exp(s_end), ode.MESSAGES[-1])
             results[i] = _classify(eos, start, labels[sol.event[j]],
-                                   float(sol.t[j]), float(sol.y[0, j]),
-                                   float(sol.y[1, j]))
+                                   start.exit_radius(sol.event[j], s_end),
+                                   float(sol.y[0, j]), float(sol.y[1, j]))
             _check_domain(faults[:, j])
         except StellarMatchError as exc:
             results[i] = exc

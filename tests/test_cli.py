@@ -376,6 +376,42 @@ def test_shoot_boundary_gives_a_verdict_or_a_labelled_refusal(
         assert set(json.loads(lines[0])) == {"error", "message"}
 
 
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_p=st.floats(-40.0, 10.0), c=st.sampled_from(["inf", "1", "10"]),
+       gamma=st.sampled_from(["2", repr(5.0 / 3.0), "1.5"]),
+       corrected=st.booleans())
+def test_shoot_center_gives_a_surface_or_a_labelled_refusal(
+        capsys, tmp_path, log_p, c, gamma, corrected):
+    # any central pressure from tiny to huge, on each EOS (the lambda
+    # correction only at a finite c): exit 0 with a surface at finite R,
+    # M > 0, whose trajectory ends on it at h = 0 exactly, or with a guard
+    # outcome; or exit 1 or 2 with one JSON error line.  A traceback (or a
+    # numpy warning, an error under the test settings) escapes main
+    sets = ["--set", "eos.c=" + c, "--set", "eos.gamma=" + gamma]
+    if corrected and c != "inf":
+        sets += ["--set", "eos.lambda=[0.2,-0.1]"]
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "shoot-center", "--p-center",
+                       repr(10.0 ** log_p), "--out", str(out), *sets)
+    if code == 0:
+        rep = json.loads((out / "center_shot.json").read_text())
+        if rep["outcome"] != "surface":
+            assert rep["outcome"] in ("r_max_guard", "horizon"), rep
+            return
+        assert math.isfinite(rep["radius"]) and rep["radius"] > 0.0
+        assert math.isfinite(rep["mass"]) and rep["mass"] > 0.0
+        lines = (out / "center_shot_trajectory.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        last = dict(zip(rows[0], rows[-1]))
+        assert float(last["h"]) == 0.0 and float(last["r"]) == rep["radius"]
+    else:
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set,
     # and no pressure-ceiling factor: the ceiling is the EOS cap at a

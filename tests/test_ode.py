@@ -161,9 +161,13 @@ def _assert_steps_match_oracle(args, got):
       initial step for the first), scipy's accepted step, rejections
       included, has the step's size to STEP_SIZE_TOL wherever the
       previous error norm is resolved (its rounding bound below RESOLVED;
-      the first step's proposal is always compared).  This checks the
-      controller: the initial step, the safety factor, the factor caps
-      and the cap after a rejection;
+      the first step's proposal is always compared).  The proposal comes
+      from scipy's own step at the previous start where that step had
+      got's size, so that it keeps the cap after a rejection, and else
+      from scipy's step started there with got's size, so that a size the
+      rounding chose does not carry into the next proposal.  This checks
+      the controller: the initial step, the safety factor, the factor
+      caps and the cap after a rejection;
     - where an event stopped the solve, that event's root on scipy's step
       across it is got's root.
 
@@ -194,8 +198,10 @@ def _assert_steps_match_oracle(args, got):
         elif resolved:
             assert abs((own.t - t_old) / h - 1.0) < STEP_SIZE_TOL
             compared += 1
-        proposal = own.h_abs
-        resolved = _norm_rounding(own, y_old) < RESOLVED
+        previous = own if abs((own.t - t_old) / h - 1.0) < STEP_SIZE_TOL \
+            else same
+        proposal = previous.h_abs
+        resolved = _norm_rounding(previous, y_old) < RESOLVED
     assert 3 * compared >= len(steps)
 
 
@@ -207,12 +213,21 @@ def _assert_step_ends_close(got, want):
 
 @pytest.mark.parametrize("p_center", [1e-6, 1e-4, 1e-2])
 def test_forward_shots_match_solve_ivp(recorded, p_center):
+    # a forward shot is two solves: in r until w falls to the tail's start,
+    # an event, then in x = sqrt(w) from that state down to the surface
+    # x = 0, the tail's span bound; each is checked on its own right-hand
+    # side
     eos = EosSpec(5.0 / 3.0, c_light=1.0)
     surface, _ = tov.shoot_from_center(eos, p_center)
-    [(args, got)] = recorded
+    [(args, got), (tail_args, tail)] = recorded
     want = _assert_matches_oracle(args, got)
     _assert_step_ends_close(got, want)
-    assert surface.radius == pytest.approx(float(want.t_events[0][0]),
+    assert tail_args[1] == (math.sqrt(got.y[1, -1]), 0.0)
+    assert list(tail_args[2]) == [got.t[-1], got.y[0, -1]]
+    want = _assert_matches_oracle(tail_args, tail)
+    _assert_step_ends_close(tail, want)
+    assert tail.event == -1 and tail.t[-1] == 0.0
+    assert surface.radius == pytest.approx(float(want.y[0, -1]),
                                            rel=EVENT_TOL)
 
 
@@ -237,20 +252,21 @@ def test_inward_shots_match_solve_ivp(recorded):
     surface, _ = tov.shoot_from_center(eos, 1e-3)
     cls, _ = tov.shoot_from_boundary(eos, surface.radius * 0.8, surface.mass)
     assert cls.case == tov.CASE00
-    # the forward shot, then the inward shot's one solve
-    assert len(recorded) == 2
-    (args, got), inward = recorded
+    # the forward shot's solve in r and its tail, then the inward shot's one
+    # solve, in s = ln r
+    (args, got), (tail_args, tail), inward = recorded
     _assert_matches_oracle(args, got)
+    _assert_matches_oracle(tail_args, tail)
     # Inward solves choose their first steps' size from rounding: atol is
     # 1e-19 on w at the start, and from one state the error norms of
     # ode.solve and scipy part by up to a factor 6 there (DOP853's error
     # weights sum to 4 in magnitude).  An inward solve (rtol 1e-10) takes
     # as many steps as the oracle with the same nfev, but its step ends
-    # part by up to 3e-2 relative and its blow-up radius by 2e-11, while
-    # both miss a tolerance-1e-14 reference by 2e-10.  So each inward
-    # solve is also checked step by step against the oracle from each
-    # step's start.  (R, M) = (1, 1e-5) is light data, whose p_ref lies
-    # far below the EOS cap: it too is one solve, under the cap.
+    # part by up to 1.4e-2 relative in s and its blow-up radius by
+    # 1.2e-11, while both miss a tolerance-1e-14 reference by 1.2e-10.  So
+    # each inward solve is also checked step by step against the oracle
+    # from each step's start.  (R, M) = (1, 1e-5) is light data, whose
+    # p_ref lies far below the EOS cap: it too is one solve, under the cap.
     recorded.clear()
     cls, _ = tov.shoot_from_boundary(eos, 1.0, 1e-5)
     assert cls.case == tov.CASE00
@@ -317,12 +333,13 @@ def test_distortion_solve_matches_solve_ivp(recorded, n):
 
 def test_dense_output_scalar_array_and_oracle_agree(recorded):
     eos = EosSpec(5.0 / 3.0, c_light=1.0)
-    tov.shoot_from_center(eos, 1e-4)
-    [(args, got)] = recorded
+    surface, _ = tov.shoot_from_center(eos, 1e-4)
+    # the forward shot's solve in r, up to the tail's start, then its tail
+    (args, got), (_tail_args, tail) = recorded
     want = _oracle(*args)
     t = got.t
     # interior points of every step, the step ends, and points in the last
-    # step, which is redone to end at the surface event's root
+    # step, which is redone to end at the event's root
     last = t[-2] + np.linspace(0.0, 1.0, 9) * (t[-1] - t[-2])
     probes = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), last])
     array = got.sol(probes)
@@ -335,11 +352,20 @@ def test_dense_output_scalar_array_and_oracle_agree(recorded):
     to_root = _oracle_last_step(args[0], got, *args[3:5])
     assert np.max(np.abs(got.sol(last) - to_root.sol(last)) / scale) \
         < TRAJECTORY_TOL
-    # the last step is the one redone to end at the root, and its
-    # interpolant puts the surface w = 0 there
+    # the last step is the one redone to end at the root
     t_old, h_last = got.sol._steps[-1][:2]
     assert (t_old, h_last) == (t[-2], t[-1] - t[-2])
-    assert abs(got.sol(float(t[-1]))[1]) < 1e-12 * scale[1, 0]
+    # the tail's interpolant ends on the surface, its span bound x = 0:
+    # w = x x = 0 at r = R
+    assert tail.t[-1] == 0.0
+    assert tuple(tail.sol(0.0)) == (surface.radius, surface.mass)
+    # a surface that is an event root: the Lane-Emden profile's redone last
+    # step puts theta = 0 there
+    recorded.clear()
+    lane_emden.solve(1.5)
+    [(_args, profile)] = recorded
+    assert abs(profile.sol(float(profile.t[-1]))[0]) \
+        < 1e-12 * np.max(np.abs(profile.y[0]))
 
 
 def test_dense_output_picks_the_step_of_each_point():
