@@ -27,7 +27,7 @@ from dataclasses import fields
 import numpy as np
 import yaml
 
-from . import __version__, lane_emden
+from . import __version__
 from .distortion import (
     LEVEL_MARGIN,
     N_MIN,
@@ -206,9 +206,11 @@ def _validate_config(data):
         _fail("sweep.p_hi", "must exceed sweep.p_lo")
     if not d["b"]:
         _fail("distortion.b", "expected a nonempty list")
+    margin = d["level_margin"]
     for lev in d["levels"]:
-        if not (0.0 < lev < 1.0):
-            _fail("distortion.levels", "levels must lie in (0, 1), got %g" % lev)
+        if not (margin <= lev <= 1.0 - margin):
+            _fail("distortion.levels", "levels must lie in [level_margin, 1 - "
+                  "level_margin] = [%g, %g], got %g" % (margin, 1.0 - margin, lev))
     # A stated polytropic index must agree with the one the EOS exponent
     # implies.
     if d["n"] is not None:
@@ -534,8 +536,8 @@ def cmd_match(cfg):
 
 
 def cmd_surface(cfg):
-    """Distortion pipeline: base profile, responses, surface curve, ladder
-    fits with their residual scaling, and level stratification."""
+    """Distortion pipeline: base profile and responses in one solve, surface
+    curve, ladder fits with their residual scaling, level stratification."""
     d = cfg["distortion"]
     n = cfg.polytrope_n()
     gamma = 1.0 + 1.0 / n
@@ -548,8 +550,8 @@ def cmd_surface(cfg):
                 "b_max": max(b_values),
             }
         )
-    base = lane_emden.solve(n)
-    dist = solve_distortion(base)
+    dist = solve_distortion(n)
+    base = dist.base
     zeta = np.linspace(-1.0, 1.0, d["zeta_points"])
     curve = surface_curve(dist, b_ref, zeta)
     ladder = fit_ladder(dist, b_values, zeta)

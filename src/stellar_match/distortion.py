@@ -21,9 +21,10 @@ the equator.  Everything here is first order in b; quadratic remainders
 are out of scope.
 
 theta, h0 and psi2 are integrated together as one system from the series
-start, as in Chandrasekhar 1933 (MNRAS 93, 390), so the right-hand side
-never looks up the base profile; like the base profile, it runs on
-`ode.solve`.  The quadrupole is integrated as Chandrasekhar factors it,
+start, as in Chandrasekhar 1933 (MNRAS 93, 390), in one solve that
+`lane_emden._solve_to_surface` stops at the first zero of theta: the base
+profile (rows 0-1), h0 (rows 2-3) and psi2 (rows 4-5) are read off its one
+dense output.  The quadrupole is integrated as Chandrasekhar factors it,
 psi2 = xi^2 q with q'' + (6/xi) q' + n theta^(n-1) q = 0 and q(0) = 1:
 q is regular at the center, where the 6/xi^2 pole of the psi2 equation
 would hold the step size to a few percent of xi, so the state is
@@ -34,14 +35,13 @@ in closed form, each matched in value and slope at xi1 (`RadialProfile`):
 theta = mu1 (1/xi - 1/xi1), h0 = xi^2/6 + c1 + c2/xi and
 psi2 = d xi^2 + e xi^-3.  Since A2 d = -1/6, b [h0 + A2 psi2 P2] there is
 the centrifugal term b xi^2 (1 - zeta^2)/4 plus decaying monopole and
-quadrupole terms: the star's first-order exterior potential.  h0 and
-psi2 are read together, with one evaluation of their dense output per
-call (`DistortionSolution.responses`); theta comes from the base profile.
-Level surfaces Theta = theta_star are solved for every level and every
-zeta at once, one bracket per (level, zeta), with Chandrupatla's
-bracketing method (Adv. Eng. Softw. 28, 145, 1997), as
-`roots.chandrupatla`; each bracket iterates on its own, so a level solved
-with others has the bits it has alone.
+quadrupole terms: the star's first-order exterior potential.  Theta is
+formed from one evaluation of the dense output for theta, h0 and psi2
+(`DistortionSolution.distorted`).  Level surfaces Theta = theta_star are
+solved for every level and every zeta at once, one bracket per
+(level, zeta), with Chandrupatla's bracketing method (Adv. Eng. Softw. 28,
+145, 1997), as `roots.chandrupatla`; each bracket iterates on its own, so
+a level solved with others has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode
 from .errors import StellarMatchError
-from .lane_emden import RadialProfile, _theta_series, evaluate
+from .lane_emden import (ATOL, RTOL, XI_START, RadialProfile, _solve_to_surface,
+                         _theta_series, evaluate)
 from .roots import chandrupatla
 
 # Above this rotation parameter the first-order truncation is advisory
@@ -124,9 +124,14 @@ class DistortionSolution:
     a2: float
 
     def responses(self, xi):
-        """[h0(xi), psi2(xi)], read with one evaluation of their coupled
-        dense output."""
+        """[h0(xi), psi2(xi)], from one evaluation of the dense output."""
         return evaluate((self.h0, self.psi2), xi)
+
+    def distorted(self, xi, b, p2):
+        """Theta = theta + b (h0 + A2 psi2 P2) at xi, with P2 given as p2,
+        from one evaluation of the dense output."""
+        theta, h0, psi2 = evaluate((self.base.theta, self.h0, self.psi2), xi)
+        return theta + b * (h0 + self.a2 * psi2 * p2)
 
     def distortion_field(self, xi, zeta):
         """Combined response h0(xi) + A2 psi2(xi) P2(zeta)."""
@@ -140,50 +145,32 @@ class DistortionSolution:
         return {"xi": xi, "h0": h0, "psi2": psi2}
 
 
-def integrate_responses(base, rtol=1e-12, atol=1e-14):
-    """Dense output of (theta, theta', h0, h0', q, q') on [xi_start, xi1],
-    with q = psi2 / xi^2, integrated as one system from the series start;
-    its theta reproduces base.theta_at to the integration tolerance."""
-    n = base.n
+def solve_distortion(n):
+    """Solve theta and both radial responses in one integration to the
+    first zero of theta, and fix the quadrupole amplitude.  n < N_MIN
+    raises ValueError, n >= 5 NonTerminationError."""
+    n = float(n)
+    if n < N_MIN:
+        raise ValueError(
+            "surface coefficient theta^(n-1) diverges for n < 1; "
+            "polytropic index out of the supported range"
+        )
 
     def rhs(xi, y):
         theta, dtheta, h, dh, q, dq = y
         t = theta if theta > 0.0 else 0.0
         coef = n * t ** (n - 1.0)
-        return [
-            dtheta,
-            -(t**n) - 2.0 * dtheta / xi,
-            dh,
-            1.0 - coef * h - 2.0 * dh / xi,
-            dq,
-            -coef * q - 6.0 * dq / xi,
-        ]
+        return [dtheta, -(t**n) - 2.0 * dtheta / xi,
+                dh, 1.0 - coef * h - 2.0 * dh / xi,
+                dq, -coef * q - 6.0 * dq / xi]
 
-    xi_s = base.xi_start
-    y0 = [
-        *_theta_series(xi_s, n),
-        *_h0_series(xi_s, n),
-        *_q_series(xi_s, n),
-    ]
-    sol = ode.solve(rhs, (xi_s, base.xi1), y0, rtol, atol)
-    if not sol.success:
-        raise StellarMatchError("radial response integration failed: %s" % sol.message)
-    return sol.sol
-
-
-def solve_distortion(base, rtol=1e-12, atol=1e-14):
-    """Solve both radial responses in one integration with theta and fix
-    the quadrupole amplitude."""
-    if base.n < N_MIN:
-        raise ValueError(
-            "surface coefficient theta^(n-1) diverges for n < 1; "
-            "polytropic index out of the supported range"
-        )
-    dense = integrate_responses(base, rtol=rtol, atol=atol)
-    h0 = RadialProfile(base, dense, 2, _h0_series, _h0_vacuum)
-    psi2 = RadialProfile(base, dense, 4, _q_series, _psi2_vacuum, power=2)
-    a2 = compute_a2(base, psi2)
-    return DistortionSolution(base=base, h0=h0, psi2=psi2, a2=a2)
+    y0 = [*_theta_series(XI_START, n), *_h0_series(XI_START, n),
+          *_q_series(XI_START, n)]
+    base = _solve_to_surface(n, rhs, y0, RTOL, ATOL)
+    h0 = RadialProfile(base, 2, _h0_series, _h0_vacuum)
+    psi2 = RadialProfile(base, 4, _q_series, _psi2_vacuum, power=2)
+    return DistortionSolution(base=base, h0=h0, psi2=psi2,
+                              a2=compute_a2(base, psi2))
 
 
 @dataclass
@@ -257,7 +244,7 @@ def theta_distorted(dist, xi, zeta, b):
     limit = boundary_radius(dist, b, zeta)
     if xi < 0.0 or xi > limit * (1.0 + 1e-12):
         raise ValueError("xi outside [0, Xi1(zeta)]")
-    return dist.base.theta_extended(xi) + b * dist.distortion_field(xi, zeta)
+    return dist.distorted(xi, b, legendre_p2(zeta))
 
 
 @dataclass
@@ -288,13 +275,11 @@ def level_surface(dist, b, theta_star, zeta=None, margin=LEVEL_MARGIN):
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, ZETA_GRID_POINTS)
     zeta = np.asarray(zeta, dtype=float)
-    base = dist.base
     p2 = legendre_p2(zeta)
     hi = boundary_radius(dist, b, zeta)
 
     def objective(xi, p2, level):
-        h0, psi2 = dist.responses(xi)
-        return base.theta_extended(xi) + b * (h0 + dist.a2 * psi2 * p2) - level
+        return dist.distorted(xi, b, p2) - level
 
     # objective(0) = 1 - level >= margin > 0, so a bracket without a sign
     # change (status -1) means the level lies beyond hi

@@ -13,12 +13,13 @@ the vacuum equation.  Past xi1 theta is that equation's solution in closed
 form, the point mass's potential mu1 (1/xi - 1/xi1): the distorted surface
 of a slowly rotating body pokes outside xi1 on the equator.
 
-`RadialProfile` is the piecewise function this profile shares with the
-rotational responses of `distortion`: the center series, the dense output
-up to xi1 (optionally of f / xi^power, as for the quadrupole response),
-and a vacuum solution matched in value and slope there.
-`evaluate` reads several profiles of one dense output with one evaluation
-of it.
+`_solve_to_surface` is the one search for the surface: `solve` runs it on
+theta alone, `distortion.solve_distortion` on theta and the rotational
+responses.  `RadialProfile` is a piecewise function read off its dense
+output: the center series, the dense rows up to xi1 (optionally of
+f / xi^power, as for the quadrupole response), and a vacuum solution
+matched in value and slope there.  `evaluate` reads several profiles of
+one dense output with one evaluation of it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ import numpy as np
 from . import ode
 from .errors import NonTerminationError
 
-XI_START_DEFAULT = 1e-4
-XI_MAX_DEFAULT = 1e4
+# Series start, surface-search guard and default tolerances.
+XI_START = 1e-4
+XI_MAX = 1e4
+RTOL = 1e-12
+ATOL = 1e-14
 
 
 def _source(theta, n):
@@ -50,23 +54,22 @@ def _theta_vacuum(xi1, _f1, df1):
 
 class RadialProfile:
     """A radial function f and its slope f' on [0, inf) for the polytrope
-    ``base`` (its n, xi_start and xi1), read as f = xi^power g up to xi1:
-    below xi_start g and g' are the regular center ``series(xi, n)``, up to
-    xi1 rows ``row`` and ``row + 1`` of the dense output ``dense``.  Past
+    ``base`` (its n, xi1 and dense output), read as f = xi^power g up to
+    xi1: below XI_START g and g' are the regular center ``series(xi, n)``,
+    up to xi1 rows ``row`` and ``row + 1`` of ``base.dense``.  Past
     xi1 f is the vacuum solution matched to f(xi1) and f'(xi1), a sum of
     powers, f = sum c xi^p over the (c, p) terms of
     ``vacuum(xi1, f1, df1)``, kept as the ``vacuum`` attribute.  With
     power 0, g is f itself."""
 
-    def __init__(self, base, dense, row, series, vacuum, power=0):
+    def __init__(self, base, row, series, vacuum, power=0):
         self.xi1 = base.xi1
         self._n = base.n
-        self._xi_start = base.xi_start
-        self._dense = dense
+        self._dense = base.dense
         self._row = row
         self._series = series
         self._power = power
-        surf = dense(self.xi1)[row:row + 2]
+        surf = self._dense(self.xi1)[row:row + 2]
         self.surface_value = float(_scaled(surf, self.xi1, power, 0))
         self.surface_slope = float(_scaled(surf, self.xi1, power, 1))
         self.vacuum = vacuum(self.xi1, self.surface_value, self.surface_slope)
@@ -99,7 +102,7 @@ def evaluate(profiles, xi, component=0):
     xi = np.atleast_1d(xi)
     if np.any(xi < 0.0):
         raise ValueError("xi must be nonnegative")
-    core = xi < first._xi_start
+    core = xi < XI_START
     beyond = xi > first.xi1
     mid = ~core & ~beyond
     inner, central, s = xi[core], xi[mid], xi[beyond]
@@ -124,15 +127,16 @@ def evaluate(profiles, xi, component=0):
 
 
 class LaneEmdenSolution:
-    """Profile with located surface.  theta_at/dtheta_at evaluate it on
-    [0, xi1]; theta_extended also past xi1, on the vacuum solution."""
+    """Profile with located surface: ``theta``, the RadialProfile of rows
+    0-1 of ``dense``.  theta_at/dtheta_at evaluate it on [0, xi1];
+    theta_extended also past xi1, on the vacuum solution."""
 
-    def __init__(self, n, xi1, dense, xi_start):
+    def __init__(self, n, xi1, dense):
         self.n = float(n)
         self.xi1 = float(xi1)
-        self.xi_start = float(xi_start)
-        self._theta = RadialProfile(self, dense, 0, _theta_series, _theta_vacuum)
-        self.mu1 = -self.xi1**2 * self._theta.surface_slope
+        self.dense = dense
+        self.theta = RadialProfile(self, 0, _theta_series, _theta_vacuum)
+        self.mu1 = -self.xi1**2 * self.theta.surface_slope
 
     def _inside(self, xi):
         if np.any(np.asarray(xi) > self.xi1 * (1.0 + 1e-12)):
@@ -141,21 +145,43 @@ class LaneEmdenSolution:
     def theta_at(self, xi):
         """theta on [0, xi1]."""
         self._inside(xi)
-        return self._theta.at(xi)
+        return self.theta.at(xi)
 
     def dtheta_at(self, xi):
         """theta' on [0, xi1]."""
         self._inside(xi)
-        return self._theta.d_at(xi)
+        return self.theta.d_at(xi)
 
     def theta_extended(self, xi):
         """theta on [0, inf), mu1 (1/xi - 1/xi1) past the zero."""
-        return self._theta.at(xi)
+        return self.theta.at(xi)
 
 
-def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
-          xi_max=XI_MAX_DEFAULT):
-    """Integrate to the first zero.
+def _solve_to_surface(n, rhs, y0, rtol, atol):
+    """The LaneEmdenSolution of rhs, integrated from the series state y0
+    at XI_START to the first zero of its row 0, theta.  Raises
+    NonTerminationError for n >= 5 (no finite zero) without integrating,
+    for an integrator failure, and for no zero below XI_MAX."""
+    if n >= 5.0:
+        raise NonTerminationError(
+            "no-finite-zero", "theta has no zero for n >= 5 (n = %g)" % n)
+
+    def surface(_xi, y):
+        return y[0]
+    surface.direction = -1
+
+    sol = ode.solve(rhs, (XI_START, XI_MAX), y0, rtol, atol, [surface])
+    if not sol.success:
+        raise NonTerminationError("integrator-failure", sol.message)
+    if sol.event != 0:
+        raise NonTerminationError(
+            "no-zero-within-guard",
+            "no surface located below xi = %g (n = %g)" % (XI_MAX, n))
+    return LaneEmdenSolution(n, sol.t[-1], sol.sol)
+
+
+def solve(n, rtol=RTOL, atol=ATOL):
+    """Integrate theta alone to its first zero.
 
     n = 0 is accepted (closed form 1 - xi^2/6); n >= 5 has no finite zero
     and raises NonTerminationError without integrating; n < 0 raises
@@ -164,25 +190,10 @@ def solve(n, rtol=1e-12, atol=1e-14, xi_start=XI_START_DEFAULT,
     n = float(n)
     if n < 0.0:
         raise ValueError("polytropic index must be >= 0, got %r" % n)
-    if n >= 5.0:
-        raise NonTerminationError(
-            "no-finite-zero", "theta has no zero for n >= 5 (n = %g)" % n)
 
     def rhs(xi, y):
         theta, dtheta = y
         return [dtheta, -_source(theta, n) - 2.0 * dtheta / xi]
 
-    def surface(_xi, y):
-        return y[0]
-    surface.direction = -1
-
-    sol = ode.solve(rhs, (xi_start, xi_max), list(_theta_series(xi_start, n)),
-                    rtol, atol, [surface])
-    if not sol.success:
-        raise NonTerminationError("integrator-failure", sol.message)
-    if sol.event != 0:
-        raise NonTerminationError(
-            "no-zero-within-guard",
-            "no surface located below xi = %g (n = %g)" % (xi_max, n))
-    return LaneEmdenSolution(n=n, xi1=float(sol.t[-1]), dense=sol.sol,
-                             xi_start=xi_start)
+    return _solve_to_surface(n, rhs, list(_theta_series(XI_START, n)),
+                             rtol, atol)

@@ -50,7 +50,7 @@ def curves53(rel53):
 
 @pytest.fixture(scope="module")
 def dist_n1():
-    return solve_distortion(lane_emden.solve(1.0))
+    return solve_distortion(1.0)
 
 
 def test_criterion_1_lane_emden_oracles():
@@ -77,7 +77,7 @@ def test_criterion_2_distortion_closed_forms(dist_n1):
     a2_err = abs(dist_n1.a2 - (-math.pi**2 / 18.0))
     signs_ok = True
     for n in (1.0, 1.5, 3.0):
-        d = dist_n1 if n == 1.0 else solve_distortion(lane_emden.solve(n))
+        d = dist_n1 if n == 1.0 else solve_distortion(n)
         c2 = surface_curve(d, 1e-3).c2
         signs_ok = signs_ok and d.a2 < 0.0 and d.psi2.surface_value > 0.0 \
             and c2 > 0.0

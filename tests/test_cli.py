@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stellar_match import __version__, lane_emden
+from stellar_match import __version__, lane_emden, ode
 from stellar_match.cli import DEFAULT_CONFIG, LOCK_NAME, load_config, main, output_lock
 from stellar_match.distortion import solve_distortion
 from stellar_match.eos import EosSpec
@@ -769,7 +769,7 @@ def test_surface_reports_what_fit_ladder_returns(capsys, tmp_path, gamma):
     assert code == 0
     rep = json.loads((out / "surface_report.json").read_text())
     d = rep["config"]["distortion"]
-    dist = solve_distortion(lane_emden.solve(rep["n"]))
+    dist = solve_distortion(rep["n"])
     ladder = fit_ladder(dist, d["b"], np.linspace(-1.0, 1.0, d["zeta_points"]))
     assert ladder.scaling is not None
     expected = json.loads(canonical_json(ladder.describe()))
@@ -888,6 +888,82 @@ def test_surface_out_of_range_is_a_labelled_error(tmp_path, sets, code, error, w
     assert record["error"] == error
     for word in words:
         assert word in record["message"]
+
+
+@pytest.mark.parametrize("sets", [
+    ["distortion.levels=[0.9995]"],
+    ["distortion.levels=[0.5]", "distortion.level_margin=0.6"],
+])
+def test_surface_level_outside_the_margin_is_a_config_error(tmp_path, sets):
+    # level_surface needs each level in [level_margin, 1 - level_margin]:
+    # a level outside is a malformed config, refused before any solve
+    argv = ["-m", "stellar_match.cli", "surface", "--out", str(tmp_path / "s")]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    record = sole_error_record(run_python(*argv), 2)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("distortion.levels: ")
+    assert not (tmp_path / "s").exists()
+
+
+def test_surface_solves_once(capsys, tmp_path, monkeypatch):
+    # the base profile and both responses come from one integration to the
+    # first zero of theta
+    solved = []
+    real_solve = ode.solve
+
+    def counted(*args):
+        solved.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(ode, "solve", counted)
+    code, _, _ = run(capsys, "surface", "--out", str(tmp_path / "s"))
+    assert code == 0 and len(solved) == 1
+
+
+def _floats(value):
+    """Every number in a JSON value, at any depth."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _floats(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.one_of(st.floats(1.0, 4.5), st.sampled_from([5.0, 6.0])),
+       b=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5),
+       levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       max_size=3),
+       margin=st.floats(1e-6, 0.01) | st.floats(1e-6, 0.6),
+       zeta_points=st.integers(5, 41))
+def test_surface_gives_a_report_or_a_labelled_refusal(
+        capsys, tmp_path, n, b, levels, margin, zeta_points):
+    # any index, rotation ladder, levels and margin inside the schema's
+    # bounds: exit 0 with a finite surface, fits and one stratification
+    # entry per level, or exit 1 or 2 with JSON lines on stderr, the last
+    # an error.  A traceback (or a numpy warning, an error under the test
+    # settings) escapes main
+    out = tmp_path / "o"
+    code, _, err = run(
+        capsys, "surface", "--out", str(out),
+        "--set", "eos.gamma=%r" % (1.0 + 1.0 / n),
+        "--set", "distortion.b=%r" % b,
+        "--set", "distortion.levels=%r" % levels,
+        "--set", "distortion.level_margin=%r" % margin,
+        "--set", "distortion.zeta_points=%d" % zeta_points)
+    if code == 0:
+        rep = json.loads((out / "surface_report.json").read_text())
+        for key in ("xi1", "mu1"):
+            assert math.isfinite(rep[key]) and rep[key] > 0.0, rep
+        for record in rep["fits"] + rep["stratification"]:
+            assert all(math.isfinite(x) for x in _floats(record)), record
+        assert [row["theta_star"] for row in rep["stratification"]] == levels
+    else:
+        assert code in (1, 2)
+        records = [json.loads(line) for line in err.splitlines()]
+        assert records and set(records[-1]) == {"error", "message"}, records
 
 
 def test_surface_warns_before_the_first_order_curve_fails(tmp_path):

@@ -16,7 +16,6 @@ from stellar_match.distortion import (
     boundary_radius,
     compute_a2,
     dimensional_scale,
-    integrate_responses,
     legendre_p2,
     level_surface,
     solve_distortion,
@@ -24,27 +23,27 @@ from stellar_match.distortion import (
     theta_distorted,
 )
 from stellar_match.eos import EosSpec
-from stellar_match.errors import StellarMatchError
+from stellar_match.errors import NonTerminationError, StellarMatchError
 
 
 @pytest.fixture(scope="module")
 def dist_n1():
-    return solve_distortion(lane_emden.solve(1.0))
+    return solve_distortion(1.0)
 
 
 @pytest.fixture(scope="module")
 def dist_n15():
-    return solve_distortion(lane_emden.solve(1.5))
+    return solve_distortion(1.5)
 
 
 @pytest.fixture(scope="module")
 def dist_n2():
-    return solve_distortion(lane_emden.solve(2.0))
+    return solve_distortion(2.0)
 
 
 @pytest.fixture(scope="module")
 def dist_n3():
-    return solve_distortion(lane_emden.solve(3.0))
+    return solve_distortion(3.0)
 
 
 # -- Legendre --------------------------------------------------------------
@@ -103,11 +102,25 @@ def test_psi2_center_normalization(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n3"])
 def test_coupled_theta_matches_lane_emden(fixture, request):
-    # theta integrated alongside the responses reproduces the base profile.
+    # theta integrated alongside the responses reproduces the profile
+    # integrated alone
     base = request.getfixturevalue(fixture).base
-    xi = np.linspace(base.xi_start, base.xi1, 400)
-    theta = integrate_responses(base)(xi)[0]
-    assert np.max(np.abs(theta - base.theta_at(xi))) < 1e-10
+    alone = lane_emden.solve(base.n)
+    xi = np.linspace(lane_emden.XI_START, min(base.xi1, alone.xi1), 400)
+    assert np.max(np.abs(base.theta_at(xi) - alone.theta_at(xi))) < 1e-10
+
+
+def test_n1_surface_is_pi():
+    # n = 1: theta = sin(xi)/xi, so xi1 = pi and mu1 = pi
+    base = solve_distortion(1.0).base
+    assert abs(base.xi1 - math.pi) <= 1e-13
+    assert abs(base.mu1 - math.pi) <= 1e-13
+
+
+def test_no_finite_surface_is_refused():
+    with pytest.raises(NonTerminationError) as refused:
+        solve_distortion(5.0)
+    assert refused.value.label == "no-finite-zero"
 
 
 def _psi2_form_reference(base):
@@ -147,19 +160,24 @@ def test_q_form_matches_psi2_form_reference(fixture, request):
 @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0])
 def test_response_integration_steps(n, monkeypatch):
     # q is regular at the center, so the steps there are not held to a
-    # few percent of xi as psi2's 6/xi^2 pole holds them
-    base = lane_emden.solve(n)
+    # few percent of xi as psi2's 6/xi^2 pole holds them.  The base profile
+    # and the responses come from one solve, which costs fewer right-hand
+    # side evaluations than the base profile and the responses each solved
+    # on its own (measured 1493, 2249, 1865 and 1805 against 2083, 3055,
+    # 2263 and 2647)
     solved = []
-    real_solve = distortion.ode.solve
+    real_solve = lane_emden.ode.solve
 
     def counted(*args, **kwargs):
         sol = real_solve(*args, **kwargs)
-        solved.append(len(sol.t) - 1)
+        solved.append(sol)
         return sol
 
-    monkeypatch.setattr(distortion.ode, "solve", counted)
-    solve_distortion(base)
-    assert len(solved) == 1 and solved[0] <= 160
+    monkeypatch.setattr(lane_emden.ode, "solve", counted)
+    solve_distortion(n)
+    [sol] = solved
+    nfev = {1.0: 1600, 1.5: 2400, 2.0: 2000, 3.0: 1930}[n]
+    assert len(sol.t) - 1 <= 160 and sol.nfev <= nfev
 
 
 def test_radial_domain_guard(dist_n1):
@@ -188,6 +206,27 @@ def test_responses_read_the_coupled_dense_output_once(dist_n15, monkeypatch):
     np.testing.assert_array_equal(got, [h0, psi2])
     assert dist_n15.responses(2.0) == list(scalar)
     assert len(calls) == 2
+
+
+def test_distorted_reads_the_dense_output_once(dist_n15, monkeypatch):
+    # Theta = theta + b (h0 + A2 psi2 P2) reads theta, h0 and psi2 with one
+    # evaluation of the one dense output, with the bits each reads alone
+    xi = np.array([0.0, 5e-5, 0.5, 2.0, dist_n15.base.xi1, 4.0, 9.0])
+    p2, b = legendre_p2(0.3), 1e-2
+    theta, h0, psi2 = (dist_n15.base.theta.at(xi), dist_n15.h0.at(xi),
+                       dist_n15.psi2.at(xi))
+    dense, calls = dist_n15.h0._dense, []
+
+    def counted(t):
+        calls.append(1)
+        return dense(t)
+
+    for sol in (dist_n15.base.theta, dist_n15.h0, dist_n15.psi2):
+        assert sol._dense is dense
+        monkeypatch.setattr(sol, "_dense", counted)
+    np.testing.assert_array_equal(dist_n15.distorted(xi, b, p2),
+                                  theta + b * (h0 + dist_n15.a2 * psi2 * p2))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fixture", ["dist_n1", "dist_n15", "dist_n2", "dist_n3"])
@@ -293,10 +332,9 @@ def test_a2_degenerate_matching_rejected(dist_n1):
 
 
 def test_low_index_rejected():
-    base = lane_emden.solve(1.0)
-    base.n = 0.5  # below the range where theta^(n-1) stays finite
+    # below the range where theta^(n-1) stays finite
     with pytest.raises(ValueError):
-        solve_distortion(base)
+        solve_distortion(0.5)
 
 
 # -- surface curve ---------------------------------------------------------
@@ -460,14 +498,14 @@ def test_level_surface_roots_match_scipy_find_root(fixture, request, monkeypatch
 def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypatch):
     # the bracket ends are checked by the root search itself, and the
     # bracket end (boundary_radius) reads the stored surface values: every
-    # read of the coupled responses h0 and psi2 is one the search makes,
-    # one per call
+    # read of the distorted profile Theta is one the search makes, one per
+    # call
     reads, objective_calls = [], []
-    real_responses = dist_n15.responses
+    real_distorted = dist_n15.distorted
 
-    def responses(xi):
+    def distorted(*args):
         reads.append(1)
-        return real_responses(xi)
+        return real_distorted(*args)
 
     def counted(f, a, b, args=(), **tolerances):
         def objective(*fargs):
@@ -476,7 +514,7 @@ def test_level_surface_evaluates_only_inside_the_root_search(dist_n15, monkeypat
 
         return roots.chandrupatla(objective, a, b, args, **tolerances)
 
-    monkeypatch.setattr(dist_n15, "responses", responses)
+    monkeypatch.setattr(dist_n15, "distorted", distorted)
     monkeypatch.setattr(distortion, "chandrupatla", counted)
     level_surface(dist_n15, 1e-2, 0.5)
     assert objective_calls and len(reads) == len(objective_calls)
@@ -500,7 +538,7 @@ def test_level_surfaces_in_one_call_match_single_levels(fixture, request):
 def test_level_surfaces_in_one_call_fail_as_the_first_failing_level():
     # at n = 4 the b = 1e-2 boundary leaves the levels unbracketed near the
     # poles; the error is the first level's, at its first failing zeta
-    dist = solve_distortion(lane_emden.solve(4.0))
+    dist = solve_distortion(4.0)
     with pytest.raises(StellarMatchError) as alone:
         level_surface(dist, 1e-2, 0.2)
     with pytest.raises(StellarMatchError) as together:

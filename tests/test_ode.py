@@ -12,7 +12,7 @@ reproduced in Python floats.  The trajectories are therefore compared at
 the oracle's step ends through the dense output, relative to each
 component's largest magnitude.  Where the estimate is mostly rounding
 (the inward solves' first steps, the EOS table at the rtol floor, the
-Lane-Emden profiles at 1e-12), the two error norms from one state part by
+Lane-Emden profiles and the distortion solves at 1e-12), the two error norms from one state part by
 1e-3 relative or more and the step grids can part with them; each of
 those solves keeps the whole-run checks that still hold and is also
 compared step by step with scipy's DOP853 run from each step's start: the
@@ -322,13 +322,26 @@ def test_lane_emden_n0_matches_solve_ivp(recorded):
         assert np.max(np.abs(got.y[:, -1] - y) / scale[:, 0]) < 1e-13
 
 
-@pytest.mark.parametrize("n", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0, 4.0])
 def test_distortion_solve_matches_solve_ivp(recorded, n):
-    base = lane_emden.solve(n)
-    recorded.clear()
-    solve_distortion(base)
+    # one solve of theta and the responses, to the surface event on theta
+    dist = solve_distortion(n)
     [(args, got)] = recorded
-    _assert_matches_oracle(args, got)
+    if n >= 3.0:
+        want = _assert_matches_oracle(args, got)
+    else:
+        # As for the Lane-Emden profile at n = 1, the steps next to the
+        # surface, where the source theta^n and the coefficient
+        # n theta^(n-1) lose smoothness, reject or not on error norms that
+        # the two codes round differently: the runs take 103 against 101
+        # steps at n = 1 and 133 against 135 at n = 2, and at n = 1.5 the
+        # same steps with 2249 against 2237 evaluations
+        want = _oracle(*args)
+        assert got.status == want.status
+        assert got.event == _oracle_event(want) == 0
+    _assert_steps_match_oracle(args, got)
+    assert dist.base.xi1 == pytest.approx(float(want.t_events[0][0]),
+                                          rel=EVENT_TOL)
 
 
 def test_dense_output_scalar_array_and_oracle_agree(recorded):

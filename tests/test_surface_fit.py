@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from stellar_match import lane_emden
 from stellar_match.distortion import solve_distortion, surface_curve
 from stellar_match.errors import FitConvergenceError
 from stellar_match.surface_fit import (
@@ -22,7 +21,7 @@ from stellar_match.surface_fit import (
 
 @pytest.fixture(scope="module")
 def dist_n1():
-    return solve_distortion(lane_emden.solve(1.0))
+    return solve_distortion(1.0)
 
 
 def ellipsoid_samples(a0, a1, points=41):
@@ -103,7 +102,7 @@ def test_fit_without_stationary_point_raises():
 def test_fit_reproducible_under_radius_scaling(n):
     # a1 is a root of the reduced gradient, fixed to about eps over its
     # slope, so scaling the radii by 1 + O(1e-13) leaves it in place.
-    curve = surface_curve(solve_distortion(lane_emden.solve(n)), 1e-2)
+    curve = surface_curve(solve_distortion(n), 1e-2)
     ref = fit_ellipsoid(np.column_stack([curve.zeta, curve.values]))
     for factor in (1.0 - 1e-13, 1.0 + 1e-13, 1.0 + 3e-13, 1.0 + 1e-12):
         fit = fit_ellipsoid(np.column_stack([curve.zeta, factor * curve.values]))
