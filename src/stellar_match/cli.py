@@ -38,6 +38,7 @@ from .distortion import (
 )
 from .eos import EosSpec
 from .errors import ConfigError, ShootFailureError, StellarMatchError
+from .lane_emden import N_MAX
 from .matching import (
     NEAR_DELTA_DEFAULT,
     SAMPLER_KINDS,
@@ -200,7 +201,7 @@ def _validate_config(data):
     try:
         ShootConfig(**merged["tov"])
     except ValueError as exc:
-        _fail("tov.r_floor_factor, tov.dr_factor", str(exc))
+        _fail("tov.r_floor_factor", str(exc))
     s, d = merged["sweep"], merged["distortion"]
     if s["p_hi"] <= s["p_lo"]:
         _fail("sweep.p_hi", "must exceed sweep.p_lo")
@@ -266,16 +267,20 @@ class RunConfig:
         return ShootConfig(**self.data["tov"])
 
     def polytrope_n(self):
-        """distortion.n, or else 1/(gamma - 1), held to the same bound."""
+        """distortion.n, or else 1/(gamma - 1), held to the surface
+        pipeline's range N_MIN <= n < N_MAX; the key that sets n is named
+        in the ConfigError."""
         d = self.data["distortion"]
         if d["n"] is not None:
-            return d["n"]
-        n = 1.0 / (self.data["eos"]["gamma"] - 1.0)
-        if not n >= N_MIN:
+            key, n = "distortion.n", d["n"]
+        else:
+            key, n = "eos.gamma", 1.0 / (self.data["eos"]["gamma"] - 1.0)
+        if not N_MIN <= n < N_MAX:
             _fail(
-                "eos.gamma",
-                "implies n = 1/(gamma-1) = %g, but the surface pipeline "
-                "needs n >= %g" % (n, N_MIN),
+                key,
+                "implies n = %g, but the surface pipeline needs n >= %g "
+                "and n < %g, below which theta has a finite zero"
+                % (n, N_MIN, N_MAX),
             )
         return n
 

@@ -133,11 +133,6 @@ class DistortionSolution:
         theta, h0, psi2 = evaluate((self.base.theta, self.h0, self.psi2), xi)
         return theta + b * (h0 + self.a2 * psi2 * p2)
 
-    def distortion_field(self, xi, zeta):
-        """Combined response h0(xi) + A2 psi2(xi) P2(zeta)."""
-        h0, psi2 = self.responses(xi)
-        return h0 + self.a2 * psi2 * legendre_p2(zeta)
-
     def profile(self, points=500):
         """Arrays (xi, h0, psi2) on [0, xi1] for export."""
         xi = np.linspace(0.0, self.base.xi1, points)

@@ -34,6 +34,8 @@ XI_START = 1e-4
 XI_MAX = 1e4
 RTOL = 1e-12
 ATOL = 1e-14
+# theta has a finite first zero only for n below N_MAX
+N_MAX = 5.0
 
 
 def _source(theta, n):
@@ -129,7 +131,7 @@ def evaluate(profiles, xi, component=0):
 class LaneEmdenSolution:
     """Profile with located surface: ``theta``, the RadialProfile of rows
     0-1 of ``dense``.  theta_at/dtheta_at evaluate it on [0, xi1];
-    theta_extended also past xi1, on the vacuum solution."""
+    theta.at also past xi1, on the vacuum solution."""
 
     def __init__(self, n, xi1, dense):
         self.n = float(n)
@@ -152,17 +154,13 @@ class LaneEmdenSolution:
         self._inside(xi)
         return self.theta.d_at(xi)
 
-    def theta_extended(self, xi):
-        """theta on [0, inf), mu1 (1/xi - 1/xi1) past the zero."""
-        return self.theta.at(xi)
-
 
 def _solve_to_surface(n, rhs, y0, rtol, atol):
     """The LaneEmdenSolution of rhs, integrated from the series state y0
     at XI_START to the first zero of its row 0, theta.  Raises
     NonTerminationError for n >= 5 (no finite zero) without integrating,
     for an integrator failure, and for no zero below XI_MAX."""
-    if n >= 5.0:
+    if n >= N_MAX:
         raise NonTerminationError(
             "no-finite-zero", "theta has no zero for n >= 5 (n = %g)" % n)
 

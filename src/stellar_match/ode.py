@@ -678,13 +678,17 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
         # cheaper than broadcasting a (k,) one
         hn = np.array((h,) * n)
 
-        y_new, k = _rk_step(rhs, _LANES, t, y, f, h, hn)
-        trials += 1
+        # a trial stage past the right-hand side's domain may hold inf of
+        # both signs, whose sums are NaN: silently, as in the scalar
+        # solve's float arithmetic, and the NaN norm rejects the step
+        with np.errstate(invalid="ignore"):
+            y_new, k = _rk_step(rhs, _LANES, t, y, f, h, hn)
+            trials += 1
 
-        err5, err3 = _LANES.errors(y, k, hn)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5, err3 = err5 / scale, err3 / scale
-        sq5, sq3 = _sum_rows(err5 * err5), _sum_rows(err3 * err3)
+            err5, err3 = _LANES.errors(y, k, hn)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5, err3 = err5 / scale, err3 / scale
+            sq5, sq3 = _sum_rows(err5 * err5), _sum_rows(err3 * err3)
         # a zero sq5 gives a zero norm, with or without sq3, as in the
         # scalar solve, and no division by zero
         error_norm = np.abs(h) * sq5 / np.sqrt(np.where(

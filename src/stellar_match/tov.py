@@ -14,18 +14,19 @@ horizon event, which could not fire.  Only the metric itself needs a finite
 c: a c = inf trajectory has NaN F and H columns, and metric_coefficients
 refuses it.
 
-The pressure equation in w is regular at the surface, so (m, w) = (M, 0) is
-a usable starting point for inward shots, unlike (m, P) = (M, 0) which is
-an equilibrium of the pressure-form right-hand side.
+The pressure equation in w is regular at the surface, so inward shots
+start on the surface itself, at (m, w) = (M, 0) and r = R, unlike
+(m, P) = (M, 0) which is an equilibrium of the pressure-form right-hand
+side (Lindblom 1992, ApJ 398, 569).
 
 Outward shots start from a central pressure with a series start at r0,
 run in r until w falls to TAIL_FRACTION of its start value, and finish in
 x = sqrt(w) with state (r, m): the surface x = 0 is that solve's span
 bound, and m = M - C x^(2n+2) near it, where in r the kink of rho ~ w^n
 costs rejected steps (Lindblom 1992, ApJ 398, 569).  A guard may stop a
-shot first.  Inward shots start from boundary data (R, M) just inside the
-surface, run in s = ln r, where the steps do not shrink toward the center,
-and end in one of four ways:
+shot first.  Inward shots start from boundary data (R, M) on the surface,
+run in s = ln r, where the steps do not shrink toward the center, and end
+in one of four ways:
 
     case00  P reaches the EOS cap above r_floor (finite c only)
     case01  |dP/dr| stalls at positive radius with P finite
@@ -48,7 +49,7 @@ floor is case10.
 Exits through the metric degeneracy 1 - 2m/(c^2 r) -> 0 or through w -> 0
 are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
-values that would put an inward start inside the radius floor.
+a radius floor at or beyond the surface, where inward shots start.
 
 Every solve runs on `ode.solve`, an 8th-order integrator in plain float
 arithmetic that follows scipy's DOP853 step rules and dense output, and
@@ -128,23 +129,23 @@ class ShootConfig:
     The classification's gates scale with p_ref = M^2/R^4, the G = 1
     pressure scale of the boundary data.  No setting moves the pressure
     ceiling: it is the EOS cap at a finite c, and there is none at c = inf.
-    Values that would put an inward start R - dr at or inside the radius
-    floor raise ValueError.
+    An inward shot starts on the surface r = R itself, so a radius floor
+    r_floor_factor R at or beyond it raises ValueError.
     """
 
     rtol: float = 1e-10
     atol_factor: float = 1e-12      # abs tol = atol_factor * natural scale
     r0_factor: float = 1e-6         # center offset in units of the length scale
-    dr_factor: float = 1e-6         # inward surface offset in units of R
     r_max_factor: float = 1e3       # outward guard in units of the length scale
     r_floor_factor: float = 1e-6
     m_floor_factor: float = 1e-5
     slope_floor_factor: float = 1e-8
 
     def __post_init__(self):
-        if not self.r_floor_factor + self.dr_factor < 1.0:
-            raise ValueError("r_floor_factor + dr_factor must be below 1, or "
-                             "the inward start lies inside the radius floor")
+        if not self.r_floor_factor < 1.0:
+            raise ValueError("r_floor_factor must be below 1, or the inward "
+                             "start on the surface lies inside the radius "
+                             "floor")
 
 
 class TovTrajectory:
@@ -351,13 +352,6 @@ def _center_series(eos, p_center, rho_c, r0):
 def surface_gravity(eos, radius, mass):
     """Gradient of the enthalpy variable at the surface, |dw/dr|(R)."""
     return mass / (eos.w_unit * radius**2 * _metric(eos, radius, mass))
-
-
-def surface_start(eos, radius, mass, dr):
-    """Desingularized inward start at r = R - dr: w grows linearly off the
-    surface with slope g_s, m unchanged to leading order."""
-    g_s = surface_gravity(eos, radius, mass)
-    return radius - dr, mass, g_s * dr
 
 
 def _directed(event, direction):
@@ -659,10 +653,11 @@ def _inward_events(eos, w_ceiling):
 
 @dataclass
 class _InwardStart:
-    """Start state, tolerances and floors of an inward shot."""
+    """Start state, tolerances and floors of an inward shot, which starts
+    on the surface itself: (m, w) = (M, 0) at r = R."""
 
-    r: float                # R - dr
-    y: list                 # [m, w] at r
+    r: float                # R
+    y: list                 # [M, 0.0] at R
     atol: list
     slope_floor: float      # the inward events' argument
     r_floor: float          # the solve's span bound
@@ -680,12 +675,11 @@ class _InwardStart:
         return self.r_floor if event < 0 else math.exp(s)
 
 
-def _inward_start(eos, radius, mass, cfg, w_ceiling):
-    """_InwardStart of an inward shot from (R, M) under the pressure
-    ceiling w_ceiling (_w_ceiling); raises AdmissibilityError for
-    inadmissible data, or data whose p_ref or slope floor is not a finite
-    positive float, and EosValidityError where the EOS cannot represent
-    the fluid at the start."""
+def _inward_start(eos, radius, mass, cfg):
+    """_InwardStart of an inward shot from (R, M); raises
+    AdmissibilityError for inadmissible data, or data whose p_ref or slope
+    floor is not a finite positive float.  w's absolute tolerance scales
+    with g_s R, w's rise over one radius at the surface slope."""
     if not admissible(radius, mass, eos.c_light):
         raise AdmissibilityError(
             "(R, M) = (%g, %g) inadmissible for c = %g"
@@ -713,19 +707,13 @@ def _inward_start(eos, radius, mass, cfg, w_ceiling):
             % (radius, mass, p_ref, slope_floor, r_floor))
     m_floor = cfg.m_floor_factor * mass
 
-    dr = cfg.dr_factor * radius
-    r_start, m_start, w_start = surface_start(eos, radius, mass, dr)
-    atol = [cfg.atol_factor * mass, cfg.atol_factor * w_start]
+    w_scale = surface_gravity(eos, radius, mass) * radius
+    atol = [cfg.atol_factor * mass, cfg.atol_factor * w_scale]
     diagnostics = {"p_ref": p_ref, "slope_floor": slope_floor,
                    "r_floor": r_floor, "m_floor": m_floor}
-    if w_ceiling is not None:
-        if w_start >= w_ceiling:
-            raise EosValidityError(
-                "surface start enthalpy %g already beyond the pressure "
-                "ceiling; the EOS cannot represent the fluid at this "
-                "boundary" % w_start)
+    if not eos.nonrelativistic:
         diagnostics["ceiling"] = 0.999 * eos.p_valid_max
-    return _InwardStart(r=r_start, y=[m_start, w_start], atol=atol,
+    return _InwardStart(r=radius, y=[mass, 0.0], atol=atol,
                         slope_floor=slope_floor, r_floor=r_floor,
                         m_floor=m_floor, diagnostics=diagnostics)
 
@@ -734,9 +722,8 @@ def shoot_from_boundary(eos, radius, mass, config=None):
     """Inward shot from admissible boundary data; returns
     (ShootClassification, TovTrajectory)."""
     cfg = config or ShootConfig()
-    w_ceiling = _w_ceiling(eos)
-    start = _inward_start(eos, radius, mass, cfg, w_ceiling)
-    events, labels = _inward_events(eos, w_ceiling)
+    start = _inward_start(eos, radius, mass, cfg)
+    events, labels = _inward_events(eos, _w_ceiling(eos))
     sol = _solve(eos, start.span, start.y, events, cfg.rtol, start.atol,
                  (start.slope_floor,), _IN_S)
     cls = _classify(eos, start, labels[sol.event],
@@ -744,7 +731,8 @@ def shoot_from_boundary(eos, radius, mass, config=None):
                     float(sol.y[0, -1]), float(sol.y[1, -1]))
     traj = TovTrajectory(eos, "inward", sol, cls.exit,
                          f_const=_f_const(eos, radius, mass))
-    traj.r[-1] = cls.r_exit  # r_floor itself at the span bound
+    # R itself at the start, r_floor itself at the span bound
+    traj.r[0], traj.r[-1] = radius, cls.r_exit
     traj.check_domain()
     return cls, traj
 
@@ -762,12 +750,11 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     to roundoff.  check_domain's tests run on every accepted state of
     every lane."""
     cfg = config or ShootConfig()
-    w_ceiling = _w_ceiling(eos)
     results = [None] * len(radii)
     lanes, starts = [], []
     for i, (radius, mass) in enumerate(zip(radii, masses)):
         try:
-            starts.append(_inward_start(eos, radius, mass, cfg, w_ceiling))
+            starts.append(_inward_start(eos, radius, mass, cfg))
         except StellarMatchError as exc:
             results[i] = exc
             continue
@@ -775,7 +762,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
     if not lanes:
         return results
 
-    events, labels = _inward_events(eos, w_ceiling)
+    events, labels = _inward_events(eos, _w_ceiling(eos))
     faults, observe = _fault_observer(eos, len(lanes))
     s0, s_floor = zip(*[s.span for s in starts])
     sol = ode.solve_lanes(

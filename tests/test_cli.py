@@ -71,23 +71,22 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(r_floor_factor=st.floats(1e-9, 2.0), dr_factor=st.floats(1e-9, 2.0))
-@example(r_floor_factor=0.5, dr_factor=0.5)
-def test_cli_and_shoot_config_agree_on_the_radius_floor(
-        r_floor_factor, dr_factor):
-    tov = {"r_floor_factor": r_floor_factor, "dr_factor": dr_factor}
+@given(r_floor_factor=st.floats(1e-9, 2.0))
+@example(r_floor_factor=1.0)
+def test_cli_and_shoot_config_agree_on_the_radius_floor(r_floor_factor):
+    tov = {"r_floor_factor": r_floor_factor}
     sets = ["tov.%s=%r" % item for item in tov.items()]
     try:
         ShootConfig(**dict(DEFAULT_CONFIG["tov"], **tov))
     except ValueError:
-        with pytest.raises(ConfigError, match="tov.r_floor_factor.*tov.dr_factor"):
+        with pytest.raises(ConfigError, match="tov.r_floor_factor"):
             load_config(sets=sets)
         return
     cfg = load_config(sets=sets)
     assert cfg.shoot_config() == ShootConfig(**cfg["tov"])
     assert {key: cfg["tov"][key] for key in tov} == tov
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.shoot_config().dr_factor = 0.5
+        cfg.shoot_config().r_floor_factor = 0.5
 
 
 def test_threads_flag_is_gone(capsys, tmp_path):
@@ -414,9 +413,11 @@ def test_shoot_center_gives_a_surface_or_a_labelled_refusal(
 
 def test_refinements_key_is_gone(tmp_path):
     # the inward shot has no refinement ladder, so no rung count to set,
-    # and no pressure-ceiling factor: the ceiling is the EOS cap at a
-    # finite c, and there is none at c = inf
-    for key, value in (("refinements", "2"), ("p_ceiling_factor", "1e6")):
+    # no pressure-ceiling factor: the ceiling is the EOS cap at a finite
+    # c, and there is none at c = inf; and no surface offset: it starts
+    # on the surface itself
+    for key, value in (("refinements", "2"), ("p_ceiling_factor", "1e6"),
+                       ("dr_factor", "1e-6")):
         out = run_python(
             "-m", "stellar_match.cli", "shoot-boundary", "--radius", "1",
             "--mass", "1e-3", "--out", str(tmp_path / "o"),
@@ -429,9 +430,9 @@ def test_refinements_key_is_gone(tmp_path):
 
 
 def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
-    # r_floor = 2 R lies above the start R - dr, so the inward span to
-    # r_floor would point outward; such a config is malformed, whatever
-    # (R, M).
+    # r_floor = 2 R lies above the start on the surface R, so the inward
+    # span to r_floor would point outward; such a config is malformed,
+    # whatever (R, M).
     out = run_python(
         "-m", "stellar_match.cli", "shoot-boundary", "--radius", "9.5",
         "--mass", "0.05", "--out", str(tmp_path / "o"),
@@ -441,7 +442,6 @@ def test_shoot_boundary_refuses_a_start_inside_the_radius_floor(tmp_path):
     record = sole_error_record(out, 2)
     assert record["error"] == "ConfigError"
     assert "tov.r_floor_factor" in record["message"]
-    assert "tov.dr_factor" in record["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -904,6 +904,27 @@ def test_surface_level_outside_the_margin_is_a_config_error(tmp_path, sets):
     assert record["error"] == "ConfigError"
     assert record["message"].startswith("distortion.levels: ")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("sets, key, n", [
+    (["eos.gamma=1.2"], "eos.gamma", "n = 5"),
+    (["distortion.n=6", "eos.gamma=1.1666666666666667"], "distortion.n",
+     "n = 6"),
+])
+def test_surface_refuses_an_index_without_a_finite_zero(
+        capsys, tmp_path, monkeypatch, sets, key, n):
+    # theta has no finite zero from n = 5 on, so no surface run can
+    # succeed: a ConfigError naming the key that sets n, before any solve
+    solved = []
+    monkeypatch.setattr(ode, "solve", lambda *args: solved.append(args))
+    argv = ["surface", "--out", str(tmp_path / "s")]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    code, _, err = run(capsys, *argv)
+    [record] = [json.loads(line) for line in err.splitlines()]
+    assert code == 2 and record["error"] == "ConfigError"
+    assert record["message"].startswith(key + ": ") and n in record["message"]
+    assert solved == [] and not (tmp_path / "s").exists()
 
 
 def test_surface_solves_once(capsys, tmp_path, monkeypatch):

@@ -430,9 +430,9 @@ def test_level_surface_matches_first_order_expansion(dist_n1):
     ls = level_surface(dist_n1, b, 0.5, zeta=np.linspace(-1, 1, 21))
     base = dist_n1.base
     xi_hat = brentq(lambda x: float(base.theta_at(x)) - 0.5, 1e-6, base.xi1)
-    pred = xi_hat - b * np.array(
-        [dist_n1.distortion_field(xi_hat, z) for z in ls.zeta]
-    ) / float(base.dtheta_at(xi_hat))
+    h0, psi2 = dist_n1.responses(xi_hat)
+    field = h0 + dist_n1.a2 * psi2 * legendre_p2(ls.zeta)
+    pred = xi_hat - b * field / float(base.dtheta_at(xi_hat))
     assert np.max(np.abs(ls.xi_star - pred)) < 10.0 * b**2
 
 

@@ -101,9 +101,9 @@ def test_vacuum_continuation_matches_potential():
         xi = sol.xi1 * np.array([1.0 + 1e-12, 1.05, 1.3, 2.0, 10.0, 1e3, 1e8])
         expect = sol.mu1 * (1.0 / xi - 1.0 / sol.xi1)
         roundoff = 4.0 * np.finfo(float).eps * sol.mu1 / sol.xi1
-        assert np.max(np.abs(sol.theta_extended(xi) - expect)) <= roundoff
+        assert np.max(np.abs(sol.theta.at(xi) - expect)) <= roundoff
         for x, want in zip(xi, expect):
-            assert abs(sol.theta_extended(x) - want) <= roundoff
+            assert abs(sol.theta.at(x) - want) <= roundoff
 
 
 def test_surface_slope_negative_and_theta_monotone():

@@ -136,13 +136,6 @@ def test_surface_gravity_anchor():
         == pytest.approx(0.2, rel=1e-14)
 
 
-def test_surface_start_values():
-    r, m, w = tov.surface_start(eos_rel(), 1.0, 0.2, 1e-3)
-    assert r == pytest.approx(0.999)
-    assert m == 0.2
-    assert w == pytest.approx(1e-3 / 3.0, rel=1e-12)
-
-
 # -- outward shots ---------------------------------------------------------
 
 def test_forward_gamma2_newtonian_closed_form():
@@ -381,9 +374,10 @@ def test_c_inf_reads_a_blow_up_off_the_center_floor(gamma, data):
 def test_a_near_case11_shot_ends_at_the_center_floor():
     # This near-case11 shot at gamma = 5/3, c = 1 once tried a step below
     # r_floor, where the singular mode m/r drove a trial stage to
-    # w ~ 1e20.  r_floor is now its span bound, and both configs still
-    # read a regular center there.
-    for cfg in (tov.ShootConfig(), tov.ShootConfig(dr_factor=1e-7)):
+    # w ~ 1e20.  r_floor is now its span bound, and both radius floors
+    # still read a regular center there, 3e-7 R too, though the pressure
+    # blows up at 1.6e-7 R, just below it (case00 at a floor of 1e-7 R).
+    for cfg in (tov.ShootConfig(), tov.ShootConfig(r_floor_factor=3e-7)):
         cls, _ = tov.shoot_from_boundary(eos_rel(), 2.1944351886319136,
                                          0.30835285128143747, cfg)
         assert (cls.case, cls.exit) == (tov.CASE11, tov.EXIT_CENTER_FLOOR)
@@ -471,8 +465,8 @@ def test_center_massive_exit_outside_taxonomy():
 
 # one-decade changes of the tov settings that gate or integrate a shot
 SETTING_CHANGES = [(key, factor) for key in (
-    "rtol", "r_floor_factor", "m_floor_factor", "slope_floor_factor",
-    "dr_factor") for factor in (10.0, 0.1)]
+    "rtol", "r_floor_factor", "m_floor_factor", "slope_floor_factor")
+    for factor in (10.0, 0.1)]
 STABILITY_EOS = {
     "gamma 5/3, c = 1": eos_rel(),
     "gamma 2, c = inf": eos_newt(gamma=2.0),
@@ -578,7 +572,7 @@ def test_p_ref_keeps_its_digits_where_a_power_underflows():
         assert (cls.case, cls.exit) == (tov.CASE10, tov.EXIT_CENTER_FLOOR)
         assert cls.diagnostics["p_ref"] == pytest.approx(1e198, rel=1e-15)
     for radius, mass in ((1e-80, 1e-81), (1e-70, 1e-160)):
-        start = tov._inward_start(eos, radius, mass, tov.ShootConfig(), None)
+        start = tov._inward_start(eos, radius, mass, tov.ShootConfig())
         assert start.diagnostics["p_ref"] == (mass / radius / radius)**2
 
 
@@ -590,16 +584,24 @@ def test_p_ref_keeps_the_float_powers_bits(log_r, log_c):
     radius = 10.0**log_r
     mass = 0.5 * radius * 10.0**log_c
     start = tov._inward_start(eos_newt(gamma=2.0), radius, mass,
-                              tov.ShootConfig(), None)
+                              tov.ShootConfig())
     assert start.diagnostics["p_ref"] == mass**2 / radius**4
 
 
 def test_near_horizon_start_beyond_validity():
-    # compactness so close to 1 that the start state exceeds the capped
-    # pressure ceiling
-    eos = eos_rel()
-    with pytest.raises((EosValidityError, AdmissibilityError)):
-        tov.shoot_from_boundary(eos, 1.0, 0.5 * (1.0 - 1e-9))
+    # From the surface itself, w = 0, data this close to the horizon reach
+    # the pressure ceiling above it: case00 on floats and on lanes,
+    # whatever the absolute tolerance.
+    for eos in (eos_rel(), eos_rel(gamma=2.0)):
+        for mass in (0.5 * (1.0 - 1e-9), 0.4999995):
+            for atol_factor in (1e-12, 1e-15, 1e-18):
+                cfg = tov.ShootConfig(atol_factor=atol_factor)
+                cls, _ = tov.shoot_from_boundary(eos, 1.0, mass, cfg)
+                [lane] = tov.shoot_from_boundaries(eos, [1.0], [mass], cfg)
+                for got in (cls, lane):
+                    assert (got.case, got.exit) == (
+                        tov.CASE00, tov.EXIT_PRESSURE_CEILING), (
+                        eos.gamma, mass, atol_factor, got)
 
 
 # -- trajectory invariants -------------------------------------------------
@@ -647,8 +649,15 @@ def test_trajectory_rows_layout():
 def test_forward_trajectories_end_on_the_surface(eos):
     # the surface x = sqrt(w) = 0 is the tail's span bound: the last row
     # is the surface itself, w = 0 exactly at r = R, and the dense output
-    # gives each stored state of the tail back by inverting r(x)
+    # gives each stored state of the tail back by inverting r(x).  An
+    # inward shot from (R, M) starts there: its first row is the boundary
+    # data, with F = -H = ln(1 - 2M/(c^2 R))/2 at a finite c.
     surface, traj = tov.shoot_from_center(eos, 1e-3)
+    _, inward = tov.shoot_from_boundary(eos, surface.radius, surface.mass)
+    r, m, p, _rho, h, F, H = inward.as_rows()[0]
+    assert (r, m, p, h) == (surface.radius, surface.mass, 0.0, 0.0)
+    if not eos.nonrelativistic:
+        assert F == -H == 0.5 * math.log(1.0 - surface.compactness)
     assert traj.w[-1] == 0.0 and traj.as_rows()[-1, 4] == 0.0
     assert traj.r[-1] == surface.radius and traj.m[-1] == surface.mass
     assert traj.state_at(surface.radius) == (surface.mass, 0.0)
@@ -942,9 +951,8 @@ def _inward_batch(eos, inadmissible):
     """Boundary data whose inward shots end in every way a sweep sees:
     case00, case01 and on-curve case11 around two stars, the point-mass
     (1, 1e-12) (case10 at c = inf, center_floor_massive at c = 1), (1, 1e-3)
-    (case00 at c = 1, case10 at c = inf, where there is no ceiling), a start
-    beyond the EOS validity cap (relativistic only; a Newtonian polytrope
-    has none) and inadmissible data."""
+    (case00 at c = 1, case10 at c = inf, where there is no ceiling), data
+    within 1e-9 of the horizon (case00 at c = 1) and inadmissible data."""
     batch = []
     for p_center in (1e-4, 1e-3):
         surface, _ = tov.shoot_from_center(eos, p_center)
@@ -1011,7 +1019,6 @@ def test_boundary_lanes_match_scalar_shots(monkeypatch, lanes_solves, eos,
     assert (tov.CASE00 in kinds) == (not eos.nonrelativistic)
     assert (tov.CASE10 in kinds) == eos.nonrelativistic
     assert (tov.EXIT_CENTER_MASSIVE in kinds) == (not eos.nonrelativistic)
-    assert ("EosValidityError" in kinds) == (not eos.nonrelativistic)
 
 
 def test_boundary_lanes_judge_a_ladder_on_its_last_rung(monkeypatch):
@@ -1097,18 +1104,17 @@ def test_lanes_do_not_depend_on_their_batch_mates(batch_pool, data):
             repr(want[k]) for k in order]
 
 
-@pytest.mark.parametrize("dr_factor, r_floor_factor", [
-    (1e-6, 2.0), (1e-6, 1.0 - 1e-6), (0.5, 0.5)])
+@pytest.mark.parametrize("r_floor_factor", [2.0, 1.0])
 def test_boundary_shots_refuse_a_start_inside_the_floor(
-        monkeypatch, lanes_solves, dr_factor, r_floor_factor):
-    # r_floor_factor + dr_factor >= 1 puts every start R - dr at or inside
+        monkeypatch, lanes_solves, r_floor_factor):
+    # r_floor_factor >= 1 puts every start on the surface R at or inside
     # r_floor, the inward solve's span bound, so the span would be empty or
     # point outward.  Such a config cannot be built, so neither path runs a
     # shot, whatever the data.
     solves = []
     monkeypatch.setattr(ode, "solve", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="radius floor"):
-        tov.ShootConfig(dr_factor=dr_factor, r_floor_factor=r_floor_factor)
+        tov.ShootConfig(r_floor_factor=r_floor_factor)
     assert solves == [] and lanes_solves == []
 
 
