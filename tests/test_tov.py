@@ -1104,17 +1104,19 @@ def test_lanes_do_not_depend_on_their_batch_mates(batch_pool, data):
             repr(want[k]) for k in order]
 
 
-@pytest.mark.parametrize("r_floor_factor", [2.0, 1.0])
+@pytest.mark.parametrize("part, rest", [
+    (1e-6, 2.0), (1e-6, 1.0 - 1e-6), (0.5, 0.5)])
 def test_boundary_shots_refuse_a_start_inside_the_floor(
-        monkeypatch, lanes_solves, r_floor_factor):
+        monkeypatch, lanes_solves, part, rest):
     # r_floor_factor >= 1 puts every start on the surface R at or inside
     # r_floor, the inward solve's span bound, so the span would be empty or
     # point outward.  Such a config cannot be built, so neither path runs a
-    # shot, whatever the data.
+    # shot, whatever the data.  The factor is given as a sum of two parts;
+    # the last two cases sum to the bound 1 itself.
     solves = []
     monkeypatch.setattr(ode, "solve", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="radius floor"):
-        tov.ShootConfig(r_floor_factor=r_floor_factor)
+        tov.ShootConfig(r_floor_factor=part + rest)
     assert solves == [] and lanes_solves == []
 
 
