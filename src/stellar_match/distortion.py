@@ -230,18 +230,6 @@ def boundary_radius(dist, b, zeta):
     return base.xi1 + base.xi1**2 / base.mu1 * field * b
 
 
-def theta_distorted(dist, xi, zeta, b):
-    """Distorted profile Theta = theta(xi) + b field(xi, zeta) for
-    0 <= xi <= Xi1(zeta).  Past the spherical surface xi1 (inside the
-    bulge) theta, h0 and psi2 are their vacuum solutions."""
-    if b < 0.0:
-        raise ValueError("rotation parameter b must be nonnegative")
-    limit = boundary_radius(dist, b, zeta)
-    if xi < 0.0 or xi > limit * (1.0 + 1e-12):
-        raise ValueError("xi outside [0, Xi1(zeta)]")
-    return dist.distorted(xi, b, legendre_p2(zeta))
-
-
 @dataclass
 class LevelSurface:
     """Curve xi*(zeta) where the distorted profile equals theta_star."""

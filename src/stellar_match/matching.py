@@ -30,6 +30,7 @@ bit the segment-by-segment result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -171,8 +172,17 @@ class MatchingCurve:
         return _median(self.masses)
 
     def scaled_polyline(self):
-        """(n, 2) vertex array in this curve's scaled coordinates."""
-        return np.column_stack((self.radii / self.r_ref, self.masses / self.m_ref))
+        """(n, 2) vertex array in this curve's scaled coordinates, read-only."""
+        return self._scaled[2]
+
+    @functools.cached_property
+    def _scaled(self):
+        """(R_ref, M_ref, scaled_polyline), computed once per curve, whose
+        points do not change after construction."""
+        r_ref, m_ref = self.r_ref, self.m_ref
+        poly = np.column_stack((self.radii / r_ref, self.masses / m_ref))
+        poly.flags.writeable = False
+        return r_ref, m_ref, poly
 
     def as_rows(self):
         """Rows (p_center, radius, mass, compactness) for export."""
@@ -269,11 +279,12 @@ def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
     """
     r_ref, m_ref = refs
 
-    def scaled(pt):
-        return np.array([pt.radius / r_ref, pt.mass / m_ref])
+    def scaled(points):
+        return np.array([[pt.radius / r_ref, pt.mass / m_ref]
+                         for pt in points])
 
     ps = sorted(points_by_p)
-    gaps = _grid_gaps([scaled(points_by_p[p]) for p in ps])
+    gaps = _grid_gaps(scaled([points_by_p[p] for p in ps]))
     # chords as (p1, p2, depth, predicted gap or None)
     pending = [(p1, p2, 0, gap) for p1, p2, gap in zip(ps[:-1], ps[1:], gaps)]
     shot = {}
@@ -283,7 +294,7 @@ def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
         shot.update(zip(planned, _forward_points(eos, planned, config)))
         level, pending = pending, []
         while level:
-            next_level = []
+            measured = []  # (p1, p_mid, p2, depth, shot midpoint)
             for p1, p2, depth, gap in level:
                 if depth >= max_depth:
                     continue
@@ -292,28 +303,32 @@ def _refine_sagitta(eos, points_by_p, refs, config, max_depth):
                     pending.append((p1, p2, depth, gap))
                     continue
                 point = shot[p_mid][0]
-                if point is None:
-                    continue
-                gap = _segment_distance(
-                    scaled(point), scaled(points_by_p[p1]),
-                    scaled(points_by_p[p2]))
+                if point is not None:
+                    measured.append((p1, p_mid, p2, depth, point))
+            if not measured:
+                break
+            p1s, _, p2s, _, mids = zip(*measured)
+            gaps = _segment_distances(
+                scaled(mids), scaled([points_by_p[p] for p in p1s]),
+                scaled([points_by_p[p] for p in p2s])).tolist()
+            level = []
+            for (p1, p_mid, p2, depth, point), gap in zip(measured, gaps):
                 if gap <= SAGITTA_TOL:
                     continue
                 points_by_p[p_mid] = point
-                next_level += [(p1, p_mid, depth + 1, gap),
-                               (p_mid, p2, depth + 1, gap)]
-            level = next_level
+                level += [(p1, p_mid, depth + 1, gap),
+                          (p_mid, p2, depth + 1, gap)]
 
 
 def _grid_gaps(vertices):
-    """The predicted gap of each chord between consecutive vertices: the
-    larger turn of its end vertices, a vertex's turn being its distance
-    from the chord through its two neighbours.  None for every chord of
-    fewer than 3 vertices."""
-    turns = [_segment_distance(v, a, b)
-             for a, v, b in zip(vertices, vertices[1:], vertices[2:])]
-    if not turns:
+    """The predicted gap of each chord between consecutive vertices (rows
+    of an (n, 2) array): the larger turn of its end vertices, a vertex's
+    turn being its distance from the chord through its two neighbours.
+    None for every chord of fewer than 3 vertices."""
+    if len(vertices) < 3:
         return [None] * (len(vertices) - 1)
+    turns = _segment_distances(vertices[1:-1], vertices[:-2],
+                               vertices[2:]).tolist()
     # an end vertex has no turn; the other end of its chord does
     turns = turns[:1] + turns + turns[-1:]
     return [max(a, b) for a, b in zip(turns, turns[1:])]
@@ -404,45 +419,44 @@ def scan_components(eos, grid, config=None):
     return curves
 
 
-def _polyline_distance(q, poly):
-    """Distance from point q to the polyline through the (n, 2) vertices
-    poly in the plane, as one array expression over its segments.
+def _segment_distances(q, a, b):
+    """Distance from each point q to its segment [a, b], rows of (k, 2)
+    arrays (q may be one point for all), as one array expression.
 
     The dot products are stacked matmuls, (k, 1, 2) @ (k, 2, 1), which
     round as the 1-D dot product of one segment's vectors does (elementwise
     products summed by hand can differ in the last bit).  A zero-length
-    segment, like a single vertex, gives the distance to its end point: its
-    projection is an exact zero, divided by 1 instead of its length."""
-    if len(poly) == 1:
-        a, d = poly, np.zeros_like(poly)
-    else:
-        a, d = poly[:-1], poly[1:] - poly[:-1]
+    segment gives the distance to its end point: its projection is an
+    exact zero, divided by 1 instead of its length."""
+    d = b - a
     length_sq = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
     along = ((q - a)[:, None, :] @ d[:, :, None])[:, 0, 0]
     t = np.clip(along / np.where(length_sq == 0.0, 1.0, length_sq), 0.0, 1.0)
-    return float(np.min(np.hypot(*(q - (a + t[:, None] * d)).T)))
+    return np.hypot(*(q - (a + t[:, None] * d)).T)
 
 
-def _segment_distance(q, a, b):
-    """Distance from point q to segment [a, b] in the plane."""
-    return _polyline_distance(q, np.array([a, b]))
+def _polyline_distance(q, poly):
+    """Distance from point q to the polyline through the (n, 2) vertices
+    poly, the nearest of its segments; a single vertex is a zero-length
+    segment."""
+    ends = (poly, poly) if len(poly) == 1 else (poly[:-1], poly[1:])
+    return float(np.min(_segment_distances(q, *ends)))
 
 
 def distance_to_curves(radius, mass, curves):
     """Scaled distance from boundary data (R, M) to the nearest curve.
 
     Each curve is measured in its own scaled coordinates (R / R_ref,
-    M / M_ref).  Returns (j_star, distance) for the closest curve over all
-    piecewise-linear segments, each curve's segments measured as one array
-    expression.  An empty curve list has no distance and raises ValueError.
+    M / M_ref), which each curve computes once.  Returns (j_star, distance)
+    for the closest curve over all piecewise-linear segments, each curve's
+    segments measured as one array expression.  An empty curve list has no
+    distance and raises ValueError.
     """
     if not curves:
         raise ValueError("distance is undefined for an empty curve list")
     best = None
     for curve in curves:
-        # scaled_polyline, with each median taken once
-        r_ref, m_ref = curve.r_ref, curve.m_ref
-        poly = np.column_stack((curve.radii / r_ref, curve.masses / m_ref))
+        r_ref, m_ref, poly = curve._scaled
         dist = _polyline_distance(np.array([radius / r_ref, mass / m_ref]),
                                   poly)
         if best is None or dist < best[1]:

@@ -28,13 +28,16 @@ another order.  Copied from scipy (`integrate/_ivp/rk.py` and
   interpolant, a stop at the earliest root (a tie goes to the lower event
   index).  Every event is terminal.
 
-One thing is not scipy's: the step that straddles the root is redone from
-its start with h ending at the root (HNW I, sec. II.6, on discontinuous
-right-hand sides).  The reported state and the last step of the dense
-output are that step's, so no stage of the last step reaches past the
-root, where a right-hand side may switch branch (the vacuum past a
-stellar surface).  A root at the step's start needs no redo: the solve
-ends at the previous step.
+Two things are not scipy's.  Where the initial step's trial point lies
+past the right-hand side's domain (a non-finite d2), the first step is h0,
+not scipy's 0, from which the steps would climb 10x at a time (hundreds of
+them from t = 0, where the minimum step is subnormal).  And the step that
+straddles the root is redone from its start with h ending at the root
+(HNW I, sec. II.6, on discontinuous right-hand sides).  The reported state
+and the last step of the dense output are that step's, so no stage of the
+last step reaches past the root, where a right-hand side may switch branch
+(the vacuum past a stellar surface).  A root at the step's start needs no
+redo: the solve ends at the previous step.
 
 The interpolant's three extra stages are computed only for a step whose
 interpolant is used (the step an event crosses, a float lookup of `sol`,
@@ -52,11 +55,12 @@ flag, takes the steps `solve` would take from its start (the same tableau,
 error norm, step rules, minimum step, initial step, event rules and redo),
 and a mask retires it when it reaches its bound, an event or a collapsed
 step.  Event arguments may differ from lane to lane: they follow each lane
-as the mask retires others, and an event sees the active lanes' values
-(one lane's floats when its root is found).  It pays from about sixteen
-lanes on (see matching.LANES_MIN).  It keeps no step history: it returns
-where each lane ended, and hands each accepted state to an optional
-observer.
+as the mask retires others, and an event sees the active lanes' values.  A
+lane whose step crosses an event retires with that step, and one settle
+pass after the loop finds every such lane's root by `roots.brentq_lanes`
+and redoes their steps together.  It pays from about sixteen lanes on (see
+matching.LANES_MIN).  It keeps no step history: it returns where each lane
+ended, and hands each accepted state to an optional observer.
 
 Both paths form every weighted sum of stages from one source.  At import
 one generator writes each sum (the 11 stages, B, the E5/E3 pair, the three
@@ -81,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .roots import brentq
+from .roots import brentq, brentq_lanes
 
 EPS = sys.float_info.epsilon
 
@@ -308,8 +312,9 @@ def _rms(values):
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     """First step size (Hairer, Norsett & Wanner, sec. II.4), as scipy's
-    select_initial_step for an order-7 error estimate; makes one right-hand
-    side call."""
+    select_initial_step for an order-7 error estimate, except that a
+    non-finite d2 (a trial point past the right-hand side's domain) starts
+    from h0; makes one right-hand side call."""
     interval = abs(t_bound - t0)
     scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -322,6 +327,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     # NaN, and the step then collapses
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0 \
         if h0 else math.inf
+    if not math.isfinite(d2):
+        return h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -584,7 +591,8 @@ def _rms_lanes(values):
 
 
 def _initial_step_lanes(fun, t0, y0, f0, t_bound, direction, rtol, atol):
-    """`_initial_step` for every lane at once; one right-hand side call."""
+    """`_initial_step` for every lane at once, a non-finite d2 included;
+    one right-hand side call."""
     interval = np.abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms_lanes(y0 / scale)
@@ -598,7 +606,8 @@ def _initial_step_lanes(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** (1 / 8))
-    return np.minimum(np.minimum(100 * h0, h1), interval)
+    return np.where(np.isfinite(d2),
+                    np.minimum(np.minimum(100 * h0, h1), interval), h0)
 
 
 def _sum_rows(values):
@@ -617,17 +626,16 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
     every lane; y0 is (n, L) and atol a float or an (n, L) array.
     fun(t, y) receives the active lanes, t (k,) and y (n, k), and returns
     an (n, k) array or n arrays of k values.  Events are as for `solve`,
-    terminal, called on the same arrays (one value per lane) and, to find a
-    root, on one lane's floats.  event_args holds per-lane event arguments,
-    each with one value per lane (event thresholds, say): an event is
-    called as event(t, y, *args) with the active lanes' values of each, or
-    one lane's floats when finding its root, so each lane's events are
-    those of its scalar solve with that lane's event_args.  The steps to
-    the roots found in one lockstep step are redone together.
+    terminal, and called on arrays only, one value per lane, also in the
+    root search.  event_args holds per-lane event arguments, each with one
+    value per lane (event thresholds, say), passed as event(t, y, *args),
+    so each lane's events are those of its scalar solve.  The lanes whose
+    steps cross an event are settled in one pass after the loop (_settle).
     observe(lanes, t, y), if given, sees the start and, after each lockstep
-    step, the state of every active lane by lane index: its step end, the
-    event root where an event stopped it, or its last state again where its
-    step was rejected.  Returns a LanesResult."""
+    step, the state of every active lane that no event stopped, by lane
+    index: its step end, or its last state again where its step was
+    rejected; then, once, each event-stopped lane's root state.  Returns a
+    LanesResult."""
     def rhs(t, y):
         return np.asarray(fun(t, y), dtype=float)
 
@@ -660,12 +668,11 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
 
     # the active lanes' state; a lane whose last trial step was rejected
     # retries it, any other starts a new step.  Every active lane makes one
-    # trial step per lockstep step; `spent` counts the evaluations of its
-    # interpolant and its redone step.
+    # trial step per lockstep step.  A lane whose accepted step crosses an
+    # event retires at once, and `crossings` keeps what _settle needs of it.
     rejected = np.zeros(lanes, dtype=bool)
-    fired = np.full(lanes, -1)
     steps = np.zeros(lanes, dtype=int)
-    spent = np.zeros(lanes, dtype=int)
+    crossings = []
     trials = 0
     while index.size:
         min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -721,56 +728,79 @@ def solve_lanes(fun, t0, t_bound, y0, rtol, atol, events=(), observe=None,
             crossed = accept & ((rising & (g <= 0) & (g_new >= 0))
                                 | (falling & (g >= 0) & (g_new <= 0)))
             g = g_new
-            if np.count_nonzero(crossed):
-                ends = np.flatnonzero(crossed.any(axis=0))
-                t_root = _stop_at_roots(
-                    rhs, events, crossed[:, ends], args[:, ends], direction,
-                    fired, ends, t_old[ends], t[ends], h[ends], hn[:, ends],
-                    y_old[:, ends], y[:, ends], [s[:, ends] for s in k])
-                redo = t_root != t_old[ends]
-                y_root = y_old[:, ends]
-                if np.count_nonzero(redo):
-                    h_root = t_root[redo] - t_old[ends[redo]]
-                    y_root[:, redo], _ = _rk_step(
-                        rhs, _LANES, t_old[ends[redo]], y_old[:, ends[redo]],
-                        k[0][:, ends[redo]], h_root, np.array((h_root,) * n))
-                t[ends], y[:, ends] = t_root, y_root
-                stop[ends] = True
-                spent[ends] += 3 + 12 * redo
+            hit = crossed.any(axis=0)
+            if np.count_nonzero(hit):
+                crossings.append((
+                    index[hit], t_old[hit], t[hit], h[hit], y_old[:, hit],
+                    y[:, hit], np.array(k)[..., hit], crossed[:, hit],
+                    args[:, hit], steps[hit],
+                    np.full(np.count_nonzero(hit), 2 + 12 * trials)))
+                go = ~hit
+                (index, t, t_bound, y, f, atol, g, args, h_abs, rejected,
+                 steps, stop, collapsed) = (a[..., go] for a in (
+                     index, t, t_bound, y, f, atol, g, args, h_abs,
+                     rejected, steps, stop, collapsed))
 
-        if observe is not None:
+        if observe is not None and index.size:
             observe(index, t, y)
         if np.count_nonzero(stop):
             lane = index[stop]
             out.t[lane], out.y[:, lane] = t[stop], y[:, stop]
-            out.status[lane] = np.where(fired[stop] >= 0, 1,
-                                        np.where(collapsed[stop], -1, 0))
-            out.event[lane], out.steps[lane] = fired[stop], steps[stop]
-            out.nfev[lane] = 2 + 12 * trials + spent[stop]
+            out.status[lane] = np.where(collapsed[stop], -1, 0)
+            out.steps[lane] = steps[stop]
+            out.nfev[lane] = 2 + 12 * trials
             go = ~stop
-            (index, t, t_bound, y, f, atol, g, args, h_abs, rejected, fired,
-             steps, spent) = (a[..., go] for a in (
+            (index, t, t_bound, y, f, atol, g, args, h_abs, rejected,
+             steps) = (a[..., go] for a in (
                  index, t, t_bound, y, f, atol, g, args, h_abs, rejected,
-                 fired, steps, spent))
+                 steps))
+    if crossings:
+        _settle(rhs, events, direction, crossings, out, observe)
     return out
 
 
-def _stop_at_roots(fun, events, crossed, args, direction, fired, ends, t_old,
-                   t_new, h, hn, y_old, y_new, k):
-    """The earliest root of each crossing lane `ends` of one lockstep step,
-    as `solve` finds it on the lane's interpolant (whose extra stages are
-    computed for all of them at once); records the event in `fired`.
-    Arrays cover those lanes only, except `fired`."""
-    k = _extra_stages(fun, _LANES, t_old, h, y_old, k, hn)
+def _settle(fun, events, direction, crossings, out, observe):
+    """Stop every lane of `crossings` (solve_lanes' records of the lanes
+    retired on a crossing step) at its earliest root, as `solve` does: the
+    crossing steps' interpolants together, each crossed event's roots by
+    brentq_lanes, a tie to the lower event index, and one redone step."""
+    (index, t_old, t_new, h, y_old, y_new, k, crossed, args, steps,
+     nfev) = (np.concatenate(parts, axis=-1) for parts in zip(*crossings))
+    n = len(y_old)
+    hn = np.array((h,) * n)
+    k = _extra_stages(fun, _LANES, t_old, h, y_old, list(k), hn)
     rows = np.array(_rows(y_old, y_new, k[0], k[12], h,
                           _LANES.dense(y_old, k, hn)))  # (7, n, lanes)
-    roots = np.empty(len(ends))
-    for col, lane in enumerate(ends):
-        start = float(t_old[col])
-        coeffs = (start, float(h[col]),
-                  list(zip(y_old[:, col].tolist(),
-                           rows[:, :, col].T.tolist())))
-        roots[col], fired[lane] = _first_root(
-            events, np.flatnonzero(crossed[:, col]), coeffs,
-            args[:, col].tolist(), start, float(t_new[col]), direction)
-    return roots
+
+    def crossing(event):
+        def g(t, t_old, h, y_old, rows, *args):
+            return event(t, _horner(y_old, rows, (t - t_old) / h), *args)
+        return g
+
+    t_root = np.full(len(index), direction * np.inf)
+    fired = np.full(len(index), -1)
+    for e, event in enumerate(events):
+        lanes = np.flatnonzero(crossed[e])
+        if not lanes.size:
+            continue
+        roots = brentq_lanes(
+            crossing(event), t_old[lanes], t_new[lanes],
+            (t_old[lanes], h[lanes], y_old[:, lanes], rows[..., lanes],
+             *args[:, lanes]), xtol=4 * EPS, rtol=4 * EPS)
+        first = direction * roots < direction * t_root[lanes]
+        t_root[lanes[first]], fired[lanes[first]] = roots[first], e
+
+    # redo the step to end at the root, unless the root is its start
+    redo = t_root != t_old
+    y_root = y_old.copy()
+    if np.count_nonzero(redo):
+        h_root = t_root[redo] - t_old[redo]
+        y_root[:, redo], _ = _rk_step(
+            fun, _LANES, t_old[redo], y_old[:, redo], k[0][:, redo],
+            h_root, np.array((h_root,) * n))
+    if observe is not None:
+        observe(index, t_root, y_root)
+    out.t[index], out.y[:, index] = t_root, y_root
+    out.status[index], out.event[index] = 1, fired
+    out.steps[index] = steps
+    out.nfev[index] = nfev + 3 + 12 * redo

@@ -4,12 +4,14 @@
   without Derivatives*, ch. 4) in Python floats, written as scipy's
   `brentq.c` writes it: the same iterates, argument checks and errors, so
   each root equals `scipy.optimize.brentq`'s bit for bit.
+- `brentq_lanes` is `brentq` on numpy arrays, one bracket per element,
+  each with `brentq`'s iterates and root, bit for bit.
 - `chandrupatla` is Chandrupatla's method (Chandrupatla 1997, Adv. Eng.
   Softw. 28, 145) on numpy arrays, one bracket per element, with the
   update and termination rules of `scipy.optimize.elementwise.find_root`
   at zero function tolerances, whose iterates it reproduces.
 
-These two are all the package needs of `scipy.optimize`, whose import
+These are all the package needs of `scipy.optimize`, whose import
 takes longer than a whole `surface` run; scipy stays a test oracle only.
 """
 
@@ -28,13 +30,7 @@ RTOL_MIN = 4 * sys.float_info.epsilon
 CHANDRUPATLA_MAXITER = 2046
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=RTOL_MIN, maxiter=100):
-    """A root of f in [a, b], to within xtol + rtol |root|.
-
-    f(a) and f(b) must differ in sign (a zero at an end is returned as
-    the root).  A sign error or a NaN value of f raises ValueError, and no
-    convergence within maxiter iterations raises RuntimeError.
-    """
+def _check_arguments(xtol, rtol, maxiter):
     maxiter = operator.index(maxiter)
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -42,6 +38,17 @@ def brentq(f, a, b, xtol=2e-12, rtol=RTOL_MIN, maxiter=100):
         raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
+    return maxiter
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=RTOL_MIN, maxiter=100):
+    """A root of f in [a, b], to within xtol + rtol |root|.
+
+    f(a) and f(b) must differ in sign (a zero at an end is returned as
+    the root).  A sign error or a NaN value of f raises ValueError, and no
+    convergence within maxiter iterations raises RuntimeError.
+    """
+    maxiter = _check_arguments(xtol, rtol, maxiter)
 
     def value(x):
         fx = float(f(x))
@@ -93,6 +100,66 @@ def brentq(f, a, b, xtol=2e-12, rtol=RTOL_MIN, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError("Failed to converge after %d iterations." % maxiter)
+
+
+def brentq_lanes(f, a, b, args=(), xtol=2e-12, rtol=RTOL_MIN, maxiter=100):
+    """`brentq` on each bracket [a[i], b[i]] of the 1-D arrays a and b: per
+    element the same iterates (each branch a `np.where`), root and error,
+    the first error met raised.  f(x, *args) sees the elements still
+    iterating, each arg with one value per element on its last axis."""
+    maxiter = _check_arguments(xtol, rtol, maxiter)
+
+    def value(x, args):
+        fx = np.asarray(f(x, *args), dtype=float)
+        if np.isnan(fx).any():
+            x = float(x[np.argmax(np.isnan(fx))])
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    args = [np.asarray(arg) for arg in args]
+    fpre, fcur = value(xpre, args), value(xcur, args)
+    root = np.where(fpre == 0, xpre, xcur)  # a zero at an end, a's first
+    index = np.flatnonzero((fpre != 0) & (fcur != 0))
+    if np.any((fpre[index] < 0) == (fcur[index] < 0)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = xpre[index], xcur[index], fpre[index], fcur[index]
+    args = [arg[..., index] for arg in args]
+    xblk = fblk = spre = scur = np.zeros(index.size)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, [spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[index[done]] = xcur[done]
+        go = ~done
+        (index, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis) = (
+            v[go] for v in (index, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        args = [arg[..., go] for arg in args]
+        if not index.size:
+            return root
+        # brentq takes one candidate step; the other may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,  # interpolate, else extrapolate
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        bound = 3 * np.abs(sbis) - delta
+        take = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.where(np.abs(spre) < bound, np.abs(spre), bound)))
+        spre, scur = np.where(take, [scur, stry], sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = value(xcur, args)
+    if index.size:
+        raise RuntimeError("Failed to converge after %d iterations." % maxiter)
+    return root
 
 
 class ElementwiseRoots(NamedTuple):

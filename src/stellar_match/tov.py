@@ -51,26 +51,11 @@ are reported as labeled exits outside the taxonomy.  One frozen ShootConfig
 holds every setting of a shot, and refuses (ValueError) to be built with
 a radius floor at or beyond the surface, where inward shots start.
 
-Every solve runs on `ode.solve`, an 8th-order integrator in plain float
-arithmetic that follows scipy's DOP853 step rules and dense output, and
-redoes the step that crosses an event's root to end there, so no stage of
-a solve's last step reaches past its exit.  The surface, the center floor
-and the range guard in r are span bounds, which no stage passes.  A solve
-whose steps collapse raises StellarMatchError naming the radius where
-they did.
-
-`shoot_from_centers` runs many outward shots as the lanes of
-`ode.solve_lanes`, one call per solve: each lane takes the steps of its
-scalar shot, and the right-hand side and events evaluate on arrays of
-lanes.  It returns boundary data or failure labels only, with no
-trajectories; the domain checks run on every accepted lane state.
-`shoot_from_boundaries` does the same for many inward shots, each lane
-with its own slope and radius floors, and returns each shot's
-classification or the error it raised.  On both paths a solve is read off
-the index of the event that stopped it, -1 where it reached its span
-bound.  Lanes pay from
-about a dozen outward and about twenty inward shots on (matching.LANES_MIN
-picks the batches that use them).
+Every solve runs on `ode.solve`, whose steps never pass a span bound and
+end on a step redone to the event root that stops them, or as one lane of
+`ode.solve_lanes` (`shoot_from_centers`, `shoot_from_boundaries`).  It is
+read off the index of the event that stopped it, -1 at its span bound;
+one whose steps collapse raises StellarMatchError naming the radius.
 """
 
 from __future__ import annotations
@@ -598,6 +583,7 @@ def shoot_from_centers(eos, p_centers, config=None):
             np.array([starts[j].tail_atol for j in tails]).T, events,
             lambda index, x, y: observe(tails[index], *_IN_X.state(x, y)),
             [r_max[tails]])
+    faulty = faults.any(axis=0).tolist()
     for j, i in enumerate(lanes):
         if sol.status[j] < 0:
             raise _integrator_failure(sol.t[j], ode.MESSAGES[-1])
@@ -609,7 +595,8 @@ def shoot_from_centers(eos, p_centers, config=None):
             raise _integrator_failure(tail.y[0, k], ode.MESSAGES[-1])
         results[i] = labels[tail.event[k]]
         if results[i] == EXIT_SURFACE:
-            _check_domain(faults[:, j])
+            if faulty[j]:
+                _check_domain(faults[:, j])
             results[i] = _surface_data(eos, float(tail.y[0, k]),
                                        float(tail.y[1, k]))
     return results
@@ -770,6 +757,7 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
         cfg.rtol, np.array([s.atol for s in starts]).T, events,
         lambda index, s, y: observe(index, *_IN_S.state(s, y)),
         [[s.slope_floor for s in starts]])
+    faulty = faults.any(axis=0).tolist()
     for j, (i, start) in enumerate(zip(lanes, starts)):
         try:
             s_end = float(sol.t[j])
@@ -778,7 +766,8 @@ def shoot_from_boundaries(eos, radii, masses, config=None):
             results[i] = _classify(eos, start, labels[sol.event[j]],
                                    start.exit_radius(sol.event[j], s_end),
                                    float(sol.y[0, j]), float(sol.y[1, j]))
-            _check_domain(faults[:, j])
+            if faulty[j]:
+                _check_domain(faults[:, j])
         except StellarMatchError as exc:
             results[i] = exc
     return results

@@ -20,7 +20,6 @@ from stellar_match.distortion import (
     level_surface,
     solve_distortion,
     surface_curve,
-    theta_distorted,
 )
 from stellar_match.eos import EosSpec
 from stellar_match.errors import NonTerminationError, StellarMatchError
@@ -391,13 +390,12 @@ def test_surface_rejects_negative_b(dist_n1):
 
 def test_theta_distorted_limits(dist_n15):
     base = dist_n15.base
-    assert theta_distorted(dist_n15, 0.0, 0.3, 1e-3) == pytest.approx(1.0, abs=1e-12)
+    p2 = legendre_p2(0.3)
+    assert dist_n15.distorted(0.0, 1e-3, p2) == pytest.approx(1.0, abs=1e-12)
     xi = 1.7
-    assert theta_distorted(dist_n15, xi, 0.3, 0.0) == pytest.approx(
+    assert dist_n15.distorted(xi, 0.0, p2) == pytest.approx(
         float(base.theta_at(xi)), abs=1e-14
     )
-    with pytest.raises(ValueError):
-        theta_distorted(dist_n15, base.xi1 + 1.0, 0.3, 1e-3)
 
 
 def test_theta_vanishes_at_distorted_boundary(dist_n15):
@@ -406,7 +404,8 @@ def test_theta_vanishes_at_distorted_boundary(dist_n15):
     residuals = {}
     for b in (1e-2, 1e-3):
         vals = [
-            abs(theta_distorted(dist_n15, float(boundary_radius(dist_n15, b, z)), z, b))
+            abs(dist_n15.distorted(float(boundary_radius(dist_n15, b, z)), b,
+                                   legendre_p2(z)))
             for z in (-1.0, -0.4, 0.0, 0.6, 1.0)
         ]
         residuals[b] = max(vals)
@@ -445,13 +444,14 @@ def test_level_surface_even_and_bounded(dist_n15):
 
 
 def _brentq_level(dist, b, theta_star, zeta):
-    """Scalar reference: one brentq root of theta_distorted per zeta."""
+    """Scalar reference: one brentq root of the distorted profile per
+    zeta, on [0, Xi1(zeta)]."""
     roots = []
     for z in zeta:
         limit = float(boundary_radius(dist, b, z))
         roots.append(
             brentq(
-                lambda x, z=z: theta_distorted(dist, x, z, b) - theta_star,
+                lambda x, z=z: dist.distorted(x, b, legendre_p2(z)) - theta_star,
                 0.0,
                 limit,
                 xtol=1e-13,

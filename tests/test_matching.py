@@ -16,7 +16,7 @@ from stellar_match.matching import (
     SAGITTA_TOL,
     SweepSampler,
     _forward_point,
-    _segment_distance,
+    _polyline_distance,
     ae_failure_sweep,
     distance_to_curves,
     scan_components,
@@ -147,9 +147,9 @@ def _depth_first_refine(eos, points_by_p, refs, config, max_depth):
             continue
         p_mid = math.sqrt(p1 * p2)
         point, _ = _forward_point(eos, p_mid, config)
-        if point is None or _segment_distance(
-                scaled(point), scaled(points_by_p[p1]),
-                scaled(points_by_p[p2])) <= SAGITTA_TOL:
+        if point is None or _polyline_distance(
+                scaled(point), np.array([scaled(points_by_p[p1]),
+                                         scaled(points_by_p[p2])])) <= SAGITTA_TOL:
             continue
         points_by_p[p_mid] = point
         stack += [(p1, p_mid, depth + 1), (p_mid, p2, depth + 1)]

@@ -724,6 +724,80 @@ def test_solve_and_lanes_stop_on_the_same_event(span):
         assert got.t[j] == pytest.approx(want.t[-1], rel=LANE_TOL)
 
 
+def _two_event_lanes(observe=None):
+    """Five oscillator lanes y = (sin t, cos t): two stop where y[0] rises
+    to their level (event 1), two where it falls through 0 at t = pi
+    (event 0), each at its own lockstep step, and one at its bound."""
+    def below_zero(t, y, level):
+        return y[0]
+
+    def at_level(t, y, level):
+        return y[0] - level
+
+    below_zero.direction, at_level.direction = -1, 1
+    starts = [0.1, 0.5, 1.0, 2.0, 2.2]
+    bounds = [20.0, 20.0, 20.0, 20.0, 2.6]
+    levels = [0.5, 0.99, 2.0, 2.0, 2.0]
+    events = [below_zero, at_level]
+    got = ode.solve_lanes(lambda t, y: np.array([y[1], -y[0]]), starts,
+                          bounds, np.array([[math.sin(s) for s in starts],
+                                           [math.cos(s) for s in starts]]),
+                          1e-10, 1e-12, events, observe, [levels])
+    return got, events, list(zip(starts, bounds, levels))
+
+
+def test_lanes_settle_each_event_stopped_lane_once():
+    seen = []
+
+    def observe(lanes, t, y):
+        seen.extend(zip(lanes.tolist(), t.tolist(), y.T.tolist()))
+
+    got, events, lanes = _two_event_lanes(observe)
+    # the bits the lanes had when each lockstep step found its own roots
+    want_t = ["0x1.0c1523826b306p-1", "0x1.6de3c6f6f014cp+0",
+              "0x1.921fb5444c616p+1", "0x1.921fb5444a7fcp+1",
+              "0x1.4cccccccccccdp+1"]
+    want_y = [["0x1.ffffffff43e34p-2", "0x1.bb67ae85bb09cp-1"],
+              ["0x1.fae147af1d263p-1", "0x1.20e7ec69bc580p-3"],
+              ["-0x1.165c000000000p-38", "-0x1.fffffffffca00p-1"],
+              ["-0x1.177c000000000p-37", "-0x1.fffffffffe80bp-1"],
+              ["0x1.07efcbba0b9ccp-1", "-0x1.b6ba1f680cca5p-1"]]
+    assert [v.hex() for v in got.t.tolist()] == [
+        float.fromhex(v).hex() for v in want_t]
+    assert [[v.hex() for v in row] for row in got.y.T.tolist()] == [
+        [float.fromhex(v).hex() for v in row] for row in want_y]
+    assert got.event.tolist() == [1, 1, 0, 0, -1]
+    assert got.status.tolist() == [1, 1, 1, 1, 0]
+    assert got.steps.tolist() == [3, 4, 8, 5, 3]
+    assert got.nfev.tolist() == [53, 65, 113, 77, 38]
+    for j, (start, bound, level) in enumerate(lanes):
+        want = ode.solve(lambda t, y: [y[1], -y[0]], (start, bound),
+                         [math.sin(start), math.cos(start)], 1e-10, 1e-12,
+                         events, (level,))
+        assert (got.event[j], got.status[j]) == (want.event, want.status)
+        assert (got.steps[j], got.nfev[j]) == (len(want.t) - 1, want.nfev)
+        # every lane's last state is its end, seen once
+        states = [(t, y) for lane, t, y in seen if lane == j]
+        end = (got.t[j], got.y[:, j].tolist())
+        assert states[-1] == end and states.count(end) == 1
+
+
+def test_lanes_run_the_settle_pass_once_per_solve(monkeypatch):
+    # the extra stages of every event-stopped lane's interpolant are
+    # computed together, after the lockstep loop
+    calls = []
+    real = ode._extra_stages
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(ode, "_extra_stages", counted)
+    got, _, _ = _two_event_lanes()
+    assert calls == [4]
+    assert np.count_nonzero(got.status == 1) == 4
+
+
 def test_tableau_is_scipys_dop853():
     # the copied tables equal scipy's bit for bit; A's rows hold the
     # weights below the diagonal, the extra stages' rows included

@@ -1,6 +1,7 @@
 """The in-house root finders against the scipy routines they port:
 `roots.brentq` against `scipy.optimize.brentq` (every evaluated point and
-root equal, errors included), `roots.chandrupatla` against
+root equal, errors included), `roots.brentq_lanes` against `roots.brentq`
+element by element, `roots.chandrupatla` against
 `scipy.optimize.elementwise.find_root` (equal x, status and nit)."""
 
 import math
@@ -9,10 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize.elementwise import find_root
 
-from stellar_match.roots import brentq, chandrupatla
+from stellar_match.roots import brentq, brentq_lanes, chandrupatla
 
 EPS = sys.float_info.epsilon
 
@@ -102,6 +104,101 @@ def test_brentq_sign_error_nan_and_argument_checks_match_scipy():
 def test_brentq_returns_a_zero_at_either_end():
     assert brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     assert brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+def _cubic(x, c, p, near):
+    """(x - c)(x^2 + p x + 2), whose one real root is c for |p| < 2 sqrt 2;
+    NaN closer than `near` to it."""
+    return np.where(np.abs(x - c) < near, np.nan, (x - c) * (x * x + p * x + 2.0))
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# (root c, c - a, b - c, p, swap the ends); a zero distance puts the root
+# on that end
+BRACKET = st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0),
+                    st.floats(0.0, 3.0), st.floats(-2.0, 2.0), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(brackets=st.lists(BRACKET, min_size=1, max_size=12),
+       xtol=st.sampled_from([2e-12, 4 * EPS, 1e-300]),
+       fault=st.sampled_from([None, "sign", "nan"]), at=st.integers(0, 11))
+@example(brackets=[(0.5, 0.0, 1.0, 0.3, False), (1.0, 0.5, 0.5, -1.0, False)],
+         xtol=2e-12, fault=None, at=0)
+@example(brackets=[(0.5, 1.0, 0.0, 0.3, False), (1.0, 0.5, 0.5, -1.0, True)],
+         xtol=2e-12, fault=None, at=0)
+@example(brackets=[(0.5, 1.0, 1.0, 0.3, False), (1.0, 0.5, 0.5, -1.0, True)],
+         xtol=2e-12, fault="sign", at=1)
+@example(brackets=[(0.5, 1.0, 1.0, 0.3, False), (1.0, 0.25, 0.5, -1.0, False)],
+         xtol=2e-12, fault="nan", at=1)
+@example(brackets=[(0.5, 1.0, 1.0, 0.3, False), (1.0, 1e-4, 0.5, -1.0, True)],
+         xtol=2e-12, fault="nan", at=1)
+@example(brackets=[(-1.7731845266625694e-275, 1.0, 4.050456896695428e-268, 1.0, False),
+                   (0.0, 0.0, 0.0, 0.0, False)], xtol=1e-300, fault="sign", at=1)
+def test_brentq_lanes_match_brentq_bit_for_bit(brackets, xtol, fault, at):
+    # each element's root equals brentq's on it; one faulty element (no
+    # sign change, or NaN within 1e-3 of its root, which an end or an
+    # iterate reaches) raises brentq's error on it
+    c, below, above, p, swap = (np.array(v) for v in zip(*brackets))
+    a, b = np.where(swap, c + above, c - below), np.where(swap, c - below, c + above)
+    near = np.zeros(len(c))
+    at %= len(c)
+    if fault == "sign":
+        a[at], b[at] = c[at] + 0.5, c[at] + 1.0
+    elif fault == "nan":
+        near[at] = 1e-3
+    want = [_outcome(lambda: brentq(lambda x: _cubic(x, *args), lo, hi, xtol=xtol,
+                                    maxiter=200))
+            for lo, hi, *args in zip(a.tolist(), b.tolist(), c, p, near)]
+    got = _outcome(lambda: brentq_lanes(_cubic, a, b, (c, p, near), xtol=xtol,
+                                        maxiter=200))
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        # several failing elements raise the first error met, which need
+        # not be the first element's (a sign error precedes any iteration)
+        assert got in errors
+        assert len(errors) > 1 or got == errors[0]
+    else:
+        assert [v.hex() for v in got.tolist()] == [float(w).hex() for w in want]
+    if fault == "sign":
+        assert got == (ValueError, "f(a) and f(b) must have different signs")
+    elif fault == "nan":
+        assert got[0] is ValueError and "NaN" in got[1]
+
+
+@pytest.mark.parametrize("xtol", [2e-12, 1e-300])
+def test_brentq_lanes_match_brentq_on_every_family(xtol):
+    # the scalar families, each element evaluated by its own float function
+    # (so any difference is the solver's), all brackets in one call
+    brackets = [(family(c), lo, hi) for name, family in FAMILIES.items()
+                for c in (0.3, 0.77, 1.2) for _, _, lo, hi in [(0, 0, c - 0.4, c + 0.9),
+                                                            (0, 0, c + 0.6, c - 0.25)]]
+    brackets += [(f, a, b) for _, f, a, b in _brackets(20261022, 10)]
+    fs, a, b = zip(*brackets)
+
+    def f(x, k):
+        return np.array([fs[j](v) for j, v in zip(k.tolist(), x.tolist())])
+
+    got = brentq_lanes(f, np.array(a), np.array(b), (np.arange(len(fs)),),
+                       xtol=xtol, maxiter=200)
+    want = [brentq(g, lo, hi, xtol=xtol, maxiter=200) for g, lo, hi in brackets]
+    assert [v.hex() for v in got.tolist()] == [w.hex() for w in want]
+
+
+def test_brentq_lanes_raise_brentqs_errors_on_their_arguments():
+    def f(x):
+        return x - 0.3
+
+    for kwargs in ({"xtol": 0.0}, {"rtol": EPS}, {"maxiter": -1}, {"maxiter": 0}):
+        want = _outcome(lambda: brentq(f, 0.0, 1.0, **kwargs))
+        assert _outcome(lambda: brentq_lanes(f, np.array([0.0]), np.array([1.0]),
+                                             **kwargs)) == want
 
 
 TOLERANCES = {"xatol": 1e-13, "xrtol": 4e-15}

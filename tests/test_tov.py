@@ -604,6 +604,25 @@ def test_near_horizon_start_beyond_validity():
                         eos.gamma, mass, atol_factor, got)
 
 
+def test_a_first_trial_point_past_the_domain_starts_from_h0(lanes_solves):
+    # At R = 1 the shot starts at s = ln 1 = 0, where the minimum step is
+    # subnormal, and the initial step's trial point lies past the right-
+    # hand side's domain (d2 = inf).  Scipy's rule then gives a first step
+    # of 0, from which the steps climb 10x at a time (317 steps); the first
+    # step h0 reaches the same exit in 3.
+    cls, traj = tov.shoot_from_boundary(eos_rel(), 1.0, 0.4999999995)
+    [lane] = tov.shoot_from_boundaries(eos_rel(), [1.0], [0.4999999995])
+    [sol] = lanes_solves
+    assert len(traj.r) - 1 <= 10
+    assert sol.steps[0] == len(traj.r) - 1
+    for got in (cls, lane):
+        assert (got.case, got.exit) == (tov.CASE00, tov.EXIT_PRESSURE_CEILING)
+    # r_exit as the 317-step solve found it
+    assert cls.r_exit == pytest.approx(float.fromhex("0x1.fffffff246b06p-1"),
+                                       rel=1e-12)
+    assert lane.r_exit == pytest.approx(cls.r_exit, rel=1e-12)
+
+
 # -- trajectory invariants -------------------------------------------------
 
 def test_pressure_monotone_along_outward_shot():
